@@ -14,28 +14,9 @@ import numpy as np
 
 from .errors import DegenerateError, GapClosedError
 from .dynamics import adiabatic_error_bound, adiabatic_evolve
+from .models import _random_hermitian
 from .se_strength import BipartiteOperator, best_upper, se_lower_search, _opnorm
 from .spectra import Cut, PureState, renyi_entropy, schmidt_decompose, truncate_rank
-
-
-def op_norm_power(m, iters=80, tol=1e-13, seed=0):
-    """Largest singular value by power iteration on m^dag m."""
-    m = np.asarray(m, dtype=complex)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(iters):
-        w = m.conj().T @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw < 1e-300:
-            return 0.0
-        v = w / nw
-        cur = math.sqrt(nw)
-        if abs(cur - prev) < tol * max(1.0, cur):
-            return cur
-        prev = cur
-    return prev
 
 
 @dataclass(frozen=True)
@@ -100,7 +81,8 @@ def build_agsp(h, beta, qtol=1e-10, start_nodes=64, node_cap=2 ** 14):
     while True:
         nodes *= 2
         f_cur = _filter_values(lams, beta, t_c, nodes)
-        k_diff = op_norm_power(u @ np.diag(f_cur - f_prev) @ u.conj().T)
+        # ||U diag(df) U^dag|| = max|df| exactly, since U is unitary
+        k_diff = float(np.max(np.abs(f_cur - f_prev)))
         if k_diff < qtol or nodes >= node_cap:
             break
         f_prev = f_cur
@@ -114,7 +96,7 @@ def build_agsp(h, beta, qtol=1e-10, start_nodes=64, node_cap=2 ** 14):
         eigvals=lams,
         filter_vals=f_cur,
         nodes_used=nodes,
-        quad_diff=float(k_diff),
+        quad_diff=k_diff,
     )
 
 
@@ -134,8 +116,7 @@ def random_gapped_instance(rng, max_local=8, n_v_terms=3):
         return q @ np.diag(vals) @ q.conj().T
 
     def rand_herm_unit(d):
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = (m + m.conj().T) / 2
+        m = _random_hermitian(rng, d)
         return m / _opnorm(m)
 
     h_a = rand_block(da)

@@ -33,6 +33,7 @@ from .lowrank import (
     truncation_error_params,
 )
 from .models import (
+    _random_hermitian,
     build_ising_projector_interaction,
     build_long_range_ising,
     build_nearest_neighbor_chain,
@@ -44,7 +45,7 @@ from .models import (
     random_product_state,
 )
 from .mps import product_mps
-from .se_strength import best_upper, se_lower_search
+from .se_strength import _opnorm, best_upper, se_lower_search
 from .spectra import Cut, SchmidtSpectrum
 from .tdmrg import (
     TdmrgConfig,
@@ -344,9 +345,8 @@ def exp_merge(p, seed):
     h0_b = np.diag(rng.uniform(-1.0, 1.0, db)).astype(complex)
 
     def herm_unit(d):
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = (m + m.conj().T) / 2
-        return m / np.linalg.norm(m, 2)
+        m = _random_hermitian(rng, d)
+        return m / _opnorm(m)
 
     v_terms = [p["v_scale"] * np.kron(herm_unit(da), herm_unit(db)) for _ in range(p["n_terms"])]
     series = build_merge_series(
@@ -598,6 +598,20 @@ class ConfigError(Exception):
     pass
 
 
+# JSON types a param may take, keyed by the Python type of its default
+_ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
+def _check_param_types(name, values, defaults):
+    for key, value in values.items():
+        accepted = _ACCEPTED_TYPES[type(defaults[key])]
+        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+            want = " or ".join(t.__name__ for t in accepted)
+            raise ConfigError(
+                f"param {key!r} of {name} must be {want}, got {type(value).__name__}"
+            )
+
+
 def validate_config(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -618,6 +632,7 @@ def validate_config(cfg):
     bad = set(params) - set(defaults)
     if bad:
         raise ConfigError(f"unknown params for {name}: {sorted(bad)}")
+    _check_param_types(name, params, defaults)
     grid = cfg.get("grid", [])
     if not isinstance(grid, list) or any(not isinstance(g, dict) for g in grid):
         raise ConfigError("grid must be a list of objects")
@@ -625,6 +640,7 @@ def validate_config(cfg):
         bad = set(g) - set(defaults)
         if bad:
             raise ConfigError(f"unknown grid params for {name}: {sorted(bad)}")
+        _check_param_types(name, g, defaults)
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")

@@ -17,24 +17,6 @@ def encode_complex(z):
     return f"{z.real}{'+' if z.imag >= 0 else '-'}{abs(z.imag)}j"
 
 
-def decode_complex(s):
-    return complex(s)
-
-
-def matrix_to_json(m):
-    """Row-major nested list of "re+imj" strings."""
-    m = np.asarray(m)
-    return {
-        "shape": list(m.shape),
-        "entries": [encode_complex(z) for z in m.reshape(-1)],
-    }
-
-
-def matrix_from_json(obj):
-    data = np.array([decode_complex(s) for s in obj["entries"]], dtype=complex)
-    return data.reshape(obj["shape"])
-
-
 def jsonable(x):
     """Recursively convert numpy scalars/arrays and complex values."""
     if isinstance(x, dict):

@@ -11,8 +11,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EtaTooSmallError, TimeTooLongError, TooLargeError, BadAlphaError
-from .ioutil import matrix_from_json, matrix_to_json
-from .se_strength import BipartiteOperator, _opnorm
+from .se_strength import BipartiteOperator, _operator_schmidt, _opnorm
 from .spectra import PureState, SchmidtSpectrum, renyi_entropy
 
 DENSE_DIM_CAP = 2 ** 12
@@ -31,6 +30,21 @@ def _embed(matrix, support, dims):
     t = big.reshape(shape).transpose(list(perm) + [n + p for p in perm])
     d = int(np.prod(dims))
     return t.reshape(d, d)
+
+
+def _dense_sum(terms, dims):
+    """Dense sum of local terms on a chain with the given site dimensions."""
+    d = int(np.prod(dims))
+    h = np.zeros((d, d), dtype=complex)
+    for t in terms:
+        h += _embed(t.matrix, t.support, dims)
+    return h
+
+
+def _random_hermitian(rng, d):
+    """(M + M^dag)/2 for a complex Gaussian d x d matrix M."""
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (m + m.conj().T) / 2
 
 
 @dataclass(frozen=True)
@@ -127,11 +141,7 @@ class ChainHamiltonian:
     def dense(self, cap=DENSE_DIM_CAP):
         if self.total_dim > cap:
             raise TooLargeError(f"total dim {self.total_dim} > cap {cap}")
-        d = self.total_dim
-        h = np.zeros((d, d), dtype=complex)
-        for t in self.terms:
-            h += _embed(t.matrix, t.support, self.dims)
-        return h
+        return _dense_sum(self.terms, self.dims)
 
     def sparse(self):
         from scipy import sparse
@@ -157,27 +167,6 @@ class ChainHamiltonian:
         return float(max(cut_sums, default=0.0))
 
 
-def chain_to_json(chain):
-    return {
-        "n": chain.n,
-        "dims": list(chain.dims),
-        "decay": list(chain.decay) if chain.decay else None,
-        "terms": [
-            {"support": list(t.support), "matrix": matrix_to_json(t.matrix)}
-            for t in chain.terms
-        ],
-    }
-
-
-def chain_from_json(obj):
-    terms = tuple(
-        LocalTerm(tuple(t["support"]), matrix_from_json(t["matrix"]))
-        for t in obj["terms"]
-    )
-    decay = tuple(obj["decay"]) if obj.get("decay") else None
-    return ChainHamiltonian(n=obj["n"], dims=tuple(obj["dims"]), terms=terms, decay=decay)
-
-
 @dataclass(frozen=True)
 class CutHamiltonian:
     """Exact partition H = H_A + H_B + V at a cut, with V carrying a term
@@ -195,18 +184,10 @@ class CutHamiltonian:
         return float(sum(t.norm for t in self.boundary_terms))
 
     def dense_a(self):
-        d = int(np.prod(self.dims_a))
-        h = np.zeros((d, d), dtype=complex)
-        for t in self.a_terms:
-            h += _embed(t.matrix, t.support, self.dims_a)
-        return h
+        return _dense_sum(self.a_terms, self.dims_a)
 
     def dense_b(self):
-        d = int(np.prod(self.dims_b))
-        h = np.zeros((d, d), dtype=complex)
-        for t in self.b_terms:
-            h += _embed(t.matrix, t.support, self.dims_b)
-        return h
+        return _dense_sum(self.b_terms, self.dims_b)
 
     def dense_full(self):
         return (
@@ -240,21 +221,11 @@ def split_at_cut(chain, s, cap=DENSE_DIM_CAP):
         zb = [i for i in t.support if i >= s]
         dza = int(np.prod([chain.dims[i] for i in za]))
         dzb = int(np.prod([chain.dims[i] for i in zb]))
-        r = (
-            t.matrix.reshape(dza, dzb, dza, dzb)
-            .transpose(0, 2, 1, 3)
-            .reshape(dza * dza, dzb * dzb)
-        )
-        u, sig, vh = np.linalg.svd(r, full_matrices=False)
-        for idx in range(sig.size):
-            if sig[idx] < 1e-14 * sig[0]:
-                break
-            ua = u[:, idx].reshape(dza, dza)
-            wb = vh[idx, :].conj().reshape(dzb, dzb)
+        for sig, ua, wb in _operator_schmidt(t.matrix, dza, dzb):
             na, nb = _opnorm(ua), _opnorm(wb)
             pa = _embed(ua / na, za, dims_a)
             qb = _embed(wb / nb, [i - s for i in zb], dims_b)
-            coeff = sig[idx] * na * nb
+            coeff = sig * na * nb
             decomposition.append((coeff, pa, qb))
             v += coeff * np.kron(pa, qb)
     v_ab = BipartiteOperator(dims_a, dims_b, v, tuple(decomposition) or None)
@@ -562,18 +533,13 @@ def random_dense_instance(rng, dim_cap=256, max_local=16, n_terms=4):
         db = int(rng.integers(2, max_local + 1))
         if da * db <= dim_cap:
             break
-
-    def rand_herm(d):
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return (m + m.conj().T) / 2
-
-    h_a = rand_herm(da)
-    h_b = rand_herm(db)
+    h_a = _random_hermitian(rng, da)
+    h_b = _random_hermitian(rng, db)
     mat = np.zeros((da * db, da * db), dtype=complex)
     decomposition = []
     for _ in range(n_terms):
-        p = rand_herm(da)
-        q = rand_herm(db)
+        p = _random_hermitian(rng, da)
+        q = _random_hermitian(rng, db)
         p /= _opnorm(p)
         q /= _opnorm(q)
         coeff = float(rng.uniform(0.1, 2.0))

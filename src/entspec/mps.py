@@ -10,7 +10,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MismatchError, TooLargeError, UnsupportedLocalityError
-from .ioutil import decode_complex, encode_complex
+from .se_strength import _operator_schmidt
 from .spectra import PureState
 
 DENSE_CAP = 2 ** 20
@@ -101,16 +101,21 @@ class CompressionRecord:
         return math.sqrt(2.0 * self.sum_delta2)
 
 
-def compression_record_rows(record):
-    return [
-        {
-            "bond": b.bond,
-            "zeta": b.zeta,
-            "delta2": b.delta2,
-            "kept_count": int(b.kept.size),
-        }
-        for b in record.bonds
-    ]
+def _truncate_bond(t, bond, d_cap, tolerance):
+    """SVD-truncate the right bond of site tensor t[left, physical, right].
+
+    Keeps at most d_cap values above tolerance, and at least one. Returns the
+    left-orthonormal site tensor, the carry s_kept * Vh_kept for the next
+    site, and the bond's record.
+    """
+    dl, d, dr = t.shape
+    u, s, vh = np.linalg.svd(t.reshape(dl * d, dr), full_matrices=False)
+    keep = int(min(d_cap, max(1, int(np.sum(s > tolerance)))))
+    kept = s[:keep]
+    record = BondRecord(
+        bond=bond, kept=kept.copy(), delta2=float(np.sum(s[keep:] ** 2)), zeta=float(np.sum(kept))
+    )
+    return u[:, :keep].reshape(dl, d, keep), kept[:, None] * vh[:keep], record
 
 
 def from_dense(state, d_max=None, tolerance=0.0):
@@ -124,20 +129,11 @@ def from_dense(state, d_max=None, tolerance=0.0):
     rest = state.amps.reshape(1, -1)
     tensors = []
     bonds = []
-    left = 1
     for i in range(n - 1):
-        m = rest.reshape(left * d, -1)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        keep = int(min(cap, max(1, int(np.sum(s > tolerance)))))
-        kept = s[:keep]
-        delta2 = float(np.sum(s[keep:] ** 2))
-        bonds.append(
-            BondRecord(bond=i + 1, kept=kept.copy(), delta2=delta2, zeta=float(np.sum(kept)))
-        )
-        tensors.append(u[:, :keep].reshape(left, d, keep))
-        rest = kept[:, None] * vh[:keep]
-        left = keep
-    tensors.append(rest.reshape(left, d, 1))
+        t, rest, record = _truncate_bond(rest.reshape(rest.shape[0], d, -1), i + 1, cap, tolerance)
+        tensors.append(t)
+        bonds.append(record)
+    tensors.append(rest.reshape(-1, d, 1))
     mps = MatrixProductState(tensors=tuple(tensors), canonical_center=n - 1)
     return mps, CompressionRecord(bonds=tuple(bonds))
 
@@ -179,22 +175,6 @@ def add(a, b, coeff_a=1.0, coeff_b=1.0):
     return MatrixProductState(tensors=tuple(ts))
 
 
-def _product_factors(matrix, d):
-    """Split a two-site operator into sum_a P_a (x) Q_a by its operator SVD."""
-    o4 = matrix.reshape(d, d, d, d)
-    r = o4.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
-    factors = []
-    for a in range(s.size):
-        if s[a] < 1e-14 * s[0]:
-            break
-        root = math.sqrt(s[a])
-        p = root * u[:, a].reshape(d, d)
-        q = root * vh[a, :].conj().reshape(d, d)
-        factors.append((p, q))
-    return factors
-
-
 def apply_local_term(mps, term):
     """h_Z applied to the state; bonds between a two-site support grow by the
     number of product factors (at most d^2)."""
@@ -209,12 +189,14 @@ def apply_local_term(mps, term):
         ts[i] = np.einsum("pq,lqr->lpr", term.matrix, ts[i])
         return MatrixProductState(tensors=tuple(ts))
     i, j = term.support
-    factors = _product_factors(term.matrix, d)
+    factors = _operator_schmidt(term.matrix, d, d)
     na = len(factors)
     dl_i, _, dr_i = ts[i].shape
     new_i = np.zeros((dl_i, d, na * dr_i), dtype=complex)
-    for a, (p, _) in enumerate(factors):
-        new_i[:, :, a * dr_i : (a + 1) * dr_i] = np.einsum("pq,lqr->lpr", p, ts[i])
+    for a, (s, e, _) in enumerate(factors):
+        new_i[:, :, a * dr_i : (a + 1) * dr_i] = np.einsum(
+            "pq,lqr->lpr", math.sqrt(s) * e, ts[i]
+        )
     ts[i] = new_i
     for k in range(i + 1, j):
         dl, _, dr = ts[k].shape
@@ -224,8 +206,10 @@ def apply_local_term(mps, term):
         ts[k] = new_k
     dl_j, _, dr_j = ts[j].shape
     new_j = np.zeros((na * dl_j, d, dr_j), dtype=complex)
-    for a, (_, q) in enumerate(factors):
-        new_j[a * dl_j : (a + 1) * dl_j, :, :] = np.einsum("pq,lqr->lpr", q, ts[j])
+    for a, (s, _, f) in enumerate(factors):
+        new_j[a * dl_j : (a + 1) * dl_j, :, :] = np.einsum(
+            "pq,lqr->lpr", math.sqrt(s) * f, ts[j]
+        )
     ts[j] = new_j
     return MatrixProductState(tensors=tuple(ts))
 
@@ -248,21 +232,8 @@ def compress(mps, d_cap, tolerance=0.0):
         ts[i - 1] = np.einsum("lpr,rk->lpk", ts[i - 1], r.conj().T)
     bonds = []
     for i in range(n - 1):
-        dl, _, dr = ts[i].shape
-        m = ts[i].reshape(dl * d, dr)
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-        keep = int(min(d_cap, max(1, int(np.sum(s > tolerance)))))
-        kept = s[:keep]
-        bonds.append(
-            BondRecord(
-                bond=i + 1,
-                kept=kept.copy(),
-                delta2=float(np.sum(s[keep:] ** 2)),
-                zeta=float(np.sum(kept)),
-            )
-        )
-        ts[i] = u[:, :keep].reshape(dl, d, keep)
-        carry = kept[:, None] * vh[:keep]
+        ts[i], carry, record = _truncate_bond(ts[i], i + 1, d_cap, tolerance)
+        bonds.append(record)
         ts[i + 1] = np.einsum("ab,bpr->apr", carry, ts[i + 1])
     out = MatrixProductState(tensors=tuple(ts), canonical_center=n - 1)
     return out, CompressionRecord(bonds=tuple(bonds))
@@ -280,42 +251,6 @@ def mps_inner(a, b):
 
 def mps_norm(mps):
     return math.sqrt(max(0.0, mps_inner(mps, mps).real))
-
-
-def local_expectation(mps, term):
-    """<psi|h_Z|psi> in O(n D^3) by transfer contraction with the operator
-    inserted at its support (product-factor channel for two-site terms)."""
-    if len(term.support) > 2:
-        raise UnsupportedLocalityError(f"support size {len(term.support)} > 2")
-    d = mps.d
-    if len(term.support) == 1:
-        (i,) = term.support
-        env = np.ones((1, 1), dtype=complex)
-        for k, t in enumerate(mps.tensors):
-            if k == i:
-                env = np.einsum("xy,xqs,qp,ypr->sr", env, t.conj(), term.matrix, t)
-            else:
-                env = np.einsum("xy,xps,ypr->sr", env, t.conj(), t)
-        return complex(env[0, 0])
-    i, j = term.support
-    factors = _product_factors(term.matrix, d)
-    na = len(factors)
-    env = np.ones((1, 1), dtype=complex)
-    env3 = None
-    for k, t in enumerate(mps.tensors):
-        if k < i:
-            env = np.einsum("xy,xps,ypr->sr", env, t.conj(), t)
-        elif k == i:
-            ps = np.stack([p for p, _ in factors])
-            env3 = np.einsum("xy,xqs,aqp,ypr->asr", env, t.conj(), ps, t)
-        elif k < j:
-            env3 = np.einsum("axy,xps,ypr->asr", env3, t.conj(), t)
-        elif k == j:
-            qs = np.stack([q for _, q in factors])
-            env = np.einsum("axy,xqs,aqp,ypr->sr", env3, t.conj(), qs, t)
-        else:
-            env = np.einsum("xy,xps,ypr->sr", env, t.conj(), t)
-    return complex(env[0, 0])
 
 
 def product_mps(dims_or_n, d=None, local_vectors=None):
@@ -337,24 +272,3 @@ def product_mps(dims_or_n, d=None, local_vectors=None):
         ts.append(v.reshape(1, d, 1))
     return MatrixProductState(tensors=tuple(ts))
 
-
-def mps_to_json(mps):
-    return {
-        "n": mps.n_sites,
-        "d": mps.d,
-        "tensors": [
-            {
-                "shape": list(t.shape),
-                "entries": [encode_complex(x) for x in t.reshape(-1)],
-            }
-            for t in mps.tensors
-        ],
-    }
-
-
-def mps_from_json(obj):
-    ts = []
-    for tj in obj["tensors"]:
-        flat = np.array([decode_complex(s) for s in tj["entries"]], dtype=complex)
-        ts.append(flat.reshape(tj["shape"]))
-    return MatrixProductState(tensors=tuple(ts))

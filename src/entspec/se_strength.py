@@ -31,6 +31,18 @@ def _opnorm(m):
     return float(np.linalg.norm(np.asarray(m, dtype=complex), 2))
 
 
+def _operator_schmidt(matrix, da, db):
+    """Operator-Schmidt split matrix = sum_k s_k E_k (x) F_k on A x B.
+
+    Returns the (s_k, E_k, F_k) with s_k >= 1e-14 s_1, largest first; the
+    E_k and the F_k are each Hilbert-Schmidt orthonormal.
+    """
+    r = matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    u, s, vh = np.linalg.svd(r, full_matrices=False)
+    keep = int(np.sum(s >= 1e-14 * s[0]))
+    return [(s[k], u[:, k].reshape(da, da), vh[k, :].reshape(db, db)) for k in range(keep)]
+
+
 @dataclass(frozen=True)
 class BipartiteOperator:
     """Dense operator on A x B with optional unit-norm term decomposition.
@@ -114,16 +126,9 @@ def operator_schmidt_upper(op):
     Any sum of product terms with unit-norm factors bounds the strength by
     its absolute coefficient sum; the reshuffle SVD supplies one such sum.
     """
-    da, db = op.dim_a, op.dim_b
-    r = op.as_tensor().transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    u, s, vh = np.linalg.svd(r, full_matrices=False)
     total = 0.0
-    for k in range(s.size):
-        if s[k] < 1e-14 * s[0]:
-            break
-        ea = u[:, k].reshape(da, da)
-        fb = vh[k, :].conj().reshape(db, db)
-        total += s[k] * _opnorm(ea) * _opnorm(fb)
+    for s, ea, fb in _operator_schmidt(op.matrix, op.dim_a, op.dim_b):
+        total += s * _opnorm(ea) * _opnorm(fb)
     return float(total)
 
 
@@ -133,6 +138,12 @@ def best_upper(op):
     if op.decomposition is not None:
         cands.append(se_upper_from_decomposition(op))
     return float(min(cands))
+
+
+def _contract(phi4, x, y):
+    """phi4 applied to the product state x (x) y, as a (A anc) x (B anc) matrix."""
+    da, db = phi4.shape[0], phi4.shape[1]
+    return np.einsum("abcd,ce,df->aebf", phi4, x, y).reshape(da * x.shape[1], db * y.shape[1])
 
 
 def _ascend(phi4, x, y, iterations, tol):
@@ -146,7 +157,7 @@ def _ascend(phi4, x, y, iterations, tol):
     aa, bb = x.shape[1], y.shape[1]
     obj = -np.inf
     for _ in range(iterations):
-        psi = np.einsum("abcd,ce,df->aebf", phi4, x, y).reshape(da * aa, db * bb)
+        psi = _contract(phi4, x, y)
         u, s, vh = np.linalg.svd(psi, full_matrices=False)
         new_obj = float(np.sum(s))
         w4 = (u @ vh).reshape(da, aa, db, bb)
@@ -154,7 +165,7 @@ def _ascend(phi4, x, y, iterations, tol):
         gn = np.linalg.norm(g)
         if gn > 1e-300:
             x = g.conj() / gn
-        psi = np.einsum("abcd,ce,df->aebf", phi4, x, y).reshape(da * aa, db * bb)
+        psi = _contract(phi4, x, y)
         u, s, vh = np.linalg.svd(psi, full_matrices=False)
         w4 = (u @ vh).reshape(da, aa, db, bb)
         h = np.einsum("aebf,abcd,ce->df", w4.conj(), phi4, x)
@@ -165,7 +176,7 @@ def _ascend(phi4, x, y, iterations, tol):
             obj = max(obj, new_obj)
             break
         obj = new_obj
-    psi = np.einsum("abcd,ce,df->aebf", phi4, x, y).reshape(da * aa, db * bb)
+    psi = _contract(phi4, x, y)
     obj = float(np.sum(np.linalg.svd(psi, compute_uv=False)))
     return obj, x, y
 
@@ -243,10 +254,7 @@ def se_subadditive_combine(weighted):
 
 
 def _alpha_objective(phi4, x, y, alpha, clamp=1e-12):
-    da, db = phi4.shape[0], phi4.shape[1]
-    aa, bb = x.shape[1], y.shape[1]
-    psi = np.einsum("abcd,ce,df->aebf", phi4, x, y).reshape(da * aa, db * bb)
-    s = np.linalg.svd(psi, compute_uv=False)
+    s = np.linalg.svd(_contract(phi4, x, y), compute_uv=False)
     s = s[s > clamp]
     if s.size == 0:
         return 0.0

@@ -16,23 +16,13 @@ from entspec import (
     build_nearest_neighbor_chain,
     ground_tail_experiment,
     make_coupled_qudit_family,
-    op_norm_power,
     random_gapped_instance,
     se_lower_search,
 )
-from entspec.agsp_arealaw import c_kappa_1, c_kappa_2
+from entspec.agsp_arealaw import _filter_values, c_kappa_1, c_kappa_2
 from entspec.se_strength import BipartiteOperator, best_upper
 
 from helpers import random_hermitian
-
-
-def test_op_norm_power_matches_svd(rng):
-    for shape in ((5, 5), (4, 7)):
-        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert op_norm_power(m) == pytest.approx(
-            np.linalg.norm(m, 2), rel=1e-10
-        )
-    assert op_norm_power(np.zeros((3, 3))) == 0.0
 
 
 def test_agsp_two_level_defects():
@@ -49,6 +39,14 @@ def test_agsp_two_level_defects():
     assert k.defect_ground <= k.defect_bound
     assert k.defect_excited <= 2.0 * k.defect_bound
     assert k.quad_diff <= 1e-10
+    # the stop value is the exact spectral norm of the last change in K
+    _, u = np.linalg.eigh(h)
+    f_last, f_prev = (
+        _filter_values(k.eigvals, beta, k.t_c, nodes)
+        for nodes in (k.nodes_used, k.nodes_used // 2)
+    )
+    k_change = u @ np.diag(f_last - f_prev) @ u.conj().T
+    assert abs(k.quad_diff - np.linalg.norm(k_change, 2)) <= 1e-14
     assert k.strength_cap(0.5) == pytest.approx(math.exp(2.0 * beta * 0.5), rel=1e-12)
 
 

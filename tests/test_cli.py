@@ -40,6 +40,7 @@ def test_registry_lists_every_published_experiment():
         {"experiment": "saturate", "seed": "zero"},
         {"experiment": "saturate", "grid": {"times": [0.1]}},
         {"experiment": "saturate", "grid": [{"bogus": 1}]},
+        {"experiment": "ground-tail", "params": {"n": "8"}},
     ],
 )
 def test_validator_rejects_malformed_configs(cfg):
@@ -102,6 +103,8 @@ def test_malformed_json_exits_2(tmp_path):
 
 def test_unknown_experiment_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, {"experiment": "mystery"})
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    cfg_path = write_config(tmp_path, {"experiment": "ground-tail", "params": {"n": "8"}})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
 

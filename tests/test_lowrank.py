@@ -1,5 +1,6 @@
 """Width bounds, identity fits, no-go targets, and the merge expansion."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -104,28 +105,29 @@ def test_simplex_moment_exact_values():
     assert simplex_moment(()) == Fraction(1, 1)
 
 
-@given(
-    st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(
-        lambda q: sum(q) <= 8
-    ),
-    st.integers(0, 10 ** 6),
-)
-@settings(max_examples=12, deadline=None)
-def test_simplex_moment_matches_monte_carlo(qs, seed):
-    """Ordered-uniform sampling reproduces the exact moment within 3 sigma."""
-    rng = np.random.default_rng(seed)
-    n_samp = 200_000
-    u = rng.uniform(0.0, 1.0, size=(n_samp, len(qs)))
-    u.sort(axis=1)
-    x = u[:, ::-1]  # descending: leftmost largest
-    vals = np.ones(n_samp)
-    for j, q in enumerate(qs):
-        vals *= x[:, j] ** q
-    # the ordered simplex has volume 1/s!; rescale to the moment normalization
-    est = vals.mean() / math.factorial(len(qs))
-    err = vals.std(ddof=1) / math.sqrt(n_samp) / math.factorial(len(qs))
-    exact = float(simplex_moment(tuple(qs)))
-    assert abs(est - exact) <= max(3.0 * err, 1e-9)
+def test_simplex_moment_matches_cubature():
+    """Gauss-Legendre cubature over the ordered simplex 1 >= x_1 >= ... >= x_s.
+
+    With x_1 = u_1 and x_j = x_(j-1) u_j on the unit cube, the Jacobian is
+    prod_j u_j^(s-j) and the integrand is a polynomial of degree at most
+    sum(q) + s - 1 <= 11 in each u_j, which 8 nodes per axis integrate exactly.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    cases = [
+        qs
+        for s in range(1, 5)
+        for qs in itertools.product(range(5), repeat=s)
+        if sum(qs) <= 8
+    ]
+    for qs in cases:
+        s = len(qs)
+        u = np.meshgrid(*[nodes] * s, indexing="ij")
+        w = np.prod(np.meshgrid(*[weights] * s, indexing="ij"), axis=0)
+        x = np.cumprod(u, axis=0)
+        f = np.prod([x[j] ** qs[j] * u[j] ** (s - 1 - j) for j in range(s)], axis=0)
+        exact = float(simplex_moment(qs))
+        assert abs(float(np.sum(w * f)) - exact) <= 1e-12 * exact, qs
 
 
 def test_merge_error_bound_values():

@@ -20,14 +20,14 @@ from entspec import (
     build_saturation_dynamics,
     build_toy_two_qubit,
     build_unbounded_dynamics,
-    chain_from_json,
-    chain_to_json,
     random_dense_instance,
     random_product_state,
     renyi_entropy,
     schmidt_decompose,
     split_at_cut,
 )
+
+from helpers import random_hermitian
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -80,14 +80,6 @@ def test_chain_validation_errors():
         build_nearest_neighbor_chain(30, d=2, j=1.0).dense(cap=2 ** 10)
 
 
-def test_chain_json_roundtrip():
-    chain = build_long_range_ising(4, d=2, j0=1.0, eta=3.0, hx=0.3, hz=0.1)
-    back = chain_from_json(chain_to_json(chain))
-    assert back.n == chain.n and back.dims == chain.dims
-    assert back.decay == chain.decay
-    assert np.allclose(back.dense(), chain.dense())
-
-
 def test_long_range_ising_shape():
     n = 5
     chain = build_long_range_ising(n, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2)
@@ -112,6 +104,10 @@ def test_split_at_cut_reconstructs():
         total = sum(abs(j) for j, _, _ in v.decomposition)
         assert total >= parts.boundary_norm_sum - 1e-9
         assert total <= chain.boundary_strength_cap() * 4 + 1e-9
+    # a complex Hermitian coupling, whose split factors are not real
+    h = random_hermitian(np.random.default_rng(5), 4)
+    chain = ChainHamiltonian(n=3, dims=(2, 2, 2), terms=(LocalTerm(support=(0, 2), matrix=h),))
+    assert np.allclose(split_at_cut(chain, 1).dense_full(), chain.dense())
 
 
 def test_saturation_state_matches_direct_exponential():

@@ -20,17 +20,14 @@ from entspec import (
     apply_local_term,
     compress,
     from_dense,
-    local_expectation,
-    mps_from_json,
     mps_inner,
     mps_norm,
-    mps_to_json,
     product_mps,
     schmidt_decompose,
     to_dense,
 )
 
-from helpers import random_state
+from helpers import random_hermitian, random_state
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -135,6 +132,13 @@ def test_apply_local_term_matches_dense(rng):
         np.kron(np.kron(np.eye(2), 0.3 * Z), np.eye(2)), np.kron(X, np.eye(2))
     )
     assert np.linalg.norm(got2 - embed @ state.amps) < 1e-10
+    # a complex Hermitian term, whose split factors are not real
+    h = random_hermitian(rng, 4)
+    got3 = to_dense(apply_local_term(mps, LocalTerm(support=(1, 3), matrix=h))).amps
+    want3 = np.einsum(
+        "apbq,xbyqz->xaypz", h.reshape(2, 2, 2, 2), state.amps.reshape((2,) * 5)
+    )
+    assert np.linalg.norm(got3 - want3.reshape(-1)) < 1e-10
 
 
 def test_apply_local_term_validation(rng):
@@ -184,15 +188,7 @@ def test_mps_inner_and_expectation(rng):
     term = LocalTerm(support=(1, 2), matrix=np.kron(X, Z))
     embed = np.kron(np.kron(np.eye(2), np.kron(X, Z)), np.eye(4))
     want = np.vdot(a.amps, embed @ a.amps)
-    assert local_expectation(ma, term) == pytest.approx(want, abs=1e-10)
-
-
-def test_mps_json_round_trip(rng):
-    state = random_state(rng, (2,) * 4)
-    mps, _ = from_dense(state, d_max=2)
-    back = mps_from_json(mps_to_json(mps))
-    assert back.n_sites == mps.n_sites
-    assert np.linalg.norm(to_dense(back).amps - to_dense(mps).amps) < 1e-12
+    assert mps_inner(ma, apply_local_term(ma, term)) == pytest.approx(want, abs=1e-10)
 
 
 def _saturated_mps(rng, n, bond):

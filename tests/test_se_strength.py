@@ -24,10 +24,23 @@ from entspec import (
     se_subadditive_combine,
     se_upper_from_decomposition,
 )
-from entspec.se_strength import best_upper
+from entspec.se_strength import _operator_schmidt, best_upper
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+@pytest.mark.parametrize("da, db", [(2, 3), (3, 5)])
+def test_operator_schmidt_rebuilds_with_orthonormal_factors(rng, da, db):
+    n = da * db
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    split = _operator_schmidt(m, da, db)
+    rebuilt = sum(s * np.kron(e, f) for s, e, f in split)
+    assert np.max(np.abs(rebuilt - m)) <= 1e-12
+    es = np.array([e.reshape(-1) for _, e, _ in split])
+    fs = np.array([f.reshape(-1) for _, _, f in split])
+    assert np.max(np.abs(es.conj() @ es.T - np.eye(len(split)))) <= 1e-12
+    assert np.max(np.abs(fs.conj() @ fs.T - np.eye(len(split)))) <= 1e-12
 
 
 def test_bipartite_operator_validation():
