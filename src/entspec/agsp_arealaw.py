@@ -13,10 +13,22 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateError, GapClosedError
-from .dynamics import adiabatic_error_bound, adiabatic_evolve
+from .dynamics import GAP_FLOOR, adiabatic_error_bound, adiabatic_evolve
 from .models import _random_hermitian
 from .se_strength import BipartiteOperator, best_upper, se_lower_search, _opnorm
 from .spectra import Cut, PureState, renyi_entropy, schmidt_decompose, truncate_rank
+
+# quadrature: starting Gauss-Legendre node count, doubled until the filter
+# values move by less than QUAD_TOL or the count reaches NODE_CAP
+START_NODES = 64
+QUAD_TOL = 1e-10
+NODE_CAP = 2 ** 14
+# random gapped instances: block dimensions drawn from 2..GAPPED_MAX_LOCAL,
+# coupling made of GAPPED_V_TERMS product terms
+GAPPED_MAX_LOCAL = 8
+GAPPED_V_TERMS = 3
+SMALL_GAP = 1e-8  # ground_tail_experiment warns below this chain gap
+NU_GRID = 65  # boundary-coupling samples for the path gap and strength
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,7 @@ def _filter_values(lams, beta, t_c, nodes):
     return vals / math.sqrt(4.0 * math.pi * beta)
 
 
-def build_agsp(h, beta, qtol=1e-10, start_nodes=64, node_cap=2 ** 14):
+def build_agsp(h, beta):
     """Gaussian-window filter of a dense Hermitian matrix, ground energy
     shifted to zero, integration window 2 * beta * gap."""
     h = np.asarray(h, dtype=complex)
@@ -76,14 +88,14 @@ def build_agsp(h, beta, qtol=1e-10, start_nodes=64, node_cap=2 ** 14):
         raise DegenerateError(f"spectral gap {delta} below 1e-9")
     lams = w - w[0]
     t_c = 2.0 * beta * delta
-    nodes = start_nodes
+    nodes = START_NODES
     f_prev = _filter_values(lams, beta, t_c, nodes)
     while True:
         nodes *= 2
         f_cur = _filter_values(lams, beta, t_c, nodes)
         # ||U diag(df) U^dag|| = max|df| exactly, since U is unitary
         k_diff = float(np.max(np.abs(f_cur - f_prev)))
-        if k_diff < qtol or nodes >= node_cap:
+        if k_diff < QUAD_TOL or nodes >= NODE_CAP:
             break
         f_prev = f_cur
     k = u @ (f_cur[:, None] * u.conj().T)
@@ -100,14 +112,14 @@ def build_agsp(h, beta, qtol=1e-10, start_nodes=64, node_cap=2 ** 14):
     )
 
 
-def random_gapped_instance(rng, max_local=8, n_v_terms=3):
+def random_gapped_instance(rng):
     """Random two-block Hamiltonian with a guaranteed open gap.
 
     Both blocks get spectrum {0} U [1.5, 3.5] in a random basis, so the
     coupling (coefficient sum <= 0.6) cannot close the gap.
     """
-    da = int(rng.integers(2, max_local + 1))
-    db = int(rng.integers(2, max_local + 1))
+    da = int(rng.integers(2, GAPPED_MAX_LOCAL + 1))
+    db = int(rng.integers(2, GAPPED_MAX_LOCAL + 1))
 
     def rand_block(d):
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -123,7 +135,7 @@ def random_gapped_instance(rng, max_local=8, n_v_terms=3):
     h_b = rand_block(db)
     mat = np.zeros((da * db, da * db), dtype=complex)
     decomposition = []
-    for _ in range(n_v_terms):
+    for _ in range(GAPPED_V_TERMS):
         p, q = rand_herm_unit(da), rand_herm_unit(db)
         c = float(rng.uniform(0.05, 0.2))
         mat += c * np.kron(p, q)
@@ -133,7 +145,7 @@ def random_gapped_instance(rng, max_local=8, n_v_terms=3):
     return h, v, (da, db)
 
 
-def ground_tail_experiment(chain, cut_pos, d_grid, gap_floor=1e-8):
+def ground_tail_experiment(chain, cut_pos, d_grid):
     """Schmidt tails of a chain ground state against the loose power-law cap.
 
     The reported cap drops the dimension prefactor (>= 1), so staying below
@@ -174,7 +186,7 @@ def ground_tail_experiment(chain, cut_pos, d_grid, gap_floor=1e-8):
         "exponent": expo,
         "rows": rows,
         "tail_slope": slope,
-        "small_gap_warning": gap < gap_floor,
+        "small_gap_warning": gap < SMALL_GAP,
     }
 
 
@@ -260,14 +272,12 @@ def make_coupled_qudit_family(delta=1.0, coupling=0.3):
     )
 
 
-def boundary_adiabatic_experiment(
-    family, epsilon, beta, d_grid, gap_floor=1e-6, nu_grid=65
-):
+def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     """Ramp the boundary coupling, filter, truncate, compare to the target
     ground state, and report every link of the constant chain."""
     da = int(np.prod(family.dims_a))
     db = int(np.prod(family.dims_b))
-    nus = np.linspace(0.0, 1.0, nu_grid)
+    nus = np.linspace(0.0, 1.0, NU_GRID)
     delta_path = math.inf
     g_tilde = 0.0
     for nu in nus:
@@ -278,8 +288,8 @@ def boundary_adiabatic_experiment(
             g_tilde = max(g_tilde, sum(abs(j) for j, _, _ in v.decomposition))
         else:
             g_tilde = max(g_tilde, _opnorm(v.matrix))
-    if delta_path < gap_floor:
-        raise GapClosedError(f"path gap {delta_path} < {gap_floor}")
+    if delta_path < GAP_FLOOR:
+        raise GapClosedError(f"path gap {delta_path} < {GAP_FLOOR}")
     h_fd = 1e-4
     c0 = 0.0
     for nu in np.linspace(h_fd, 1.0 - h_fd, 9):
@@ -296,7 +306,7 @@ def boundary_adiabatic_experiment(
     cut = Cut.of(range(len(family.dims_a)), len(family.dims_a) + len(family.dims_b))
     dims = tuple(family.dims_a) + tuple(family.dims_b)
     s0 = renyi_entropy(schmidt_decompose(PureState(dims=dims, amps=omega0), cut), 1.0)
-    res = adiabatic_evolve(family.h_of_nu, epsilon, psi0=omega0, gap_floor=gap_floor)
+    res = adiabatic_evolve(family.h_of_nu, epsilon)
     adiab_err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(res.psi, omega1))))
     adiab_cap = adiabatic_error_bound(c0, g_tilde, epsilon, delta_path)
     agsp = build_agsp(family.h_of_nu(1.0), beta)

@@ -10,18 +10,25 @@ at detected kinks the larger one-sided difference is reported and flagged.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import BelowThresholdError, GapClosedError, TooLargeError
-from .models import ChainHamiltonian, split_at_cut
+from .models import ChainHamiltonian
 from .se_strength import BipartiteOperator, best_upper, se_lower_search
-from .spectra import Cut, PureState, renyi_entropy, schmidt_decompose
+from .spectra import PureState, renyi_entropy, schmidt_decompose
 
 EVOLVE_DIM_CAP = 2 ** 16
 RATE_STEP = 2e-3
 KINK_THRESHOLD = 0.05
+GROWTH_ITERATIONS = 120  # ascent budget of the propagator strength search
+# adiabatic following: gap samples on [0, 1], smallest admissible path gap,
+# agreement between successive step halvings, and the step-count ceiling
+GAP_GRID = 129
+GAP_FLOOR = 1e-6
+ADIABATIC_TOL = 1e-6
+MAX_STEPS = 2 ** 19
 
 
 def c_alpha(alpha):
@@ -50,10 +57,10 @@ def c_alpha(alpha):
 class DensePropagator:
     """exp(-i H t) applied through a single Hermitian eigendecomposition."""
 
-    def __init__(self, h, cap=EVOLVE_DIM_CAP):
+    def __init__(self, h):
         h = np.asarray(h, dtype=complex)
-        if h.shape[0] > cap:
-            raise TooLargeError(f"dim {h.shape[0]} > cap {cap}")
+        if h.shape[0] > EVOLVE_DIM_CAP:
+            raise TooLargeError(f"dim {h.shape[0]} > cap {EVOLVE_DIM_CAP}")
         if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
             raise ValueError("Hamiltonian is not Hermitian")
         self.w, self.u = np.linalg.eigh(h)
@@ -66,7 +73,7 @@ class DensePropagator:
 def evolve_dense(h, state, t, cap=EVOLVE_DIM_CAP):
     if isinstance(h, ChainHamiltonian):
         h = h.dense(cap)
-    prop = DensePropagator(h, cap)
+    prop = DensePropagator(h)
     amps = prop.apply(t, state.amps)
     return PureState(dims=state.dims, amps=amps)
 
@@ -87,40 +94,17 @@ class RateSample:
         return self.bound - abs(self.rate)
 
 
-def _resolve_upper(h, cut, v_ab, se_upper):
-    if se_upper is not None:
-        return float(se_upper)
-    if v_ab is not None:
-        return best_upper(v_ab)
-    if isinstance(h, ChainHamiltonian) and isinstance(cut, int):
-        return best_upper(split_at_cut(h, cut).v_ab)
-    return None
-
-
-def measure_rate_profile(
-    h,
-    state0,
-    cut,
-    alphas,
-    times,
-    v_ab=None,
-    se_upper=None,
-    h_step=RATE_STEP,
-    cap=EVOLVE_DIM_CAP,
-):
-    """Finite-difference entropy rates at each (t, alpha), with bound columns.
+def measure_rate_profile(h, state0, cut, alphas, times, v_ab=None):
+    """Finite-difference entropy rates of a dense Hamiltonian at each
+    (t, alpha), with bound columns from the cut interaction v_ab when given.
 
     Five evolved states per time point are shared across all orders.
     """
-    upper = _resolve_upper(h, cut, v_ab, se_upper)
-    if isinstance(h, ChainHamiltonian):
-        if isinstance(cut, int):
-            cut = Cut.of(range(cut), h.n)
-        h = h.dense(cap)
-    prop = DensePropagator(h, cap)
+    upper = best_upper(v_ab) if v_ab is not None else None
+    prop = DensePropagator(h)
     samples = []
     for t in times:
-        offsets = (-h_step, -h_step / 2, 0.0, h_step / 2, h_step)
+        offsets = (-RATE_STEP, -RATE_STEP / 2, 0.0, RATE_STEP / 2, RATE_STEP)
         spectra = []
         for dt in offsets:
             amps = prop.apply(t + dt, state0.amps)
@@ -128,10 +112,10 @@ def measure_rate_profile(
             spectra.append(schmidt_decompose(st, cut))
         for alpha in alphas:
             e = [renyi_entropy(sp, alpha) for sp in spectra]
-            d_full = (e[4] - e[0]) / (2.0 * h_step)
-            d_half = (e[3] - e[1]) / h_step
-            d_plus = (e[4] - e[2]) / h_step
-            d_minus = (e[2] - e[0]) / h_step
+            d_full = (e[4] - e[0]) / (2.0 * RATE_STEP)
+            d_half = (e[3] - e[1]) / RATE_STEP
+            d_plus = (e[4] - e[2]) / RATE_STEP
+            d_minus = (e[2] - e[0]) / RATE_STEP
             scale = 1.0 + max(abs(d_plus), abs(d_minus))
             kink = abs(d_plus - d_minus) > KINK_THRESHOLD * scale
             if kink:
@@ -157,16 +141,14 @@ def measure_rate_profile(
     return samples
 
 
-def check_unitary_se_growth(
-    h, dims_a, dims_b, t_grid, se_upper_v, seeds=6, iterations=120, seed=0
-):
+def check_unitary_se_growth(h, dims_a, dims_b, t_grid, se_upper_v, seeds=6, seed=0):
     """Strength of exp(-i H t) across the cut, against the exp(t * strength) cap."""
     prop = DensePropagator(np.asarray(h, dtype=complex))
     rows = []
     for t in t_grid:
         u_t = prop.u @ (np.exp(-1j * prop.w * t)[:, None] * prop.u.conj().T)
         op = BipartiteOperator(tuple(dims_a), tuple(dims_b), u_t)
-        est = se_lower_search(op, seeds=seeds, iterations=iterations, seed=seed)
+        est = se_lower_search(op, seeds=seeds, iterations=GROWTH_ITERATIONS, seed=seed)
         cap = math.exp(se_upper_v * t)
         rows.append(
             {
@@ -187,34 +169,24 @@ class AdiabaticResult:
     converged_diff: float
 
 
-def adiabatic_evolve(
-    h_of_nu,
-    epsilon,
-    psi0=None,
-    gap_floor=1e-9,
-    tol=1e-6,
-    gap_grid=129,
-    start_steps=256,
-    max_steps=2 ** 19,
-):
-    """Follow the ground state along nu in [0, 1] at ramp rate epsilon.
+def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
+    """Follow the ground state of h_of_nu(0) along nu in [0, 1] at ramp
+    rate epsilon.
 
     Total time is 1/epsilon; midpoint piecewise-constant stepping, halving
-    the step until successive refinements agree within tol. Raises when the
-    sampled path gap falls below gap_floor.
+    the step until successive refinements agree within ADIABATIC_TOL or
+    reach MAX_STEPS. Raises when the sampled path gap falls below GAP_FLOOR.
     """
     t_total = 1.0 / float(epsilon)
-    nus = np.linspace(0.0, 1.0, gap_grid)
+    nus = np.linspace(0.0, 1.0, GAP_GRID)
     delta_min = math.inf
     for nu in nus:
         w = np.linalg.eigvalsh(np.asarray(h_of_nu(nu), dtype=complex))
         delta_min = min(delta_min, float(w[1] - w[0]))
-    if delta_min < gap_floor:
-        raise GapClosedError(f"minimum path gap {delta_min} < {gap_floor}")
-    if psi0 is None:
-        w, u = np.linalg.eigh(np.asarray(h_of_nu(0.0), dtype=complex))
-        psi0 = u[:, 0]
-    psi0 = np.asarray(psi0, dtype=complex)
+    if delta_min < GAP_FLOOR:
+        raise GapClosedError(f"minimum path gap {delta_min} < {GAP_FLOOR}")
+    w, u = np.linalg.eigh(np.asarray(h_of_nu(0.0), dtype=complex))
+    psi0 = u[:, 0]
 
     def run(k):
         psi = psi0.copy()
@@ -231,7 +203,7 @@ def adiabatic_evolve(
         k *= 2
         cur = run(k)
         diff = float(np.linalg.norm(cur - prev))
-        if diff < tol or k >= max_steps:
+        if diff < ADIABATIC_TOL or k >= MAX_STEPS:
             return AdiabaticResult(
                 psi=cur, steps=k, delta_min=delta_min, converged_diff=diff
             )

@@ -42,11 +42,11 @@ def write_json(path, obj):
         f.write("\n")
 
 
-def write_csv(path, rows, fieldnames=None):
-    """RFC-4180 CSV (CRLF line endings, quoting as needed)."""
+def write_csv(path, rows):
+    """RFC-4180 CSV (CRLF line endings, quoting as needed); the columns are
+    the first row's keys."""
     rows = list(rows)
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else []
+    fieldnames = list(rows[0].keys()) if rows else []
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=fieldnames, quoting=csv.QUOTE_MINIMAL)
         w.writeheader()

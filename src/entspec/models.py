@@ -1,7 +1,7 @@
-"""Model builders: local-term chains with decay metadata, cut splits with
-term decompositions, and the closed-form families used to exercise the
-entropy-rate machinery (saturation protocol, flat-spectrum burst, toy
-two-qubit pump, projector interactions).
+"""Model builders: local-term chains with decay metadata and the
+closed-form families used to exercise the entropy-rate machinery
+(saturation protocol, flat-spectrum burst, toy two-qubit pump, projector
+interactions).
 """
 
 import math
@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EtaTooSmallError, TimeTooLongError, TooLargeError, BadAlphaError
-from .se_strength import BipartiteOperator, _operator_schmidt, _opnorm
+from .se_strength import BipartiteOperator, _opnorm
 from .spectra import PureState, SchmidtSpectrum, renyi_entropy
 
 DENSE_DIM_CAP = 2 ** 12
@@ -32,13 +32,14 @@ def _embed(matrix, support, dims):
     return t.reshape(d, d)
 
 
-def _dense_sum(terms, dims):
-    """Dense sum of local terms on a chain with the given site dimensions."""
-    d = int(np.prod(dims))
-    h = np.zeros((d, d), dtype=complex)
-    for t in terms:
-        h += _embed(t.matrix, t.support, dims)
-    return h
+def _digit_offsets(sites, dims):
+    """Flat chain index of every joint value of the digits on `sites`
+    (sorted, first site most significant), with all other digits zero."""
+    off = np.zeros(1, dtype=np.int64)
+    for i in sites:
+        stride = int(np.prod(dims[i + 1:]))
+        off = (off[:, None] + stride * np.arange(dims[i])).ravel()
+    return off
 
 
 def _random_hermitian(rng, d):
@@ -139,17 +140,30 @@ class ChainHamiltonian:
         return int(np.prod(self.dims))
 
     def dense(self, cap=DENSE_DIM_CAP):
-        if self.total_dim > cap:
-            raise TooLargeError(f"total dim {self.total_dim} > cap {cap}")
-        return _dense_sum(self.terms, self.dims)
+        d = self.total_dim
+        if d > cap:
+            raise TooLargeError(f"total dim {d} > cap {cap}")
+        h = np.zeros((d, d), dtype=complex)
+        for t in self.terms:
+            h += _embed(t.matrix, t.support, self.dims)
+        return h
 
     def sparse(self):
+        """CSR form of dense(), built term by term from index arithmetic:
+        each nonzero of a term's matrix, repeated over the other sites'
+        digits, so no term is ever held as a dense d x d array."""
         from scipy import sparse
 
         d = self.total_dim
         h = sparse.csr_matrix((d, d), dtype=complex)
         for t in self.terms:
-            h = h + sparse.csr_matrix(_embed(t.matrix, t.support, self.dims))
+            base = _digit_offsets(t.support, self.dims)
+            shift = _digit_offsets([i for i in range(self.n) if i not in t.support], self.dims)
+            r, c = np.nonzero(t.matrix)
+            rows = (base[r][:, None] + shift).ravel()
+            cols = (base[c][:, None] + shift).ravel()
+            vals = np.repeat(t.matrix[r, c], shift.size)
+            h = h + sparse.csr_matrix((vals, (rows, cols)), shape=(d, d))
         return h
 
     def boundary_strength_cap(self):
@@ -165,78 +179,6 @@ class ChainHamiltonian:
             for s in range(1, self.n)
         ]
         return float(max(cut_sums, default=0.0))
-
-
-@dataclass(frozen=True)
-class CutHamiltonian:
-    """Exact partition H = H_A + H_B + V at a cut, with V carrying a term
-    decomposition whose coefficient sum is at most the chain's strength cap."""
-
-    dims_a: tuple
-    dims_b: tuple
-    a_terms: tuple
-    b_terms: tuple
-    boundary_terms: tuple
-    v_ab: BipartiteOperator
-
-    @property
-    def boundary_norm_sum(self):
-        return float(sum(t.norm for t in self.boundary_terms))
-
-    def dense_a(self):
-        return _dense_sum(self.a_terms, self.dims_a)
-
-    def dense_b(self):
-        return _dense_sum(self.b_terms, self.dims_b)
-
-    def dense_full(self):
-        return (
-            np.kron(self.dense_a(), np.eye(int(np.prod(self.dims_b))))
-            + np.kron(np.eye(int(np.prod(self.dims_a))), self.dense_b())
-            + self.v_ab.matrix
-        )
-
-
-def split_at_cut(chain, s, cap=DENSE_DIM_CAP):
-    """Partition a chain at cut s (sites < s vs >= s)."""
-    if not 1 <= s <= chain.n - 1:
-        raise ValueError(f"cut {s} outside 1..{chain.n - 1}")
-    if chain.total_dim > cap:
-        raise TooLargeError(f"total dim {chain.total_dim} > cap {cap}")
-    dims_a = chain.dims[:s]
-    dims_b = chain.dims[s:]
-    a_terms, b_terms, boundary = [], [], []
-    for t in chain.terms:
-        if t.support[-1] < s:
-            a_terms.append(t)
-        elif t.support[0] >= s:
-            b_terms.append(LocalTerm(tuple(i - s for i in t.support), t.matrix))
-        else:
-            boundary.append(t)
-    da, db = int(np.prod(dims_a)), int(np.prod(dims_b))
-    v = np.zeros((da * db, da * db), dtype=complex)
-    decomposition = []
-    for t in boundary:
-        za = [i for i in t.support if i < s]
-        zb = [i for i in t.support if i >= s]
-        dza = int(np.prod([chain.dims[i] for i in za]))
-        dzb = int(np.prod([chain.dims[i] for i in zb]))
-        for sig, ua, wb in _operator_schmidt(t.matrix, dza, dzb):
-            na, nb = _opnorm(ua), _opnorm(wb)
-            pa = _embed(ua / na, za, dims_a)
-            qb = _embed(wb / nb, [i - s for i in zb], dims_b)
-            coeff = sig * na * nb
-            decomposition.append((coeff, pa, qb))
-            v += coeff * np.kron(pa, qb)
-    v_ab = BipartiteOperator(dims_a, dims_b, v, tuple(decomposition) or None)
-    return CutHamiltonian(
-        dims_a=dims_a,
-        dims_b=dims_b,
-        a_terms=tuple(a_terms),
-        b_terms=tuple(b_terms),
-        boundary_terms=tuple(boundary),
-        v_ab=v_ab,
-    )
 
 
 def _clock_shift(d):

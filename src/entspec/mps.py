@@ -66,11 +66,6 @@ class MatrixProductState:
     def max_bond(self):
         return max(self.bond_dims)
 
-    def scaled(self, c):
-        ts = list(self.tensors)
-        ts[0] = ts[0] * c
-        return MatrixProductState(tensors=tuple(ts))
-
 
 @dataclass(frozen=True)
 class BondRecord:
@@ -118,8 +113,9 @@ def _truncate_bond(t, bond, d_cap, tolerance):
     return u[:, :keep].reshape(dl, d, keep), kept[:, None] * vh[:keep], record
 
 
-def from_dense(state, d_max=None, tolerance=0.0):
-    """Sequential SVD factorization of a chain state, largest-first per bond."""
+def from_dense(state, d_max=None):
+    """Sequential SVD factorization of a chain state, largest-first per bond;
+    only exact zeros and values beyond d_max are dropped."""
     dims = state.dims
     d = dims[0]
     if any(x != d for x in dims):
@@ -130,7 +126,7 @@ def from_dense(state, d_max=None, tolerance=0.0):
     tensors = []
     bonds = []
     for i in range(n - 1):
-        t, rest, record = _truncate_bond(rest.reshape(rest.shape[0], d, -1), i + 1, cap, tolerance)
+        t, rest, record = _truncate_bond(rest.reshape(rest.shape[0], d, -1), i + 1, cap, 0.0)
         tensors.append(t)
         bonds.append(record)
     tensors.append(rest.reshape(-1, d, 1))
@@ -138,11 +134,11 @@ def from_dense(state, d_max=None, tolerance=0.0):
     return mps, CompressionRecord(bonds=tuple(bonds))
 
 
-def to_dense(mps, cap=DENSE_CAP):
+def to_dense(mps):
     d = mps.d
     total = d ** mps.n_sites
-    if total > cap:
-        raise TooLargeError(f"total dim {total} > cap {cap}")
+    if total > DENSE_CAP:
+        raise TooLargeError(f"total dim {total} > cap {DENSE_CAP}")
     acc = mps.tensors[0].reshape(d, -1)
     for t in mps.tensors[1:]:
         acc = np.einsum("xb,bpr->xpr", acc, t).reshape(-1, t.shape[2])

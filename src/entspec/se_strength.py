@@ -201,13 +201,25 @@ def _seed_states(rng, da, db, aa, bb, seeds):
     return [(x / np.linalg.norm(x), y / np.linalg.norm(y)) for x, y in out]
 
 
+def _search(phi4, aa, bb, seeds, iterations, seed, extra=()):
+    """Best ascent over the seeded starts at ancilla (aa, bb) plus `extra`
+    starts: (objective, x, y)."""
+    da, db = phi4.shape[0], phi4.shape[1]
+    starts = _seed_states(np.random.default_rng(seed), da, db, aa, bb, seeds) + list(extra)
+    best = (-np.inf, None, None)
+    for x0, y0 in starts:
+        obj, x, y = _ascend(phi4, x0, y0, iterations, CONVERGENCE_TOL)
+        if obj > best[0]:
+            best = (obj, x, y)
+    return best
+
+
 def se_lower_search(
     op,
     ancilla_dims=None,
     seeds=DEFAULT_SEEDS,
     iterations=DEFAULT_ITERATIONS,
     seed=0,
-    tol=CONVERGENCE_TOL,
 ):
     """Heuristic lower bound on the entangling strength by product-state search.
 
@@ -222,23 +234,18 @@ def se_lower_search(
     if aa < 1 or bb < 1:
         raise ValueError("ancilla dimensions must be >= 1")
     phi4 = op.as_tensor()
-    rng = np.random.default_rng(seed)
-    starts = _seed_states(rng, da, db, aa, bb, seeds)
+    extra = []
     if (aa, bb) != (1, 1):
-        base = se_lower_search(op, (1, 1), seeds, iterations, seed, tol)
+        _, x1, y1 = _search(phi4, 1, 1, seeds, iterations, seed)
         xb = np.zeros((da, aa), dtype=complex)
-        xb[:, 0] = base.witness["x"].reshape(da)
+        xb[:, 0] = x1.reshape(da)
         yb = np.zeros((db, bb), dtype=complex)
-        yb[:, 0] = base.witness["y"].reshape(db)
-        starts.append((xb, yb))
-    best = (-np.inf, None, None)
-    for x0, y0 in starts:
-        obj, x, y = _ascend(phi4, x0, y0, iterations, tol)
-        if obj > best[0]:
-            best = (obj, x, y)
-    lower = max(best[0], 0.0)
+        yb[:, 0] = y1.reshape(db)
+        extra.append((xb, yb))
+    obj, x, y = _search(phi4, aa, bb, seeds, iterations, seed, extra)
+    lower = max(obj, 0.0)
     upper = best_upper(op)
-    witness = {"x": best[1], "y": best[2], "ancilla_dims": (aa, bb)}
+    witness = {"x": x, "y": y, "ancilla_dims": (aa, bb)}
     return SeEstimate(lower=lower, upper=upper, witness=witness, method="alternating-ascent")
 
 

@@ -31,6 +31,13 @@ from .mps import (
 )
 from .spectra import Cut, PureState, schmidt_decompose
 
+# Within a step the accumulated state is compressed to STAGE_CAP_FACTOR *
+# d_cap (dropping values at or below STAGE_TOLERANCE) whenever its bond
+# exceeds that; a bond above BOND_MEMORY_CAP is refused outright.
+STAGE_CAP_FACTOR = 4
+STAGE_TOLERANCE = 1e-14
+BOND_MEMORY_CAP = 4096
+
 
 def default_step_count(g, n, t, eps_target=0.1):
     """Smallest step count putting the coherent-error term near eps_target."""
@@ -143,9 +150,9 @@ def normalized_final_error_bound(eps_raw):
     return eps_raw * (2.0 - eps_raw) / (1.0 - eps_raw)
 
 
-def naive_error_bound(g, n, t, n_steps, d_cap, j_tilde, eps0=0.0):
-    """Exponential-recurrence bound that predates the certificate; kept for
-    comparison only."""
+def naive_error_bound(g, n, t, n_steps, d_cap, j_tilde):
+    """Exponential-recurrence bound that predates the certificate, from an
+    exact start; kept for comparison only."""
     root = math.sqrt(2.0 * n)
     try:
         grow = (1.0 + root) ** n_steps
@@ -153,10 +160,10 @@ def naive_error_bound(g, n, t, n_steps, d_cap, j_tilde, eps0=0.0):
         return math.inf
     gnt = g * n * t
     per_step = root * math.exp(j_tilde * t) / math.sqrt(d_cap) + (1.0 + root) * gnt ** 2 / n_steps ** 2
-    return grow * eps0 + (grow - 1.0) / root * per_step
+    return (grow - 1.0) / root * per_step
 
 
-def tdmrg_run(config, stage_cap_factor=4, stage_tolerance=1e-14, bond_memory_cap=4096):
+def tdmrg_run(config):
     """First-order stepping (1 - i H dt) with bond truncation to d_cap.
 
     Deterministic. Returns the final (unnormalized) state and the
@@ -180,12 +187,12 @@ def tdmrg_run(config, stage_cap_factor=4, stage_tolerance=1e-14, bond_memory_cap
         for term in chain.terms:
             piece = apply_local_term(cur, term)
             acc = add(acc, piece, 1.0, -1j * dt)
-            if acc.max_bond > bond_memory_cap:
+            if acc.max_bond > BOND_MEMORY_CAP:
                 raise IntermediateTooLargeError(
-                    f"bond {acc.max_bond} > {bond_memory_cap} at step {m}"
+                    f"bond {acc.max_bond} > {BOND_MEMORY_CAP} at step {m}"
                 )
-            if acc.max_bond > stage_cap_factor * d_cap:
-                acc, rec = compress(acc, stage_cap_factor * d_cap, stage_tolerance)
+            if acc.max_bond > STAGE_CAP_FACTOR * d_cap:
+                acc, rec = compress(acc, STAGE_CAP_FACTOR * d_cap, STAGE_TOLERANCE)
                 staged += rec.max_delta
         cur, rec = compress(acc, d_cap, 0.0)
         zeta = rec.max_zeta

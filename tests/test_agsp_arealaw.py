@@ -89,7 +89,7 @@ def test_agsp_strength_inequality_on_random_instances(rng):
     """Filtered-propagator cut strength never beats exp(2 beta gap J)."""
     beta = 1.5
     for _ in range(5):
-        h, v, (da, db) = random_gapped_instance(rng, max_local=4)
+        h, v, (da, db) = random_gapped_instance(rng)
         k = build_agsp(h, beta)
         op = BipartiteOperator((da,), (db,), k.matrix)
         est = se_lower_search(op, seeds=3, iterations=60)

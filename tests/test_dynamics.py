@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from entspec import (
     BelowThresholdError,
+    BipartiteOperator,
     Cut,
     DensePropagator,
     GapClosedError,
@@ -24,6 +25,16 @@ from entspec import (
 )
 
 from helpers import random_state
+
+X = np.array([[0.0, 1.0], [1.0, 0.0]])
+Y = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+def _toy_v_ab():
+    """The toy Hamiltonian |00><11| + |11><00| = (XX - YY)/2, whose best
+    proved upper bound is exactly 1."""
+    h = build_toy_two_qubit().hamiltonian
+    return BipartiteOperator((2,), (2,), h, ((0.5, X, X), (-0.5, Y, Y)))
 
 
 def test_rate_constant_anchors():
@@ -79,7 +90,7 @@ def test_rate_profile_matches_toy_closed_form():
     state0 = basis_product_state((2, 2), (0, 0))
     samples = measure_rate_profile(
         toy.hamiltonian, state0, Cut.of([0], 2),
-        alphas=[0.75, 1.0], times=[0.3, 0.6], se_upper=1.0,
+        alphas=[0.75, 1.0], times=[0.3, 0.6], v_ab=_toy_v_ab(),
     )
     for s in samples:
         assert not s.kink
@@ -94,7 +105,7 @@ def test_rate_profile_flags_kink_at_max_order():
     samples = measure_rate_profile(
         toy.hamiltonian, state0, Cut.of([0], 2),
         alphas=[math.inf], times=[math.pi / 4],
-        se_upper=1.0,
+        v_ab=_toy_v_ab(),
     )
     assert samples[0].kink
     # one-sided slopes are +-2 at the crossing; the larger magnitude is kept
@@ -106,7 +117,7 @@ def test_rate_profile_below_threshold_has_no_bound():
     state0 = basis_product_state((2, 2), (0, 0))
     samples = measure_rate_profile(
         toy.hamiltonian, state0, Cut.of([0], 2),
-        alphas=[0.3], times=[0.4], se_upper=1.0,
+        alphas=[0.3], times=[0.4], v_ab=_toy_v_ab(),
     )
     assert samples[0].bound is None
     assert samples[0].margin is None
@@ -132,8 +143,7 @@ def test_rate_profile_respects_bound_on_random_instances(rng):
 def test_unitary_growth_stays_under_exponential_cap():
     toy = build_toy_two_qubit()
     rows = check_unitary_se_growth(
-        toy.hamiltonian, (2,), (2,), [0.2, 0.5, 1.0], se_upper_v=1.0,
-        seeds=4, iterations=80,
+        toy.hamiltonian, (2,), (2,), [0.2, 0.5, 1.0], se_upper_v=1.0, seeds=4,
     )
     assert all(r["ok"] for r in rows)
     assert all(r["lower"] <= r["cap"] + 1e-6 for r in rows)
@@ -147,7 +157,7 @@ def test_adiabatic_follows_gapped_ground_state():
     def h_of_nu(nu):
         return -(1.0 - nu) * hz - nu * hx
 
-    res = adiabatic_evolve(h_of_nu, epsilon=0.01, tol=1e-8)
+    res = adiabatic_evolve(h_of_nu, epsilon=0.01)
     w, u = np.linalg.eigh(h_of_nu(1.0))
     overlap = abs(np.vdot(u[:, 0], res.psi))
     assert overlap > 0.999

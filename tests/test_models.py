@@ -24,7 +24,6 @@ from entspec import (
     random_product_state,
     renyi_entropy,
     schmidt_decompose,
-    split_at_cut,
 )
 
 from helpers import random_hermitian
@@ -55,13 +54,40 @@ def test_chain_metadata_and_dense():
     assert chain.g == pytest.approx(1.3)  # site 1 touches all three terms
     h = chain.dense()
     assert np.allclose(h, h.conj().T)
-    assert np.allclose(chain.sparse().toarray(), h)
+    assert np.array_equal(chain.sparse().toarray(), h)
     manual = (
         0.5 * np.kron(np.kron(Z, Z), np.eye(2))
         + 0.5 * np.kron(np.eye(2), np.kron(Z, Z))
         + 0.3 * np.kron(np.kron(np.eye(2), X), np.eye(2))
     )
     assert np.allclose(h, manual)
+
+
+def test_sparse_equals_dense_exactly():
+    """Term-by-term CSR assembly adds the same values in the same order as
+    the dense sum, on non-adjacent and three-site supports, complex terms,
+    clock sites (d = 3) and mixed site dimensions."""
+    rng = np.random.default_rng(5)
+    scattered = ChainHamiltonian(n=4, dims=(2, 2, 2, 2), terms=(
+        LocalTerm(support=(0, 2), matrix=random_hermitian(rng, 4)),
+        LocalTerm(support=(1, 3), matrix=random_hermitian(rng, 4)),
+        LocalTerm(support=(0, 3), matrix=0.5 * np.kron(Z, X)),
+        LocalTerm(support=(0, 2, 3), matrix=random_hermitian(rng, 8)),
+        LocalTerm(support=(1,), matrix=0.3 * X),
+    ))
+    mixed = ChainHamiltonian(n=3, dims=(2, 3, 2), terms=(
+        LocalTerm(support=(0, 2), matrix=random_hermitian(rng, 4)),
+        LocalTerm(support=(1,), matrix=random_hermitian(rng, 3)),
+        LocalTerm(support=(0, 1), matrix=random_hermitian(rng, 6)),
+    ))
+    for chain in (
+        scattered,
+        mixed,
+        build_long_range_ising(6, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2),
+        build_long_range_ising(4, d=3, j0=1.0, eta=3.0, hx=0.3, hz=0.1),
+        build_nearest_neighbor_chain(5, d=3, j=0.7, hx=0.2),
+    ):
+        assert np.array_equal(chain.sparse().toarray(), chain.dense())
 
 
 def test_chain_validation_errors():
@@ -91,23 +117,6 @@ def test_long_range_ising_shape():
 
     with pytest.raises(EtaTooSmallError):
         build_long_range_ising(4, eta=1.5)
-
-
-def test_split_at_cut_reconstructs():
-    chain = build_long_range_ising(4, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2)
-    for s in (1, 2, 3):
-        parts = split_at_cut(chain, s)
-        assert np.allclose(parts.dense_full(), chain.dense())
-        # the boundary operator carries a valid unit-norm decomposition
-        v = parts.v_ab
-        assert v.decomposition is not None
-        total = sum(abs(j) for j, _, _ in v.decomposition)
-        assert total >= parts.boundary_norm_sum - 1e-9
-        assert total <= chain.boundary_strength_cap() * 4 + 1e-9
-    # a complex Hermitian coupling, whose split factors are not real
-    h = random_hermitian(np.random.default_rng(5), 4)
-    chain = ChainHamiltonian(n=3, dims=(2, 2, 2), terms=(LocalTerm(support=(0, 2), matrix=h),))
-    assert np.allclose(split_at_cut(chain, 1).dense_full(), chain.dense())
 
 
 def test_saturation_state_matches_direct_exponential():

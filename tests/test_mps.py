@@ -94,7 +94,7 @@ def test_from_dense_requires_uniform_dimension(rng):
 def test_to_dense_cap():
     mps = product_mps(30, d=2)
     with pytest.raises(TooLargeError):
-        to_dense(mps, cap=2 ** 10)
+        to_dense(mps)
 
 
 def test_product_mps_and_norm():

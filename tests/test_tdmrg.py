@@ -27,6 +27,7 @@ from entspec import (
     tdmrg_run,
     to_dense,
 )
+from entspec import tdmrg
 from entspec.ioutil import jsonable
 
 
@@ -51,7 +52,7 @@ def test_config_validation():
         TdmrgConfig(chain=chain, t=0.5, n_steps=0, d_cap=8, initial=_plus_mps(4))
     with pytest.raises(ValueError):
         TdmrgConfig(chain=chain, t=0.5, n_steps=64, d_cap=8, initial=_plus_mps(5))
-    bad = _plus_mps(4).scaled(2.0)
+    bad = product_mps(4, d=2, local_vectors=[np.array([1.0, 1.0])] * 4)
     with pytest.raises(ValueError):
         TdmrgConfig(chain=chain, t=0.5, n_steps=64, d_cap=8, initial=bad)
 
@@ -96,17 +97,21 @@ def test_run_with_no_terms_is_identity():
     assert np.allclose(to_dense(out).amps, to_dense(cfg.initial).amps)
 
 
-def test_staged_compression_cap(rng):
+def test_staged_compression_cap(monkeypatch):
     """A tiny memory cap forces the intermediate-size guard to fire."""
     chain = build_long_range_ising(6, d=2, j0=1.0, eta=3.0, hx=0.4)
     n_steps = default_step_count(chain.g, 6, 0.2, eps_target=1.0)
     cfg = TdmrgConfig(
         chain=chain, t=0.2, n_steps=n_steps, d_cap=4, initial=_plus_mps(6)
     )
-    with pytest.raises(IntermediateTooLargeError):
-        tdmrg_run(cfg, stage_cap_factor=1000, bond_memory_cap=6)
+    with monkeypatch.context() as m:
+        m.setattr(tdmrg, "STAGE_CAP_FACTOR", 1000)
+        m.setattr(tdmrg, "BOND_MEMORY_CAP", 6)
+        with pytest.raises(IntermediateTooLargeError):
+            tdmrg_run(cfg)
     # staged path: a small factor keeps intermediates tight and still sound
-    out, cert = tdmrg_run(cfg, stage_cap_factor=2)
+    monkeypatch.setattr(tdmrg, "STAGE_CAP_FACTOR", 2)
+    out, cert = tdmrg_run(cfg)
     psi0 = to_dense(cfg.initial).amps
     exact = expm(-1j * chain.dense() * 0.2) @ psi0
     err = float(np.linalg.norm(to_dense(out).amps - exact))
