@@ -8,14 +8,14 @@ with node doubling until the dense operator stops moving.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateError, GapClosedError
 from .dynamics import GAP_FLOOR, adiabatic_error_bound, adiabatic_evolve
 from .models import _random_hermitian
-from .se_strength import BipartiteOperator, best_upper, se_lower_search, _opnorm
+from .se_strength import BipartiteOperator, _opnorm
 from .spectra import Cut, PureState, renyi_entropy, schmidt_decompose, truncate_rank
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
@@ -37,7 +37,6 @@ class AgspOperator:
     beta: float
     t_c: float
     delta: float
-    shift: float
     eigvals: np.ndarray
     filter_vals: np.ndarray
     nodes_used: int
@@ -104,7 +103,6 @@ def build_agsp(h, beta):
         beta=float(beta),
         t_c=t_c,
         delta=delta,
-        shift=float(w[0]),
         eigvals=lams,
         filter_vals=f_cur,
         nodes_used=nodes,
@@ -159,7 +157,8 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
     else:
         from scipy.sparse.linalg import eigsh
 
-        w, u = eigsh(chain.sparse(), k=2, which="SA")
+        # a fixed start vector: ARPACK's default random one makes reruns differ
+        w, u = eigsh(chain.sparse(), k=2, which="SA", v0=np.full(dim, 1.0 / math.sqrt(dim)))
         order = np.argsort(w)
         gap = float(w[order[1]] - w[order[0]])
         ground = u[:, order[0]]

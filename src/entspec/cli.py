@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 a numeric check failed, 2 the config was rejected.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -305,6 +306,8 @@ def exp_ground_tail(p, seed):
 
 
 def exp_area_law(p, seed):
+    if p["coupling"] == 0:
+        raise ConfigError("area-law needs a nonzero coupling: the constants divide by it")
     family = make_coupled_qudit_family(delta=p["delta"], coupling=p["coupling"])
     rep = boundary_adiabatic_experiment(family, p["epsilon"], p["beta"], p["d_grid"])
     checks = {
@@ -332,7 +335,6 @@ def exp_no_go(p, seed):
     ok = True
     for t in p["times"]:
         r = no_go_experiment(p["n"], p["d"], t, seeds=p["seeds"], polish_iters=p["polish"], seed=seed)
-        r.pop("factors", None)
         rows.append(r)
         ok = ok and r["chain_ok"]
     return {"rows": rows, "derived": {}, "checks": {"chain_holds": ok}}
@@ -413,19 +415,10 @@ def exp_decomposition(p, seed):
 def exp_tdmrg(p, seed):
     chain = _chain_from_params(p)
     n_steps = p["n_steps"] or default_step_count(chain.g, chain.n, p["t"], p["eps_target"])
-    mps0 = product_mps(chain.dims)
+    mps0 = product_mps(chain.n, chain.dims[0])
     cfg = TdmrgConfig(chain=chain, t=p["t"], n_steps=n_steps, d_cap=p["d_cap"], initial=mps0)
     final, cert = tdmrg_run(cfg)
-    rows = [
-        {
-            "step": s.step,
-            "zeta": s.zeta,
-            "delta_bar": s.delta_bar,
-            "delta_cap": s.delta_cap,
-            "zeta_recursion_cap": s.zeta_recursion_cap,
-        }
-        for s in cert.steps
-    ]
+    rows = [dataclasses.asdict(s) for s in cert.steps]
     checks = {
         "delta_linked_to_zeta": all(
             s.delta_bar <= s.zeta / math.sqrt(cert.d_cap) + 1e-12 for s in cert.steps
@@ -714,7 +707,7 @@ def _corruption_probes():
     return probes
 
 
-def selftest(out_root, threads):
+def selftest(out_root):
     print("selftest: reduced sweep over every experiment")
     small = {
         "se-search": {"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100},
@@ -734,7 +727,7 @@ def selftest(out_root, threads):
     for name in REGISTRY:
         cfg = {"experiment": name, "params": small.get(name, {}), "seed": 7}
         try:
-            summary = _run_config(cfg, out_root / name, threads)
+            summary = _run_config(cfg, out_root / name, 1)
             status = "pass" if summary["all_checks_pass"] else "FAIL"
         except EntspecError as exc:
             status = f"FAIL ({exc})"
@@ -780,14 +773,13 @@ def build_parser():
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     st = sub.add_parser("selftest", help="reduced sweep of every experiment")
     st.add_argument("--out", default="entspec_selftest", help="artifact directory")
-    st.add_argument("--threads", type=int, default=1)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
-        return selftest(Path(args.out), args.threads)
+        return selftest(Path(args.out))
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)

@@ -28,20 +28,8 @@ class BadAlphaError(EntspecError):
     tag = "BadAlpha"
 
 
-class BadExpansionError(EntspecError):
-    tag = "BadExpansion"
-
-
 class NoDecompositionError(EntspecError):
     tag = "NoDecomposition"
-
-
-class BadWeightError(EntspecError):
-    tag = "BadWeight"
-
-
-class AlphaOutOfRangeError(EntspecError):
-    tag = "AlphaOutOfRange"
 
 
 class EtaTooSmallError(EntspecError):

@@ -6,8 +6,6 @@ normal-ordered merge series with its truncation budget.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,11 +76,6 @@ class WidthResult:
             raise ValueError("fit value below the proved width lower bound")
         if self.value > max(self.upper, 1.0) + 1e-9:
             raise ValueError("fit value exceeds both the width upper bound and 1")
-
-    @property
-    def witness(self):
-        a, b = self.factors
-        return a @ b
 
 
 def rank_constrained_identity_fit(n, d, seeds=32, polish_iters=300, seed=0):
@@ -171,7 +164,6 @@ def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
         "idfit_2d": idfit.value,
         "no_go_lb": no_go_lower_bound(t),
         "chain_ok": measured >= t * width_lower - gap - 1e-9,
-        "factors": (best[1], best[2]),
     }
 
 
@@ -321,21 +313,6 @@ class TruncationParams:
     exponent_base: float
     log2_sr_real: float
     log2_sr_imag: float
-
-    @staticmethod
-    def _pow(log2_val):
-        try:
-            return 2.0 ** log2_val
-        except OverflowError:
-            return math.inf
-
-    @property
-    def sr_real(self):
-        return self._pow(self.log2_sr_real)
-
-    @property
-    def sr_imag(self):
-        return self._pow(self.log2_sr_imag)
 
 
 def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0):

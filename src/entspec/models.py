@@ -5,8 +5,8 @@ interactions).
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class LocalTerm:
 
     support: tuple
     matrix: np.ndarray
-    norm: float = 0.0
+    norm: float = field(init=False)
 
     def __post_init__(self):
         support = tuple(sorted(int(i) for i in self.support))
@@ -85,8 +85,8 @@ class ChainHamiltonian:
     dims: tuple
     terms: tuple
     decay: Optional[tuple] = None
-    k: int = 0
-    g: float = 0.0
+    k: int = field(init=False)
+    g: float = field(init=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -282,16 +282,6 @@ class SaturationDynamics:
         m, j, n = self.m_levels, self.j, self.n_pairs
         return t <= n * math.sqrt(m) / (2.0 * m * j)
 
-    def stage_list(self, t):
-        """Interleaved schedule: pulse pair j for t/n, then swap in a fresh pair."""
-        dt = t / self.n_pairs
-        out = []
-        for jj in range(self.n_pairs):
-            out.append(("pulse", jj, dt))
-            if jj < self.n_pairs - 1:
-                out.append(("swap", jj, jj + 1))
-        return out
-
 
 def build_saturation_dynamics(m_levels, j, n_pairs):
     if m_levels < 1 or n_pairs < 1:
@@ -397,14 +387,6 @@ class ToyTwoQubit:
         num = c * s ** (2.0 * alpha - 1.0) - s * c ** (2.0 * alpha - 1.0)
         den = c ** (2.0 * alpha) + s ** (2.0 * alpha)
         return 2.0 * alpha / (1.0 - alpha) * num / den
-
-    def rate_limit_zero(self, alpha):
-        """Trichotomy of the t -> 0+ rate limit."""
-        if alpha == math.inf or alpha > 0.5:
-            return 0.0
-        if abs(alpha - 0.5) < 1e-12:
-            return 2.0
-        return math.inf
 
 
 def build_toy_two_qubit():

@@ -5,7 +5,7 @@ and two-sweep compression whose per-bond records feed the run certificates.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -249,15 +249,8 @@ def mps_norm(mps):
     return math.sqrt(max(0.0, mps_inner(mps, mps).real))
 
 
-def product_mps(dims_or_n, d=None, local_vectors=None):
+def product_mps(n, d, local_vectors=None):
     """Bond-dimension-1 state from per-site vectors (default all-zeros basis)."""
-    if isinstance(dims_or_n, int):
-        n = dims_or_n
-        if d is None:
-            raise ValueError("physical dimension required")
-    else:
-        n = len(dims_or_n)
-        d = dims_or_n[0]
     ts = []
     for i in range(n):
         if local_vectors is None:

@@ -7,20 +7,12 @@ every output is labeled lower/upper; the pair is reported as coinciding
 only when they agree within 1e-6.
 """
 
-import math
-import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRangeError,
-    BadAlphaError,
-    BadWeightError,
-    EtaTooSmallError,
-    NoDecompositionError,
-)
+from .errors import EtaTooSmallError, NoDecompositionError
 
 DEFAULT_SEEDS = 16
 DEFAULT_ITERATIONS = 500
@@ -102,7 +94,6 @@ class SeEstimate:
     lower: float
     upper: float
     witness: Optional[dict] = None
-    method: str = ""
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
@@ -246,114 +237,7 @@ def se_lower_search(
     lower = max(obj, 0.0)
     upper = best_upper(op)
     witness = {"x": x, "y": y, "ancilla_dims": (aa, bb)}
-    return SeEstimate(lower=lower, upper=upper, witness=witness, method="alternating-ascent")
-
-
-def se_subadditive_combine(weighted):
-    """Discretized integral form sum_i w_i * upper_i of the subadditivity bound."""
-    total = 0.0
-    for w, u in weighted:
-        w = float(w)
-        if w < 0:
-            raise BadWeightError(f"weight {w} < 0")
-        total += w * (u.upper if isinstance(u, SeEstimate) else float(u))
-    return float(total)
-
-
-def _alpha_objective(phi4, x, y, alpha, clamp=1e-12):
-    s = np.linalg.svd(_contract(phi4, x, y), compute_uv=False)
-    s = s[s > clamp]
-    if s.size == 0:
-        return 0.0
-    return float(np.sum(s ** (2.0 * alpha)) ** (1.0 / (2.0 * alpha)))
-
-
-def alpha_se_lower_search(
-    op,
-    alpha,
-    ancilla_dims=None,
-    seeds=DEFAULT_SEEDS,
-    iterations=DEFAULT_ITERATIONS,
-    seed=0,
-):
-    """Lower bound on the order-alpha strength (sum lambda^(2 alpha))^(1/(2 alpha)).
-
-    alpha = 1/2 coincides with se_lower_search by definition and is routed
-    there; other orders use quasi-Newton ascent from multiple seeds. The
-    upper field uses the rank-counting bound r^(1/(2 alpha) - 1) times the
-    plain-strength upper (r capped by both the state and operator ranks).
-    """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise BadAlphaError(f"alpha = {alpha} not in (0, 1]")
-    if abs(alpha - 0.5) < 1e-12:
-        return se_lower_search(op, ancilla_dims, seeds, iterations, seed)
-    from scipy.optimize import minimize
-
-    da, db = op.dim_a, op.dim_b
-    if ancilla_dims is None:
-        ancilla_dims = (min(da, db), min(da, db))
-    aa, bb = int(ancilla_dims[0]), int(ancilla_dims[1])
-    phi4 = op.as_tensor()
-    rng = np.random.default_rng(seed)
-    starts = _seed_states(rng, da, db, aa, bb, seeds)
-    base = se_lower_search(op, ancilla_dims, seeds, iterations, seed)
-    starts.append((base.witness["x"], base.witness["y"]))
-    nx, ny = da * aa, db * bb
-
-    def unpack(v):
-        x = (v[:nx] + 1j * v[nx : 2 * nx]).reshape(da, aa)
-        y = (v[2 * nx : 2 * nx + ny] + 1j * v[2 * nx + ny :]).reshape(db, bb)
-        xn, yn = np.linalg.norm(x), np.linalg.norm(y)
-        if xn < 1e-300 or yn < 1e-300:
-            return None, None
-        return x / xn, y / yn
-
-    def negobj(v):
-        x, y = unpack(v)
-        if x is None:
-            return 0.0
-        return -_alpha_objective(phi4, x, y, alpha)
-
-    best = (-np.inf, None, None)
-    for x0, y0 in starts:
-        v0 = np.concatenate(
-            [x0.real.ravel(), x0.imag.ravel(), y0.real.ravel(), y0.imag.ravel()]
-        )
-        res = minimize(negobj, v0, method="L-BFGS-B", options={"maxiter": iterations})
-        x, y = unpack(res.x)
-        if x is None:
-            continue
-        val = _alpha_objective(phi4, x, y, alpha)
-        if val > best[0]:
-            best = (val, x, y)
-    lower = max(best[0], 0.0)
-    rank_cap = min(da * aa, db * bb, int(np.linalg.matrix_rank(
-        op.as_tensor().transpose(0, 2, 1, 3).reshape(da * da, db * db), tol=1e-12)))
-    rank_cap = max(rank_cap, 1)
-    plain_upper = best_upper(op)
-    if alpha >= 0.5:
-        upper = plain_upper
-    else:
-        upper = rank_cap ** (1.0 / (2.0 * alpha) - 1.0) * plain_upper
-    witness = {"x": best[1], "y": best[2], "ancilla_dims": (aa, bb)}
-    return SeEstimate(lower=lower, upper=float(upper), witness=witness, method="lbfgs-ascent")
-
-
-def alpha_se_bound_from_decay(c0, g_tilde, kappa, alpha):
-    """Closed-form strength bound under power-law decomposition decay.
-
-    Valid for 1/(2(1+kappa)) < alpha <= 1/2; the value diverges at the left
-    edge (a warning is emitted when the denominator is nearly singular).
-    """
-    alpha = float(alpha)
-    lo = 1.0 / (2.0 * (1.0 + kappa))
-    if not lo < alpha <= 0.5:
-        raise AlphaOutOfRangeError(f"alpha = {alpha} outside ({lo}, 0.5]")
-    den = 1.0 - 2.0 ** (1.0 - 2.0 * alpha * (1.0 + kappa))
-    if den < 1e-6:
-        warnings.warn("decay bound nearly divergent at this alpha", RuntimeWarning)
-    return float(2.0 ** (1.0 / (2.0 * alpha) - 1.0) * c0 * g_tilde / den ** (1.0 / (2.0 * alpha)))
+    return SeEstimate(lower=lower, upper=upper, witness=witness)
 
 
 def long_range_se_bound(j0, eta):

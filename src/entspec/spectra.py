@@ -5,14 +5,13 @@ All operations are pure functions; states are immutable once built.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
     BadAlphaError,
     BadCutError,
-    BadExpansionError,
     UnnormalizedError,
     ZeroStateError,
 )
@@ -178,55 +177,3 @@ def truncate_rank(spec, D):
     rv = spec.right_vectors[:, :D] if spec.right_vectors is not None else None
     out = SchmidtSpectrum(kept, float(np.sqrt(np.sum(kept**2))), lv, rv)
     return out, tail
-
-
-def overlap_sum_bound_check(terms, basis_a, basis_b, tol=1e-10):
-    """Check sum_s |<a_s, b_s|Psi>| <= sum_j |g_j| for Psi = sum_j g_j |A_j>|B_j>.
-
-    terms: sequence of (g_j, vec_a, vec_b) with unit-norm factors.
-    basis_a/basis_b: orthonormal vector lists of equal length (paired).
-    Always true mathematically; returns the boolean so property tests can
-    sweep random instances.
-    """
-    gs = []
-    va0 = np.asarray(terms[0][1], dtype=complex)
-    vb0 = np.asarray(terms[0][2], dtype=complex)
-    psi = np.zeros((va0.size, vb0.size), dtype=complex)
-    for g, va, vb in terms:
-        va = np.asarray(va, dtype=complex).reshape(-1)
-        vb = np.asarray(vb, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(va) - 1.0) > 1e-8 or abs(np.linalg.norm(vb) - 1.0) > 1e-8:
-            raise BadExpansionError("expansion factors must be unit norm")
-        psi += complex(g) * np.outer(va, vb)
-        gs.append(abs(complex(g)))
-    basis_a = [np.asarray(v, dtype=complex).reshape(-1) for v in basis_a]
-    basis_b = [np.asarray(v, dtype=complex).reshape(-1) for v in basis_b]
-    if len(basis_a) != len(basis_b):
-        raise BadExpansionError("bases must pair up")
-    for vs in (basis_a, basis_b):
-        gram = np.array([[np.vdot(u, v) for v in vs] for u in vs])
-        if np.max(np.abs(gram - np.eye(len(vs)))) > 1e-8:
-            raise BadExpansionError("bases must be orthonormal")
-    lhs = sum(abs(np.vdot(a, psi @ b.conj())) for a, b in zip(basis_a, basis_b))
-    return bool(lhs <= sum(gs) + tol)
-
-
-def schmidt_coeff_bound_check(spec, alpha, tol=1e-10):
-    """Check lambda_{s0} <= (e^{(1-alpha) E_alpha} / s0)^{1/(2 alpha)} for all s0.
-
-    Valid for alpha in (0,1) on normalized spectra; a property-test helper.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise BadAlphaError(f"alpha = {alpha} not in (0,1)")
-    lam = _clamped(spec.coeffs)
-    ent = renyi_entropy(spec, alpha)
-    s0 = np.arange(1, lam.size + 1, dtype=float)
-    bound = (np.exp((1.0 - alpha) * ent) / s0) ** (1.0 / (2.0 * alpha))
-    return bool(np.all(lam <= bound + tol))
-
-
-def coeff_times_index_bound(spec):
-    """max_s lambda_s * s, which never exceeds sum_s lambda_s."""
-    lam = np.asarray(spec.coeffs, dtype=float)
-    s = np.arange(1, lam.size + 1, dtype=float)
-    return float(np.max(lam * s)) if lam.size else 0.0

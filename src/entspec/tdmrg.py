@@ -9,7 +9,6 @@ remains an upper bound on what was actually thrown away.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from .errors import (
     StepTooCoarseError,
     TooLargeError,
 )
-from .models import ChainHamiltonian, LocalTerm
+from .models import ChainHamiltonian
 from .mps import (
     MatrixProductState,
     add,
@@ -105,29 +104,6 @@ class TdmrgCertificate:
             return normalized_final_error_bound(self.final_bound)
         except BoundVacuousError:
             return math.inf
-
-    def to_json(self):
-        return {
-            "g": self.g,
-            "n": self.n,
-            "t": self.t,
-            "n_steps": self.n_steps,
-            "d_cap": self.d_cap,
-            "j_tilde": self.j_tilde,
-            "final_bound": self.final_bound,
-            "zeta_cap": self.zeta_cap,
-            "naive_bound": self.naive_bound,
-            "steps": [
-                {
-                    "step": s.step,
-                    "zeta": s.zeta,
-                    "delta_bar": s.delta_bar,
-                    "delta_cap": s.delta_cap,
-                    "zeta_recursion_cap": s.zeta_recursion_cap,
-                }
-                for s in self.steps
-            ],
-        }
 
 
 def certificate_theory_bound(g, n, t, n_steps, d_cap, j_tilde):

@@ -319,7 +319,7 @@ def test_criterion_12_selftest_passes(acceptance_lines, tmp_path):
     from entspec.cli import selftest
 
     t0 = time.perf_counter()
-    code = selftest(tmp_path / "selftest", 1)
+    code = selftest(tmp_path / "selftest")
     elapsed = time.perf_counter() - t0
     ok = code == 0 and elapsed < budget
     record(acceptance_lines, 12, ok, elapsed, budget, f"exit code {code}")

@@ -108,6 +108,15 @@ def test_ground_tail_experiment_reports_decay():
     assert not out["small_gap_warning"]
 
 
+def test_ground_tail_sparse_path_is_deterministic():
+    # n = 12 is past the dense cutoff, so the ground state comes from eigsh
+    chain = build_long_range_ising(12, d=2, j0=1.0, eta=3.0, hx=0.6, hz=0.2)
+    first = ground_tail_experiment(chain, 6, [1, 2, 4, 8, 16])
+    second = ground_tail_experiment(chain, 6, [1, 2, 4, 8, 16])
+    assert first["rows"] == second["rows"]
+    assert first["gap"] == second["gap"]
+
+
 def test_area_law_constant_values():
     # hand-evaluated at kappa = 1/6
     assert c_kappa_1(1.0 / 6.0) == pytest.approx(35.0839326111784, abs=1e-6)

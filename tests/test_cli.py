@@ -106,6 +106,8 @@ def test_unknown_experiment_exits_2(tmp_path):
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     cfg_path = write_config(tmp_path, {"experiment": "ground-tail", "params": {"n": "8"}})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    cfg_path = write_config(tmp_path, {"experiment": "area-law", "params": {"coupling": 0.0}})
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):
@@ -171,7 +173,7 @@ def test_threads_do_not_change_results(tmp_path):
 
 
 def test_selftest_passes(tmp_path, capsys):
-    assert selftest(tmp_path / "st", 1) == 0
+    assert selftest(tmp_path / "st") == 0
     assert "selftest passed" in capsys.readouterr().out
 
 
@@ -182,4 +184,4 @@ def test_selftest_fails_when_corruption_goes_undetected(tmp_path, monkeypatch):
         cli, "_corruption_probes",
         lambda: [("sabotaged probe", lambda: None, ValueError)],
     )
-    assert selftest(tmp_path / "st", 1) == 1
+    assert selftest(tmp_path / "st") == 1

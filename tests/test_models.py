@@ -153,13 +153,6 @@ def test_saturation_rate_approaches_strength():
     assert abs(ratio - 1.0) < 0.02
 
 
-def test_saturation_stage_list():
-    dyn = build_saturation_dynamics(m_levels=2, j=1.0, n_pairs=3)
-    stages = dyn.stage_list(0.3)
-    assert [s[0] for s in stages] == ["pulse", "swap", "pulse", "swap", "pulse"]
-    assert sum(s[2] for s in stages if s[0] == "pulse") == pytest.approx(0.3)
-
-
 def test_unbounded_spectrum_is_normalized():
     for d0 in (2, 16, 64):
         dyn = build_unbounded_dynamics(d0, 1.0, 1.0)
@@ -213,11 +206,7 @@ def test_toy_rates_match_finite_differences():
 
 def test_toy_rate_trichotomy():
     toy = build_toy_two_qubit()
-    assert toy.rate_limit_zero(0.25) == math.inf
-    assert toy.rate_limit_zero(0.5) == 2.0
-    assert toy.rate_limit_zero(0.75) == 0.0
-    assert toy.rate_limit_zero(math.inf) == 0.0
-    # small-t behavior backs the trichotomy numerically
+    # t -> 0+ limit: diverges below order 1/2, 2 at 1/2, 0 above
     assert toy.rate(0.25, 1e-4) > 50.0
     assert toy.rate(0.5, 1e-4) == pytest.approx(2.0, abs=1e-3)
     assert abs(toy.rate(0.75, 1e-4)) < 0.1

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from entspec import (
-    AlphaOutOfRangeError,
-    BadAlphaError,
-    BadWeightError,
     BipartiteOperator,
     EtaTooSmallError,
     NoDecompositionError,
-    alpha_se_bound_from_decay,
-    alpha_se_lower_search,
     build_ising_projector_interaction,
     build_saturation_dynamics,
     build_swap_interaction,
@@ -21,10 +16,9 @@ from entspec import (
     long_range_se_bound,
     operator_schmidt_upper,
     se_lower_search,
-    se_subadditive_combine,
     se_upper_from_decomposition,
 )
-from entspec.se_strength import _operator_schmidt, best_upper
+from entspec.se_strength import _operator_schmidt
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -120,57 +114,6 @@ def test_ancilla_embedding_never_hurts(rng):
     base = se_lower_search(op, ancilla_dims=(1, 1), seeds=3, iterations=80)
     big = se_lower_search(op, ancilla_dims=(2, 2), seeds=3, iterations=80)
     assert big.lower >= base.lower - 1e-9
-
-
-def test_subadditive_combine():
-    op = BipartiteOperator((2,), (2,), np.kron(Z, Z), decomposition=[(1.0, Z, Z)])
-    est = se_lower_search(op, seeds=2, iterations=40)
-    total = se_subadditive_combine([(0.5, est), (0.25, 2.0)])
-    assert total == pytest.approx(0.5 * est.upper + 0.5, abs=1e-12)
-    with pytest.raises(BadWeightError):
-        se_subadditive_combine([(-0.1, est)])
-
-
-def test_alpha_search_half_routes_to_plain():
-    op = build_ising_projector_interaction(2)
-    plain = se_lower_search(op, seeds=3, iterations=60)
-    half = alpha_se_lower_search(op, 0.5, seeds=3, iterations=60)
-    assert half.lower == pytest.approx(plain.lower, abs=1e-12)
-
-
-def test_alpha_search_brackets_and_validates(rng):
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    op = BipartiteOperator((2,), (2,), m + m.conj().T)
-    for alpha in (0.3, 1.0):
-        est = alpha_se_lower_search(op, alpha, seeds=2, iterations=60)
-        assert 0.0 <= est.lower <= est.upper + 1e-9
-    # alpha < 1/2 upper inflates by the rank-count factor
-    low = alpha_se_lower_search(op, 0.25, seeds=2, iterations=40)
-    assert low.upper >= best_upper(op) - 1e-12
-    with pytest.raises(BadAlphaError):
-        alpha_se_lower_search(op, 0.0)
-    with pytest.raises(BadAlphaError):
-        alpha_se_lower_search(op, 1.5)
-
-
-def test_alpha_monotone_objective(rng):
-    """Smaller alpha weights the Schmidt tail more, so the order-alpha
-    strength is nonincreasing in alpha on a fixed witness."""
-    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    op = BipartiteOperator((2,), (2,), m + m.conj().T)
-    e1 = alpha_se_lower_search(op, 0.4, seeds=3, iterations=80)
-    e2 = alpha_se_lower_search(op, 0.5, seeds=3, iterations=80)
-    assert e1.lower >= e2.lower - 1e-6
-
-
-def test_decay_bound_value_and_window():
-    # hand-checked: 2^(2/3) / (1 - 2^(-1/5))^(5/3) style closed form
-    got = alpha_se_bound_from_decay(1.0, 1.0, 1.0, 0.3)
-    assert got == pytest.approx(47.9203213997862, rel=1e-10)
-    with pytest.raises(AlphaOutOfRangeError):
-        alpha_se_bound_from_decay(1.0, 1.0, 1.0, 0.2)
-    with pytest.raises(AlphaOutOfRangeError):
-        alpha_se_bound_from_decay(1.0, 1.0, 1.0, 0.6)
 
 
 def test_long_range_strength_cap():

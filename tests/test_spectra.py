@@ -10,18 +10,15 @@ from hypothesis import strategies as st
 from entspec import (
     BadAlphaError,
     BadCutError,
-    BadExpansionError,
     Cut,
     PureState,
     UnnormalizedError,
     ZeroStateError,
-    coeff_times_index_bound,
     renyi_entropy,
-    schmidt_coeff_bound_check,
     schmidt_decompose,
     truncate_rank,
 )
-from entspec.spectra import SchmidtSpectrum, overlap_sum_bound_check
+from entspec.spectra import SchmidtSpectrum
 
 from helpers import random_state
 
@@ -161,35 +158,3 @@ def test_truncate_rank_matches_best_tail(rng):
     assert tail == 0.0
     with pytest.raises(ValueError):
         truncate_rank(spec, 0)
-
-
-@given(st.integers(2, 10), st.integers(0, 10 ** 6))
-@settings(max_examples=40, deadline=None)
-def test_coeff_bounds_hold_on_random_spectra(r, seed):
-    rng = np.random.default_rng(seed)
-    lam = np.sort(np.abs(rng.standard_normal(r)))[::-1] + 1e-9
-    lam = lam / math.sqrt(float(np.sum(lam ** 2)))
-    spec = SchmidtSpectrum(lam, 1.0)
-    for alpha in (0.25, 0.4, 0.5):
-        assert schmidt_coeff_bound_check(spec, alpha)
-    assert coeff_times_index_bound(spec) >= float(spec.coeffs[0])
-    assert coeff_times_index_bound(spec) <= float(np.sum(spec.coeffs)) + 1e-12
-
-
-def test_schmidt_coeff_bound_check_rejects_bad_alpha():
-    spec = SchmidtSpectrum(np.array([1.0]), 1.0)
-    with pytest.raises(BadAlphaError):
-        schmidt_coeff_bound_check(spec, 1.0)
-
-
-def test_overlap_sum_bound_check(rng):
-    qa = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    qb = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
-    basis_a = [qa[:, k] for k in range(4)]
-    basis_b = [qb[:, k] for k in range(4)]
-    terms = [(0.5, basis_a[0], basis_b[0]), (0.25j, basis_a[1], basis_b[2])]
-    assert overlap_sum_bound_check(terms, basis_a, basis_b)
-    with pytest.raises(BadExpansionError):
-        overlap_sum_bound_check([(0.5, 2.0 * basis_a[0], basis_b[0])], basis_a, basis_b)
-    with pytest.raises(BadExpansionError):
-        overlap_sum_bound_check(terms, basis_a, basis_b[:3])

@@ -1,6 +1,5 @@
 """Certified truncated time stepping and the related existence checks."""
 
-import json
 import math
 
 import numpy as np
@@ -28,7 +27,6 @@ from entspec import (
     to_dense,
 )
 from entspec import tdmrg
-from entspec.ioutil import jsonable
 
 
 def _plus_mps(n):
@@ -138,17 +136,6 @@ def test_naive_bound_dwarfs_certificate():
     cert = certificate_theory_bound(1.0, 8, 0.5, 125, 128, 3.0)
     assert naive > 1e50 * cert
     assert naive_error_bound(1.0, 8, 0.5, 10 ** 6, 128, 3.0) == math.inf
-
-
-def test_certificate_serializes():
-    chain = build_nearest_neighbor_chain(3, d=2, j=0.5)
-    cfg = TdmrgConfig(chain=chain, t=0.2, n_steps=8, d_cap=2, initial=_plus_mps(3))
-    _, cert = tdmrg_run(cfg)
-    text = json.dumps(jsonable(cert.to_json()))
-    back = json.loads(text)
-    assert back["n_steps"] == 8
-    assert len(back["steps"]) == 8
-    assert back["final_bound"] == pytest.approx(cert.final_bound)
 
 
 def test_existence_check_laws():
