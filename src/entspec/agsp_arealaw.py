@@ -338,6 +338,7 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         "adiabatic_error": adiab_err,
         "adiabatic_cap": adiab_cap,
         "adiabatic_ok": adiab_err <= adiab_cap + 1e-6,
+        "adiabatic_converged": res.converged,
         "agsp_defect_ground": agsp.defect_ground,
         "agsp_defect_bound": agsp.defect_bound,
         "kappa": consts.kappa,

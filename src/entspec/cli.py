@@ -314,6 +314,7 @@ def exp_area_law(p, seed):
         "truncation_below_cap": all(r["ok"] for r in rep["rows"]),
         "entropy_below_bound": rep["entropy_ok"],
         "adiabatic_below_cap": rep["adiabatic_ok"],
+        "adiabatic_converged": rep["adiabatic_converged"],
     }
     derived = {k: v for k, v in rep.items() if k != "rows"}
     return {"rows": rep["rows"], "derived": derived, "checks": checks}
@@ -595,7 +596,17 @@ class ConfigError(Exception):
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
 
 
-def _check_param_types(name, values, defaults):
+# Least value of each size param; a list param holds integers of at least this
+_MINIMUM = {"n": 1, "d": 1, "d_cap": 1, "m_levels": 1, "n_pairs": 1, "da": 1, "db": 1,
+            "d_grid": 1}
+_CHAIN_KINDS = ("longrange", "nearest")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_params(name, values, defaults):
     for key, value in values.items():
         accepted = _ACCEPTED_TYPES[type(defaults[key])]
         if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
@@ -603,6 +614,16 @@ def _check_param_types(name, values, defaults):
             raise ConfigError(
                 f"param {key!r} of {name} must be {want}, got {type(value).__name__}"
             )
+        least = _MINIMUM.get(key)
+        entries = value if isinstance(value, list) else [value]
+        if least is not None and not all(_is_int(v) and v >= least for v in entries):
+            raise ConfigError(f"param {key!r} of {name} takes integers >= {least}, got {value!r}")
+    if "chain" in values and values["chain"] not in _CHAIN_KINDS:
+        raise ConfigError(f"param 'chain' of {name} must be one of {list(_CHAIN_KINDS)}")
+    pairs = values.get("pairs", [])
+    if not all(isinstance(q, list) and len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0]
+               for q in pairs):
+        raise ConfigError(f"param 'pairs' of {name} must hold [N, D] with 1 <= D <= N")
 
 
 def validate_config(cfg):
@@ -625,7 +646,7 @@ def validate_config(cfg):
     bad = set(params) - set(defaults)
     if bad:
         raise ConfigError(f"unknown params for {name}: {sorted(bad)}")
-    _check_param_types(name, params, defaults)
+    _check_params(name, params, defaults)
     grid = cfg.get("grid", [])
     if not isinstance(grid, list) or any(not isinstance(g, dict) for g in grid):
         raise ConfigError("grid must be a list of objects")
@@ -633,7 +654,7 @@ def validate_config(cfg):
         bad = set(g) - set(defaults)
         if bad:
             raise ConfigError(f"unknown grid params for {name}: {sorted(bad)}")
-        _check_param_types(name, g, defaults)
+        _check_params(name, g, defaults)
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")

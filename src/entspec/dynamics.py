@@ -167,6 +167,7 @@ class AdiabaticResult:
     steps: int
     delta_min: float
     converged_diff: float
+    converged: bool  # false when MAX_STEPS came before ADIABATIC_TOL
 
 
 def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
@@ -205,7 +206,8 @@ def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
         diff = float(np.linalg.norm(cur - prev))
         if diff < ADIABATIC_TOL or k >= MAX_STEPS:
             return AdiabaticResult(
-                psi=cur, steps=k, delta_min=delta_min, converged_diff=diff
+                psi=cur, steps=k, delta_min=delta_min, converged_diff=diff,
+                converged=diff < ADIABATIC_TOL,
             )
         prev = cur
 

@@ -1,6 +1,7 @@
 """Open-boundary matrix product states with exact discarded-weight
-accounting: factorization, contraction, addition, local-term application,
-and two-sweep compression whose per-bond records feed the run certificates.
+accounting: factorization, contraction, n-way direct sums, local-term
+application, and two-sweep compression whose per-bond records feed the run
+certificates.
 """
 
 import math
@@ -145,54 +146,71 @@ def to_dense(mps):
     return PureState(dims=(d,) * mps.n_sites, amps=acc.reshape(-1))
 
 
-def add(a, b, coeff_a=1.0, coeff_b=1.0):
-    """Direct sum on bonds; dense value coeff_a * a + coeff_b * b."""
-    if a.n_sites != b.n_sites or a.d != b.d:
+def add(states, coeffs):
+    """Direct sum on bonds; dense value sum_k coeffs[k] * states[k].
+
+    Each block is scaled once: by its coefficient on the first site and by
+    1.0 on every other site.
+    """
+    first = states[0]
+    n, d = first.n_sites, first.d
+    if any(s.n_sites != n or s.d != d for s in states):
         raise MismatchError("MPS shapes differ")
-    n, d = a.n_sites, a.d
     if n == 1:
-        t = coeff_a * a.tensors[0] + coeff_b * b.tensors[0]
+        t = coeffs[0] * first.tensors[0]
+        for s, c in zip(states[1:], coeffs[1:]):
+            t = t + c * s.tensors[0]
         return MatrixProductState(tensors=(t,))
     ts = []
     for i in range(n):
-        ta = a.tensors[i] * (coeff_a if i == 0 else 1.0)
-        tb = b.tensors[i] * (coeff_b if i == 0 else 1.0)
-        la, _, ra = ta.shape
-        lb, _, rb = tb.shape
-        if i == 0:
-            t = np.concatenate([ta, tb], axis=2)
-        elif i == n - 1:
-            t = np.concatenate([ta, tb], axis=0)
-        else:
-            t = np.zeros((la + lb, d, ra + rb), dtype=complex)
-            t[:la, :, :ra] = ta
-            t[la:, :, ra:] = tb
+        blocks = [s.tensors[i] for s in states]
+        scales = coeffs if i == 0 else [1.0] * len(states)
+        rows = 1 if i == 0 else sum(b.shape[0] for b in blocks)
+        cols = 1 if i == n - 1 else sum(b.shape[2] for b in blocks)
+        t = np.zeros((rows, d, cols), dtype=complex)
+        l = r = 0
+        for b, c in zip(blocks, scales):
+            lb, _, rb = b.shape
+            # blocks sit side by side on the first site, stacked on the last,
+            # and on the diagonal in between, so the boundary bonds stay 1
+            at_l = slice(0, 1) if i == 0 else slice(l, l + lb)
+            at_r = slice(0, 1) if i == n - 1 else slice(r, r + rb)
+            np.multiply(b, c, out=t[at_l, :, at_r])
+            l += lb
+            r += rb
         ts.append(t)
     return MatrixProductState(tensors=tuple(ts))
 
 
-def apply_local_term(mps, term):
-    """h_Z applied to the state; bonds between a two-site support grow by the
-    number of product factors (at most d^2)."""
+def _term_factors(term, n, d):
+    """Check that a local term fits an n-site chain of dimension d and split
+    it for `_apply_factors`: the matrix itself on one site, or the pairs
+    (sqrt(s) E, sqrt(s) F) of its operator-Schmidt split on two."""
     if len(term.support) > 2:
         raise UnsupportedLocalityError(f"support size {len(term.support)} > 2")
-    if term.support[-1] >= mps.n_sites:
+    if term.support[-1] >= n:
         raise MismatchError("term support outside the chain")
-    d = mps.d
-    ts = [t.copy() for t in mps.tensors]
     if len(term.support) == 1:
-        (i,) = term.support
-        ts[i] = np.einsum("pq,lqr->lpr", term.matrix, ts[i])
-        return MatrixProductState(tensors=tuple(ts))
-    i, j = term.support
+        return term.matrix
     factors = _operator_schmidt(term.matrix, d, d)
+    return [(math.sqrt(s) * e, math.sqrt(s) * f) for s, e, f in factors]
+
+
+def _apply_factors(mps, support, factors):
+    """The term with these `_term_factors` applied to the state; bonds between
+    a two-site support grow by the number of factor pairs (at most d^2)."""
+    d = mps.d
+    ts = list(mps.tensors)
+    if len(support) == 1:
+        (i,) = support
+        ts[i] = np.einsum("pq,lqr->lpr", factors, ts[i])
+        return MatrixProductState(tensors=tuple(ts))
+    i, j = support
     na = len(factors)
     dl_i, _, dr_i = ts[i].shape
     new_i = np.zeros((dl_i, d, na * dr_i), dtype=complex)
-    for a, (s, e, _) in enumerate(factors):
-        new_i[:, :, a * dr_i : (a + 1) * dr_i] = np.einsum(
-            "pq,lqr->lpr", math.sqrt(s) * e, ts[i]
-        )
+    for a, (e, _) in enumerate(factors):
+        new_i[:, :, a * dr_i : (a + 1) * dr_i] = np.einsum("pq,lqr->lpr", e, ts[i])
     ts[i] = new_i
     for k in range(i + 1, j):
         dl, _, dr = ts[k].shape
@@ -202,12 +220,16 @@ def apply_local_term(mps, term):
         ts[k] = new_k
     dl_j, _, dr_j = ts[j].shape
     new_j = np.zeros((na * dl_j, d, dr_j), dtype=complex)
-    for a, (s, _, f) in enumerate(factors):
-        new_j[a * dl_j : (a + 1) * dl_j, :, :] = np.einsum(
-            "pq,lqr->lpr", math.sqrt(s) * f, ts[j]
-        )
+    for a, (_, f) in enumerate(factors):
+        new_j[a * dl_j : (a + 1) * dl_j, :, :] = np.einsum("pq,lqr->lpr", f, ts[j])
     ts[j] = new_j
     return MatrixProductState(tensors=tuple(ts))
+
+
+def apply_local_term(mps, term):
+    """h_Z applied to the state; bonds between a two-site support grow by the
+    number of product factors (at most d^2)."""
+    return _apply_factors(mps, term.support, _term_factors(term, mps.n_sites, mps.d))
 
 
 def compress(mps, d_cap, tolerance=0.0):
@@ -219,7 +241,7 @@ def compress(mps, d_cap, tolerance=0.0):
     """
     n = mps.n_sites
     d = mps.d
-    ts = [t.copy() for t in mps.tensors]
+    ts = list(mps.tensors)
     for i in range(n - 1, 0, -1):
         dl, _, dr = ts[i].shape
         m = ts[i].reshape(dl, d * dr)

@@ -21,8 +21,9 @@ from .errors import (
 from .models import ChainHamiltonian
 from .mps import (
     MatrixProductState,
+    _apply_factors,
+    _term_factors,
     add,
-    apply_local_term,
     compress,
     from_dense,
     mps_norm,
@@ -154,22 +155,32 @@ def tdmrg_run(config):
     zeta_cap = math.exp(j_tilde * config.t + gnt ** 2 / config.n_steps)
     factor = 1.0 + j_tilde * dt + (g * n * dt) ** 2
     cur = config.initial
+    terms = [(term.support, _term_factors(term, n, cur.d)) for term in chain.terms]
+    coeffs = [1.0] + [-1j * dt] * len(terms)
     rows = []
     zeta_prev = 1.0
     delta_sum = 0.0
     for m in range(1, config.n_steps + 1):
-        acc = cur
+        # The sum cur + sum_k (-i dt) h_k|cur> is built one segment at a time:
+        # a segment ends where its direct sum's bond would pass the stage cap,
+        # and is then compressed into the first state of the next segment.
+        segment = [cur]
+        inner = cur.bond_dims[1:-1]
         staged = 0.0
-        for term in chain.terms:
-            piece = apply_local_term(cur, term)
-            acc = add(acc, piece, 1.0, -1j * dt)
-            if acc.max_bond > BOND_MEMORY_CAP:
-                raise IntermediateTooLargeError(
-                    f"bond {acc.max_bond} > {BOND_MEMORY_CAP} at step {m}"
-                )
-            if acc.max_bond > STAGE_CAP_FACTOR * d_cap:
+        for support, factors in terms:
+            piece = _apply_factors(cur, support, factors)
+            segment.append(piece)
+            inner = [a + b for a, b in zip(inner, piece.bond_dims[1:-1])]
+            bond = max(inner, default=1)
+            if bond > BOND_MEMORY_CAP:
+                raise IntermediateTooLargeError(f"bond {bond} > {BOND_MEMORY_CAP} at step {m}")
+            if bond > STAGE_CAP_FACTOR * d_cap:
+                acc = add(segment, coeffs[: len(segment)])
                 acc, rec = compress(acc, STAGE_CAP_FACTOR * d_cap, STAGE_TOLERANCE)
                 staged += rec.max_delta
+                segment = [acc]
+                inner = acc.bond_dims[1:-1]
+        acc = add(segment, coeffs[: len(segment)]) if len(segment) > 1 else segment[0]
         cur, rec = compress(acc, d_cap, 0.0)
         zeta = rec.max_zeta
         delta_bar = rec.max_delta + staged

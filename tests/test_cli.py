@@ -6,12 +6,25 @@ from pathlib import Path
 
 import pytest
 
+from entspec import adiabatic_evolve, dynamics, make_coupled_qudit_family
 from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
 
 PUBLISHED = [
     "sie-rate", "c-alpha-table", "saturate", "unbounded", "toy", "se-search",
     "agsp", "ground-tail", "area-law", "tdmrg", "mps-exist", "gibbs-tail",
     "kolmogorov", "no-go", "merge-series",
+]
+
+# Sizes out of range, or a chain kind no builder knows
+BAD_SIZES = [
+    {"experiment": "tdmrg", "params": {"d_cap": 0}},
+    {"experiment": "saturate", "params": {"n_pairs": 0}},
+    {"experiment": "kolmogorov", "params": {"pairs": [[4, 8]]}},
+    {"experiment": "ground-tail", "params": {"chain": "other"}},
+    {"experiment": "ground-tail", "params": {"d_grid": [0]}},
+    {"experiment": "no-go", "params": {"d": 0}},
+    {"experiment": "merge-series", "params": {"da": 0}},
+    {"experiment": "merge-series", "params": {"db": 0}},
 ]
 
 
@@ -41,7 +54,7 @@ def test_registry_lists_every_published_experiment():
         {"experiment": "saturate", "grid": {"times": [0.1]}},
         {"experiment": "saturate", "grid": [{"bogus": 1}]},
         {"experiment": "ground-tail", "params": {"n": "8"}},
-    ],
+    ] + BAD_SIZES + [{"experiment": "merge-series", "grid": [{"db": 0}]}],
 )
 def test_validator_rejects_malformed_configs(cfg):
     with pytest.raises(ConfigError):
@@ -108,6 +121,8 @@ def test_unknown_experiment_exits_2(tmp_path):
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     cfg_path = write_config(tmp_path, {"experiment": "area-law", "params": {"coupling": 0.0}})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    for cfg in BAD_SIZES:
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):
@@ -120,6 +135,16 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     assert main(["run", cfg_path, "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_checks_pass"] is False
+
+
+def test_area_law_fails_when_adiabatic_refinement_is_cut(tmp_path, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
+    family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
+    assert not adiabatic_evolve(family.h_of_nu, 0.05).converged
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, {"experiment": "area-law"}), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["adiabatic_converged"] is False
 
 
 def test_runtime_invariant_error_exits_1(tmp_path):

@@ -162,6 +162,7 @@ def test_adiabatic_follows_gapped_ground_state():
     overlap = abs(np.vdot(u[:, 0], res.psi))
     assert overlap > 0.999
     assert res.delta_min == pytest.approx(math.sqrt(2.0), abs=1e-3)
+    assert res.converged
 
 
 def test_adiabatic_rejects_closed_gap():

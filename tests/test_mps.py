@@ -107,15 +107,14 @@ def test_product_mps_and_norm():
 
 
 def test_add_matches_dense(rng):
-    a = random_state(rng, (2,) * 5)
-    b = random_state(rng, (2,) * 5)
-    ma, _ = from_dense(a)
-    mb, _ = from_dense(b)
-    combo = add(ma, mb, 1.0, -0.5j)
-    assert np.linalg.norm(
-        to_dense(combo).amps - (a.amps - 0.5j * b.amps)
-    ) < 1e-10
-    assert combo.max_bond <= ma.max_bond + mb.max_bond
+    states = [random_state(rng, (2,) * 5) for _ in range(3)]
+    parts = [from_dense(s)[0] for s in states]
+    coeffs = [1.0, -0.5j, 0.3 + 0.7j]
+    combo = add(parts, coeffs)
+    want = sum(c * s.amps for c, s in zip(coeffs, states))
+    assert np.linalg.norm(to_dense(combo).amps - want) < 1e-10
+    inner = [sum(p.bond_dims[b] for p in parts) for b in range(1, 5)]
+    assert combo.bond_dims == (1, *inner, 1)
 
 
 def test_apply_local_term_matches_dense(rng):

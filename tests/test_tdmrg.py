@@ -8,10 +8,13 @@ from scipy.linalg import expm
 
 from entspec import (
     BoundVacuousError,
+    ChainHamiltonian,
     IntermediateTooLargeError,
+    LocalTerm,
     StepTooCoarseError,
     TdmrgConfig,
     TooLargeError,
+    UnsupportedLocalityError,
     basis_product_state,
     build_long_range_ising,
     build_nearest_neighbor_chain,
@@ -86,13 +89,20 @@ def test_run_is_deterministic():
 
 
 def test_run_with_no_terms_is_identity():
-    from entspec import ChainHamiltonian
-
     chain = ChainHamiltonian(n=3, dims=(2, 2, 2), terms=())
     cfg = TdmrgConfig(chain=chain, t=1.0, n_steps=4, d_cap=2, initial=_plus_mps(3))
     out, cert = tdmrg_run(cfg)
     assert cert.final_bound == 0.0
     assert np.allclose(to_dense(out).amps, to_dense(cfg.initial).amps)
+
+
+def test_run_rejects_three_site_terms():
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    term = LocalTerm(support=(0, 1, 2), matrix=0.1 * np.kron(np.kron(x, x), x))
+    chain = ChainHamiltonian(n=4, dims=(2,) * 4, terms=(term,), decay=("finite", 3))
+    cfg = TdmrgConfig(chain=chain, t=0.1, n_steps=4, d_cap=2, initial=_plus_mps(4))
+    with pytest.raises(UnsupportedLocalityError):
+        tdmrg_run(cfg)
 
 
 def test_staged_compression_cap(monkeypatch):
