@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import DegenerateError, GapClosedError
 from .dynamics import GAP_FLOOR, adiabatic_error_bound, adiabatic_evolve
-from .models import _random_hermitian
-from .se_strength import BipartiteOperator, _opnorm
+from .models import _block_sum, _random_coupling
+from .se_strength import BipartiteOperator, _opnorm, se_upper_from_decomposition
 from .spectra import Cut, PureState, renyi_entropy, schmidt_decompose, truncate_rank
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
@@ -41,6 +41,7 @@ class AgspOperator:
     filter_vals: np.ndarray
     nodes_used: int
     quad_diff: float
+    converged: bool  # false when NODE_CAP came before QUAD_TOL
 
     @property
     def defect_ground(self):
@@ -107,6 +108,7 @@ def build_agsp(h, beta):
         filter_vals=f_cur,
         nodes_used=nodes,
         quad_diff=k_diff,
+        converged=k_diff < QUAD_TOL,
     )
 
 
@@ -125,22 +127,10 @@ def random_gapped_instance(rng):
         vals = np.concatenate([[0.0], np.sort(1.5 + rng.uniform(0.0, 2.0, d - 1))])
         return q @ np.diag(vals) @ q.conj().T
 
-    def rand_herm_unit(d):
-        m = _random_hermitian(rng, d)
-        return m / _opnorm(m)
-
     h_a = rand_block(da)
     h_b = rand_block(db)
-    mat = np.zeros((da * db, da * db), dtype=complex)
-    decomposition = []
-    for _ in range(GAPPED_V_TERMS):
-        p, q = rand_herm_unit(da), rand_herm_unit(db)
-        c = float(rng.uniform(0.05, 0.2))
-        mat += c * np.kron(p, q)
-        decomposition.append((c, p, q))
-    v = BipartiteOperator((da,), (db,), mat, tuple(decomposition))
-    h = np.kron(h_a, np.eye(db)) + np.kron(np.eye(da), h_b) + mat
-    return h, v, (da, db)
+    v = _random_coupling(rng, da, db, GAPPED_V_TERMS, 0.05, 0.2)
+    return _block_sum(h_a, h_b) + v.matrix, v, (da, db)
 
 
 def ground_tail_experiment(chain, cut_pos, d_grid):
@@ -248,13 +238,7 @@ class BoundaryFamily:
     v_of_nu: Callable[[float], BipartiteOperator]
 
     def h_of_nu(self, nu):
-        da = int(np.prod(self.dims_a))
-        db = int(np.prod(self.dims_b))
-        return (
-            np.kron(self.h_a, np.eye(db))
-            + np.kron(np.eye(da), self.h_b)
-            + self.v_of_nu(nu).matrix
-        )
+        return _block_sum(self.h_a, self.h_b) + self.v_of_nu(nu).matrix
 
 
 def make_coupled_qudit_family(delta=1.0, coupling=0.3):
@@ -274,8 +258,6 @@ def make_coupled_qudit_family(delta=1.0, coupling=0.3):
 def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     """Ramp the boundary coupling, filter, truncate, compare to the target
     ground state, and report every link of the constant chain."""
-    da = int(np.prod(family.dims_a))
-    db = int(np.prod(family.dims_b))
     nus = np.linspace(0.0, 1.0, NU_GRID)
     delta_path = math.inf
     g_tilde = 0.0
@@ -284,7 +266,7 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         delta_path = min(delta_path, float(w[1] - w[0]))
         v = family.v_of_nu(nu)
         if v.decomposition is not None:
-            g_tilde = max(g_tilde, sum(abs(j) for j, _, _ in v.decomposition))
+            g_tilde = max(g_tilde, se_upper_from_decomposition(v))
         else:
             g_tilde = max(g_tilde, _opnorm(v.matrix))
     if delta_path < GAP_FLOOR:

@@ -34,7 +34,7 @@ from .lowrank import (
     truncation_error_params,
 )
 from .models import (
-    _random_hermitian,
+    _random_unit_hermitian,
     build_ising_projector_interaction,
     build_long_range_ising,
     build_nearest_neighbor_chain,
@@ -46,7 +46,7 @@ from .models import (
     random_product_state,
 )
 from .mps import product_mps
-from .se_strength import _opnorm, best_upper, se_lower_search
+from .se_strength import best_upper, se_lower_search
 from .spectra import Cut, SchmidtSpectrum
 from .tdmrg import (
     TdmrgConfig,
@@ -62,6 +62,11 @@ RATE_MARGIN_TOL = 1e-3
 def _rng(seed):
     """Counter-based generator so every run is a pure function of the seed."""
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _order(alpha):
+    """Renyi order from a config entry: a number or the string "inf"."""
+    return math.inf if alpha == "inf" else float(alpha)
 
 
 def _chain_from_params(p):
@@ -81,24 +86,19 @@ def _chain_from_params(p):
 
 def exp_se_search(p, seed):
     """Bracket the entangling strength on random and named interactions."""
+
+    def row(target, instance, op, est, expected):
+        return {"target": target, "instance": instance, "dim_a": op.dim_a, "dim_b": op.dim_b,
+                "lower": est.lower, "upper": est.upper, "gap": est.upper - est.lower,
+                "expected": expected}
+
     rng = _rng(seed)
     rows = []
     ok = True
     for i in range(p["instances"]):
         _, v, _ = random_dense_instance(rng, dim_cap=p["dim_cap"], n_terms=p["terms"])
         est = se_lower_search(v, seeds=p["seeds"], iterations=p["iterations"], seed=seed + i)
-        rows.append(
-            {
-                "target": "random",
-                "instance": i,
-                "dim_a": v.dim_a,
-                "dim_b": v.dim_b,
-                "lower": est.lower,
-                "upper": est.upper,
-                "gap": est.upper - est.lower,
-                "expected": None,
-            }
-        )
+        rows.append(row("random", i, v, est, None))
         ok = ok and est.lower <= est.upper + 1e-9
     # named targets with known strengths; budgets fixed so reduced sweeps stay sharp
     pump = build_saturation_dynamics(4, 1.0, 1)
@@ -111,19 +111,7 @@ def exp_se_search(p, seed):
         ("swap", swap, se_lower_search(swap, seeds=6, iterations=200, seed=seed),
          math.sqrt(2.0)),
     )
-    for name, op, est, want in named:
-        rows.append(
-            {
-                "target": name,
-                "instance": None,
-                "dim_a": op.dim_a,
-                "dim_b": op.dim_b,
-                "lower": est.lower,
-                "upper": est.upper,
-                "gap": est.upper - est.lower,
-                "expected": want,
-            }
-        )
+    rows += [row(name, None, op, est, want) for name, op, est, want in named]
     pump_est, proj_est, swap_est = named[0][2], named[1][2], named[2][2]
     return {
         "rows": rows,
@@ -190,7 +178,7 @@ def exp_toy_rate(p, seed):
     ok = True
     for t in p["times"]:
         for alpha in p["alphas"]:
-            a = math.inf if alpha == "inf" else float(alpha)
+            a = _order(alpha)
             rate = toy.rate(a, t)
             bound = c_alpha(a) * toy.se_strength_exact if (a == math.inf or a >= 0.5) else None
             if bound is not None:
@@ -205,7 +193,7 @@ def exp_c_alpha_table(p, seed):
     rows = []
     interior_ok = True
     for alpha in p["alphas"]:
-        a = math.inf if alpha == "inf" else float(alpha)
+        a = _order(alpha)
         val = c_alpha(a)
         rows.append({"alpha": str(alpha), "c": val})
         if 0.5 < a < math.inf:
@@ -264,8 +252,9 @@ def exp_agsp(p, seed):
     rng = _rng(seed)
     rows = []
     ok = True
+    converged = True
     for i in range(p["instances"]):
-        h, v, (da, db) = random_gapped_instance(rng)
+        h, v, _ = random_gapped_instance(rng)
         for beta in p["betas"]:
             a = build_agsp(h, beta)
             strength_cap = a.strength_cap(best_upper(v))
@@ -285,8 +274,10 @@ def exp_agsp(p, seed):
                 and a.defect_excited <= 2.0 * a.defect_bound + 1e-12
                 and a.gauss_defect <= a.defect_bound + 1e-12
             )
+            converged = converged and a.converged
             rows.append(r)
-    return {"rows": rows, "derived": {}, "checks": {"defects_below_bounds": ok}}
+    checks = {"defects_below_bounds": ok, "quadrature_converged": converged}
+    return {"rows": rows, "derived": {}, "checks": checks}
 
 
 def exp_ground_tail(p, seed):
@@ -346,12 +337,8 @@ def exp_merge(p, seed):
     da, db = p["da"], p["db"]
     h0_a = np.diag(rng.uniform(-1.0, 1.0, da)).astype(complex)
     h0_b = np.diag(rng.uniform(-1.0, 1.0, db)).astype(complex)
-
-    def herm_unit(d):
-        m = _random_hermitian(rng, d)
-        return m / _opnorm(m)
-
-    v_terms = [p["v_scale"] * np.kron(herm_unit(da), herm_unit(db)) for _ in range(p["n_terms"])]
+    v_terms = [p["v_scale"] * np.kron(_random_unit_hermitian(rng, da), _random_unit_hermitian(rng, db))
+               for _ in range(p["n_terms"])]
     series = build_merge_series(
         h0_a, h0_b, v_terms, complex(p["z_re"], p["z_im"]),
         s0=p["s0"], m_order=p["m"], q_order=p["q"],
@@ -606,14 +593,33 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _has_type_of(value, default):
+    accepted = _ACCEPTED_TYPES[type(default)]
+    return isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+
+
+def _entry_ok(entry, default_entries):
+    """A list entry takes the JSON type of the default's entries; the one
+    string allowed is "inf", and only where the default list holds it."""
+    if isinstance(entry, str):
+        return entry == "inf" and "inf" in default_entries
+    return any(_has_type_of(entry, d) for d in default_entries if not isinstance(d, str))
+
+
 def _check_params(name, values, defaults):
     for key, value in values.items():
-        accepted = _ACCEPTED_TYPES[type(defaults[key])]
-        if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
-            want = " or ".join(t.__name__ for t in accepted)
+        if not _has_type_of(value, defaults[key]):
+            want = " or ".join(t.__name__ for t in _ACCEPTED_TYPES[type(defaults[key])])
             raise ConfigError(
                 f"param {key!r} of {name} must be {want}, got {type(value).__name__}"
             )
+        if isinstance(value, list):
+            if not value:
+                raise ConfigError(f"param {key!r} of {name} must hold at least one entry")
+            bad = [v for v in value if not _entry_ok(v, defaults[key])]
+            if bad:
+                raise ConfigError(f"param {key!r} of {name} holds entries unlike its "
+                                  f"default {defaults[key]!r}: {bad!r}")
         least = _MINIMUM.get(key)
         entries = value if isinstance(value, list) else [value]
         if least is not None and not all(_is_int(v) and v >= least for v in entries):
@@ -655,6 +661,11 @@ def validate_config(cfg):
         if bad:
             raise ConfigError(f"unknown grid params for {name}: {sorted(bad)}")
         _check_params(name, g, defaults)
+    for point in grid or [{}]:
+        merged = {**defaults, **params, **point}
+        if "cut" in merged and not 1 <= merged["cut"] <= merged["n"] - 1:
+            raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
+                              f"{merged['n']}, got {merged['cut']}")
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")

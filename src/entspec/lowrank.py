@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import TooLargeError, ZOutOfRangeError
+from .models import _block_sum
 from .se_strength import _opnorm
 
 MERGE_DIM_CAP = 2 ** 10
@@ -31,25 +32,24 @@ def _max_abs(r):
     return float(np.max(np.abs(r)))
 
 
-def _subgradient_polish(target, a, b, iters, step0, rng):
-    """Descend the max-abs residual; keeps the best pair seen."""
+def _subgradient_polish(target, a, b, iters):
+    """Descend the max-abs residual; returns the least value seen."""
     a = np.array(a, dtype=target.dtype, copy=True)
     b = np.array(b, dtype=target.dtype, copy=True)
-    best = (_max_abs(target - a @ b), a.copy(), b.copy())
+    r = target - a @ b
+    best = _max_abs(r)
     for k in range(1, iters + 1):
-        r = target - a @ b
         s, sp = np.unravel_index(np.argmax(np.abs(r)), r.shape)
         mag = abs(r[s, sp])
         if mag == 0.0:
             break
         ph = r[s, sp] / mag
-        eta = step0 / math.sqrt(k)
+        eta = 0.05 / math.sqrt(k)
         row = a[s, :].copy()
         a[s, :] += eta * ph * np.conj(b[:, sp])
         b[:, sp] += eta * ph * np.conj(row)
-        val = _max_abs(target - a @ b)
-        if val < best[0]:
-            best = (val, a.copy(), b.copy())
+        r = target - a @ b
+        best = min(best, _max_abs(r))
     return best
 
 
@@ -62,6 +62,16 @@ def _als_frobenius(target, a, sweeps):
     return a, b
 
 
+def _best_fit(target, cands, polish_iters):
+    """Least max-abs residual |target - A B| over the candidates (A, B),
+    each taken both as given and after ALS and subgradient polish."""
+    best = math.inf
+    for a0, b0 in cands:
+        a, b = _als_frobenius(target, a0, sweeps=8)
+        best = min(best, _max_abs(target - a0 @ b0), _subgradient_polish(target, a, b, polish_iters))
+    return best
+
+
 @dataclass(frozen=True)
 class WidthResult:
     n: int
@@ -69,7 +79,6 @@ class WidthResult:
     value: float
     lower: float
     upper: float
-    factors: tuple
 
     def __post_init__(self):
         if self.value < self.lower - 1e-6:
@@ -85,10 +94,8 @@ def rank_constrained_identity_fit(n, d, seeds=32, polish_iters=300, seed=0):
     always included as a candidate, so the result never exceeds 1/2.
     """
     lower, upper = kolmogorov_bounds(n, d)
-    if d >= n:
-        a = np.eye(n)[:, :d]
-        b = np.eye(d)[:, :n] if d > n else np.eye(n)
-        return WidthResult(n=n, d=d, value=0.0, lower=lower, upper=upper, factors=(a, b))
+    if d == n:
+        return WidthResult(n=n, d=d, value=0.0, lower=lower, upper=upper)
     rng = np.random.default_rng(seed)
     cands = []
     a_half = np.ones((n, d))
@@ -98,17 +105,8 @@ def rank_constrained_identity_fit(n, d, seeds=32, polish_iters=300, seed=0):
     cands.append((a_half, b_half))
     for _ in range(seeds):
         cands.append((rng.standard_normal((n, d)), rng.standard_normal((d, n))))
-    target = np.eye(n)
-    best = (math.inf, None, None)
-    for a0, b0 in cands:
-        raw = _max_abs(target - a0 @ b0)
-        if raw < best[0]:
-            best = (raw, a0, b0)
-        a, b = _als_frobenius(target, a0, sweeps=8)
-        val, a, b = _subgradient_polish(target, a, b, polish_iters, 0.05, rng)
-        if val < best[0]:
-            best = (val, a, b)
-    return WidthResult(n=n, d=d, value=best[0], lower=lower, upper=upper, factors=(best[1], best[2]))
+    value = _best_fit(np.eye(n), cands, polish_iters)
+    return WidthResult(n=n, d=d, value=value, lower=lower, upper=upper)
 
 
 def no_go_lower_bound(t):
@@ -140,16 +138,7 @@ def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
         a0 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         b0 = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
         cands.append((a0, b0))
-    best = (math.inf, None, None)
-    for a0, b0 in cands:
-        raw = _max_abs(theta - a0 @ b0)
-        if raw < best[0]:
-            best = (raw, a0, b0)
-        a, b = _als_frobenius(theta, a0, sweeps=8)
-        val, a, b = _subgradient_polish(theta, a, b, polish_iters, 0.05, rng)
-        if val < best[0]:
-            best = (val, a, b)
-    measured = best[0]
+    measured = _best_fit(theta, cands, polish_iters)
     gap = math.exp(t) - 1.0 - t
     width_lower, _ = kolmogorov_bounds(n, min(2 * d, n))
     idfit = rank_constrained_identity_fit(n, min(2 * d, n), seeds=max(8, seeds), seed=seed)
@@ -190,16 +179,8 @@ def _compositions(slots, cap):
 
 @dataclass(frozen=True)
 class MergeSeries:
-    matrix: np.ndarray
     exact: np.ndarray
     z: complex
-    s0: int
-    m_order: int
-    q_order: int
-    q_param: float
-    kappa: float
-    d0: int
-    c0: float
     g_tilde: float
     q0: float
     n_bins: int
@@ -221,15 +202,16 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     tail and the triple truncation (series order, bin order, derivative
     order) is assembled with exact simplex moments. q_param is the model's
     derivative-budget parameter entering the z window, fixed by the physics
-    rather than by the truncation orders. exact and series matrices plus
-    the guaranteed error budget are all returned.
+    rather than by the truncation orders. Returns the exact product, the
+    measured error of the series against it, and the guaranteed error
+    budget.
     """
     h0_a = np.asarray(h0_a, dtype=complex)
     h0_b = np.asarray(h0_b, dtype=complex)
     da, db = h0_a.shape[0], h0_b.shape[0]
     if da * db > MERGE_DIM_CAP:
         raise TooLargeError(f"total dim {da * db} > {MERGE_DIM_CAP}")
-    h0 = np.kron(h0_a, np.eye(db)) + np.kron(np.eye(da), h0_b)
+    h0 = _block_sum(h0_a, h0_b)
     mats = [np.asarray(m, dtype=complex) for m in v_terms]
     norms = [_opnorm(m) for m in mats]
     g_tilde = float(sum(norms))
@@ -287,16 +269,8 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     eps_eff = 2.0 ** (1 - min(s0, m_order, q_order))
     log2_sr = (6.0 + 4.0 / kappa + math.log2(d0)) * math.log2(4.0 / eps_eff)
     return MergeSeries(
-        matrix=series,
         exact=exact,
         z=z,
-        s0=s0,
-        m_order=m_order,
-        q_order=q_order,
-        q_param=float(q_param),
-        kappa=kappa,
-        d0=d0,
-        c0=c0,
         g_tilde=g_tilde,
         q0=q0,
         n_bins=n_bins,

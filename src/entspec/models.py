@@ -48,6 +48,32 @@ def _random_hermitian(rng, d):
     return (m + m.conj().T) / 2
 
 
+def _random_unit_hermitian(rng, d):
+    """_random_hermitian scaled to unit operator norm."""
+    m = _random_hermitian(rng, d)
+    return m / _opnorm(m)
+
+
+def _random_coupling(rng, da, db, n_terms, low, high):
+    """sum_j c_j P_j (x) Q_j with unit-norm random Hermitian P_j, Q_j and
+    c_j uniform on [low, high), drawn P, Q, then c for each term; the terms
+    are kept as the decomposition."""
+    mat = np.zeros((da * db, da * db), dtype=complex)
+    decomposition = []
+    for _ in range(n_terms):
+        p = _random_unit_hermitian(rng, da)
+        q = _random_unit_hermitian(rng, db)
+        c = float(rng.uniform(low, high))
+        mat += c * np.kron(p, q)
+        decomposition.append((c, p, q))
+    return BipartiteOperator((da,), (db,), mat, tuple(decomposition))
+
+
+def _block_sum(h_a, h_b):
+    """h_a (x) 1 + 1 (x) h_b."""
+    return np.kron(h_a, np.eye(h_b.shape[0])) + np.kron(np.eye(h_a.shape[0]), h_b)
+
+
 @dataclass(frozen=True)
 class LocalTerm:
     """Hermitian term acting on a tuple of sites (matrix on their composite space)."""
@@ -181,51 +207,36 @@ class ChainHamiltonian:
         return float(max(cut_sums, default=0.0))
 
 
-def _clock_shift(d):
-    """Clock and shift pair; reduces to Pauli Z, X at d = 2."""
+def _clock_chain(n, d, pair_weights, hx, hz, decay):
+    """Clock chain: coupling w (Z_i Z_j^dag + h.c.)/2 for each ((i, j), w) in
+    pair_weights, plus the field hx (X + X^dag)/2 + hz (Z + Z^dag)/2 on every
+    site, from the clock and shift pair (Pauli Z, X at d = 2). Every local
+    matrix has unit operator norm, so decay metadata from the weights is tight.
+    """
     omega = np.exp(2j * np.pi / d)
     z = np.diag(omega ** np.arange(d))
     x = np.roll(np.eye(d), 1, axis=0).astype(complex)
-    return z, x
+    coupling = (np.kron(z, z.conj().T) + np.kron(z.conj().T, z)) / 2
+    terms = [LocalTerm(pair, w * coupling) for pair, w in pair_weights]
+    if hx or hz:
+        fld = hx * ((x + x.conj().T) / 2) + hz * ((z + z.conj().T) / 2)
+        terms += [LocalTerm((i,), fld) for i in range(n)]
+    return ChainHamiltonian(n=n, dims=(d,) * n, terms=tuple(terms), decay=decay)
 
 
 def build_long_range_ising(n, d=2, j0=1.0, eta=3.0, hx=0.0, hz=0.0):
-    """Power-law coupled clock chain with transverse and longitudinal fields.
-
-    Couplings (Z_i Z_j^dag + h.c.)/2 with weight j0 |i-j|^(-eta); all local
-    matrices have unit operator norm, so the decay metadata is tight.
-    """
+    """Power-law coupled clock chain with transverse and longitudinal fields:
+    weight j0 |i-j|^(-eta) on every pair."""
     if eta <= 2:
         raise EtaTooSmallError(f"eta = {eta} <= 2")
-    z, x = _clock_shift(d)
-    coupling = (np.kron(z, z.conj().T) + np.kron(z.conj().T, z)) / 2
-    xh = (x + x.conj().T) / 2
-    zh = (z + z.conj().T) / 2
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = j0 * (j - i) ** (-eta)
-            terms.append(LocalTerm((i, j), w * coupling))
-    if hx or hz:
-        fld = hx * xh + hz * zh
-        for i in range(n):
-            terms.append(LocalTerm((i,), fld))
-    return ChainHamiltonian(
-        n=n, dims=(d,) * n, terms=tuple(terms), decay=("power", j0, eta)
-    )
+    pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(n) for j in range(i + 1, n)]
+    return _clock_chain(n, d, pairs, hx, hz, ("power", j0, eta))
 
 
 def build_nearest_neighbor_chain(n, d=2, j=1.0, hx=0.0, hz=0.0):
     """Finite-range counterpart of the clock chain (range-1 couplings only)."""
-    z, x = _clock_shift(d)
-    coupling = (np.kron(z, z.conj().T) + np.kron(z.conj().T, z)) / 2
-    xh = (x + x.conj().T) / 2
-    zh = (z + z.conj().T) / 2
-    terms = [LocalTerm((i, i + 1), j * coupling) for i in range(n - 1)]
-    if hx or hz:
-        fld = hx * xh + hz * zh
-        terms += [LocalTerm((i,), fld) for i in range(n)]
-    return ChainHamiltonian(n=n, dims=(d,) * n, terms=tuple(terms), decay=("finite", 1))
+    pairs = [((i, i + 1), j) for i in range(n - 1)]
+    return _clock_chain(n, d, pairs, hx, hz, ("finite", 1))
 
 
 @dataclass(frozen=True)
@@ -459,17 +470,7 @@ def random_dense_instance(rng, dim_cap=256, max_local=16, n_terms=4):
             break
     h_a = _random_hermitian(rng, da)
     h_b = _random_hermitian(rng, db)
-    mat = np.zeros((da * db, da * db), dtype=complex)
-    decomposition = []
-    for _ in range(n_terms):
-        p = _random_hermitian(rng, da)
-        q = _random_hermitian(rng, db)
-        p /= _opnorm(p)
-        q /= _opnorm(q)
-        coeff = float(rng.uniform(0.1, 2.0))
-        mat += coeff * np.kron(p, q)
-        decomposition.append((coeff, p, q))
-    v = BipartiteOperator((da,), (db,), mat, tuple(decomposition))
-    h_full = np.kron(h_a, np.eye(db)) + np.kron(np.eye(da), h_b) + mat
+    v = _random_coupling(rng, da, db, n_terms, 0.1, 2.0)
+    h_full = _block_sum(h_a, h_b) + v.matrix
     state = random_product_state((da, db), rng)
     return h_full, v, state

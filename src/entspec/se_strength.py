@@ -89,11 +89,10 @@ class BipartiteOperator:
 
 @dataclass(frozen=True)
 class SeEstimate:
-    """A bracketing pair: lower is achieved by the stored witness, upper is proved."""
+    """A bracketing pair: lower is achieved by a product-state witness, upper is proved."""
 
     lower: float
     upper: float
-    witness: Optional[dict] = None
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
@@ -233,11 +232,8 @@ def se_lower_search(
         yb = np.zeros((db, bb), dtype=complex)
         yb[:, 0] = y1.reshape(db)
         extra.append((xb, yb))
-    obj, x, y = _search(phi4, aa, bb, seeds, iterations, seed, extra)
-    lower = max(obj, 0.0)
-    upper = best_upper(op)
-    witness = {"x": x, "y": y, "ancilla_dims": (aa, bb)}
-    return SeEstimate(lower=lower, upper=upper, witness=witness)
+    obj, _, _ = _search(phi4, aa, bb, seeds, iterations, seed, extra)
+    return SeEstimate(lower=max(obj, 0.0), upper=best_upper(op))
 
 
 def long_range_se_bound(j0, eta):

@@ -25,7 +25,7 @@ class PureState:
 
     dims: tuple
     amps: np.ndarray
-    norm: float = field(default=None)
+    norm: float = field(init=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -36,11 +36,7 @@ class PureState:
             raise ValueError("amplitude length does not match prod(dims)")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
-        nrm = float(np.linalg.norm(amps))
-        if self.norm is not None and nrm > 0:
-            if abs(self.norm - nrm) > 1e-12 * max(1.0, nrm):
-                raise ValueError("stored norm disagrees with amplitudes")
-        object.__setattr__(self, "norm", nrm)
+        object.__setattr__(self, "norm", float(np.linalg.norm(amps)))
 
     @property
     def n_sites(self):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from entspec import adiabatic_evolve, dynamics, make_coupled_qudit_family
+from entspec import adiabatic_evolve, agsp_arealaw, dynamics, make_coupled_qudit_family
 from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
 
 PUBLISHED = [
@@ -25,6 +25,19 @@ BAD_SIZES = [
     {"experiment": "no-go", "params": {"d": 0}},
     {"experiment": "merge-series", "params": {"da": 0}},
     {"experiment": "merge-series", "params": {"db": 0}},
+]
+
+# List entries unlike the default's, an empty list, or a cut outside 1..n-1
+BAD_VALUES = [
+    {"experiment": "saturate", "params": {"times": ["a"]}},
+    {"experiment": "toy", "params": {"alphas": ["x"]}},
+    {"experiment": "sie-rate", "params": {"alphas": ["inf"]}},
+    {"experiment": "c-alpha-table", "params": {"alphas": []}},
+    {"experiment": "ground-tail", "params": {"d_grid": []}},
+    {"experiment": "ground-tail", "params": {"cut": 0}},
+    {"experiment": "ground-tail", "params": {"n": 6}, "grid": [{"cut": 3}, {"cut": 6}]},
+    {"experiment": "decomposition", "params": {"cut": 0}},
+    {"experiment": "decomposition", "params": {"cut": 10}},
 ]
 
 
@@ -54,7 +67,7 @@ def test_registry_lists_every_published_experiment():
         {"experiment": "saturate", "grid": {"times": [0.1]}},
         {"experiment": "saturate", "grid": [{"bogus": 1}]},
         {"experiment": "ground-tail", "params": {"n": "8"}},
-    ] + BAD_SIZES + [{"experiment": "merge-series", "grid": [{"db": 0}]}],
+    ] + BAD_SIZES + [{"experiment": "merge-series", "grid": [{"db": 0}]}] + BAD_VALUES,
 )
 def test_validator_rejects_malformed_configs(cfg):
     with pytest.raises(ConfigError):
@@ -121,7 +134,7 @@ def test_unknown_experiment_exits_2(tmp_path):
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     cfg_path = write_config(tmp_path, {"experiment": "area-law", "params": {"coupling": 0.0}})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
-    for cfg in BAD_SIZES:
+    for cfg in BAD_SIZES + BAD_VALUES:
         assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
 
 
@@ -145,6 +158,17 @@ def test_area_law_fails_when_adiabatic_refinement_is_cut(tmp_path, monkeypatch):
     assert main(["run", write_config(tmp_path, {"experiment": "area-law"}), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["checks"]["adiabatic_converged"] is False
+
+
+def test_agsp_fails_when_quadrature_is_cut(tmp_path, monkeypatch):
+    monkeypatch.setattr(agsp_arealaw, "QUAD_TOL", 0.0)
+    # Gauss-Legendre roots cost O(nodes^2): 2^14 nodes take seconds each
+    monkeypatch.setattr(agsp_arealaw, "NODE_CAP", 512)
+    out = tmp_path / "o"
+    cfg = {"experiment": "agsp", "params": {"instances": 1}}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"] == {"defects_below_bounds": True, "quadrature_converged": False}
 
 
 def test_runtime_invariant_error_exits_1(tmp_path):

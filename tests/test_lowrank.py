@@ -43,7 +43,7 @@ def test_kolmogorov_bounds_frozen_values():
 
 def test_width_result_validation():
     with pytest.raises(ValueError):
-        WidthResult(n=4, d=1, value=0.01, lower=0.2, upper=1.0, factors=(None, None))
+        WidthResult(n=4, d=1, value=0.01, lower=0.2, upper=1.0)
 
 
 def test_identity_fit_two_by_one_is_half():

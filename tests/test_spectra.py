@@ -28,8 +28,6 @@ def test_pure_state_validation():
         PureState(dims=(1, 2), amps=np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         PureState(dims=(2, 2), amps=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        PureState(dims=(2,), amps=np.array([1.0, 0.0]), norm=0.5)
 
 
 def test_cut_validation():
@@ -65,7 +63,7 @@ def test_product_state_is_rank_one(rng):
 def test_zero_state_rejected():
     with pytest.raises(ZeroStateError):
         schmidt_decompose(
-            PureState(dims=(2, 2), amps=np.zeros(4), norm=0.0), Cut.of([0], 2)
+            PureState(dims=(2, 2), amps=np.zeros(4)), Cut.of([0], 2)
         )
 
 
