@@ -141,7 +141,7 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
     """
     dim = chain.total_dim
     if dim <= 2048:
-        w, u = np.linalg.eigh(chain.dense(cap=dim))
+        w, u = np.linalg.eigh(chain.dense())
         gap = float(w[1] - w[0])
         ground = u[:, 0]
     else:

@@ -34,6 +34,7 @@ from .lowrank import (
     truncation_error_params,
 )
 from .models import (
+    DENSE_DIM_CAP,
     _random_unit_hermitian,
     build_ising_projector_interaction,
     build_long_range_ising,
@@ -297,8 +298,6 @@ def exp_ground_tail(p, seed):
 
 
 def exp_area_law(p, seed):
-    if p["coupling"] == 0:
-        raise ConfigError("area-law needs a nonzero coupling: the constants divide by it")
     family = make_coupled_qudit_family(delta=p["delta"], coupling=p["coupling"])
     rep = boundary_adiabatic_experiment(family, p["epsilon"], p["beta"], p["d_grid"])
     checks = {
@@ -423,7 +422,7 @@ def exp_tdmrg(p, seed):
         "j_tilde": cert.j_tilde,
         "max_bond": final.max_bond,
     }
-    if p["compare_dense"] and chain.total_dim <= 4096:
+    if p["compare_dense"] and chain.total_dim <= DENSE_DIM_CAP:
         from .dynamics import evolve_dense
         from .mps import mps_norm, to_dense
         from .spectra import PureState
@@ -589,6 +588,28 @@ _MINIMUM = {"n": 1, "d": 1, "d_cap": 1, "m_levels": 1, "n_pairs": 1, "da": 1, "d
 _CHAIN_KINDS = ("longrange", "nearest")
 
 
+def _positive(v):
+    return v > 0
+
+
+# Range of a param's value (of each entry of a list; "inf" always passes) per
+# experiment: (test, what the message says it must be). Checked on every
+# merged grid point, so the defaults take part too.
+_RANGES = {
+    "saturate": {"times": (_positive, "> 0"), "j": (_positive, "> 0")},
+    "toy": {"times": (lambda v: 0 < v < math.pi / 2, "in (0, pi/2), where the closed form holds")},
+    "c-alpha-table": {"alphas": (lambda v: v >= 0.5, ">= 0.5 or \"inf\"")},
+    "unbounded": {"d0": (lambda v: v >= 2, ">= 2")},
+    "area-law": {
+        "epsilon": (_positive, "> 0"),
+        "beta": (_positive, "> 0"),
+        "coupling": (lambda v: v != 0, "nonzero: the constants divide by it"),
+    },
+    "merge-series": {"kappa": (_positive, "> 0")},
+    "truncation-params": {"kappa": (_positive, "> 0")},
+}
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -666,6 +687,11 @@ def validate_config(cfg):
         if "cut" in merged and not 1 <= merged["cut"] <= merged["n"] - 1:
             raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
                               f"{merged['n']}, got {merged['cut']}")
+        rules = _RANGES.get(name, {})
+        for key, value in merged.items():
+            entries = value if isinstance(value, list) else [value]
+            if key in rules and not all(v == "inf" or rules[key][0](v) for v in entries):
+                raise ConfigError(f"param {key!r} of {name} must be {rules[key][1]}, got {value!r}")
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")

@@ -15,11 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BelowThresholdError, GapClosedError, TooLargeError
-from .models import ChainHamiltonian
+from .models import DENSE_DIM_CAP
 from .se_strength import BipartiteOperator, best_upper, se_lower_search
 from .spectra import PureState, renyi_entropy, schmidt_decompose
 
-EVOLVE_DIM_CAP = 2 ** 16
 RATE_STEP = 2e-3
 KINK_THRESHOLD = 0.05
 GROWTH_ITERATIONS = 120  # ascent budget of the propagator strength search
@@ -59,8 +58,8 @@ class DensePropagator:
 
     def __init__(self, h):
         h = np.asarray(h, dtype=complex)
-        if h.shape[0] > EVOLVE_DIM_CAP:
-            raise TooLargeError(f"dim {h.shape[0]} > cap {EVOLVE_DIM_CAP}")
+        if h.shape[0] > DENSE_DIM_CAP:
+            raise TooLargeError(f"dim {h.shape[0]} > cap {DENSE_DIM_CAP}")
         if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
             raise ValueError("Hamiltonian is not Hermitian")
         self.w, self.u = np.linalg.eigh(h)
@@ -70,10 +69,9 @@ class DensePropagator:
         return self.u @ (phases * (self.u.conj().T @ vec))
 
 
-def evolve_dense(h, state, t, cap=EVOLVE_DIM_CAP):
-    if isinstance(h, ChainHamiltonian):
-        h = h.dense(cap)
-    prop = DensePropagator(h)
+def evolve_dense(chain, state, t):
+    """exp(-i H t)|state>; TooLargeError, before allocating, above DENSE_DIM_CAP."""
+    prop = DensePropagator(chain.dense())
     amps = prop.apply(t, state.amps)
     return PureState(dims=state.dims, amps=amps)
 

@@ -55,15 +55,7 @@ def write_csv(path, rows):
 
 
 def _cell(v):
-    if isinstance(v, (complex, np.complexfloating)):
-        return encode_complex(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if v is None:
-        return "none"
-    return v
+    return "none" if v is None else jsonable(v)
 
 
 def config_hash(config):

@@ -17,21 +17,6 @@ from .spectra import PureState, SchmidtSpectrum, renyi_entropy
 DENSE_DIM_CAP = 2 ** 12
 
 
-def _embed(matrix, support, dims):
-    """Embed an operator on `support` (sorted site indices) into the full chain."""
-    n = len(dims)
-    support = tuple(support)
-    rest = tuple(i for i in range(n) if i not in support)
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(np.asarray(matrix, dtype=complex), np.eye(d_rest))
-    order = list(support) + list(rest)
-    shape = [dims[i] for i in order] * 2
-    perm = np.argsort(order)
-    t = big.reshape(shape).transpose(list(perm) + [n + p for p in perm])
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
-
-
 def _digit_offsets(sites, dims):
     """Flat chain index of every joint value of the digits on `sites`
     (sorted, first site most significant), with all other digits zero."""
@@ -40,6 +25,18 @@ def _digit_offsets(sites, dims):
         stride = int(np.prod(dims[i + 1:]))
         off = (off[:, None] + stride * np.arange(dims[i])).ravel()
     return off
+
+
+def _term_entries(term, dims):
+    """(rows, cols, vals) of one term in the chain matrix: each nonzero of its
+    matrix at its support digits, repeated over the other sites' digits."""
+    base = _digit_offsets(term.support, dims)
+    shift = _digit_offsets([i for i in range(len(dims)) if i not in term.support], dims)
+    r, c = np.nonzero(term.matrix)
+    rows = (base[r][:, None] + shift).ravel()
+    cols = (base[c][:, None] + shift).ravel()
+    vals = np.repeat(term.matrix[r, c], shift.size)
+    return rows, cols, vals
 
 
 def _random_hermitian(rng, d):
@@ -165,30 +162,25 @@ class ChainHamiltonian:
     def total_dim(self):
         return int(np.prod(self.dims))
 
-    def dense(self, cap=DENSE_DIM_CAP):
+    def dense(self):
+        """The chain matrix, summed in term order; TooLargeError above DENSE_DIM_CAP."""
         d = self.total_dim
-        if d > cap:
-            raise TooLargeError(f"total dim {d} > cap {cap}")
+        if d > DENSE_DIM_CAP:
+            raise TooLargeError(f"total dim {d} > cap {DENSE_DIM_CAP}")
         h = np.zeros((d, d), dtype=complex)
         for t in self.terms:
-            h += _embed(t.matrix, t.support, self.dims)
+            rows, cols, vals = _term_entries(t, self.dims)
+            h[rows, cols] += vals  # one term repeats no (row, col), so each adds once
         return h
 
     def sparse(self):
-        """CSR form of dense(), built term by term from index arithmetic:
-        each nonzero of a term's matrix, repeated over the other sites'
-        digits, so no term is ever held as a dense d x d array."""
+        """CSR form of dense(), from the same entries in the same order, at any size."""
         from scipy import sparse
 
         d = self.total_dim
         h = sparse.csr_matrix((d, d), dtype=complex)
         for t in self.terms:
-            base = _digit_offsets(t.support, self.dims)
-            shift = _digit_offsets([i for i in range(self.n) if i not in t.support], self.dims)
-            r, c = np.nonzero(t.matrix)
-            rows = (base[r][:, None] + shift).ravel()
-            cols = (base[c][:, None] + shift).ravel()
-            vals = np.repeat(t.matrix[r, c], shift.size)
+            rows, cols, vals = _term_entries(t, self.dims)
             h = h + sparse.csr_matrix((vals, (rows, cols)), shape=(d, d))
         return h
 

@@ -70,8 +70,6 @@ class MatrixProductState:
 
 @dataclass(frozen=True)
 class BondRecord:
-    bond: int
-    kept: np.ndarray
     delta2: float
     zeta: float
 
@@ -97,7 +95,7 @@ class CompressionRecord:
         return math.sqrt(2.0 * self.sum_delta2)
 
 
-def _truncate_bond(t, bond, d_cap, tolerance):
+def _truncate_bond(t, d_cap, tolerance):
     """SVD-truncate the right bond of site tensor t[left, physical, right].
 
     Keeps at most d_cap values above tolerance, and at least one. Returns the
@@ -108,9 +106,7 @@ def _truncate_bond(t, bond, d_cap, tolerance):
     u, s, vh = np.linalg.svd(t.reshape(dl * d, dr), full_matrices=False)
     keep = int(min(d_cap, max(1, int(np.sum(s > tolerance)))))
     kept = s[:keep]
-    record = BondRecord(
-        bond=bond, kept=kept.copy(), delta2=float(np.sum(s[keep:] ** 2)), zeta=float(np.sum(kept))
-    )
+    record = BondRecord(delta2=float(np.sum(s[keep:] ** 2)), zeta=float(np.sum(kept)))
     return u[:, :keep].reshape(dl, d, keep), kept[:, None] * vh[:keep], record
 
 
@@ -126,8 +122,8 @@ def from_dense(state, d_max=None):
     rest = state.amps.reshape(1, -1)
     tensors = []
     bonds = []
-    for i in range(n - 1):
-        t, rest, record = _truncate_bond(rest.reshape(rest.shape[0], d, -1), i + 1, cap, 0.0)
+    for _ in range(n - 1):
+        t, rest, record = _truncate_bond(rest.reshape(rest.shape[0], d, -1), cap, 0.0)
         tensors.append(t)
         bonds.append(record)
     tensors.append(rest.reshape(-1, d, 1))
@@ -250,7 +246,7 @@ def compress(mps, d_cap, tolerance=0.0):
         ts[i - 1] = np.einsum("lpr,rk->lpk", ts[i - 1], r.conj().T)
     bonds = []
     for i in range(n - 1):
-        ts[i], carry, record = _truncate_bond(ts[i], i + 1, d_cap, tolerance)
+        ts[i], carry, record = _truncate_bond(ts[i], d_cap, tolerance)
         bonds.append(record)
         ts[i + 1] = np.einsum("ab,bpr->apr", carry, ts[i + 1])
     out = MatrixProductState(tensors=tuple(ts), canonical_center=n - 1)

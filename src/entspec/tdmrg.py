@@ -211,12 +211,12 @@ def tdmrg_run(config):
     return cur, cert
 
 
-def state_mps_existence_check(chain, initial, t, d_grid, cap=2 ** 12):
+def state_mps_existence_check(chain, initial, t, d_grid):
     """Evolve densely, factor exactly, truncate per D, and compare against
     the guaranteed error and coefficient laws."""
     from .dynamics import evolve_dense
 
-    psi_t = evolve_dense(chain, initial, t, cap=cap)
+    psi_t = evolve_dense(chain, initial, t)
     j_tilde = chain.boundary_strength_cap()
     n = chain.n
     growth = math.exp(j_tilde * t)
@@ -257,7 +257,7 @@ def gibbs_tail_experiment(chain, betas, d_grid):
     n, d = chain.n, chain.dims[0]
     k = chain.k
     g = chain.g
-    h = chain.dense(cap=2 ** 12)
+    h = chain.dense()
     w, u = np.linalg.eigh(h)
     q0 = max(8.0 * g * k, 16.0 * math.e * j0 * (eta - 1.0) ** 2 * 2.0 ** (eta - 2.0) / (eta - 2.0))
     rows = []

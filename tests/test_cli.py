@@ -38,6 +38,18 @@ BAD_VALUES = [
     {"experiment": "ground-tail", "params": {"n": 6}, "grid": [{"cut": 3}, {"cut": 6}]},
     {"experiment": "decomposition", "params": {"cut": 0}},
     {"experiment": "decomposition", "params": {"cut": 10}},
+    # values outside the range where the experiment's formulas hold
+    {"experiment": "saturate", "params": {"times": [0]}},
+    {"experiment": "saturate", "params": {"j": 0}},
+    {"experiment": "toy", "params": {"times": [0]}},
+    {"experiment": "area-law", "params": {"epsilon": 0}},
+    {"experiment": "area-law", "params": {"beta": 0}},
+    {"experiment": "area-law", "params": {"coupling": 0.0}},
+    {"experiment": "unbounded", "params": {"d0": 1}},
+    {"experiment": "truncation-params", "params": {"kappa": 0}},
+    {"experiment": "merge-series", "params": {"kappa": 0}},
+    {"experiment": "c-alpha-table", "params": {"alphas": [0.3]}},
+    {"experiment": "saturate", "grid": [{"times": [0.5]}, {"times": [0.5, 0]}]},
 ]
 
 
@@ -72,6 +84,12 @@ def test_registry_lists_every_published_experiment():
 def test_validator_rejects_malformed_configs(cfg):
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+def test_range_rules_are_per_experiment():
+    # the finite-difference rates step around t = 0; only closed forms need t > 0
+    validate_config({"experiment": "sie-rate", "params": {"times": [0]}})
+    validate_config({"experiment": "area-law", "params": {"coupling": -0.3}})
 
 
 def test_run_writes_parseable_artifacts(tmp_path):
@@ -131,8 +149,6 @@ def test_unknown_experiment_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, {"experiment": "mystery"})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     cfg_path = write_config(tmp_path, {"experiment": "ground-tail", "params": {"n": "8"}})
-    assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
-    cfg_path = write_config(tmp_path, {"experiment": "area-law", "params": {"coupling": 0.0}})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     for cfg in BAD_SIZES + BAD_VALUES:
         assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2

@@ -12,6 +12,7 @@ from entspec import (
     Cut,
     DensePropagator,
     GapClosedError,
+    TooLargeError,
     adiabatic_error_bound,
     adiabatic_evolve,
     basis_product_state,
@@ -83,6 +84,14 @@ def test_evolve_dense_on_chain(rng):
     direct = expm(-1j * chain.dense() * 0.9) @ state.amps
     assert np.linalg.norm(out.amps - direct) < 1e-10
     assert out.norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evolve_dense_refuses_chains_above_dense_cap(rng):
+    """13 qubits make an 8192-dim chain, over DENSE_DIM_CAP: refused before
+    any chain matrix is allocated."""
+    chain = build_nearest_neighbor_chain(13, d=2, j=1.0, hx=0.3)
+    with pytest.raises(TooLargeError):
+        evolve_dense(chain, random_state(rng, (2,) * 13), 0.1)
 
 
 def test_rate_profile_matches_toy_closed_form():

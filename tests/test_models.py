@@ -63,10 +63,9 @@ def test_chain_metadata_and_dense():
     assert np.allclose(h, manual)
 
 
-def test_sparse_equals_dense_exactly():
-    """Term-by-term CSR assembly adds the same values in the same order as
-    the dense sum, on non-adjacent and three-site supports, complex terms,
-    clock sites (d = 3) and mixed site dimensions."""
+def _exact_test_chains():
+    """Non-adjacent and three-site supports, complex terms, clock sites
+    (d = 3) and mixed site dimensions."""
     rng = np.random.default_rng(5)
     scattered = ChainHamiltonian(n=4, dims=(2, 2, 2, 2), terms=(
         LocalTerm(support=(0, 2), matrix=random_hermitian(rng, 4)),
@@ -80,14 +79,41 @@ def test_sparse_equals_dense_exactly():
         LocalTerm(support=(1,), matrix=random_hermitian(rng, 3)),
         LocalTerm(support=(0, 1), matrix=random_hermitian(rng, 6)),
     ))
-    for chain in (
+    return (
         scattered,
         mixed,
         build_long_range_ising(6, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2),
         build_long_range_ising(4, d=3, j0=1.0, eta=3.0, hx=0.3, hz=0.1),
         build_nearest_neighbor_chain(5, d=3, j=0.7, hx=0.2),
-    ):
+    )
+
+
+def _kron_reference(chain):
+    """Each term as matrix (x) identity on the other sites, its axes moved
+    back into site order, summed in term order."""
+    n, dims, d = chain.n, chain.dims, chain.total_dim
+    h = np.zeros((d, d), dtype=complex)
+    for t in chain.terms:
+        rest = [i for i in range(n) if i not in t.support]
+        order = list(t.support) + rest
+        big = np.kron(t.matrix, np.eye(math.prod(dims[i] for i in rest)))
+        perm = list(np.argsort(order))
+        axes = [dims[i] for i in order] * 2
+        h += big.reshape(axes).transpose(perm + [n + p for p in perm]).reshape(d, d)
+    return h
+
+
+def test_sparse_equals_dense_exactly():
+    """Term-by-term CSR assembly adds the same values in the same order as
+    the dense sum."""
+    for chain in _exact_test_chains():
         assert np.array_equal(chain.sparse().toarray(), chain.dense())
+
+
+def test_dense_equals_kron_reference_bytes():
+    """dense() against an embedding that shares none of its index arithmetic."""
+    for chain in _exact_test_chains():
+        assert chain.dense().tobytes() == _kron_reference(chain).tobytes()
 
 
 def test_chain_validation_errors():
@@ -103,7 +129,7 @@ def test_chain_validation_errors():
             n=3, dims=(2, 2, 2), terms=strong, decay=("power", 1.0, 3.0)
         )
     with pytest.raises(TooLargeError):
-        build_nearest_neighbor_chain(30, d=2, j=1.0).dense(cap=2 ** 10)
+        build_nearest_neighbor_chain(30, d=2, j=1.0).dense()
 
 
 def test_long_range_ising_shape():

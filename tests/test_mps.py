@@ -76,7 +76,6 @@ def test_from_dense_truncation_records_schmidt_data(rng):
     # Schmidt data of the input state; later bonds see a perturbed state
     spec = schmidt_decompose(state, Cut.of(range(2), 6))
     first = rec.bonds[1]
-    assert np.allclose(first.kept, spec.coeffs[:3], atol=1e-10)
     assert first.delta2 == pytest.approx(float(np.sum(spec.coeffs[3:] ** 2)), abs=1e-10)
     assert first.zeta == pytest.approx(float(np.sum(spec.coeffs[:3])), abs=1e-10)
     later = schmidt_decompose(state, Cut.of(range(3), 6))
@@ -157,8 +156,8 @@ def test_compress_is_optimal_per_bond(rng):
     mps, _ = from_dense(state)
     out, rec = compress(mps, 4)
     assert out.max_bond <= 4
-    for bond in rec.bonds:
-        spec = schmidt_decompose(state, Cut.of(range(bond.bond), 7))
+    for cut, bond in enumerate(rec.bonds, start=1):
+        spec = schmidt_decompose(state, Cut.of(range(cut), 7))
         keep = min(4, spec.coeffs.size)
         # compression happens in sequence, so later bonds see a slightly
         # perturbed state; tails still agree to the truncation scale

@@ -24,8 +24,6 @@ FIELDS_ALLOWED = {
     "converged_diff": "AdiabaticResult's last refinement change, kept as convergence data",
     "MergeSeries.exact": "the dense reference that the merge-series tests compare against",
     "TruncationParams.exponent_base": "the tests check the budget's base 6 + 4/kappa + log2 d0",
-    "BondRecord.bond": "the compression tests cut the dense state at each recorded bond",
-    "BondRecord.kept": "the compression tests compare the kept values to dense Schmidt data",
 }
 
 
