@@ -6,6 +6,7 @@ Gaussian-window Fourier integral, evaluated by Gauss-Legendre quadrature
 with node doubling until the dense operator stops moving.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -67,10 +68,21 @@ class AgspOperator:
         return math.exp(2.0 * self.beta * self.delta * v_upper)
 
 
-def _filter_values(lams, beta, t_c, nodes):
+@functools.lru_cache(maxsize=None)
+def _legendre(nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
+    (the doubling only visits START_NODES * 2^k up to NODE_CAP) and shared
+    read-only."""
     from scipy.special import roots_legendre
 
     x, w = roots_legendre(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _filter_values(lams, beta, t_c, nodes):
+    x, w = _legendre(nodes)
     t = t_c * x
     wt = t_c * w
     env = np.exp(-t ** 2 / (4.0 * beta)) * wt

@@ -687,6 +687,9 @@ def validate_config(cfg):
         if "cut" in merged and not 1 <= merged["cut"] <= merged["n"] - 1:
             raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
                               f"{merged['n']}, got {merged['cut']}")
+        if name == "unbounded" and merged["j"] * merged["t"] > 1.0 + 1e-12:
+            raise ConfigError(f"params 'j' and 't' of {name} must have j*t <= 1, got "
+                              f"j*t = {merged['j'] * merged['t']}")
         rules = _RANGES.get(name, {})
         for key, value in merged.items():
             entries = value if isinstance(value, list) else [value]

@@ -1,7 +1,7 @@
 """Open-boundary matrix product states with exact discarded-weight
 accounting: factorization, contraction, n-way direct sums, local-term
-application, and two-sweep compression whose per-bond records feed the run
-certificates.
+application, and two-sweep compression (of a state, or of a direct sum
+without building it) whose per-bond records feed the run certificates.
 """
 
 import math
@@ -142,11 +142,13 @@ def to_dense(mps):
     return PureState(dims=(d,) * mps.n_sites, amps=acc.reshape(-1))
 
 
-def add(states, coeffs):
-    """Direct sum on bonds; dense value sum_k coeffs[k] * states[k].
-
-    Each block is scaled once: by its coefficient on the first site and by
-    1.0 on every other site.
+def _sum_blocks(states, coeffs):
+    """The direct sum sum_k coeffs[k] * states[k], site by site, as lists of
+    dense blocks: one row on the first site (the blocks side by side, each
+    scaled by its coefficient), one column on the last (the blocks stacked),
+    and on every middle site each state's tensor scaled by 1.0, for the
+    diagonal. Scaling by 1.0 is kept, as it turns some -0.0 into +0.0. A
+    one-site chain is the plain sum.
     """
     first = states[0]
     n, d = first.n_sites, first.d
@@ -156,22 +158,28 @@ def add(states, coeffs):
         t = coeffs[0] * first.tensors[0]
         for s, c in zip(states[1:], coeffs[1:]):
             t = t + c * s.tensors[0]
-        return MatrixProductState(tensors=(t,))
+        return [[t]]
+    row = np.concatenate([s.tensors[0] * c for s, c in zip(states, coeffs)], axis=2)
+    middle = [[s.tensors[i] * 1.0 for s in states] for i in range(1, n - 1)]
+    column = np.concatenate([s.tensors[-1] * 1.0 for s in states], axis=0)
+    return [[row]] + middle + [[column]]
+
+
+def add(states, coeffs):
+    """Direct sum on bonds; dense value sum_k coeffs[k] * states[k].
+
+    The blocks of each middle site sit on its diagonal, so the boundary bonds
+    stay 1.
+    """
     ts = []
-    for i in range(n):
-        blocks = [s.tensors[i] for s in states]
-        scales = coeffs if i == 0 else [1.0] * len(states)
-        rows = 1 if i == 0 else sum(b.shape[0] for b in blocks)
-        cols = 1 if i == n - 1 else sum(b.shape[2] for b in blocks)
-        t = np.zeros((rows, d, cols), dtype=complex)
+    for blocks in _sum_blocks(states, coeffs):
+        rows = sum(b.shape[0] for b in blocks)
+        cols = sum(b.shape[2] for b in blocks)
+        t = np.zeros((rows, blocks[0].shape[1], cols), dtype=complex)
         l = r = 0
-        for b, c in zip(blocks, scales):
+        for b in blocks:
             lb, _, rb = b.shape
-            # blocks sit side by side on the first site, stacked on the last,
-            # and on the diagonal in between, so the boundary bonds stay 1
-            at_l = slice(0, 1) if i == 0 else slice(l, l + lb)
-            at_r = slice(0, 1) if i == n - 1 else slice(r, r + rb)
-            np.multiply(b, c, out=t[at_l, :, at_r])
+            t[l : l + lb, :, r : r + rb] = b
             l += lb
             r += rb
         ts.append(t)
@@ -228,22 +236,33 @@ def apply_local_term(mps, term):
     return _apply_factors(mps, term.support, _term_factors(term, mps.n_sites, mps.d))
 
 
-def compress(mps, d_cap, tolerance=0.0):
-    """Right-canonicalize, then truncate left-to-right.
+def _compress_blocks(sites, d_cap, tolerance):
+    """Right-canonicalize, then truncate left-to-right, a chain given per site
+    as a list of blocks that sit on the diagonal of the site tensor (one block
+    on the first and last sites).
+
+    Each R^H of the right-to-left QR sweep is absorbed block by block, so the
+    zeros off the diagonal are never stored or multiplied. Skipping them keeps
+    every bit: the contraction accumulates each entry in ascending order from
+    +0.0, never reaches -0.0, and so is unchanged by adding an exact zero.
 
     The left-to-right SVDs see the state in mixed-canonical form, so the
     recorded per-bond values are the exact Schmidt data of the state being
     truncated at that bond.
     """
-    n = mps.n_sites
-    d = mps.d
-    ts = list(mps.tensors)
+    n = len(sites)
+    ts = [None] * (n - 1) + list(sites[-1])
     for i in range(n - 1, 0, -1):
-        dl, _, dr = ts[i].shape
-        m = ts[i].reshape(dl, d * dr)
-        q, r = np.linalg.qr(m.conj().T)
+        dl, d, dr = ts[i].shape
+        q, r = np.linalg.qr(ts[i].reshape(dl, d * dr).conj().T)
         ts[i] = q.conj().T.reshape(-1, d, dr)
-        ts[i - 1] = np.einsum("lpr,rk->lpk", ts[i - 1], r.conj().T)
+        rh = r.conj().T
+        parts = []
+        at = 0
+        for b in sites[i - 1]:
+            parts.append(np.einsum("lpr,rk->lpk", b, rh[at : at + b.shape[2]]))
+            at += b.shape[2]
+        ts[i - 1] = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
     bonds = []
     for i in range(n - 1):
         ts[i], carry, record = _truncate_bond(ts[i], d_cap, tolerance)
@@ -251,6 +270,18 @@ def compress(mps, d_cap, tolerance=0.0):
         ts[i + 1] = np.einsum("ab,bpr->apr", carry, ts[i + 1])
     out = MatrixProductState(tensors=tuple(ts), canonical_center=n - 1)
     return out, CompressionRecord(bonds=tuple(bonds))
+
+
+def compress(mps, d_cap, tolerance=0.0):
+    """Right-canonicalize, then truncate left-to-right, keeping at most d_cap
+    values above tolerance per bond."""
+    return _compress_blocks([[t] for t in mps.tensors], d_cap, tolerance)
+
+
+def compress_sum(states, coeffs, d_cap, tolerance=0.0):
+    """compress(add(states, coeffs), d_cap, tolerance), bit for bit, without
+    building the block-diagonal tensors of the sum."""
+    return _compress_blocks(_sum_blocks(states, coeffs), d_cap, tolerance)
 
 
 def mps_inner(a, b):

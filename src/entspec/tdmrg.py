@@ -23,8 +23,8 @@ from .mps import (
     MatrixProductState,
     _apply_factors,
     _term_factors,
-    add,
     compress,
+    compress_sum,
     from_dense,
     mps_norm,
     to_dense,
@@ -164,6 +164,7 @@ def tdmrg_run(config):
         # The sum cur + sum_k (-i dt) h_k|cur> is built one segment at a time:
         # a segment ends where its direct sum's bond would pass the stage cap,
         # and is then compressed into the first state of the next segment.
+        # Each sum is compressed block by block, never built.
         segment = [cur]
         inner = cur.bond_dims[1:-1]
         staged = 0.0
@@ -175,13 +176,16 @@ def tdmrg_run(config):
             if bond > BOND_MEMORY_CAP:
                 raise IntermediateTooLargeError(f"bond {bond} > {BOND_MEMORY_CAP} at step {m}")
             if bond > STAGE_CAP_FACTOR * d_cap:
-                acc = add(segment, coeffs[: len(segment)])
-                acc, rec = compress(acc, STAGE_CAP_FACTOR * d_cap, STAGE_TOLERANCE)
+                acc, rec = compress_sum(
+                    segment, coeffs[: len(segment)], STAGE_CAP_FACTOR * d_cap, STAGE_TOLERANCE
+                )
                 staged += rec.max_delta
                 segment = [acc]
                 inner = acc.bond_dims[1:-1]
-        acc = add(segment, coeffs[: len(segment)]) if len(segment) > 1 else segment[0]
-        cur, rec = compress(acc, d_cap, 0.0)
+        if len(segment) > 1:
+            cur, rec = compress_sum(segment, coeffs[: len(segment)], d_cap)
+        else:
+            cur, rec = compress(segment[0], d_cap)
         zeta = rec.max_zeta
         delta_bar = rec.max_delta + staged
         rows.append(

@@ -19,7 +19,7 @@ from entspec import (
     random_gapped_instance,
     se_lower_search,
 )
-from entspec.agsp_arealaw import _filter_values, c_kappa_1, c_kappa_2
+from entspec.agsp_arealaw import _filter_values, _legendre, c_kappa_1, c_kappa_2
 from entspec.se_strength import BipartiteOperator, best_upper
 
 from helpers import random_hermitian
@@ -64,6 +64,16 @@ def test_agsp_filter_matches_direct_quadrature(rng):
         )
         ref /= math.sqrt(4.0 * math.pi * beta)
         assert got == pytest.approx(ref, abs=1e-9)
+
+
+def test_legendre_nodes_are_computed_once_and_read_only():
+    from scipy.special import roots_legendre
+
+    x, w = _legendre(128)
+    assert _legendre(128)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    want_x, want_w = roots_legendre(128)
+    assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
 
 
 def test_agsp_rejects_degenerate_ground():

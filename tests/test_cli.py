@@ -50,6 +50,9 @@ BAD_VALUES = [
     {"experiment": "merge-series", "params": {"kappa": 0}},
     {"experiment": "c-alpha-table", "params": {"alphas": [0.3]}},
     {"experiment": "saturate", "grid": [{"times": [0.5]}, {"times": [0.5, 0]}]},
+    # J*t <= 1 spans two params, so it is checked on every merged grid point
+    {"experiment": "unbounded", "params": {"t": 2.0}},
+    {"experiment": "unbounded", "params": {"j": 0.5}, "grid": [{"t": 2.0}, {"t": 2.5}]},
 ]
 
 

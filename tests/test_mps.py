@@ -19,6 +19,7 @@ from entspec import (
     add,
     apply_local_term,
     compress,
+    compress_sum,
     from_dense,
     mps_inner,
     mps_norm,
@@ -114,6 +115,74 @@ def test_add_matches_dense(rng):
     assert np.linalg.norm(to_dense(combo).amps - want) < 1e-10
     inner = [sum(p.bond_dims[b] for p in parts) for b in range(1, 5)]
     assert combo.bond_dims == (1, *inner, 1)
+
+
+def _with_signed_zeros(rng, mps):
+    """The state with about a third of its real and imaginary parts set to -0.0."""
+    ts = []
+    for t in mps.tensors:
+        t = t.copy()
+        t.real[rng.random(t.shape) < 0.3] = -0.0
+        t.imag[rng.random(t.shape) < 0.3] = -0.0
+        ts.append(t)
+    return MatrixProductState(tensors=tuple(ts))
+
+
+def _direct_sum_reference(states, coeffs):
+    """Site tensors of the direct sum, each block multiplied into place in a
+    zero tensor: by its coefficient on the first site, by 1.0 elsewhere."""
+    n, d = states[0].n_sites, states[0].d
+    if n == 1:
+        t = coeffs[0] * states[0].tensors[0]
+        for s, c in zip(states[1:], coeffs[1:]):
+            t = t + c * s.tensors[0]
+        return [t]
+    ts = []
+    for i in range(n):
+        blocks = [s.tensors[i] for s in states]
+        rows = 1 if i == 0 else sum(b.shape[0] for b in blocks)
+        cols = 1 if i == n - 1 else sum(b.shape[2] for b in blocks)
+        t = np.zeros((rows, d, cols), dtype=complex)
+        l = r = 0
+        for b, c in zip(blocks, coeffs if i == 0 else [1.0] * len(blocks)):
+            lb, _, rb = b.shape
+            at_l = slice(0, 1) if i == 0 else slice(l, l + lb)
+            at_r = slice(0, 1) if i == n - 1 else slice(r, r + rb)
+            np.multiply(b, c, out=t[at_l, :, at_r])
+            l += lb
+            r += rb
+        ts.append(t)
+    return ts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_compress_sum_equals_compress_of_add_bytes(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    base = _with_signed_zeros(rng, _rand_mps(rng, n, d, 3))
+    states = [base, _rand_mps(rng, n, d, 2)]
+    if n > 1:
+        # the pieces of a two-site term, non-adjacent where the chain allows
+        h = random_hermitian(rng, d * d)
+        states += [apply_local_term(base, LocalTerm(support=(0, n - 1), matrix=h)),
+                   apply_local_term(base, LocalTerm(support=(max(0, n - 4), n - 1),
+                                                    matrix=h))]
+    complex_coeffs = [1.0] + list(rng.standard_normal(len(states) - 1)
+                                  + 1j * rng.standard_normal(len(states) - 1))
+    step_coeffs = [1.0] + [-1j * 0.01] * (len(states) - 1)
+    truncated = False
+    for parts, coeffs in (([base], [1.0]), (states, complex_coeffs), (states, step_coeffs)):
+        for d_cap, tolerance in ((1, 0.0), (2, 1e-14), (64, 0.0), (64, 1e-14)):
+            summed = add(parts, coeffs)
+            ref = _direct_sum_reference(parts, coeffs)
+            assert [t.tobytes() for t in summed.tensors] == [t.tobytes() for t in ref]
+            want, want_rec = compress(summed, d_cap, tolerance)
+            got, got_rec = compress_sum(parts, coeffs, d_cap, tolerance)
+            assert [t.shape for t in got.tensors] == [t.shape for t in want.tensors]
+            assert [t.tobytes() for t in got.tensors] == [t.tobytes() for t in want.tensors]
+            assert repr(got_rec) == repr(want_rec)
+            truncated |= want_rec.sum_delta2 > 0.0
+    assert truncated == (n > 1)
 
 
 def test_apply_local_term_matches_dense(rng):

@@ -29,7 +29,7 @@ from entspec import (
     tdmrg_run,
     to_dense,
 )
-from entspec import tdmrg
+from entspec import mps, tdmrg
 
 
 def _plus_mps(n):
@@ -122,6 +122,24 @@ def test_staged_compression_cap(monkeypatch):
     out, cert = tdmrg_run(cfg)
     psi0 = to_dense(cfg.initial).amps
     exact = expm(-1j * chain.dense() * 0.2) @ psi0
+    err = float(np.linalg.norm(to_dense(out).amps - exact))
+    assert err <= cert.final_bound + 1e-12
+
+
+def test_run_compresses_without_building_the_sum(monkeypatch):
+    """The step compresses its direct sum block by block and never calls add."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mps.add called")
+
+    monkeypatch.setattr(mps, "add", refuse)
+    monkeypatch.setattr(tdmrg, "add", refuse, raising=False)  # a name imported from mps
+    chain = build_long_range_ising(6, d=2, j0=1.0, eta=3.0, hx=0.4)
+    n_steps = default_step_count(chain.g, 6, 0.2, eps_target=1.0)
+    cfg = TdmrgConfig(chain=chain, t=0.2, n_steps=n_steps, d_cap=2, initial=_plus_mps(6))
+    out, cert = tdmrg_run(cfg)
+    assert sum(s.delta_bar for s in cert.steps) > 0.0
+    exact = expm(-1j * chain.dense() * 0.2) @ to_dense(cfg.initial).amps
     err = float(np.linalg.norm(to_dense(out).amps - exact))
     assert err <= cert.final_bound + 1e-12
 
