@@ -96,11 +96,13 @@ def exp_se_search(p, seed):
     rng = _rng(seed)
     rows = []
     ok = True
+    unconverged = 0
     for i in range(p["instances"]):
         _, v, _ = random_dense_instance(rng, dim_cap=p["dim_cap"], n_terms=p["terms"])
         est = se_lower_search(v, seeds=p["seeds"], iterations=p["iterations"], seed=seed + i)
         rows.append(row("random", i, v, est, None))
         ok = ok and est.lower <= est.upper + 1e-9
+        unconverged += est.unconverged
     # named targets with known strengths; budgets fixed so reduced sweeps stay sharp
     pump = build_saturation_dynamics(4, 1.0, 1)
     proj = build_ising_projector_interaction(3)
@@ -114,9 +116,11 @@ def exp_se_search(p, seed):
     )
     rows += [row(name, None, op, est, want) for name, op, est, want in named]
     pump_est, proj_est, swap_est = named[0][2], named[1][2], named[2][2]
+    unconverged += sum(est.unconverged for _, _, est, _ in named)
     return {
         "rows": rows,
-        "derived": {"pump_exact": pump.se_strength_exact},
+        # ascent starts that stopped at their iteration budget, not on tolerance
+        "derived": {"pump_exact": pump.se_strength_exact, "unconverged_starts": unconverged},
         "checks": {
             "lower_below_upper": ok,
             "pump_strength_reached": abs(pump_est.lower - pump.se_strength_exact) < 1e-3,

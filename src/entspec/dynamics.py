@@ -174,9 +174,14 @@ def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
 
     Total time is 1/epsilon; midpoint piecewise-constant stepping, halving
     the step until successive refinements agree within ADIABATIC_TOL or
-    reach MAX_STEPS. Raises when the sampled path gap falls below GAP_FLOOR.
+    reach MAX_STEPS. Raises ValueError unless epsilon is finite and
+    positive, and GapClosedError when the sampled path gap falls below
+    GAP_FLOOR, both before any step.
     """
-    t_total = 1.0 / float(epsilon)
+    epsilon = float(epsilon)
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"ramp rate epsilon must be finite and > 0, got {epsilon}")
+    t_total = 1.0 / epsilon
     nus = np.linspace(0.0, 1.0, GAP_GRID)
     delta_min = math.inf
     for nu in nus:

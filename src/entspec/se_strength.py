@@ -93,6 +93,7 @@ class SeEstimate:
 
     lower: float
     upper: float
+    unconverged: int  # ascent starts that ran out of iterations before CONVERGENCE_TOL
 
     def __post_init__(self):
         if self.lower > self.upper + 1e-9:
@@ -141,11 +142,13 @@ def _ascend(phi4, x, y, iterations, tol):
 
     Each half-step linearizes the nuclear norm at the current point via its
     SVD dual certificate and solves the linear problem exactly, so the
-    objective never decreases.
+    objective never decreases. Returns (objective, x, y, converged), where
+    converged says the gain fell below tol before `iterations` ran out.
     """
     da, db = phi4.shape[0], phi4.shape[1]
     aa, bb = x.shape[1], y.shape[1]
     obj = -np.inf
+    converged = False
     for _ in range(iterations):
         psi = _contract(phi4, x, y)
         u, s, vh = np.linalg.svd(psi, full_matrices=False)
@@ -164,11 +167,12 @@ def _ascend(phi4, x, y, iterations, tol):
             y = h.conj() / hn
         if new_obj - obj < tol:
             obj = max(obj, new_obj)
+            converged = True
             break
         obj = new_obj
     psi = _contract(phi4, x, y)
     obj = float(np.sum(np.linalg.svd(psi, compute_uv=False)))
-    return obj, x, y
+    return obj, x, y, converged
 
 
 def _seed_states(rng, da, db, aa, bb, seeds):
@@ -193,15 +197,17 @@ def _seed_states(rng, da, db, aa, bb, seeds):
 
 def _search(phi4, aa, bb, seeds, iterations, seed, extra=()):
     """Best ascent over the seeded starts at ancilla (aa, bb) plus `extra`
-    starts: (objective, x, y)."""
+    starts: ((objective, x, y), number of unconverged starts)."""
     da, db = phi4.shape[0], phi4.shape[1]
     starts = _seed_states(np.random.default_rng(seed), da, db, aa, bb, seeds) + list(extra)
     best = (-np.inf, None, None)
+    unconverged = 0
     for x0, y0 in starts:
-        obj, x, y = _ascend(phi4, x0, y0, iterations, CONVERGENCE_TOL)
+        obj, x, y, converged = _ascend(phi4, x0, y0, iterations, CONVERGENCE_TOL)
+        unconverged += not converged
         if obj > best[0]:
             best = (obj, x, y)
-    return best
+    return best, unconverged
 
 
 def se_lower_search(
@@ -225,15 +231,16 @@ def se_lower_search(
         raise ValueError("ancilla dimensions must be >= 1")
     phi4 = op.as_tensor()
     extra = []
+    unconverged = 0
     if (aa, bb) != (1, 1):
-        _, x1, y1 = _search(phi4, 1, 1, seeds, iterations, seed)
+        (_, x1, y1), unconverged = _search(phi4, 1, 1, seeds, iterations, seed)
         xb = np.zeros((da, aa), dtype=complex)
         xb[:, 0] = x1.reshape(da)
         yb = np.zeros((db, bb), dtype=complex)
         yb[:, 0] = y1.reshape(db)
         extra.append((xb, yb))
-    obj, _, _ = _search(phi4, aa, bb, seeds, iterations, seed, extra)
-    return SeEstimate(lower=max(obj, 0.0), upper=best_upper(op))
+    (obj, _, _), missed = _search(phi4, aa, bb, seeds, iterations, seed, extra)
+    return SeEstimate(lower=max(obj, 0.0), upper=best_upper(op), unconverged=unconverged + missed)
 
 
 def long_range_se_bound(j0, eta):

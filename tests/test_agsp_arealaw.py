@@ -14,12 +14,19 @@ from entspec import (
     build_agsp,
     build_long_range_ising,
     build_nearest_neighbor_chain,
+    dynamics,
     ground_tail_experiment,
     make_coupled_qudit_family,
     random_gapped_instance,
     se_lower_search,
 )
-from entspec.agsp_arealaw import _filter_values, _legendre, c_kappa_1, c_kappa_2
+from entspec.agsp_arealaw import (
+    BoundaryFamily,
+    _filter_values,
+    _legendre,
+    c_kappa_1,
+    c_kappa_2,
+)
 from entspec.se_strength import BipartiteOperator, best_upper
 
 from helpers import random_hermitian
@@ -169,3 +176,59 @@ def test_boundary_adiabatic_rejects_closed_gap():
     family = make_coupled_qudit_family(delta=1e-9, coupling=0.0)
     with pytest.raises((GapClosedError, DegenerateError)):
         boundary_adiabatic_experiment(family, epsilon=0.1, beta=2.0, d_grid=[1])
+
+
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize("coupling", [0.3, -0.3, 0.0])
+def test_boundary_family_repeats_the_closure_ramp_bytes(coupling):
+    """H(nu) and V(nu) equal, byte for byte, the per-call formula the family
+    replaced, on the gap grid and the first refinement's midpoints."""
+    h_loc = np.diag([0.0, 1.0]).astype(complex)
+    family = make_coupled_qudit_family(delta=1.0, coupling=coupling)
+    h0 = np.kron(h_loc, np.eye(2)) + np.kron(np.eye(2), h_loc)
+    nus = list(np.linspace(0.0, 1.0, dynamics.GAP_GRID)) + [(i + 0.5) / 256 for i in range(256)]
+    for nu in nus:
+        mat = nu * coupling * np.kron(X, X)
+        assert family.h_of_nu(nu).tobytes() == (h0 + mat).tobytes()
+        v = family.v_of_nu(nu)
+        assert v.matrix.tobytes() == mat.tobytes()
+        if nu * coupling == 0:
+            assert v.decomposition is None
+            continue
+        ((j, a, b),) = v.decomposition
+        assert np.array(j).tobytes() == np.array(complex(nu * coupling)).tobytes()
+        assert a.tobytes() == X.tobytes() and b.tobytes() == X.tobytes()
+
+
+def test_boundary_family_refuses_bad_couplers():
+    h_loc = np.diag([0.0, 1.0]).astype(complex)
+    xx = np.kron(X, X)
+    with pytest.raises(ValueError, match="unit operator norm"):
+        BoundaryFamily(h_loc, h_loc, BipartiteOperator((2,), (2,), xx, ((0.5, 2.0 * X, X),)), 0.3)
+    with pytest.raises(ValueError, match="decomposition"):
+        BoundaryFamily(h_loc, h_loc, BipartiteOperator((2,), (2,), xx), 0.3)
+
+
+def test_boundary_adiabatic_operator_count_is_independent_of_steps(monkeypatch):
+    """The ramp builds its coupling operators for the strength and c0 scans
+    only, never once per adiabatic step."""
+    built = []
+    validate = BipartiteOperator.__post_init__
+
+    def counting(self):
+        built.append(1)
+        validate(self)
+
+    monkeypatch.setattr(BipartiteOperator, "__post_init__", counting)
+    family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
+    counts, steps = [], []
+    for max_steps in (dynamics.MAX_STEPS, 512):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", max_steps)
+        built.clear()
+        out = boundary_adiabatic_experiment(family, epsilon=0.1, beta=3.0, d_grid=[1, 2])
+        counts.append(len(built))
+        steps.append(out["steps"])
+    assert steps[0] != steps[1]
+    assert counts[0] == counts[1] < 100

@@ -227,6 +227,16 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
+def test_se_search_reports_unconverged_starts(tmp_path):
+    p = {"instances": 2, "dim_cap": 16, "seeds": 3, "iterations": 1}
+    cfg_path = write_config(tmp_path, {"experiment": "se-search", "params": p})
+    out = tmp_path / "o"
+    assert main(["run", cfg_path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    # one iteration never meets the tolerance: every random start counts
+    assert summary["derived"]["unconverged_starts"] >= p["instances"] * (p["seeds"] + 2)
+
+
 def test_threads_do_not_change_results(tmp_path):
     cfg = {
         "experiment": "c-alpha-table",

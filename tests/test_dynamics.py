@@ -185,6 +185,19 @@ def test_adiabatic_rejects_closed_gap():
         adiabatic_evolve(h_of_nu, epsilon=0.1)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+def test_adiabatic_rejects_bad_ramp_rate(epsilon):
+    calls = []
+
+    def h_of_nu(nu):
+        calls.append(nu)
+        return np.diag([0.0, 1.0])
+
+    with pytest.raises(ValueError, match="epsilon"):
+        adiabatic_evolve(h_of_nu, epsilon)
+    assert calls == []
+
+
 def test_adiabatic_error_bound_formula():
     got = adiabatic_error_bound(1.5, 2.0, 0.01, 0.5)
     want = (1.5 * 2.0 * 0.01 / 0.25) * (2.0 + 7.0 * 1.5 * 2.0 / 0.5)

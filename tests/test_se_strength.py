@@ -116,6 +116,15 @@ def test_ancilla_embedding_never_hurts(rng):
     assert big.lower >= base.lower - 1e-9
 
 
+def test_search_counts_unconverged_starts():
+    op = build_swap_interaction(2)
+    # (1, 1) search: 3 seeds + 2 fixed starts; (2, 2) search: the same plus
+    # the embedded (1, 1) witness
+    assert se_lower_search(op, seeds=3, iterations=1).unconverged == 11
+    assert se_lower_search(op, ancilla_dims=(1, 1), seeds=3, iterations=1).unconverged == 5
+    assert se_lower_search(op, seeds=3, iterations=500).unconverged < 11
+
+
 def test_long_range_strength_cap():
     assert long_range_se_bound(1.0, 3.0) == pytest.approx(3.0, abs=1e-12)
     assert long_range_se_bound(0.5, 4.0) == pytest.approx(1.0, abs=1e-12)
