@@ -586,32 +586,43 @@ class ConfigError(Exception):
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
 
 
-# Least value of each size param; a list param holds integers of at least this
-_MINIMUM = {"n": 1, "d": 1, "d_cap": 1, "m_levels": 1, "n_pairs": 1, "da": 1, "db": 1,
-            "d_grid": 1}
-_CHAIN_KINDS = ("longrange", "nearest")
-
-
 def _positive(v):
     return v > 0
 
 
-# Range of a param's value (of each entry of a list; "inf" always passes) per
-# experiment: (test, what the message says it must be). Checked on every
-# merged grid point, so the defaults take part too.
-_RANGES = {
-    "saturate": {"times": (_positive, "> 0"), "j": (_positive, "> 0")},
-    "toy": {"times": (lambda v: 0 < v < math.pi / 2, "in (0, pi/2), where the closed form holds")},
-    "c-alpha-table": {"alphas": (lambda v: v >= 0.5, ">= 0.5 or \"inf\"")},
-    "unbounded": {"d0": (lambda v: v >= 2, ">= 2")},
-    "area-law": {
-        "epsilon": (_positive, "> 0"),
-        "beta": (_positive, "> 0"),
-        "coupling": (lambda v: v != 0, "nonzero: the constants divide by it"),
-    },
-    "merge-series": {"kappa": (_positive, "> 0")},
-    "truncation-params": {"kappa": (_positive, "> 0")},
-}
+# Every rule on a single value: (experiments, or None for all; params; test;
+# what the value must be). A list param's test applies to each entry. Each
+# value the config gives is checked, in params and in every grid entry.
+_RULES = [
+    (None, ("n", "d", "d0", "d_cap", "m_levels", "n_pairs", "da", "db", "d_grid"),
+     lambda v: v >= 1, ">= 1"),
+    (None, ("chain",), lambda v: v in ("longrange", "nearest"), "\"longrange\" or \"nearest\""),
+    (None, ("eta",), lambda v: v > 2, "> 2"),
+    (("gibbs-tail", "decomposition"), ("chain",), lambda v: v == "longrange",
+     "\"longrange\": the bounds read power-law decay"),
+    (("kolmogorov",), ("pairs",),
+     lambda q: len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0],
+     "[N, D] pairs with 1 <= D <= N"),
+    (("se-search", "sie-rate", "unitary-growth"), ("dim_cap",), lambda v: v >= 4,
+     ">= 4, the least instance being 2 x 2"),
+    (("saturate",), ("times", "j"), _positive, "> 0"),
+    (("mps-exist", "unitary-growth"), ("t", "times"), lambda v: v >= 0,
+     ">= 0: the bounds grow with elapsed time"),
+    (("toy",), ("times",), lambda v: 0 < v < math.pi / 2,
+     "in (0, pi/2), where the closed form holds"),
+    (("c-alpha-table",), ("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),
+    (("sie-rate", "unbounded"), ("alphas",), _positive, "> 0"),
+    (("unbounded",), ("d0",), lambda v: v >= 2, ">= 2"),
+    (("unbounded",), ("j", "t"), _positive, "> 0"),
+    (("agsp",), ("betas",), _positive, "> 0"),
+    (("area-law",), ("epsilon", "beta"), _positive, "> 0"),
+    (("area-law",), ("coupling",), lambda v: v != 0, "nonzero: the constants divide by it"),
+    (("merge-series", "truncation-params"), ("kappa",), _positive, "> 0"),
+    (("merge-series",), ("c0", "q_param"), _positive, "> 0"),
+    (("truncation-params",), ("eps0",), _positive, "> 0"),
+    (("tdmrg",), ("n_steps",), lambda v: v >= 0, ">= 0, where 0 derives it from eps_target"),
+    (("tdmrg",), ("eps_target",), _positive, "> 0"),
+]
 
 
 def _is_int(value):
@@ -620,7 +631,10 @@ def _is_int(value):
 
 def _has_type_of(value, default):
     accepted = _ACCEPTED_TYPES[type(default)]
-    return isinstance(value, accepted) and (bool in accepted or not isinstance(value, bool))
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
+        return False
+    # a float param takes a finite number: no NaN, Infinity or integer beyond float range
+    return not isinstance(default, float) or -sys.float_info.max <= value <= sys.float_info.max
 
 
 def _entry_ok(entry, default_entries):
@@ -635,9 +649,7 @@ def _check_params(name, values, defaults):
     for key, value in values.items():
         if not _has_type_of(value, defaults[key]):
             want = " or ".join(t.__name__ for t in _ACCEPTED_TYPES[type(defaults[key])])
-            raise ConfigError(
-                f"param {key!r} of {name} must be {want}, got {type(value).__name__}"
-            )
+            raise ConfigError(f"param {key!r} of {name} must be {want}, got {value!r}")
         if isinstance(value, list):
             if not value:
                 raise ConfigError(f"param {key!r} of {name} must hold at least one entry")
@@ -645,19 +657,16 @@ def _check_params(name, values, defaults):
             if bad:
                 raise ConfigError(f"param {key!r} of {name} holds entries unlike its "
                                   f"default {defaults[key]!r}: {bad!r}")
-        least = _MINIMUM.get(key)
         entries = value if isinstance(value, list) else [value]
-        if least is not None and not all(_is_int(v) and v >= least for v in entries):
-            raise ConfigError(f"param {key!r} of {name} takes integers >= {least}, got {value!r}")
-    if "chain" in values and values["chain"] not in _CHAIN_KINDS:
-        raise ConfigError(f"param 'chain' of {name} must be one of {list(_CHAIN_KINDS)}")
-    pairs = values.get("pairs", [])
-    if not all(isinstance(q, list) and len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0]
-               for q in pairs):
-        raise ConfigError(f"param 'pairs' of {name} must hold [N, D] with 1 <= D <= N")
+        for experiments, keys, test, want in _RULES:
+            if (key in keys and (experiments is None or name in experiments)
+                    and not all(map(test, entries))):
+                raise ConfigError(f"param {key!r} of {name} must be {want}, got {value!r}")
 
 
 def validate_config(cfg):
+    """Check a config and return (experiment, merged run points, seed, out):
+    each point is the defaults, then `params`, then one grid entry."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     allowed = {"experiment", "params", "grid", "seed", "out"}
@@ -668,64 +677,48 @@ def validate_config(cfg):
     if out is not None and not isinstance(out, str):
         raise ConfigError("out must be a string path")
     name = cfg.get("experiment")
-    if name not in REGISTRY:
+    if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(REGISTRY)}")
     defaults = REGISTRY[name][1]
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    bad = set(params) - set(defaults)
-    if bad:
-        raise ConfigError(f"unknown params for {name}: {sorted(bad)}")
-    _check_params(name, params, defaults)
     grid = cfg.get("grid", [])
     if not isinstance(grid, list) or any(not isinstance(g, dict) for g in grid):
         raise ConfigError("grid must be a list of objects")
-    for g in grid:
-        bad = set(g) - set(defaults)
+    for where, values in [("params", params)] + [("grid params", g) for g in grid]:
+        bad = set(values) - set(defaults)
         if bad:
-            raise ConfigError(f"unknown grid params for {name}: {sorted(bad)}")
-        _check_params(name, g, defaults)
-    for point in grid or [{}]:
-        merged = {**defaults, **params, **point}
-        if "cut" in merged and not 1 <= merged["cut"] <= merged["n"] - 1:
+            raise ConfigError(f"unknown {where} for {name}: {sorted(bad)}")
+        _check_params(name, values, defaults)
+    # the two rules that span params
+    points = [{**defaults, **params, **g} for g in grid or [{}]]
+    for p in points:
+        if "cut" in p and not 1 <= p["cut"] <= p["n"] - 1:
             raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
-                              f"{merged['n']}, got {merged['cut']}")
-        if name == "unbounded" and merged["j"] * merged["t"] > 1.0 + 1e-12:
+                              f"{p['n']}, got {p['cut']}")
+        if name == "unbounded" and p["j"] * p["t"] > 1.0 + 1e-12:
             raise ConfigError(f"params 'j' and 't' of {name} must have j*t <= 1, got "
-                              f"j*t = {merged['j'] * merged['t']}")
-        rules = _RANGES.get(name, {})
-        for key, value in merged.items():
-            entries = value if isinstance(value, list) else [value]
-            if key in rules and not all(v == "inf" or rules[key][0](v) for v in entries):
-                raise ConfigError(f"param {key!r} of {name} must be {rules[key][1]}, got {value!r}")
+                              f"j*t = {p['j'] * p['t']}")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
-    return name, params, grid, seed, out
-
-
-def run_experiment(name, params, seed):
-    fn, defaults = REGISTRY[name]
-    merged = {**defaults, **params}
-    return fn(merged, seed)
+    return name, points, seed, out
 
 
 def _run_config(cfg, out_dir, threads, seed_override=None):
-    name, params, grid, seed, cfg_out = validate_config(cfg)
+    name, points, seed, cfg_out = validate_config(cfg)
+    fn = REGISTRY[name][0]
     if seed_override is not None:
         seed = seed_override
     if out_dir is None:
         out_dir = Path(cfg_out) if cfg_out else Path("entspec_out")
-    points = [params] if not grid else [{**params, **g} for g in grid]
     started = time.time()
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda ip: run_experiment(name, ip[1], seed + ip[0]), enumerate(points))
-            )
+            results = list(pool.map(lambda ip: fn(ip[1], seed + ip[0]), enumerate(points)))
     else:
-        results = [run_experiment(name, pt, seed + i) for i, pt in enumerate(points)]
+        results = [fn(pt, seed + i) for i, pt in enumerate(points)]
     rows = []
     checks = {}
     derived = []
@@ -848,7 +841,7 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -222,7 +222,8 @@ def build_long_range_ising(n, d=2, j0=1.0, eta=3.0, hx=0.0, hz=0.0):
     if eta <= 2:
         raise EtaTooSmallError(f"eta = {eta} <= 2")
     pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(n) for j in range(i + 1, n)]
-    return _clock_chain(n, d, pairs, hx, hz, ("power", j0, eta))
+    # pair weights enter the decay metadata as norms
+    return _clock_chain(n, d, pairs, hx, hz, ("power", abs(j0), eta))
 
 
 def build_nearest_neighbor_chain(n, d=2, j=1.0, hx=0.0, hz=0.0):
@@ -453,8 +454,11 @@ def random_dense_instance(rng, dim_cap=256, max_local=16, n_terms=4):
     """Random H_A + H_B + V with a Hermitian unit-norm term decomposition.
 
     Returns (cut Hamiltonian pieces as dense matrices, V as BipartiteOperator,
-    random product initial state).
+    random product initial state). Each side has dimension at least 2, so
+    dim_cap must be at least 4.
     """
+    if dim_cap < 4:
+        raise ValueError(f"dim_cap = {dim_cap} < 4 admits no instance")
     while True:
         da = int(rng.integers(2, max_local + 1))
         db = int(rng.integers(2, max_local + 1))

@@ -5,6 +5,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entspec import adiabatic_evolve, agsp_arealaw, dynamics, make_coupled_qudit_family
 from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
@@ -53,6 +55,37 @@ BAD_VALUES = [
     # J*t <= 1 spans two params, so it is checked on every merged grid point
     {"experiment": "unbounded", "params": {"t": 2.0}},
     {"experiment": "unbounded", "params": {"j": 0.5}, "grid": [{"t": 2.0}, {"t": 2.5}]},
+    # values that hung or ended in a traceback: no 2 x 2 instance fits under a
+    # dim_cap of 3, and the closed forms take logs and roots of j, t and eps
+    {"experiment": "se-search", "params": {"dim_cap": 3}},
+    {"experiment": "sie-rate", "params": {"dim_cap": 0}},
+    {"experiment": "unitary-growth", "params": {"dim_cap": -1}},
+    {"experiment": "unbounded", "params": {"j": 0}},
+    {"experiment": "unbounded", "params": {"t": -1}},
+    {"experiment": "agsp", "params": {"betas": [-1]}},
+    {"experiment": "tdmrg", "params": {"n_steps": -1}},
+    {"experiment": "tdmrg", "params": {"eps_target": 0}},
+    {"experiment": "merge-series", "params": {"d0": 0}},
+    {"experiment": "merge-series", "params": {"c0": 0}},
+    {"experiment": "merge-series", "params": {"q_param": -1}},
+    {"experiment": "truncation-params", "params": {"d0": 0}},
+    {"experiment": "truncation-params", "params": {"eps0": 0}},
+    {"experiment": "gibbs-tail", "params": {"chain": "nearest"}},
+    {"experiment": "decomposition", "params": {"chain": "nearest"}},
+    {"experiment": ["a"]},
+    # values that exited 1 on a failed check or invariant, and a bool seed that ran
+    {"experiment": "ground-tail", "params": {"eta": 2}},
+    {"experiment": "sie-rate", "params": {"alphas": [0]}},
+    {"experiment": "unbounded", "params": {"alphas": [0.25, -1]}},
+    {"experiment": "agsp", "params": {"betas": [0]}},
+    {"experiment": "mps-exist", "params": {"t": -1}},
+    {"experiment": "unitary-growth", "params": {"times": [0.1, -1]}},
+    {"experiment": "saturate", "seed": True},
+    # a float param takes a finite number
+    {"experiment": "unbounded", "params": {"j": 10 ** 400}},
+    {"experiment": "sie-rate", "params": {"times": [float("nan")]}},
+    # each value the config gives is checked, even one every grid point overrides
+    {"experiment": "saturate", "params": {"times": [0]}, "grid": [{"times": [0.5]}]},
 ]
 
 
@@ -68,6 +101,8 @@ def test_registry_lists_every_published_experiment():
     for name, (fn, defaults) in REGISTRY.items():
         assert callable(fn)
         assert isinstance(defaults, dict)
+        # the rules check given values only, so every default must pass them
+        validate_config({"experiment": name, "params": defaults})
 
 
 @pytest.mark.parametrize(
@@ -93,6 +128,45 @@ def test_range_rules_are_per_experiment():
     # the finite-difference rates step around t = 0; only closed forms need t > 0
     validate_config({"experiment": "sie-rate", "params": {"times": [0]}})
     validate_config({"experiment": "area-law", "params": {"coupling": -0.3}})
+    # cut is checked on the merged point, against the n that params set
+    cfg = {"experiment": "ground-tail", "params": {"n": 4}, "grid": [{"cut": 2}]}
+    name, points, seed, out = validate_config(cfg)
+    assert points == [{**REGISTRY[name][1], "n": 4, "cut": 2}]
+    assert (seed, out) == (0, None)
+
+
+PARAM_NAMES = sorted({key for _, defaults in REGISTRY.values() for key in defaults})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["inf", "longrange", "nearest", 10 ** 400]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def configs(draw):
+    """Arbitrary JSON, most often shaped like a config with real param names."""
+    name = draw(st.sampled_from(sorted(REGISTRY)) | JSON_VALUES)
+    names = list(REGISTRY[name][1]) if isinstance(name, str) and name in REGISTRY else PARAM_NAMES
+    param_dicts = st.dictionaries(st.sampled_from(names) | st.text(max_size=4), JSON_VALUES,
+                                  max_size=3)
+    fields = {"experiment": st.just(name), "params": param_dicts | JSON_VALUES,
+              "grid": st.lists(param_dicts, max_size=3) | JSON_VALUES,
+              "seed": st.integers() | JSON_VALUES, "out": st.text(max_size=4) | JSON_VALUES}
+    keys = draw(st.sets(st.sampled_from(sorted(fields))))
+    cfg = {key: draw(fields[key]) for key in sorted(keys)}
+    return draw(st.just(cfg) | JSON_VALUES)
+
+
+@given(configs())
+@settings(max_examples=400, deadline=None)
+def test_validator_returns_or_raises_config_error(cfg):
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        pass
 
 
 def test_run_writes_parseable_artifacts(tmp_path):
@@ -144,8 +218,10 @@ def test_missing_config_file_exits_2(tmp_path):
 
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    # not JSON, not UTF-8, and an integer past the reader's 4300-digit limit
+    for raw in (b"{not json", b"\xff\xfe", b'{"seed": ' + b"9" * 5000 + b"}"):
+        path.write_bytes(raw)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_unknown_experiment_exits_2(tmp_path):

@@ -139,6 +139,10 @@ def test_long_range_ising_shape():
     assert len(pair_terms) == n * (n - 1) // 2
     assert chain.decay == ("power", 1.0, 3.0)
     assert chain.boundary_strength_cap() == pytest.approx(3.0, abs=1e-12)
+    # a negative coupling keeps the pair norms, so the decay cap reads |j0|
+    flipped = build_long_range_ising(n, d=2, j0=-1.0, eta=3.0, hx=0.4, hz=0.2)
+    assert flipped.decay == chain.decay
+    assert np.array_equal(flipped.terms[0].matrix, -chain.terms[0].matrix)
     from entspec import EtaTooSmallError
 
     with pytest.raises(EtaTooSmallError):
@@ -257,3 +261,6 @@ def test_random_dense_instance_structure(rng):
         assert v.decomposition is not None
         assert state.norm == pytest.approx(1.0, abs=1e-12)
         assert state.dims == (da, db)
+    # both sides are at least 2-dimensional, so no instance fits below 4
+    with pytest.raises(ValueError):
+        random_dense_instance(rng, dim_cap=3)
