@@ -16,7 +16,9 @@ from .errors import DegenerateError
 from .dynamics import adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
 from .se_strength import BipartiteOperator, _opnorm, se_upper_from_decomposition
-from .spectra import Cut, PureState, renyi_entropy, schmidt_decompose, truncate_rank
+from .spectra import (
+    Cut, PureState, renyi_entropy, schmidt_decompose, truncate_rank, worst_margin,
+)
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
 # values move by less than QUAD_TOL or the count reaches NODE_CAP
@@ -27,7 +29,7 @@ NODE_CAP = 2 ** 14
 # coupling made of GAPPED_V_TERMS product terms
 GAPPED_MAX_LOCAL = 8
 GAPPED_V_TERMS = 3
-SMALL_GAP = 1e-8  # ground_tail_experiment warns below this chain gap
+SMALL_GAP = 1e-8  # least chain gap at which ground_tail_experiment trusts its tail cap
 NU_GRID = 65  # boundary-coupling samples for the strength g_tilde
 
 
@@ -40,8 +42,7 @@ class AgspOperator:
     eigvals: np.ndarray
     filter_vals: np.ndarray
     nodes_used: int
-    quad_diff: float
-    converged: bool  # false when NODE_CAP came before QUAD_TOL
+    quad_diff: float  # last quadrature change: converged when below QUAD_TOL
 
     @property
     def defect_ground(self):
@@ -119,7 +120,6 @@ def build_agsp(h, beta):
         filter_vals=f_cur,
         nodes_used=nodes,
         quad_diff=k_diff,
-        converged=k_diff < QUAD_TOL,
     )
 
 
@@ -168,11 +168,13 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
     j_tilde = chain.boundary_strength_cap()
     expo = gap / (2.0 * j_tilde + gap) if j_tilde > 0 else 1.0
     rows = []
+    margins = []
     logs = []
     for d in d_grid:
         tail2 = float(np.sum(spec.coeffs[d:] ** 2))
         cap = 32.0 * d ** (-expo)
-        rows.append({"D": int(d), "tail2": tail2, "cap": cap, "ok": tail2 <= cap})
+        margins.append(cap - tail2)
+        rows.append({"D": int(d), "tail2": tail2, "cap": cap, "ok": margins[-1] >= 0.0})
         if tail2 > 1e-28:
             logs.append((math.log(d), math.log(tail2)))
     slope = None
@@ -180,6 +182,9 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
         xs = np.array([p[0] for p in logs])
         ys = np.array([p[1] for p in logs])
         slope = float(np.polyfit(xs, ys, 1)[0])
+    # worst signed margin of tail2 <= cap; the cap needs a gapped chain, so
+    # below SMALL_GAP the gap's shortfall stands in for it
+    tail_margin = worst_margin(margins) if gap >= SMALL_GAP else gap - SMALL_GAP
     return {
         "gap": gap,
         "j_tilde": j_tilde,
@@ -187,6 +192,7 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
         "rows": rows,
         "tail_slope": slope,
         "small_gap_warning": gap < SMALL_GAP,
+        "margins": {"tails_below_cap": tail_margin},
     }
 
 
@@ -318,6 +324,7 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     spec = schmidt_decompose(PureState(dims=dims, amps=phi), cut, keep_vectors=True)
     consts = area_law_constants(g_tilde, delta_path, s0, c0)
     rows = []
+    margins = []
     for d in d_grid:
         kept, _ = truncate_rank(spec, d)
         psi_d = np.zeros_like(phi)
@@ -328,10 +335,14 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         psi_d /= np.linalg.norm(psi_d)
         err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(psi_d, omega1))))
         cap = consts.tail_cap(d)
-        rows.append({"D": int(d), "err": err, "cap": cap, "ok": err <= cap})
+        margins.append(cap - err)
+        rows.append({"D": int(d), "err": err, "cap": cap, "ok": margins[-1] >= 0.0})
     e1_target = renyi_entropy(
         schmidt_decompose(PureState(dims=dims, amps=omega1), cut), 1.0
     )
+    # signed margins, bound + slack - value: each flag below is its margin's sign
+    adiab_margin = adiab_cap + 1e-6 - adiab_err
+    entropy_margin = consts.entropy_bound - e1_target
     return {
         "delta_path": delta_path,
         "g_tilde": g_tilde,
@@ -341,15 +352,20 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         "beta": beta,
         "adiabatic_error": adiab_err,
         "adiabatic_cap": adiab_cap,
-        "adiabatic_ok": adiab_err <= adiab_cap + 1e-6,
-        "adiabatic_converged": res.converged,
+        "adiabatic_ok": adiab_margin >= 0.0,
+        "adiabatic_converged_diff": res.converged_diff,
         "agsp_defect_ground": agsp.defect_ground,
         "agsp_defect_bound": agsp.defect_bound,
         "kappa": consts.kappa,
         "log_c": consts.log_c,
         "entropy_bound": consts.entropy_bound,
         "entropy_target": e1_target,
-        "entropy_ok": e1_target <= consts.entropy_bound,
+        "entropy_ok": entropy_margin >= 0.0,
         "rows": rows,
         "steps": res.steps,
+        "margins": {
+            "truncation_below_cap": worst_margin(margins),
+            "entropy_below_bound": entropy_margin,
+            "adiabatic_below_cap": adiab_margin,
+        },
     }

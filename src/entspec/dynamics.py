@@ -164,8 +164,7 @@ class AdiabaticResult:
     psi: np.ndarray
     steps: int
     delta_min: float
-    converged_diff: float
-    converged: bool  # false when MAX_STEPS came before ADIABATIC_TOL
+    converged_diff: float  # last refinement change: converged when below ADIABATIC_TOL
 
 
 def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
@@ -208,10 +207,7 @@ def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
         cur = run(k)
         diff = float(np.linalg.norm(cur - prev))
         if diff < ADIABATIC_TOL or k >= MAX_STEPS:
-            return AdiabaticResult(
-                psi=cur, steps=k, delta_min=delta_min, converged_diff=diff,
-                converged=diff < ADIABATIC_TOL,
-            )
+            return AdiabaticResult(psi=cur, steps=k, delta_min=delta_min, converged_diff=diff)
         prev = cur
 
 

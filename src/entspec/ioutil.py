@@ -1,12 +1,14 @@
 """Serialization helpers: complex-number JSON encoding, RFC-4180 CSV, config hashing.
 
 Complex values travel as "re+imj" strings (the format Python's complex()
-constructor parses back), so JSON artifacts stay plain text.
+constructor parses back), and non-finite floats as "inf", "-inf" and "nan",
+so JSON artifacts stay strict RFC 8259 plain text.
 """
 
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -18,13 +20,15 @@ def encode_complex(z):
 
 
 def jsonable(x):
-    """Recursively convert numpy scalars/arrays and complex values."""
+    """Recursively convert numpy scalars/arrays, complex values and
+    non-finite floats."""
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return float(x)
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        return x if math.isfinite(x) else str(x)
     if isinstance(x, (np.integer,)):
         return int(x)
     if isinstance(x, (np.bool_,)):
@@ -38,7 +42,7 @@ def jsonable(x):
 
 def write_json(path, obj):
     with open(path, "w", newline="") as f:
-        json.dump(jsonable(obj), f, indent=2, sort_keys=False)
+        json.dump(jsonable(obj), f, indent=2, sort_keys=False, allow_nan=False)
         f.write("\n")
 
 

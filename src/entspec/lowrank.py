@@ -14,6 +14,7 @@ from .models import _block_sum
 from .se_strength import _opnorm
 
 MERGE_DIM_CAP = 2 ** 10
+CHAIN_SLACK = 1e-9  # rounding slack of the no-go chain inequality
 
 
 def kolmogorov_bounds(n, d):
@@ -152,7 +153,7 @@ def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
         "chain_rhs_heuristic": t * idfit.value - gap,
         "idfit_2d": idfit.value,
         "no_go_lb": no_go_lower_bound(t),
-        "chain_ok": measured >= t * width_lower - gap - 1e-9,
+        "chain_ok": measured >= t * width_lower - gap - CHAIN_SLACK,
     }
 
 
@@ -321,13 +322,13 @@ class LongRangeDecomposition:
     g_tilde: float
     d0: int
     v_norms: tuple
-    ok: bool
+    tails: tuple  # (tail, cap) per crossing term: the norms from it on, and their cap
     worst_margin: float
 
 
 def long_range_decomposition_check(chain, cut_pos):
-    """Order the cut-crossing terms canonically and verify their tails decay
-    at the guaranteed geometric-in-bin rate."""
+    """Order the cut-crossing terms canonically and pair each tail of their
+    norms with its cap at the guaranteed geometric-in-bin decay rate."""
     if chain.decay is None or chain.decay[0] != "power":
         raise ValueError("chain must carry power-law decay metadata")
     _, j0, eta = chain.decay
@@ -343,23 +344,18 @@ def long_range_decomposition_check(chain, cut_pos):
     c0 = (eta - 1.0) * 2.0 ** (eta - 2.0)
     g_tilde = 4.0 * j0 * (1.0 + 1.0 / (eta - 2.0))
     d0 = int(max(chain.dims)) ** (2 * k)
-    ok = True
-    worst = math.inf
+    tails = []
     total = sum(v_norms)
     running = 0.0
-    for dd in range(len(v_norms)):
-        tail = total - running
-        cap = c0 * g_tilde * (dd + 1.0) ** (-kappa)
-        worst = min(worst, cap - tail)
-        if tail > cap * (1 + 1e-9):
-            ok = False
-        running += v_norms[dd]
+    for dd, norm in enumerate(v_norms):
+        tails.append((total - running, c0 * g_tilde * (dd + 1.0) ** (-kappa)))
+        running += norm
     return LongRangeDecomposition(
         kappa=kappa,
         c0=c0,
         g_tilde=g_tilde,
         d0=d0,
         v_norms=v_norms,
-        ok=ok,
-        worst_margin=worst,
+        tails=tuple(tails),
+        worst_margin=min((cap - tail for tail, cap in tails), default=math.inf),
     )

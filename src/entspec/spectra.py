@@ -19,6 +19,12 @@ from .errors import (
 CLAMP_REL = 1e-14  # coefficients below CLAMP_REL * lambda_1 are treated as zero
 
 
+def worst_margin(margins):
+    """Least of a check's signed margins, bound + slack - value, which pass
+    at >= 0; None over no margins, and NaN when any margin is NaN."""
+    return float(np.min(margins)) if len(margins) else None
+
+
 @dataclass(frozen=True)
 class PureState:
     """Dense state vector over a chain of qudits with per-site dimensions."""

@@ -29,7 +29,7 @@ from .mps import (
     mps_norm,
     to_dense,
 )
-from .spectra import Cut, PureState, schmidt_decompose
+from .spectra import Cut, PureState, schmidt_decompose, worst_margin
 
 # Within a step the accumulated state is compressed to STAGE_CAP_FACTOR *
 # d_cap (dropping values at or below STAGE_TOLERANCE) whenever its bond
@@ -224,28 +224,31 @@ def state_mps_existence_check(chain, initial, t, d_grid):
     j_tilde = chain.boundary_strength_cap()
     n = chain.n
     growth = math.exp(j_tilde * t)
-    lam_ok = True
+    # signed margin of the law lam_j <= growth / j, with 1e-9 of rounding slack
     worst_lam_margin = math.inf
     for s in range(1, n):
         spec = schmidt_decompose(psi_t, Cut.of(range(s), n))
         for j, lam in enumerate(spec.coeffs, start=1):
-            margin = growth / j - lam
-            worst_lam_margin = min(worst_lam_margin, margin)
-            if lam > growth / j + 1e-9:
-                lam_ok = False
+            worst_lam_margin = min(worst_lam_margin, growth / j + 1e-9 - lam)
     rows = []
+    margins = []
     for d in d_grid:
         mps_d, _ = from_dense(psi_t, d_max=d)
         diff = psi_t.amps - to_dense(mps_d).amps
         err2 = float(np.vdot(diff, diff).real)
         bound = 2.0 * math.exp(2.0 * j_tilde * t) * n / d
-        rows.append({"D": int(d), "err2": err2, "bound": bound, "ok": err2 <= bound + 1e-12})
+        margins.append(bound + 1e-12 - err2)
+        rows.append({"D": int(d), "err2": err2, "bound": bound, "ok": margins[-1] >= 0.0})
     return {
         "j_tilde": j_tilde,
         "t": t,
         "rows": rows,
-        "lam_law_ok": lam_ok,
+        "lam_law_ok": worst_lam_margin >= 0.0,
         "worst_lam_margin": worst_lam_margin,
+        "margins": {
+            "truncation_errors_bounded": worst_margin(margins),
+            "coefficient_law": worst_lam_margin,
+        },
     }
 
 
@@ -265,6 +268,7 @@ def gibbs_tail_experiment(chain, betas, d_grid):
     w, u = np.linalg.eigh(h)
     q0 = max(8.0 * g * k, 16.0 * math.e * j0 * (eta - 1.0) ** 2 * 2.0 ** (eta - 2.0) / (eta - 2.0))
     rows = []
+    margins = []
     for beta in betas:
         rho_half = (u * np.exp(-beta * w / 2.0)) @ u.conj().T
         amp = rho_half / np.linalg.norm(rho_half)
@@ -284,6 +288,7 @@ def gibbs_tail_experiment(chain, betas, d_grid):
                 tail2 = float(np.sum(spec.coeffs[dd:] ** 2))
                 if m_beta > 0:
                     cap = 480.0 * m_beta * dd ** (-1.0 / kappa_beta)
+                    margins.append(cap - tail2)
                 else:
                     cap = None
                 rows.append(
@@ -293,8 +298,8 @@ def gibbs_tail_experiment(chain, betas, d_grid):
                         "D": int(dd),
                         "tail2": tail2,
                         "cap": cap,
-                        "ok": True if cap is None else tail2 <= cap,
+                        "ok": True if cap is None else margins[-1] >= 0.0,
                         "kappa_beta": kappa_beta,
                     }
                 )
-    return {"q0": q0, "rows": rows}
+    return {"q0": q0, "rows": rows, "margins": {"tails_below_cap": worst_margin(margins)}}

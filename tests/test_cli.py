@@ -1,6 +1,7 @@
 """End-to-end runner checks: exit codes, artifact formats, determinism."""
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entspec import adiabatic_evolve, agsp_arealaw, dynamics, make_coupled_qudit_family
-from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
+from entspec import (
+    adiabatic_evolve, agsp_arealaw, dynamics, make_coupled_qudit_family, tdmrg_run,
+)
+from entspec.cli import REGISTRY, ConfigError, _check, main, selftest, validate_config
 
 PUBLISHED = [
     "sie-rate", "c-alpha-table", "saturate", "unbounded", "toy", "se-search",
@@ -86,6 +89,18 @@ BAD_VALUES = [
     {"experiment": "sie-rate", "params": {"times": [float("nan")]}},
     # each value the config gives is checked, even one every grid point overrides
     {"experiment": "saturate", "params": {"times": [0]}, "grid": [{"times": [0.5]}]},
+    # sizes that passed validation and then exited 1 on TooLarge: the dense
+    # chain matrix has d**n rows, and the thermal purification doubles n
+    {"experiment": "mps-exist", "params": {"n": 13}},
+    {"experiment": "gibbs-tail", "params": {"n": 8}},
+    {"experiment": "gibbs-tail", "params": {"n": 7, "d": 4}},
+    {"experiment": "mps-exist", "params": {"n": 12}, "grid": [{"d": 2}, {"d": 3}]},
+    # the size rules never form d**n for a huge n
+    {"experiment": "mps-exist", "params": {"n": 10 ** 9}},
+    {"experiment": "gibbs-tail", "params": {"n": 10 ** 9}},
+    # a chain site of one level ended in a traceback
+    {"experiment": "mps-exist", "params": {"d": 1}},
+    {"experiment": "tdmrg", "params": {"d": 1}},
 ]
 
 
@@ -235,7 +250,7 @@ def test_unknown_experiment_exits_2(tmp_path):
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):
     def always_failing(p, seed):
-        return {"rows": [{"x": 1}], "derived": {}, "checks": {"forced": False}}
+        return {"rows": [{"x": 1}], "derived": {}, "checks": {"forced": _check([(1.0, 0.0)])}}
 
     monkeypatch.setitem(REGISTRY, "toy", (always_failing, {}))
     cfg_path = write_config(tmp_path, {"experiment": "toy"})
@@ -243,12 +258,42 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     assert main(["run", cfg_path, "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_checks_pass"] is False
+    assert summary["margins"] == {"forced": -1.0}
+
+
+def test_bare_boolean_check_is_rejected(tmp_path, monkeypatch):
+    def bare(p, seed):
+        return {"rows": [{"x": 1}], "derived": {}, "checks": {"forced": True}}
+
+    monkeypatch.setitem(REGISTRY, "toy", (bare, {}))
+    with pytest.raises(TypeError):
+        main(["run", write_config(tmp_path, {"experiment": "toy"}), "--out", str(tmp_path / "o")])
+
+
+def test_corrupted_certificate_turns_its_margin_negative(tmp_path, monkeypatch):
+    import entspec.cli as cli
+
+    def shrunk(cfg):
+        final, cert = tdmrg_run(cfg)
+        return final, dataclasses.replace(cert, final_bound=cert.final_bound * 1e-6)
+
+    monkeypatch.setattr(cli, "tdmrg_run", shrunk)
+    cfg = {"experiment": "tdmrg", "params": {"n": 4, "t": 0.2, "d_cap": 8, "eps_target": 0.5}}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    bound, raw = summary["derived"]["final_bound"], summary["derived"]["dense_error_raw"]
+    assert raw > bound
+    assert summary["margins"]["certificate_covers_error"] == pytest.approx(bound + 1e-9 - raw)
+    assert summary["margins"]["certificate_covers_error"] < 0.0
+    assert summary["checks"]["certificate_covers_error"] is False
+    assert summary["all_checks_pass"] is False
 
 
 def test_area_law_fails_when_adiabatic_refinement_is_cut(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
     family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
-    assert not adiabatic_evolve(family.h_of_nu, 0.05).converged
+    assert adiabatic_evolve(family.h_of_nu, 0.05).converged_diff >= dynamics.ADIABATIC_TOL
     out = tmp_path / "o"
     assert main(["run", write_config(tmp_path, {"experiment": "area-law"}), "--out", str(out)]) == 1
     summary = json.loads((out / "summary.json").read_text())
@@ -267,9 +312,19 @@ def test_agsp_fails_when_quadrature_is_cut(tmp_path, monkeypatch):
 
 
 def test_runtime_invariant_error_exits_1(tmp_path):
-    # purification sizes above the dense cap must abort with a nonzero code
-    cfg_path = write_config(tmp_path, {"experiment": "gibbs-tail", "params": {"n": 8}})
+    # a closed path gap is a numeric outcome, not a malformed config
+    cfg_path = write_config(tmp_path, {"experiment": "area-law", "params": {"delta": 0.0}})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_gibbs_tail_reports_growth_in_beta_without_checking_it(tmp_path):
+    # at hx = 0 the tails shrink from beta 1 to 2: no bound orders them across beta
+    cfg = {"experiment": "gibbs-tail", "params": {"hx": 0.0}}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["derived"]["tail_growth_worst_step"] < 0.0
+    assert set(summary["checks"]) == {"tails_below_cap"}
 
 
 def test_grid_labels_rows_and_checks(tmp_path):
@@ -326,9 +381,57 @@ def test_threads_do_not_change_results(tmp_path):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
 
 
+def test_summary_is_strict_json(tmp_path):
+    # 2.0 makes the normalized bound vacuous, so the summary holds an infinity
+    params = {"n": 4, "t": 0.3, "eps_target": 2.0, "compare_dense": False}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, {"experiment": "tdmrg", "params": params}),
+                 "--out", str(out)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["derived"]["normalized_bound"] == "inf"
+
+
 def test_selftest_passes(tmp_path, capsys):
     assert selftest(tmp_path / "st") == 0
     assert "selftest passed" in capsys.readouterr().out
+    # every check reports its margin, and its boolean is the margin's sign
+    for name in REGISTRY:
+        summary = json.loads((tmp_path / "st" / name / "summary.json").read_text())
+        assert summary["checks"] and set(summary["margins"]) == set(summary["checks"])
+        for key, margin in summary["margins"].items():
+            assert margin is None or type(margin) is float
+            # non-strict checks pass exactly at a margin >= 0, strict ones above 0
+            if margin is not None and margin != 0.0:
+                assert summary["checks"][key] == (margin > 0.0)
+    # a gapped chain's tail margin is the closest any tail came to its cap
+    out = tmp_path / "st" / "ground-tail"
+    rows = list(csv.DictReader((out / "results.csv").open()))
+    margin = json.loads((out / "summary.json").read_text())["margins"]["tails_below_cap"]
+    assert margin == min(float(r["cap"]) - float(r["tail2"]) for r in rows)
+
+
+def test_gapless_chain_fails_on_its_gap(tmp_path):
+    # the classical chain at hx = 0 has a degenerate ground space: the tail cap is void
+    out = tmp_path / "o"
+    cfg = {"experiment": "ground-tail", "params": {"hx": 0.0}}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    gap = summary["derived"]["gap"]
+    assert summary["margins"]["tails_below_cap"] == gap - agsp_arealaw.SMALL_GAP < 0.0
+
+
+def test_rank_budget_below_one_half_fails(tmp_path):
+    # eps0 far above 8 * segments drives the first log2 rank budget below -1
+    out = tmp_path / "o"
+    cfg = {"experiment": "truncation-params", "params": {"eps0": 1e6, "durations": [0.5]}}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    (row,) = csv.DictReader((out / "results.csv").open())
+    margin = json.loads((out / "summary.json").read_text())["margins"]["real_cost_monotone"]
+    assert margin == pytest.approx(float(row["log2_sr_real"]) + 1.0, abs=1e-9)
 
 
 def test_selftest_fails_when_corruption_goes_undetected(tmp_path, monkeypatch):

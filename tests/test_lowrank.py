@@ -213,7 +213,9 @@ def test_truncation_params():
 def test_long_range_decomposition_check():
     chain = build_long_range_ising(8, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2)
     out = long_range_decomposition_check(chain, 4)
-    assert out.ok
+    # one (tail, cap) pair per crossing term; the first tail is every norm
+    assert len(out.tails) == len(out.v_norms)
+    assert out.tails[0][0] == pytest.approx(sum(out.v_norms), abs=1e-12)
     assert out.kappa == pytest.approx((3.0 - 2.0) / (2.0 + 1.0), abs=1e-12)
     assert out.worst_margin >= 0.0
     # canonical ordering: diameters nondecreasing

@@ -19,8 +19,6 @@ ALLOWED = {
 FIELDS_ALLOWED = {
     "StepRecord": "every field reaches the tdmrg results.csv through dataclasses.asdict",
     "t_c": "AgspOperator's integration window, kept as convergence data for the quadrature",
-    "quad_diff": "AgspOperator's last quadrature change, kept as convergence data",
-    "converged_diff": "AdiabaticResult's last refinement change, kept as convergence data",
     "MergeSeries.exact": "the dense reference that the merge-series tests compare against",
     "TruncationParams.exponent_base": "the tests check the budget's base 6 + 4/kappa + log2 d0",
 }
