@@ -16,9 +16,7 @@ from .errors import DegenerateError
 from .dynamics import adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
 from .se_strength import BipartiteOperator, _opnorm, se_upper_from_decomposition
-from .spectra import (
-    Cut, PureState, renyi_entropy, schmidt_decompose, truncate_rank, worst_margin,
-)
+from .spectra import Cut, PureState, check, renyi_entropy, schmidt_decompose, truncate_rank
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
 # values move by less than QUAD_TOL or the count reaches NODE_CAP
@@ -123,6 +121,19 @@ def build_agsp(h, beta):
     )
 
 
+def agsp_checks(ops):
+    """The defect inequalities of filtered projectors (ground and Gaussian
+    defects below the defect bound, excited defect below twice it) and the
+    convergence of their quadratures."""
+    defects = [pair for a in ops for pair in (
+        (a.defect_ground, a.defect_bound), (a.defect_excited, 2.0 * a.defect_bound),
+        (a.gauss_defect, a.defect_bound))]
+    return {
+        "defects_below_bounds": check(defects, tol=1e-12),
+        "quadrature_converged": check([(a.quad_diff, QUAD_TOL) for a in ops], strict=True),
+    }
+
+
 def random_gapped_instance(rng):
     """Random two-block Hamiltonian with a guaranteed open gap.
 
@@ -168,13 +179,13 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
     j_tilde = chain.boundary_strength_cap()
     expo = gap / (2.0 * j_tilde + gap) if j_tilde > 0 else 1.0
     rows = []
-    margins = []
+    pairs = []
     logs = []
     for d in d_grid:
         tail2 = float(np.sum(spec.coeffs[d:] ** 2))
         cap = 32.0 * d ** (-expo)
-        margins.append(cap - tail2)
-        rows.append({"D": int(d), "tail2": tail2, "cap": cap, "ok": margins[-1] >= 0.0})
+        pairs.append((tail2, cap))
+        rows.append({"D": int(d), "tail2": tail2, "cap": cap, "ok": check(pairs[-1:]).ok})
         if tail2 > 1e-28:
             logs.append((math.log(d), math.log(tail2)))
     slope = None
@@ -182,17 +193,15 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
         xs = np.array([p[0] for p in logs])
         ys = np.array([p[1] for p in logs])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    # worst signed margin of tail2 <= cap; the cap needs a gapped chain, so
-    # below SMALL_GAP the gap's shortfall stands in for it
-    tail_margin = worst_margin(margins) if gap >= SMALL_GAP else gap - SMALL_GAP
+    # the cap needs a gapped chain: below SMALL_GAP the check is gap >= SMALL_GAP
     return {
         "gap": gap,
         "j_tilde": j_tilde,
         "exponent": expo,
         "rows": rows,
         "tail_slope": slope,
-        "small_gap_warning": gap < SMALL_GAP,
-        "margins": {"tails_below_cap": tail_margin},
+        "checks": {"tails_below_cap": check(pairs) if gap >= SMALL_GAP
+                   else check([(SMALL_GAP, gap)])},
     }
 
 
@@ -324,7 +333,7 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     spec = schmidt_decompose(PureState(dims=dims, amps=phi), cut, keep_vectors=True)
     consts = area_law_constants(g_tilde, delta_path, s0, c0)
     rows = []
-    margins = []
+    pairs = []
     for d in d_grid:
         kept, _ = truncate_rank(spec, d)
         psi_d = np.zeros_like(phi)
@@ -335,14 +344,11 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         psi_d /= np.linalg.norm(psi_d)
         err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(psi_d, omega1))))
         cap = consts.tail_cap(d)
-        margins.append(cap - err)
-        rows.append({"D": int(d), "err": err, "cap": cap, "ok": margins[-1] >= 0.0})
+        pairs.append((err, cap))
+        rows.append({"D": int(d), "err": err, "cap": cap, "ok": check(pairs[-1:]).ok})
     e1_target = renyi_entropy(
         schmidt_decompose(PureState(dims=dims, amps=omega1), cut), 1.0
     )
-    # signed margins, bound + slack - value: each flag below is its margin's sign
-    adiab_margin = adiab_cap + 1e-6 - adiab_err
-    entropy_margin = consts.entropy_bound - e1_target
     return {
         "delta_path": delta_path,
         "g_tilde": g_tilde,
@@ -352,7 +358,6 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         "beta": beta,
         "adiabatic_error": adiab_err,
         "adiabatic_cap": adiab_cap,
-        "adiabatic_ok": adiab_margin >= 0.0,
         "adiabatic_converged_diff": res.converged_diff,
         "agsp_defect_ground": agsp.defect_ground,
         "agsp_defect_bound": agsp.defect_bound,
@@ -360,12 +365,12 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         "log_c": consts.log_c,
         "entropy_bound": consts.entropy_bound,
         "entropy_target": e1_target,
-        "entropy_ok": entropy_margin >= 0.0,
         "rows": rows,
         "steps": res.steps,
-        "margins": {
-            "truncation_below_cap": worst_margin(margins),
-            "entropy_below_bound": entropy_margin,
-            "adiabatic_below_cap": adiab_margin,
+        "checks": {
+            "truncation_below_cap": check(pairs),
+            "entropy_below_bound": check([(e1_target, consts.entropy_bound)]),
+            "adiabatic_below_cap": check([(adiab_err, adiab_cap)], tol=1e-6),
+            "adiabatic_converged": res.converged_check,
         },
     }

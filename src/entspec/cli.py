@@ -10,28 +10,34 @@ import json
 import math
 import sys
 import time
-from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import agsp_arealaw, dynamics
 from .agsp_arealaw import (
+    agsp_checks,
     boundary_adiabatic_experiment,
     build_agsp,
     ground_tail_experiment,
     make_coupled_qudit_family,
     random_gapped_instance,
 )
-from .dynamics import c_alpha, check_unitary_se_growth, measure_rate_profile
+from .dynamics import (
+    c_alpha,
+    check_unitary_se_growth,
+    evolve_dense,
+    measure_rate_profile,
+    rate_bound_check,
+    unitary_growth_check,
+)
 from .errors import EntspecError
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
-    CHAIN_SLACK,
     build_merge_series,
     kolmogorov_bounds,
     long_range_decomposition_check,
+    no_go_chain_check,
     no_go_experiment,
     rank_constrained_identity_fit,
     truncation_error_params,
@@ -49,22 +55,17 @@ from .models import (
     random_dense_instance,
     random_product_state,
 )
-from .mps import product_mps
+from .mps import mps_norm, product_mps, to_dense
 from .se_strength import best_upper, se_lower_search
-from .spectra import Cut, SchmidtSpectrum, worst_margin
+from .spectra import Check, Cut, PureState, SchmidtSpectrum, check
 from .tdmrg import (
     TdmrgConfig,
+    certificate_checks,
     default_step_count,
     gibbs_tail_experiment,
     state_mps_existence_check,
     tdmrg_run,
 )
-
-RATE_MARGIN_TOL = 1e-3
-
-# One experiment check: its worst signed margin (None over no rows) and
-# whether it passes only above zero
-_Check = namedtuple("_Check", "margin strict", defaults=(False,))
 
 
 def _rng(seed):
@@ -75,13 +76,6 @@ def _rng(seed):
 def _order(alpha):
     """Renyi order from a config entry: a number or the string "inf"."""
     return math.inf if alpha == "inf" else float(alpha)
-
-
-def _check(pairs, tol=0.0, strict=False):
-    """Worst signed margin of `value <= bound + tol` over (value, bound) pairs:
-    min(bound + tol - value). It passes at >= 0, or only at > 0 when strict;
-    over no pairs the margin is None and the check passes."""
-    return _Check(worst_margin([bound + tol - value for value, bound in pairs]), strict)
 
 
 def _chain_from_params(p):
@@ -115,7 +109,7 @@ def exp_se_search(p, seed):
         est = se_lower_search(v, seeds=p["seeds"], iterations=p["iterations"], seed=seed + i)
         rows.append(row("random", i, v, est, None))
         unconverged += est.unconverged
-    bracket = _check([(r["lower"], r["upper"]) for r in rows], tol=1e-9)
+    bracket = check([(r["lower"], r["upper"]) for r in rows], tol=1e-9)
     # named targets with known strengths; budgets fixed so reduced sweeps stay sharp
     pump = build_saturation_dynamics(4, 1.0, 1)
     proj = build_ising_projector_interaction(3)
@@ -136,10 +130,10 @@ def exp_se_search(p, seed):
         "derived": {"pump_exact": pump.se_strength_exact, "unconverged_starts": unconverged},
         "checks": {
             "lower_below_upper": bracket,
-            "pump_strength_reached": _check(
+            "pump_strength_reached": check(
                 [(abs(pump_est.lower - pump.se_strength_exact), 1e-3)], strict=True),
-            "projector_strength_is_one": _check([(abs(proj_est.lower - 1.0), 1e-6)], strict=True),
-            "swap_reaches_root_two": _check([(math.sqrt(2.0) - 1e-6, swap_est.lower)]),
+            "projector_strength_is_one": check([(abs(proj_est.lower - 1.0), 1e-6)], strict=True),
+            "swap_reaches_root_two": check([(math.sqrt(2.0) - 1e-6, swap_est.lower)]),
         },
     }
 
@@ -161,10 +155,10 @@ def exp_saturation(p, seed):
         "rows": rows,
         "derived": {"strength_exact": exact, "strength_found": est.lower},
         "checks": {
-            "rate_floor_in_window": _check(
+            "rate_floor_in_window": check(
                 [(r["rate_floor"] - 1e-9, r["avg_rate"]) for r in rows if r["in_window"]]),
-            "strength_reached": _check([(exact * (1.0 - 1e-6), est.lower)]),
-            "strength_not_exceeded": _check([(est.lower, exact * (1.0 + 1e-6))]),
+            "strength_reached": check([(exact * (1.0 - 1e-6), est.lower)]),
+            "strength_not_exceeded": check([(est.lower, exact * (1.0 + 1e-6))]),
         },
     }
 
@@ -179,9 +173,9 @@ def exp_unbounded(p, seed):
         "rows": rows,
         "derived": {"budget": dyn.strength_budget(), "x": dyn.x},
         "checks": {
-            "entropy_above_floor": _check(
+            "entropy_above_floor": check(
                 [(r["floor"] - 1e-9, r["entropy"]) for r in rows if r["floor"] is not None]),
-            "unit_norm": _check([(abs(norm2 - 1.0), 1e-10)], strict=True),
+            "unit_norm": check([(abs(norm2 - 1.0), 1e-10)], strict=True),
         },
     }
 
@@ -196,7 +190,7 @@ def exp_toy_rate(p, seed):
             bound = c_alpha(a) * toy.se_strength_exact if (a == math.inf or a >= 0.5) else None
             rows.append({"t": t, "alpha": str(alpha), "rate": rate, "bound": bound})
     bounded = [(abs(r["rate"]), r["bound"]) for r in rows if r["bound"] is not None]
-    return {"rows": rows, "derived": {}, "checks": {"rate_below_bound": _check(bounded, tol=1e-9)}}
+    return {"rows": rows, "derived": {}, "checks": {"rate_below_bound": check(bounded, tol=1e-9)}}
 
 
 def exp_c_alpha_table(p, seed):
@@ -205,9 +199,9 @@ def exp_c_alpha_table(p, seed):
     rows = [{"alpha": str(alpha), "c": c_alpha(_order(alpha))} for alpha in p["alphas"]]
     anchors = {"half_is_two": (0.5, 2.0), "three_quarters_is_three_halves": (0.75, 1.5),
                "one_is_four_over_e": (1.0, 4.0 / math.e), "limit_is_two": (math.inf, 2.0)}
-    checks = {k: _check([(abs(c_alpha(a) - c), 1e-12)], strict=True)
+    checks = {k: check([(abs(c_alpha(a) - c), 1e-12)], strict=True)
               for k, (a, c) in anchors.items()}
-    checks["interior_below_endpoints"] = _check(
+    checks["interior_below_endpoints"] = check(
         [(r["c"], 2.0) for alpha, r in zip(p["alphas"], rows) if 0.5 < _order(alpha) < math.inf],
         strict=True)
     return {
@@ -220,25 +214,13 @@ def exp_c_alpha_table(p, seed):
 def exp_rate_profile(p, seed):
     rng = _rng(seed)
     rows = []
+    samples = []
     for i in range(p["instances"]):
         h_full, v, state = random_dense_instance(rng, dim_cap=p["dim_cap"], n_terms=p["terms"])
-        cut = Cut.of([0], 2)
-        samples = measure_rate_profile(h_full, state, cut, p["alphas"], p["times"], v_ab=v)
-        for s in samples:
-            rows.append(
-                {
-                    "instance": i,
-                    "t": s.t,
-                    "alpha": s.alpha,
-                    "entropy": s.entropy,
-                    "rate": s.rate,
-                    "bound": s.bound,
-                    "kink": s.kink,
-                    "margin": s.margin,
-                }
-            )
-    margins = [(-RATE_MARGIN_TOL, r["margin"]) for r in rows if r["margin"] is not None]
-    return {"rows": rows, "derived": {}, "checks": {"all_margins_ok": _check(margins)}}
+        inst = measure_rate_profile(h_full, state, Cut.of([0], 2), p["alphas"], p["times"], v_ab=v)
+        samples += inst
+        rows += [{"instance": i, **dataclasses.asdict(s), "margin": s.margin} for s in inst]
+    return {"rows": rows, "derived": {}, "checks": {"all_margins_ok": rate_bound_check(samples)}}
 
 
 def exp_unitary_growth(p, seed):
@@ -247,19 +229,19 @@ def exp_unitary_growth(p, seed):
     rows = check_unitary_se_growth(
         h_full, (v.dim_a,), (v.dim_b,), p["times"], best_upper(v), seeds=p["seeds"], seed=seed
     )
-    below = _check([(r["lower"], r["cap"] * (1.0 + 1e-6)) for r in rows])
-    return {"rows": rows, "derived": {"v_upper": best_upper(v)}, "checks": {"below_cap": below}}
+    return {"rows": rows, "derived": {"v_upper": best_upper(v)},
+            "checks": {"below_cap": unitary_growth_check(rows)}}
 
 
 def exp_agsp(p, seed):
     rng = _rng(seed)
     rows = []
-    quad_diffs = []
+    ops = []
     for i in range(p["instances"]):
         h, v, _ = random_gapped_instance(rng)
         for beta in p["betas"]:
             a = build_agsp(h, beta)
-            strength_cap = a.strength_cap(best_upper(v))
+            ops.append(a)
             rows.append({
                 "instance": i,
                 "beta": beta,
@@ -268,43 +250,25 @@ def exp_agsp(p, seed):
                 "defect_excited": a.defect_excited,
                 "gauss_defect": a.gauss_defect,
                 "defect_bound": a.defect_bound,
-                "strength_cap": strength_cap,
+                "strength_cap": a.strength_cap(best_upper(v)),
             })
-            quad_diffs.append(a.quad_diff)
-    defects = [pair for r in rows for pair in (
-        (r["defect_ground"], r["defect_bound"]), (r["defect_excited"], 2.0 * r["defect_bound"]),
-        (r["gauss_defect"], r["defect_bound"]))]
-    checks = {
-        "defects_below_bounds": _check(defects, tol=1e-12),
-        "quadrature_converged": _check([(d, agsp_arealaw.QUAD_TOL) for d in quad_diffs],
-                                       strict=True),
-    }
-    return {"rows": rows, "derived": {}, "checks": checks}
+    return {"rows": rows, "derived": {}, "checks": agsp_checks(ops)}
+
+
+def _from_report(rep, **derived):
+    """An experiment result from a library report: its rows and checks, with
+    every other entry, then `derived`, as derived values."""
+    own = {k: v for k, v in rep.items() if k not in ("rows", "checks")}
+    return {"rows": rep["rows"], "derived": {**own, **derived}, "checks": rep["checks"]}
 
 
 def exp_ground_tail(p, seed):
-    chain = _chain_from_params(p)
-    rep = ground_tail_experiment(chain, p["cut"], p["d_grid"])
-    return {
-        "rows": rep["rows"],
-        "derived": {
-            "gap": rep["gap"],
-            "j_tilde": rep["j_tilde"],
-            "exponent": rep["exponent"],
-            "tail_slope": rep["tail_slope"],
-        },
-        "checks": {k: _Check(m) for k, m in rep["margins"].items()},
-    }
+    return _from_report(ground_tail_experiment(_chain_from_params(p), p["cut"], p["d_grid"]))
 
 
 def exp_area_law(p, seed):
     family = make_coupled_qudit_family(delta=p["delta"], coupling=p["coupling"])
-    rep = boundary_adiabatic_experiment(family, p["epsilon"], p["beta"], p["d_grid"])
-    checks = {k: _Check(m) for k, m in rep["margins"].items()}
-    checks["adiabatic_converged"] = _check(
-        [(rep["adiabatic_converged_diff"], dynamics.ADIABATIC_TOL)], strict=True)
-    derived = {k: v for k, v in rep.items() if k not in ("rows", "margins")}
-    return {"rows": rep["rows"], "derived": derived, "checks": checks}
+    return _from_report(boundary_adiabatic_experiment(family, p["epsilon"], p["beta"], p["d_grid"]))
 
 
 def exp_kolmogorov(p, seed):
@@ -315,14 +279,13 @@ def exp_kolmogorov(p, seed):
         rows.append({"n": n, "d": d, "lower": lower, "upper": upper, "estimate": fit.value})
     in_range = ([(r["lower"] - 1e-6, r["estimate"]) for r in rows]
                 + [(r["estimate"], 0.5 + 1e-9) for r in rows])
-    return {"rows": rows, "derived": {}, "checks": {"estimates_in_range": _check(in_range)}}
+    return {"rows": rows, "derived": {}, "checks": {"estimates_in_range": check(in_range)}}
 
 
 def exp_no_go(p, seed):
     rows = [no_go_experiment(p["n"], p["d"], t, seeds=p["seeds"], polish_iters=p["polish"],
                              seed=seed) for t in p["times"]]
-    chain = _check([(r["chain_rhs_sound"] - CHAIN_SLACK, r["measured"]) for r in rows])
-    return {"rows": rows, "derived": {}, "checks": {"chain_holds": chain}}
+    return {"rows": rows, "derived": {}, "checks": {"chain_holds": no_go_chain_check(rows)}}
 
 
 def exp_merge(p, seed):
@@ -347,8 +310,7 @@ def exp_merge(p, seed):
     return {
         "rows": [row],
         "derived": {"q0": series.q0, "g_tilde": series.g_tilde},
-        "checks": {"error_below_bound": _check([(row["error_measured"], row["error_bound"])],
-                                               tol=1e-12)},
+        "checks": {"error_below_bound": series.error_check},
     }
 
 
@@ -367,10 +329,10 @@ def exp_truncation_params(p, seed):
                 "log2_sr_imag": tp.log2_sr_imag,
             }
         )
-    # each budget is at least the one before it, the first at least -1
-    reals = [-1.0] + [r["log2_sr_real"] for r in rows]
+    # in ascending duration no budget falls, and the first is at least -1
+    reals = [-1.0] + [r["log2_sr_real"] for r in sorted(rows, key=lambda r: r["duration"])]
     steps = [(a - 1e-12, b) for a, b in zip(reals, reals[1:])]
-    return {"rows": rows, "derived": {}, "checks": {"real_cost_monotone": _check(steps)}}
+    return {"rows": rows, "derived": {}, "checks": {"real_cost_monotone": check(steps)}}
 
 
 def exp_decomposition(p, seed):
@@ -384,62 +346,54 @@ def exp_decomposition(p, seed):
                 "g_tilde": rep.g_tilde,
                 "d0": rep.d0,
                 "n_terms": len(rep.v_norms),
-                "worst_margin": rep.worst_margin,
+                "worst_margin": rep.tails_check.margin,
             }
         ],
         "derived": {},
-        "checks": {"tails_decay": _check([(tail, cap * (1 + 1e-9)) for tail, cap in rep.tails])},
+        "checks": {"tails_decay": rep.tails_check},
     }
 
 
-def exp_tdmrg(p, seed):
+def _tdmrg_from_params(p):
+    """The certified evolution of a product start: the config and its run."""
     chain = _chain_from_params(p)
     n_steps = p["n_steps"] or default_step_count(chain.g, chain.n, p["t"], p["eps_target"])
     mps0 = product_mps(chain.n, chain.dims[0])
     cfg = TdmrgConfig(chain=chain, t=p["t"], n_steps=n_steps, d_cap=p["d_cap"], initial=mps0)
-    final, cert = tdmrg_run(cfg)
+    return (cfg, *tdmrg_run(cfg))
+
+
+def _dense_errors(cfg, final):
+    """Distances of the raw and of the normalized final MPS to the exact state."""
+    psi0 = PureState(dims=cfg.chain.dims, amps=to_dense(cfg.initial).amps)
+    exact = evolve_dense(cfg.chain, psi0, cfg.t).amps
+    approx = to_dense(final).amps
+    return (float(np.linalg.norm(exact - approx)),
+            float(np.linalg.norm(exact - approx / mps_norm(final))))
+
+
+def exp_tdmrg(p, seed):
+    cfg, final, cert = _tdmrg_from_params(p)
     rows = [dataclasses.asdict(s) for s in cert.steps]
-    checks = {
-        "delta_linked_to_zeta": _check(
-            [(s.delta_bar, s.zeta / math.sqrt(cert.d_cap)) for s in cert.steps], tol=1e-12),
-        "zeta_below_cap": _check([(s.zeta, cert.zeta_cap) for s in cert.steps], tol=1e-9),
-        "zeta_recursion": _check([(s.zeta, s.zeta_recursion_cap) for s in cert.steps], tol=1e-9),
-        "naive_not_tighter": _check([(cert.final_bound - 1e-12, cert.naive_bound)]),
-    }
     derived = {
-        "n_steps": n_steps,
+        "n_steps": cfg.n_steps,
         "final_bound": cert.final_bound,
         "normalized_bound": cert.normalized_bound,
         "naive_bound": cert.naive_bound,
         "j_tilde": cert.j_tilde,
         "max_bond": final.max_bond,
     }
-    if p["compare_dense"] and chain.total_dim <= DENSE_DIM_CAP:
-        from .dynamics import evolve_dense
-        from .mps import mps_norm, to_dense
-        from .spectra import PureState
-
-        psi0 = PureState(dims=chain.dims, amps=to_dense(mps0).amps)
-        exact = evolve_dense(chain, psi0, p["t"]).amps
-        approx = to_dense(final).amps
-        raw = float(np.linalg.norm(exact - approx))
-        normd = float(np.linalg.norm(exact - approx / mps_norm(final)))
-        derived["dense_error_raw"] = raw
-        derived["dense_error_normalized"] = normd
-        checks["certificate_covers_error"] = _check([(raw, cert.final_bound)], tol=1e-9)
-    return {"rows": rows, "derived": derived, "checks": checks}
+    if p["compare_dense"] and cfg.chain.total_dim <= DENSE_DIM_CAP:
+        derived["dense_error_raw"], derived["dense_error_normalized"] = _dense_errors(cfg, final)
+    return {"rows": rows, "derived": derived,
+            "checks": certificate_checks(cert, derived.get("dense_error_raw"))}
 
 
 def exp_mps_existence(p, seed):
     chain = _chain_from_params(p)
     rng = _rng(seed)
     state = random_product_state(chain.dims, rng)
-    rep = state_mps_existence_check(chain, state, p["t"], p["d_grid"])
-    return {
-        "rows": rep["rows"],
-        "derived": {"j_tilde": rep["j_tilde"]},
-        "checks": {k: _Check(m) for k, m in rep["margins"].items()},
-    }
+    return _from_report(state_mps_existence_check(chain, state, p["t"], p["d_grid"]))
 
 
 def exp_gibbs_tail(p, seed):
@@ -451,11 +405,7 @@ def exp_gibbs_tail(p, seed):
     # this worst step is reported, not checked (it is negative at hx = 0).
     steps = [(tails[b0, cut, d], tails[b1, cut, d])
              for b0, b1 in zip(betas, betas[1:]) for b, cut, d in tails if b == b0]
-    return {
-        "rows": rep["rows"],
-        "derived": {"q0": rep["q0"], "tail_growth_worst_step": _check(steps).margin},
-        "checks": {k: _Check(m) for k, m in rep["margins"].items()},
-    }
+    return _from_report(rep, tail_growth_worst_step=check(steps).margin)
 
 
 REGISTRY = {
@@ -584,8 +534,8 @@ _RULES = [
     (("se-search", "sie-rate", "unitary-growth"), ("dim_cap",), lambda v: v >= 4,
      ">= 4, the least instance being 2 x 2"),
     (("saturate",), ("times", "j"), _positive, "> 0"),
-    (("mps-exist", "unitary-growth"), ("t", "times"), lambda v: v >= 0,
-     ">= 0: the bounds grow with elapsed time"),
+    (("mps-exist", "unitary-growth", "truncation-params"), ("t", "times", "durations"),
+     lambda v: v >= 0, ">= 0: the bounds grow with elapsed time"),
     (("toy",), ("times",), lambda v: 0 < v < math.pi / 2,
      "in (0, pi/2), where the closed form holds"),
     (("c-alpha-table",), ("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),
@@ -711,10 +661,12 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
         for r in res["rows"]:
             rows.append({"grid_point": i, **r})
         derived.append(res["derived"])
-        for k, (margin, strict) in res["checks"].items():
+        for k, c in res["checks"].items():
+            if not isinstance(c, Check):
+                raise TypeError(f"check {k!r} of {name} is {c!r}, not a Check")
             key = k if len(points) == 1 else f"{k}[{i}]"
-            margins[key] = margin
-            checks[key] = margin is None or (margin > 0.0 if strict else margin >= 0.0)
+            margins[key] = c.margin
+            checks[key] = c.ok
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "results.csv", rows)
     summary = {
@@ -734,43 +686,55 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
     return summary
 
 
+_SELFTEST_PARAMS = {
+    "se-search": {"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100},
+    "saturate": {"times": [0.5]},
+    "sie-rate": {"instances": 1, "dim_cap": 16, "times": [0.4]},
+    "unitary-growth": {"times": [0.2], "dim_cap": 16},
+    "agsp": {"instances": 1, "betas": [2.0]},
+    "ground-tail": {"n": 6, "cut": 3, "d_grid": [1, 4, 8]},
+    "area-law": {"epsilon": 0.1, "d_grid": [1, 2]},
+    "kolmogorov": {"pairs": [[8, 1]], "seeds": 4, "polish": 80},
+    "no-go": {"times": [0.3], "seeds": 3, "polish": 120},
+    "tdmrg": {"n": 4, "t": 0.2, "d_cap": 8, "eps_target": 0.5},
+    "mps-exist": {"n": 6, "t": 0.3, "d_grid": [2, 8]},
+    "gibbs-tail": {"n": 3, "betas": [0.0, 1.0], "d_grid": [1, 2, 4]},
+}
+
+
+def _spectrum_rejected(coeffs, source_norm):
+    try:
+        SchmidtSpectrum(np.array(coeffs), source_norm)
+    except ValueError:
+        return True
+    return False
+
+
+def _shrunk_certificate_fails():
+    cfg, final, cert = _tdmrg_from_params({**REGISTRY["tdmrg"][1], **_SELFTEST_PARAMS["tdmrg"]})
+    shrunk = dataclasses.replace(cert, final_bound=cert.final_bound * 1e-6)
+    covers = certificate_checks(shrunk, _dense_errors(cfg, final)[0])["certificate_covers_error"]
+    return covers.margin < 0.0
+
+
 def _corruption_probes():
-    """Deliberately malformed inputs that the library must reject."""
-    probes = []
-
-    def corrupted_ordering():
+    """Deliberately corrupted data, each with a test that says whether the
+    library caught it: malformed Schmidt data must be rejected, and a
+    certificate shrunk 1e6-fold must fail to cover the true error."""
+    return [
         # ascending coefficients violate the descending contract
-        bad = np.array([0.3, 0.8, np.sqrt(1.0 - 0.09 - 0.64)])
-        SchmidtSpectrum(bad, 1.0)
-
-    probes.append(("corrupted coefficient ordering", corrupted_ordering, ValueError))
-
-    def corrupted_norm():
-        SchmidtSpectrum(np.array([0.8, 0.6]), 2.0)
-
-    probes.append(("corrupted source norm", corrupted_norm, ValueError))
-    return probes
+        ("corrupted coefficient ordering",
+         lambda: _spectrum_rejected([0.3, 0.8, np.sqrt(1.0 - 0.09 - 0.64)], 1.0)),
+        ("corrupted source norm", lambda: _spectrum_rejected([0.8, 0.6], 2.0)),
+        ("shrunk certificate bound", _shrunk_certificate_fails),
+    ]
 
 
 def selftest(out_root):
     print("selftest: reduced sweep over every experiment")
-    small = {
-        "se-search": {"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100},
-        "saturate": {"times": [0.5]},
-        "sie-rate": {"instances": 1, "dim_cap": 16, "times": [0.4]},
-        "unitary-growth": {"times": [0.2], "dim_cap": 16},
-        "agsp": {"instances": 1, "betas": [2.0]},
-        "ground-tail": {"n": 6, "cut": 3, "d_grid": [1, 4, 8]},
-        "area-law": {"epsilon": 0.1, "d_grid": [1, 2]},
-        "kolmogorov": {"pairs": [[8, 1]], "seeds": 4, "polish": 80},
-        "no-go": {"times": [0.3], "seeds": 3, "polish": 120},
-        "tdmrg": {"n": 4, "t": 0.2, "d_cap": 8, "eps_target": 0.5},
-        "mps-exist": {"n": 6, "t": 0.3, "d_grid": [2, 8]},
-        "gibbs-tail": {"n": 3, "betas": [0.0, 1.0], "d_grid": [1, 2, 4]},
-    }
     failures = []
     for name in REGISTRY:
-        cfg = {"experiment": name, "params": small.get(name, {}), "seed": 7}
+        cfg = {"experiment": name, "params": _SELFTEST_PARAMS.get(name, {}), "seed": 7}
         try:
             summary = _run_config(cfg, out_root / name, 1)
             status = "pass" if summary["all_checks_pass"] else "FAIL"
@@ -792,14 +756,11 @@ def selftest(out_root):
         else:
             failures.append(f"validator accepted {bad}")
             print(f"  reject {str(bad)[:48]:<48} FAIL")
-    for label, inject, expected in _corruption_probes():
-        try:
-            inject()
-        except expected:
-            print(f"  inject {label:<48} pass")
-        else:
+    for label, detected in _corruption_probes():
+        caught = detected()
+        if not caught:
             failures.append(f"corruption undetected: {label}")
-            print(f"  inject {label:<48} FAIL")
+        print(f"  inject {label:<48} {'pass' if caught else 'FAIL'}")
     if failures:
         print(f"selftest FAILED: {failures}")
         return 1

@@ -17,10 +17,11 @@ import numpy as np
 from .errors import BelowThresholdError, GapClosedError, TooLargeError
 from .models import DENSE_DIM_CAP
 from .se_strength import BipartiteOperator, best_upper, se_lower_search
-from .spectra import PureState, renyi_entropy, schmidt_decompose
+from .spectra import Check, PureState, check, renyi_entropy, schmidt_decompose, worst_margin
 
 RATE_STEP = 2e-3
 KINK_THRESHOLD = 0.05
+RATE_MARGIN_TOL = 1e-4  # finite-difference slack of the rate bound
 GROWTH_ITERATIONS = 120  # ascent budget of the propagator strength search
 # adiabatic following: gap samples on [0, 1], smallest admissible path gap,
 # agreement between successive step halvings, and the step-count ceiling
@@ -139,6 +140,18 @@ def measure_rate_profile(h, state0, cut, alphas, times, v_ab=None):
     return samples
 
 
+def rate_bound_check(samples):
+    """|rate| <= bound + RATE_MARGIN_TOL at every sample with a bound, kinks
+    included."""
+    return Check(worst_margin([s.margin + RATE_MARGIN_TOL for s in samples
+                               if s.margin is not None]))
+
+
+def unitary_growth_check(rows):
+    """lower <= cap + 1e-6 on every row of check_unitary_se_growth."""
+    return check([(r["lower"], r["cap"]) for r in rows], tol=1e-6)
+
+
 def check_unitary_se_growth(h, dims_a, dims_b, t_grid, se_upper_v, seeds=6, seed=0):
     """Strength of exp(-i H t) across the cut, against the exp(t * strength) cap."""
     prop = DensePropagator(np.asarray(h, dtype=complex))
@@ -147,15 +160,8 @@ def check_unitary_se_growth(h, dims_a, dims_b, t_grid, se_upper_v, seeds=6, seed
         u_t = prop.u @ (np.exp(-1j * prop.w * t)[:, None] * prop.u.conj().T)
         op = BipartiteOperator(tuple(dims_a), tuple(dims_b), u_t)
         est = se_lower_search(op, seeds=seeds, iterations=GROWTH_ITERATIONS, seed=seed)
-        cap = math.exp(se_upper_v * t)
-        rows.append(
-            {
-                "t": float(t),
-                "lower": est.lower,
-                "cap": cap,
-                "ok": est.lower <= cap + 1e-6,
-            }
-        )
+        row = {"t": float(t), "lower": est.lower, "cap": math.exp(se_upper_v * t)}
+        rows.append({**row, "ok": unitary_growth_check([row]).ok})
     return rows
 
 
@@ -164,7 +170,12 @@ class AdiabaticResult:
     psi: np.ndarray
     steps: int
     delta_min: float
-    converged_diff: float  # last refinement change: converged when below ADIABATIC_TOL
+    converged_diff: float  # last refinement change
+
+    @property
+    def converged_check(self):
+        """The last refinement moved the state by less than ADIABATIC_TOL."""
+        return check([(self.converged_diff, ADIABATIC_TOL)], strict=True)
 
 
 def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):

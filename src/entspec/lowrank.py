@@ -12,6 +12,7 @@ import numpy as np
 from .errors import TooLargeError, ZOutOfRangeError
 from .models import _block_sum
 from .se_strength import _opnorm
+from .spectra import check
 
 MERGE_DIM_CAP = 2 ** 10
 CHAIN_SLACK = 1e-9  # rounding slack of the no-go chain inequality
@@ -115,6 +116,12 @@ def no_go_lower_bound(t):
     return 1.0 + 1.5 * t - math.exp(t)
 
 
+def no_go_chain_check(rows):
+    """The width chain measured >= chain_rhs_sound - CHAIN_SLACK on every
+    no_go_experiment row."""
+    return check([(r["chain_rhs_sound"] - CHAIN_SLACK, r["measured"]) for r in rows])
+
+
 def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
     """Best diagonal-ansatz rank-d approximation of the correlated-phase
     target, with the chain inequality it must respect.
@@ -143,7 +150,7 @@ def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
     gap = math.exp(t) - 1.0 - t
     width_lower, _ = kolmogorov_bounds(n, min(2 * d, n))
     idfit = rank_constrained_identity_fit(n, min(2 * d, n), seeds=max(8, seeds), seed=seed)
-    return {
+    row = {
         "n": n,
         "d": d,
         "t": t,
@@ -153,8 +160,8 @@ def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
         "chain_rhs_heuristic": t * idfit.value - gap,
         "idfit_2d": idfit.value,
         "no_go_lb": no_go_lower_bound(t),
-        "chain_ok": measured >= t * width_lower - gap - CHAIN_SLACK,
     }
+    return {**row, "chain_ok": no_go_chain_check([row]).ok}
 
 
 def simplex_moment(qs):
@@ -188,6 +195,11 @@ class MergeSeries:
     error_measured: float
     error_bound: float
     log2_sr_bound: float
+
+    @property
+    def error_check(self):
+        """The measured truncation error is within the guaranteed budget."""
+        return check([(self.error_measured, self.error_bound)], tol=1e-12)
 
 
 def merge_error_bound(s0, m_order, q_order):
@@ -295,7 +307,8 @@ def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0)
 
     duration is physical time for the real-time budget and inverse
     temperature for the imaginary-time one; eps0 is the per-segment error
-    target. Both budgets are reported.
+    target. Both budgets are reported, floored at 0 since a Schmidt rank is
+    at least 1.
     """
     q0 = max(4.0 * q_param, 4.0 * math.e * c0 * g_tilde)
     segments = int(math.ceil(duration * q0 - 1e-12)) if duration > 0 else 0
@@ -304,8 +317,8 @@ def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0)
         log2_real = 0.0
         log2_imag = 0.0
     else:
-        log2_real = base * segments * math.log2(8.0 * segments / eps0)
-        log2_imag = 2.0 * base * segments * math.log2(48.0 * segments / eps0)
+        log2_real = max(0.0, base * segments * math.log2(8.0 * segments / eps0))
+        log2_imag = max(0.0, 2.0 * base * segments * math.log2(48.0 * segments / eps0))
     return TruncationParams(
         q0=q0,
         segments=segments,
@@ -323,7 +336,11 @@ class LongRangeDecomposition:
     d0: int
     v_norms: tuple
     tails: tuple  # (tail, cap) per crossing term: the norms from it on, and their cap
-    worst_margin: float
+
+    @property
+    def tails_check(self):
+        """Each tail is at most its cap, with no slack."""
+        return check(self.tails)
 
 
 def long_range_decomposition_check(chain, cut_pos):
@@ -357,5 +374,4 @@ def long_range_decomposition_check(chain, cut_pos):
         d0=d0,
         v_norms=v_norms,
         tails=tuple(tails),
-        worst_margin=min((cap - tail for tail, cap in tails), default=math.inf),
     )

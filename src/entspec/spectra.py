@@ -4,6 +4,7 @@ for dense pure states on qudit chains.
 All operations are pure functions; states are immutable once built.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,6 +24,22 @@ def worst_margin(margins):
     """Least of a check's signed margins, bound + slack - value, which pass
     at >= 0; None over no margins, and NaN when any margin is NaN."""
     return float(np.min(margins)) if len(margins) else None
+
+
+class Check(namedtuple("Check", "margin strict", defaults=(False,))):
+    """One check: its worst signed margin (None over no rows) and whether it
+    passes only above zero."""
+
+    @property
+    def ok(self):
+        return self.margin is None or (self.margin > 0.0 if self.strict else self.margin >= 0.0)
+
+
+def check(pairs, tol=0.0, strict=False):
+    """The check `value <= bound + tol` over (value, bound) pairs, with
+    margin min(bound + tol - value); it passes at >= 0, or only at > 0 when
+    strict, and over no pairs its margin is None and it passes."""
+    return Check(worst_margin([bound + tol - value for value, bound in pairs]), strict)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .mps import (
     mps_norm,
     to_dense,
 )
-from .spectra import Cut, PureState, schmidt_decompose, worst_margin
+from .spectra import Cut, PureState, check, schmidt_decompose
 
 # Within a step the accumulated state is compressed to STAGE_CAP_FACTOR *
 # d_cap (dropping values at or below STAGE_TOLERANCE) whenever its bond
@@ -215,6 +215,23 @@ def tdmrg_run(config):
     return cur, cert
 
 
+def certificate_checks(cert, dense_error=None):
+    """The certificate's own inequalities: per-step discards tied to the
+    coefficient sums, the sums under both caps, and the naive bound strictly
+    looser; with the distance to the exact state, also that the final bound
+    covers it."""
+    checks = {
+        "delta_linked_to_zeta": check(
+            [(s.delta_bar, s.zeta / math.sqrt(cert.d_cap)) for s in cert.steps], tol=1e-12),
+        "zeta_below_cap": check([(s.zeta, cert.zeta_cap) for s in cert.steps], tol=1e-9),
+        "zeta_recursion": check([(s.zeta, s.zeta_recursion_cap) for s in cert.steps], tol=1e-9),
+        "naive_not_tighter": check([(cert.final_bound, cert.naive_bound)], strict=True),
+    }
+    if dense_error is not None:
+        checks["certificate_covers_error"] = check([(dense_error, cert.final_bound)], tol=1e-12)
+    return checks
+
+
 def state_mps_existence_check(chain, initial, t, d_grid):
     """Evolve densely, factor exactly, truncate per D, and compare against
     the guaranteed error and coefficient laws."""
@@ -224,30 +241,27 @@ def state_mps_existence_check(chain, initial, t, d_grid):
     j_tilde = chain.boundary_strength_cap()
     n = chain.n
     growth = math.exp(j_tilde * t)
-    # signed margin of the law lam_j <= growth / j, with 1e-9 of rounding slack
-    worst_lam_margin = math.inf
+    # the law lam_j <= growth / j at every cut, with 1e-9 of rounding slack
+    lam_pairs = []
     for s in range(1, n):
         spec = schmidt_decompose(psi_t, Cut.of(range(s), n))
-        for j, lam in enumerate(spec.coeffs, start=1):
-            worst_lam_margin = min(worst_lam_margin, growth / j + 1e-9 - lam)
+        lam_pairs += [(lam, growth / j) for j, lam in enumerate(spec.coeffs, start=1)]
     rows = []
-    margins = []
+    pairs = []
     for d in d_grid:
         mps_d, _ = from_dense(psi_t, d_max=d)
         diff = psi_t.amps - to_dense(mps_d).amps
         err2 = float(np.vdot(diff, diff).real)
         bound = 2.0 * math.exp(2.0 * j_tilde * t) * n / d
-        margins.append(bound + 1e-12 - err2)
-        rows.append({"D": int(d), "err2": err2, "bound": bound, "ok": margins[-1] >= 0.0})
+        pairs.append((err2, bound))
+        rows.append({"D": int(d), "err2": err2, "bound": bound,
+                     "ok": check(pairs[-1:], tol=1e-12).ok})
     return {
         "j_tilde": j_tilde,
-        "t": t,
         "rows": rows,
-        "lam_law_ok": worst_lam_margin >= 0.0,
-        "worst_lam_margin": worst_lam_margin,
-        "margins": {
-            "truncation_errors_bounded": worst_margin(margins),
-            "coefficient_law": worst_lam_margin,
+        "checks": {
+            "truncation_errors_bounded": check(pairs, tol=1e-12),
+            "coefficient_law": check(lam_pairs, tol=1e-9),
         },
     }
 
@@ -268,7 +282,7 @@ def gibbs_tail_experiment(chain, betas, d_grid):
     w, u = np.linalg.eigh(h)
     q0 = max(8.0 * g * k, 16.0 * math.e * j0 * (eta - 1.0) ** 2 * 2.0 ** (eta - 2.0) / (eta - 2.0))
     rows = []
-    margins = []
+    pairs = []
     for beta in betas:
         rho_half = (u * np.exp(-beta * w / 2.0)) @ u.conj().T
         amp = rho_half / np.linalg.norm(rho_half)
@@ -286,11 +300,9 @@ def gibbs_tail_experiment(chain, betas, d_grid):
             spec = schmidt_decompose(state, Cut.of(range(2 * s), 2 * n))
             for dd in d_grid:
                 tail2 = float(np.sum(spec.coeffs[dd:] ** 2))
-                if m_beta > 0:
-                    cap = 480.0 * m_beta * dd ** (-1.0 / kappa_beta)
-                    margins.append(cap - tail2)
-                else:
-                    cap = None
+                cap = 480.0 * m_beta * dd ** (-1.0 / kappa_beta) if m_beta > 0 else None
+                row_pairs = [] if cap is None else [(tail2, cap)]
+                pairs += row_pairs
                 rows.append(
                     {
                         "beta": float(beta),
@@ -298,8 +310,8 @@ def gibbs_tail_experiment(chain, betas, d_grid):
                         "D": int(dd),
                         "tail2": tail2,
                         "cap": cap,
-                        "ok": True if cap is None else margins[-1] >= 0.0,
+                        "ok": check(row_pairs).ok,
                         "kappa_beta": kappa_beta,
                     }
                 )
-    return {"q0": q0, "rows": rows, "margins": {"tails_below_cap": worst_margin(margins)}}
+    return {"q0": q0, "rows": rows, "checks": {"tails_below_cap": check(pairs)}}

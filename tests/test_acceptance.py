@@ -43,8 +43,10 @@ from entspec import (
     tdmrg_run,
     to_dense,
 )
-from entspec.dynamics import c_alpha
+from entspec.agsp_arealaw import agsp_checks
+from entspec.dynamics import c_alpha, rate_bound_check
 from entspec.lowrank import _max_abs
+from entspec.tdmrg import certificate_checks
 
 
 def record(lines, num, ok, elapsed, budget, detail):
@@ -70,24 +72,19 @@ def test_criterion_02_rate_bound_soundness_sweep(acceptance_lines):
     budget = 300.0
     t0 = time.perf_counter()
     rng = np.random.default_rng(777)
-    worst = -math.inf
-    kinks = 0
+    samples = []
     n_inst = 200
     alphas = [0.5, 0.75, 1.0, 2.0, math.inf]
     for _ in range(n_inst):
         h, v, state = random_dense_instance(rng, dim_cap=256, max_local=16)
-        upper = best_upper(v)
         t = float(rng.uniform(0.05, 1.2))
-        for s in measure_rate_profile(h, state, Cut.of([0], 2), alphas, [t], v_ab=v):
-            if s.kink:
-                kinks += 1
-                continue
-            worst = max(worst, abs(s.rate) - c_alpha(s.alpha) * upper)
+        samples += measure_rate_profile(h, state, Cut.of([0], 2), alphas, [t], v_ab=v)
+    rates = rate_bound_check(samples)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-4 and elapsed < budget
+    ok = rates.ok and elapsed < budget
     record(acceptance_lines, 2, ok, elapsed, budget,
-           f"{n_inst} instances x {len(alphas)} orders, worst excess {worst:.3e}, "
-           f"{kinks} kink points excluded")
+           f"{n_inst} instances x {len(alphas)} orders, least margin {rates.margin:.3e} "
+           f"at slack 1e-4, {sum(s.kink for s in samples)} kink points included")
     assert ok
 
 
@@ -151,23 +148,24 @@ def test_criterion_06_filter_inequalities_sweep(acceptance_lines):
     budget = 300.0
     t0 = time.perf_counter()
     rng = np.random.default_rng(4242)
-    worst_ground = worst_excited = worst_strength = math.inf
+    ops = []
+    worst_strength = math.inf
     n_inst = 100
     for i in range(n_inst):
         h, v, (da, db) = random_gapped_instance(rng)
         beta = float(rng.uniform(0.5, 2.5))
         k = build_agsp(h, beta)
-        worst_ground = min(worst_ground, k.defect_bound - k.defect_ground)
-        worst_excited = min(worst_excited, 2.0 * k.defect_bound - k.defect_excited)
+        ops.append(k)
         op = BipartiteOperator((da,), (db,), k.matrix)
         est = se_lower_search(op, seeds=3, iterations=80, seed=i)
         worst_strength = min(worst_strength, k.strength_cap(best_upper(v)) - est.lower)
+    checks = agsp_checks(ops)
     elapsed = time.perf_counter() - t0
-    ok = (worst_ground >= -1e-8 and worst_excited >= -1e-8
-          and worst_strength >= -1e-8 and elapsed < budget)
+    ok = all(c.ok for c in checks.values()) and worst_strength >= -1e-8 and elapsed < budget
     record(acceptance_lines, 6, ok, elapsed, budget,
-           f"{n_inst} instances, min margins: ground {worst_ground:.2e}, "
-           f"excited {worst_excited:.2e}, strength {worst_strength:.2e}")
+           f"{n_inst} instances, least margins: "
+           + ", ".join(f"{name} {c.margin:.2e}" for name, c in checks.items())
+           + f", strength {worst_strength:.2e}")
     assert ok
 
 
@@ -182,23 +180,24 @@ def test_criterion_07_evolution_certificate_soundness(acceptance_lines):
     exact = expm(-1j * chain.dense() * t) @ to_dense(init).amps
     gnt = chain.g * 8 * t
     zeta_cap_want = math.exp(chain.boundary_strength_cap() * t + gnt ** 2 / n_steps)
-    ok = True
-    details = []
+    runs = []
     for d_cap in (32, 64, 128):
         out, cert = tdmrg_run(
             TdmrgConfig(chain=chain, t=t, n_steps=n_steps, d_cap=d_cap, initial=init)
         )
         err = float(np.linalg.norm(to_dense(out).amps - exact))
-        sound = err <= cert.final_bound + 1e-12
-        zeta_ok = (all(s.zeta <= cert.zeta_cap + 1e-9 for s in cert.steps)
-                   and abs(cert.zeta_cap - zeta_cap_want) <= 1e-9 * zeta_cap_want)
-        naive_ok = cert.naive_bound > cert.final_bound
-        ok = ok and sound and zeta_ok and naive_ok
-        details.append(f"D={d_cap}: err {err:.3e} <= bound {cert.final_bound:.3e}")
+        runs.append((d_cap, err, cert, certificate_checks(cert, err)))
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < budget
+    least = {name: min(checks[name].margin for *_, checks in runs) for name in runs[0][3]}
+    ok = (all(c.ok for *_, checks in runs for c in checks.values())
+          and all(abs(cert.zeta_cap - zeta_cap_want) <= 1e-9 * zeta_cap_want
+                  for _, _, cert, _ in runs)
+          and elapsed < budget)
     record(acceptance_lines, 7, ok, elapsed, budget,
-           "; ".join(details) + f"; zeta cap {zeta_cap_want:.4f} respected")
+           "; ".join(f"D={d_cap}: err {err:.3e} <= bound {cert.final_bound:.3e}"
+                     for d_cap, err, cert, _ in runs)
+           + f"; zeta cap {zeta_cap_want:.4f}; least margins "
+           + ", ".join(f"{name} {m:.3g}" for name, m in least.items()))
     assert ok
 
 
@@ -209,11 +208,11 @@ def test_criterion_08_compressibility_of_evolved_state(acceptance_lines):
     init = basis_product_state((2,) * 8, (0,) * 8)
     out = state_mps_existence_check(chain, init, 0.5, [4, 16, 64])
     elapsed = time.perf_counter() - t0
-    rows_ok = all(r["ok"] for r in out["rows"])
-    ok = out["lam_law_ok"] and rows_ok and elapsed < budget
+    checks = out["checks"]
+    ok = all(c.ok for c in checks.values()) and elapsed < budget
     errs = ", ".join(f"D={r['D']}: {r['err2']:.2e}<={r['bound']:.2e}" for r in out["rows"])
     record(acceptance_lines, 8, ok, elapsed, budget,
-           f"{errs}; coefficient law margin {out['worst_lam_margin']:.3e}")
+           f"{errs}; coefficient law margin {checks['coefficient_law'].margin:.3e}")
     assert ok
 
 
@@ -252,7 +251,7 @@ def test_criterion_10_merge_series_truncation(acceptance_lines):
         ms = build_merge_series(h0_a, h0_b, v_terms, 0.1j, s0, m, q,
                                 kappa=1.0, d0=2, c0=1.0, q_param=2.0)
         window_ok = window_ok and abs(0.1j) <= 1.0 / ms.q0
-        sound = sound and ms.error_measured <= ms.error_bound + 1e-12
+        sound = sound and ms.error_check.ok
         bound[(s0, m, q)] = ms.error_bound
     monotone = True
     for s0, m, q in product(orders, repeat=3):
@@ -275,14 +274,13 @@ def test_criterion_11_desk_scale_property_checks(acceptance_lines):
     chain = build_long_range_ising(8, d=2, j0=1.0, eta=3.0, hx=0.6, hz=0.2)
     ground = ground_tail_experiment(chain, 4, [1, 2, 4, 8, 16])
     tails = [r["tail2"] for r in ground["rows"]]
-    ground_ok = (all(r["ok"] for r in ground["rows"])
+    ground_ok = (ground["checks"]["tails_below_cap"].ok
                  and all(a >= b - 1e-15 for a, b in zip(tails, tails[1:])))
 
     family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
     adiabatic = boundary_adiabatic_experiment(family, epsilon=0.05, beta=4.0,
                                               d_grid=[1, 2, 4])
-    adiabatic_ok = (adiabatic["adiabatic_ok"] and adiabatic["entropy_ok"]
-                    and all(r["ok"] for r in adiabatic["rows"]))
+    adiabatic_ok = all(c.ok for c in adiabatic["checks"].values())
 
     thermal = gibbs_tail_experiment(
         build_long_range_ising(4, d=2, j0=1.0, eta=3.0, hx=0.5),
@@ -294,7 +292,7 @@ def test_criterion_11_desk_scale_property_checks(acceptance_lines):
         return next(r["tail2"] for r in rows
                     if r["beta"] == beta and r["cut"] == cut and r["D"] == d)
 
-    thermal_ok = all(r["ok"] for r in rows)
+    thermal_ok = thermal["checks"]["tails_below_cap"].ok
     for beta in (1.0, 2.0):
         for cut in sorted({r["cut"] for r in rows}):
             ds = sorted({r["D"] for r in rows})

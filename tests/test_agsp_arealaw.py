@@ -24,6 +24,7 @@ from entspec.agsp_arealaw import (
     BoundaryFamily,
     _filter_values,
     _legendre,
+    agsp_checks,
     c_kappa_1,
     c_kappa_2,
 )
@@ -43,9 +44,7 @@ def test_agsp_two_level_defects():
     assert k.delta == pytest.approx(1.0, abs=1e-12)
     assert k.defect_ground == pytest.approx(1.0 - erf(2.0), abs=1e-9)
     assert k.defect_ground == pytest.approx(0.004677734981047266, abs=1e-9)
-    assert k.defect_ground <= k.defect_bound
-    assert k.defect_excited <= 2.0 * k.defect_bound
-    assert k.quad_diff <= 1e-10
+    assert all(c.ok for c in agsp_checks([k]).values())
     # the stop value is the exact spectral norm of the last change in K
     _, u = np.linalg.eigh(h)
     f_last, f_prev = (
@@ -119,10 +118,9 @@ def test_ground_tail_experiment_reports_decay():
     out = ground_tail_experiment(chain, 3, [1, 2, 4, 8])
     assert out["gap"] > 0
     assert out["j_tilde"] == pytest.approx(3.0, abs=1e-12)
-    assert all(r["ok"] for r in out["rows"])
+    assert out["checks"]["tails_below_cap"].ok
     tails = [r["tail2"] for r in out["rows"]]
     assert all(a >= b - 1e-15 for a, b in zip(tails, tails[1:]))
-    assert not out["small_gap_warning"]
 
 
 def test_ground_tail_sparse_path_is_deterministic():
@@ -161,15 +159,10 @@ def test_area_law_constants_survive_huge_exponents():
 def test_boundary_adiabatic_chain_holds_together():
     family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
     out = boundary_adiabatic_experiment(family, epsilon=0.1, beta=3.0, d_grid=[1, 2])
-    assert out["adiabatic_ok"]
-    assert out["adiabatic_error"] <= out["adiabatic_cap"] + 1e-9
+    assert all(c.ok for c in out["checks"].values())
     assert out["agsp_defect_ground"] <= out["agsp_defect_bound"] + 1e-9
-    assert out["entropy_ok"]
-    assert out["entropy_target"] <= out["entropy_bound"] + 1e-9
-    rows = out["rows"]
-    assert all(r["ok"] for r in rows)
     # full rank reproduces the target state up to discretization error
-    assert rows[-1]["err"] < 1e-3
+    assert out["rows"][-1]["err"] < 1e-3
 
 
 def test_boundary_adiabatic_rejects_closed_gap():

@@ -3,16 +3,20 @@
 import csv
 import dataclasses
 import json
+import math
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entspec.cli as cli
 from entspec import (
     adiabatic_evolve, agsp_arealaw, dynamics, make_coupled_qudit_family, tdmrg_run,
 )
-from entspec.cli import REGISTRY, ConfigError, _check, main, selftest, validate_config
+from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
+from entspec.spectra import check
 
 PUBLISHED = [
     "sie-rate", "c-alpha-table", "saturate", "unbounded", "toy", "se-search",
@@ -73,6 +77,7 @@ BAD_VALUES = [
     {"experiment": "merge-series", "params": {"q_param": -1}},
     {"experiment": "truncation-params", "params": {"d0": 0}},
     {"experiment": "truncation-params", "params": {"eps0": 0}},
+    {"experiment": "truncation-params", "params": {"durations": [0.5, -1.0]}},
     {"experiment": "gibbs-tail", "params": {"chain": "nearest"}},
     {"experiment": "decomposition", "params": {"chain": "nearest"}},
     {"experiment": ["a"]},
@@ -108,6 +113,15 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def run_cli(tmp_path, cfg):
+    """`entspec run` on a config: its exit code, summary.json and results.csv rows."""
+    out = tmp_path / "o"
+    code = main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return code, json.loads((out / "summary.json").read_text()), rows
 
 
 def test_registry_lists_every_published_experiment():
@@ -185,17 +199,10 @@ def test_validator_returns_or_raises_config_error(cfg):
 
 
 def test_run_writes_parseable_artifacts(tmp_path):
-    cfg = {"experiment": "toy", "seed": 11}
-    out = tmp_path / "out"
-    code = main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+    code, summary, rows = run_cli(tmp_path, {"experiment": "toy", "seed": 11})
     assert code == 0
-
-    with open(out / "results.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
     assert rows
     assert {"grid_point", "t", "alpha", "rate", "bound"} <= set(rows[0])
-
-    summary = json.loads((out / "summary.json").read_text())
     assert summary["experiment"] == "toy"
     assert summary["rows_file"] == "results.csv"
     assert summary["all_checks_pass"] is True
@@ -250,13 +257,11 @@ def test_unknown_experiment_exits_2(tmp_path):
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):
     def always_failing(p, seed):
-        return {"rows": [{"x": 1}], "derived": {}, "checks": {"forced": _check([(1.0, 0.0)])}}
+        return {"rows": [{"x": 1}], "derived": {}, "checks": {"forced": check([(1.0, 0.0)])}}
 
     monkeypatch.setitem(REGISTRY, "toy", (always_failing, {}))
-    cfg_path = write_config(tmp_path, {"experiment": "toy"})
-    out = tmp_path / "o"
-    assert main(["run", cfg_path, "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    code, summary, _ = run_cli(tmp_path, {"experiment": "toy"})
+    assert code == 1
     assert summary["all_checks_pass"] is False
     assert summary["margins"] == {"forced": -1.0}
 
@@ -271,20 +276,17 @@ def test_bare_boolean_check_is_rejected(tmp_path, monkeypatch):
 
 
 def test_corrupted_certificate_turns_its_margin_negative(tmp_path, monkeypatch):
-    import entspec.cli as cli
-
     def shrunk(cfg):
         final, cert = tdmrg_run(cfg)
         return final, dataclasses.replace(cert, final_bound=cert.final_bound * 1e-6)
 
     monkeypatch.setattr(cli, "tdmrg_run", shrunk)
     cfg = {"experiment": "tdmrg", "params": {"n": 4, "t": 0.2, "d_cap": 8, "eps_target": 0.5}}
-    out = tmp_path / "o"
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    code, summary, _ = run_cli(tmp_path, cfg)
+    assert code == 1
     bound, raw = summary["derived"]["final_bound"], summary["derived"]["dense_error_raw"]
     assert raw > bound
-    assert summary["margins"]["certificate_covers_error"] == pytest.approx(bound + 1e-9 - raw)
+    assert summary["margins"]["certificate_covers_error"] == pytest.approx(bound + 1e-12 - raw)
     assert summary["margins"]["certificate_covers_error"] < 0.0
     assert summary["checks"]["certificate_covers_error"] is False
     assert summary["all_checks_pass"] is False
@@ -293,10 +295,9 @@ def test_corrupted_certificate_turns_its_margin_negative(tmp_path, monkeypatch):
 def test_area_law_fails_when_adiabatic_refinement_is_cut(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
     family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
-    assert adiabatic_evolve(family.h_of_nu, 0.05).converged_diff >= dynamics.ADIABATIC_TOL
-    out = tmp_path / "o"
-    assert main(["run", write_config(tmp_path, {"experiment": "area-law"}), "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    assert not adiabatic_evolve(family.h_of_nu, 0.05).converged_check.ok
+    code, summary, _ = run_cli(tmp_path, {"experiment": "area-law"})
+    assert code == 1
     assert summary["checks"]["adiabatic_converged"] is False
 
 
@@ -304,10 +305,8 @@ def test_agsp_fails_when_quadrature_is_cut(tmp_path, monkeypatch):
     monkeypatch.setattr(agsp_arealaw, "QUAD_TOL", 0.0)
     # Gauss-Legendre roots cost O(nodes^2): 2^14 nodes take seconds each
     monkeypatch.setattr(agsp_arealaw, "NODE_CAP", 512)
-    out = tmp_path / "o"
-    cfg = {"experiment": "agsp", "params": {"instances": 1}}
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    code, summary, _ = run_cli(tmp_path, {"experiment": "agsp", "params": {"instances": 1}})
+    assert code == 1
     assert summary["checks"] == {"defects_below_bounds": True, "quadrature_converged": False}
 
 
@@ -319,10 +318,8 @@ def test_runtime_invariant_error_exits_1(tmp_path):
 
 def test_gibbs_tail_reports_growth_in_beta_without_checking_it(tmp_path):
     # at hx = 0 the tails shrink from beta 1 to 2: no bound orders them across beta
-    cfg = {"experiment": "gibbs-tail", "params": {"hx": 0.0}}
-    out = tmp_path / "o"
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    code, summary, _ = run_cli(tmp_path, {"experiment": "gibbs-tail", "params": {"hx": 0.0}})
+    assert code == 0
     assert summary["derived"]["tail_growth_worst_step"] < 0.0
     assert set(summary["checks"]) == {"tails_below_cap"}
 
@@ -334,14 +331,11 @@ def test_grid_labels_rows_and_checks(tmp_path):
         "grid": [{"times": [0.2]}, {"times": [0.5, 0.9]}],
         "seed": 5,
     }
-    out = tmp_path / "out"
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    code, summary, rows = run_cli(tmp_path, cfg)
+    assert code == 0
     assert summary["grid_points"] == 2
     assert set(summary["checks"]) == {"rate_below_bound[0]", "rate_below_bound[1]"}
     assert isinstance(summary["derived"], list) and len(summary["derived"]) == 2
-    with open(out / "results.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
     assert [r["grid_point"] for r in rows] == ["0", "1", "1"]
 
 
@@ -360,10 +354,8 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_se_search_reports_unconverged_starts(tmp_path):
     p = {"instances": 2, "dim_cap": 16, "seeds": 3, "iterations": 1}
-    cfg_path = write_config(tmp_path, {"experiment": "se-search", "params": p})
-    out = tmp_path / "o"
-    assert main(["run", cfg_path, "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    code, summary, _ = run_cli(tmp_path, {"experiment": "se-search", "params": p})
+    assert code == 0
     # one iteration never meets the tolerance: every random start counts
     assert summary["derived"]["unconverged_starts"] >= p["instances"] * (p["seeds"] + 2)
 
@@ -416,29 +408,54 @@ def test_selftest_passes(tmp_path, capsys):
 
 def test_gapless_chain_fails_on_its_gap(tmp_path):
     # the classical chain at hx = 0 has a degenerate ground space: the tail cap is void
-    out = tmp_path / "o"
-    cfg = {"experiment": "ground-tail", "params": {"hx": 0.0}}
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    code, summary, _ = run_cli(tmp_path, {"experiment": "ground-tail", "params": {"hx": 0.0}})
+    assert code == 1
     gap = summary["derived"]["gap"]
     assert summary["margins"]["tails_below_cap"] == gap - agsp_arealaw.SMALL_GAP < 0.0
 
 
-def test_rank_budget_below_one_half_fails(tmp_path):
-    # eps0 far above 8 * segments drives the first log2 rank budget below -1
-    out = tmp_path / "o"
-    cfg = {"experiment": "truncation-params", "params": {"eps0": 1e6, "durations": [0.5]}}
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 1
-    (row,) = csv.DictReader((out / "results.csv").open())
-    margin = json.loads((out / "summary.json").read_text())["margins"]["real_cost_monotone"]
-    assert margin == pytest.approx(float(row["log2_sr_real"]) + 1.0, abs=1e-9)
+def test_rank_budgets_are_at_least_rank_one(tmp_path):
+    # eps0 far above 8 * segments makes log2(8 segments / eps0) negative
+    code, _, rows = run_cli(tmp_path, {"experiment": "truncation-params", "params": {"eps0": 1e6}})
+    assert code == 0
+    assert all(r["log2_sr_real"] == r["log2_sr_imag"] == "0.0" for r in rows)
+
+
+def test_rank_budgets_are_compared_in_ascending_duration(tmp_path):
+    cfg = {"experiment": "truncation-params", "params": {"durations": [2.0, 0.5]}}
+    code, _, rows = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert [r["duration"] for r in rows] == ["2.0", "0.5"]
+
+
+def test_unitary_growth_row_and_check_agree_near_the_cap(tmp_path, monkeypatch):
+    # cap = e^2 > 1: the lower bound lies between cap + 1e-6 and cap * (1 + 1e-6)
+    monkeypatch.setattr(cli, "best_upper", lambda v: 10.0)
+    monkeypatch.setattr(dynamics, "se_lower_search",
+                        lambda *a, **k: types.SimpleNamespace(lower=math.exp(2.0) + 3e-6))
+    code, summary, (row,) = run_cli(
+        tmp_path, {"experiment": "unitary-growth", "params": {"times": [0.2]}})
+    assert code == 1
+    assert row["ok"] == "False"
+    assert summary["checks"]["below_cap"] is False
+
+
+def test_decomposition_fails_on_a_negative_worst_margin(tmp_path, monkeypatch):
+    real = cli.long_range_decomposition_check
+
+    # the first tail exceeds its cap by less than the 1e-9 relative slack once allowed
+    def over_cap(chain, cut):
+        rep = real(chain, cut)
+        (_, cap), *rest = rep.tails
+        return dataclasses.replace(rep, tails=((cap * (1 + 5e-10), cap), *rest))
+
+    monkeypatch.setattr(cli, "long_range_decomposition_check", over_cap)
+    code, summary, (row,) = run_cli(tmp_path, {"experiment": "decomposition"})
+    assert code == 1
+    assert float(row["worst_margin"]) < 0.0
+    assert summary["checks"]["tails_decay"] is False
 
 
 def test_selftest_fails_when_corruption_goes_undetected(tmp_path, monkeypatch):
-    import entspec.cli as cli
-
-    monkeypatch.setattr(
-        cli, "_corruption_probes",
-        lambda: [("sabotaged probe", lambda: None, ValueError)],
-    )
+    monkeypatch.setattr(cli, "_corruption_probes", lambda: [("sabotaged probe", lambda: False)])
     assert selftest(tmp_path / "st") == 1

@@ -217,7 +217,7 @@ def test_long_range_decomposition_check():
     assert len(out.tails) == len(out.v_norms)
     assert out.tails[0][0] == pytest.approx(sum(out.v_norms), abs=1e-12)
     assert out.kappa == pytest.approx((3.0 - 2.0) / (2.0 + 1.0), abs=1e-12)
-    assert out.worst_margin >= 0.0
+    assert out.tails_check.ok
     # canonical ordering: diameters nondecreasing
     chains = build_long_range_ising(8, d=2, j0=1.0, eta=3.0)
     crossing = [

@@ -18,6 +18,7 @@ ALLOWED = {
 # A class entry covers all of its fields.
 FIELDS_ALLOWED = {
     "StepRecord": "every field reaches the tdmrg results.csv through dataclasses.asdict",
+    "RateSample": "every field reaches the sie-rate results.csv through dataclasses.asdict",
     "t_c": "AgspOperator's integration window, kept as convergence data for the quadrature",
     "MergeSeries.exact": "the dense reference that the merge-series tests compare against",
     "TruncationParams.exponent_base": "the tests check the budget's base 6 + 4/kappa + log2 d0",
