@@ -370,7 +370,7 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         "checks": {
             "truncation_below_cap": check(pairs),
             "entropy_below_bound": check([(e1_target, consts.entropy_bound)]),
-            "adiabatic_below_cap": check([(adiab_err, adiab_cap)], tol=1e-6),
+            "adiabatic_below_cap": check([(adiab_err, adiab_cap)], tol=1e-9),
             "adiabatic_converged": res.converged_check,
         },
     }

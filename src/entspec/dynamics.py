@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BelowThresholdError, GapClosedError, TooLargeError
 from .models import DENSE_DIM_CAP
 from .se_strength import BipartiteOperator, best_upper, se_lower_search
-from .spectra import Check, PureState, check, renyi_entropy, schmidt_decompose, worst_margin
+from .spectra import PureState, check, renyi_entropy, schmidt_decompose
 
 RATE_STEP = 2e-3
 KINK_THRESHOLD = 0.05
@@ -143,8 +143,8 @@ def measure_rate_profile(h, state0, cut, alphas, times, v_ab=None):
 def rate_bound_check(samples):
     """|rate| <= bound + RATE_MARGIN_TOL at every sample with a bound, kinks
     included."""
-    return Check(worst_margin([s.margin + RATE_MARGIN_TOL for s in samples
-                               if s.margin is not None]))
+    return check([(abs(s.rate), s.bound) for s in samples if s.bound is not None],
+                 tol=RATE_MARGIN_TOL)
 
 
 def unitary_growth_check(rows):
