@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .agsp_arealaw import (
+    SPARSE_DIM_CAP,
     agsp_checks,
     boundary_adiabatic_experiment,
     build_agsp,
@@ -24,23 +25,26 @@ from .agsp_arealaw import (
     random_gapped_instance,
 )
 from .dynamics import (
-    c_alpha,
+    c_alpha_table,
     check_unitary_se_growth,
     evolve_dense,
     measure_rate_profile,
     rate_bound_check,
+    toy_rate_experiment,
+    unbounded_experiment,
     unitary_growth_check,
 )
 from .errors import EntspecError
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
+    budget_monotone_check,
     build_merge_series,
-    kolmogorov_bounds,
     long_range_decomposition_check,
     no_go_chain_check,
     no_go_experiment,
     rank_constrained_identity_fit,
     truncation_error_params,
+    width_range_check,
 )
 from .models import (
     DENSE_DIM_CAP,
@@ -50,14 +54,14 @@ from .models import (
     build_nearest_neighbor_chain,
     build_saturation_dynamics,
     build_swap_interaction,
-    build_toy_two_qubit,
     build_unbounded_dynamics,
+    named_strength_checks,
     random_dense_instance,
     random_product_state,
 )
 from .mps import mps_norm, product_mps, to_dense
-from .se_strength import best_upper, se_lower_search
-from .spectra import Check, Cut, PureState, SchmidtSpectrum, check
+from .se_strength import best_upper, bracket_check, se_lower_search
+from .spectra import Check, Cut, PureState, SchmidtSpectrum
 from .tdmrg import (
     TdmrgConfig,
     certificate_checks,
@@ -71,11 +75,6 @@ from .tdmrg import (
 def _rng(seed):
     """Counter-based generator so every run is a pure function of the seed."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _order(alpha):
-    """Renyi order from a config entry: a number or the string "inf"."""
-    return math.inf if alpha == "inf" else float(alpha)
 
 
 def _chain_from_params(p):
@@ -103,13 +102,12 @@ def exp_se_search(p, seed):
 
     rng = _rng(seed)
     rows = []
-    unconverged = 0
+    found = []
     for i in range(p["instances"]):
         _, v, _ = random_dense_instance(rng, dim_cap=p["dim_cap"], n_terms=p["terms"])
-        est = se_lower_search(v, seeds=p["seeds"], iterations=p["iterations"], seed=seed + i)
-        rows.append(row("random", i, v, est, None))
-        unconverged += est.unconverged
-    bracket = check([(r["lower"], r["upper"]) for r in rows], tol=1e-9)
+        found.append(se_lower_search(v, seeds=p["seeds"], iterations=p["iterations"],
+                                     seed=seed + i))
+        rows.append(row("random", i, v, found[-1], None))
     # named targets with known strengths; budgets fixed so reduced sweeps stay sharp
     pump = build_saturation_dynamics(4, 1.0, 1)
     proj = build_ising_projector_interaction(3)
@@ -122,93 +120,43 @@ def exp_se_search(p, seed):
          math.sqrt(2.0)),
     )
     rows += [row(name, None, op, est, want) for name, op, est, want in named]
-    pump_est, proj_est, swap_est = named[0][2], named[1][2], named[2][2]
-    unconverged += sum(est.unconverged for _, _, est, _ in named)
+    found_named = [est for _, _, est, _ in named]
     return {
         "rows": rows,
         # ascent starts that stopped at their iteration budget, not on tolerance
-        "derived": {"pump_exact": pump.se_strength_exact, "unconverged_starts": unconverged},
-        "checks": {
-            "lower_below_upper": bracket,
-            "pump_strength_reached": check(
-                [(abs(pump_est.lower - pump.se_strength_exact), 1e-3)], strict=True),
-            "projector_strength_is_one": check([(abs(proj_est.lower - 1.0), 1e-6)], strict=True),
-            "swap_reaches_root_two": check([(math.sqrt(2.0) - 1e-6, swap_est.lower)]),
-        },
+        "derived": {"pump_exact": pump.se_strength_exact,
+                    "unconverged_starts": sum(est.unconverged for est in found + found_named)},
+        "checks": {"lower_below_upper": bracket_check(found),
+                   **named_strength_checks(pump, *(est.lower for est in found_named))},
     }
 
 
 def exp_saturation(p, seed):
     dyn = build_saturation_dynamics(p["m_levels"], p["j"], p["n_pairs"])
-    rows = []
-    for t in p["times"]:
-        rows.append({
-            "t": t,
-            "entropy_half": dyn.protocol_entropy_half(t),
-            "avg_rate": dyn.average_rate(t),
-            "rate_floor": dyn.rate_lower_bound(t),
-            "in_window": dyn.in_window(t),
-        })
+    rows = [{"t": t, "entropy_half": dyn.protocol_entropy_half(t), "avg_rate": dyn.average_rate(t),
+             "rate_floor": dyn.rate_lower_bound(t), "in_window": dyn.in_window(t)}
+            for t in p["times"]]
     est = se_lower_search(dyn.v, seeds=4, iterations=200, seed=seed)
-    exact = dyn.se_strength_exact
     return {
         "rows": rows,
-        "derived": {"strength_exact": exact, "strength_found": est.lower},
-        "checks": {
-            "rate_floor_in_window": check(
-                [(r["rate_floor"] - 1e-9, r["avg_rate"]) for r in rows if r["in_window"]]),
-            "strength_reached": check([(exact * (1.0 - 1e-6), est.lower)]),
-            "strength_not_exceeded": check([(est.lower, exact * (1.0 + 1e-6))]),
-        },
+        "derived": {"strength_exact": dyn.se_strength_exact, "strength_found": est.lower},
+        "checks": {"rate_floor_in_window": dyn.rate_floor_check(p["times"]),
+                   **dyn.strength_checks(est.lower)},
     }
 
 
 def exp_unbounded(p, seed):
     dyn = build_unbounded_dynamics(p["d0"], p["j"], p["t"])
-    norm2 = float(np.sum(dyn.spectrum().coeffs ** 2))
-    rows = [{"alpha": a, "entropy": dyn.entropy(a),
-             "floor": dyn.entropy_lower_bound(a) if 0.0 < a < 0.5 else None}
-            for a in p["alphas"]]
-    return {
-        "rows": rows,
-        "derived": {"budget": dyn.strength_budget(), "x": dyn.x},
-        "checks": {
-            "entropy_above_floor": check(
-                [(r["floor"] - 1e-9, r["entropy"]) for r in rows if r["floor"] is not None]),
-            "unit_norm": check([(abs(norm2 - 1.0), 1e-10)], strict=True),
-        },
-    }
+    return _from_report(unbounded_experiment(dyn, p["alphas"]))
 
 
 def exp_toy_rate(p, seed):
-    toy = build_toy_two_qubit()
-    rows = []
-    for t in p["times"]:
-        for alpha in p["alphas"]:
-            a = _order(alpha)
-            rate = toy.rate(a, t)
-            bound = c_alpha(a) * toy.se_strength_exact if (a == math.inf or a >= 0.5) else None
-            rows.append({"t": t, "alpha": str(alpha), "rate": rate, "bound": bound})
-    bounded = [(abs(r["rate"]), r["bound"]) for r in rows if r["bound"] is not None]
-    return {"rows": rows, "derived": {}, "checks": {"rate_below_bound": check(bounded, tol=1e-9)}}
+    return _from_report(toy_rate_experiment(p["times"], p["alphas"]))
 
 
 def exp_c_alpha_table(p, seed):
     """Tabulate the rate constant over an order grid and verify its anchors."""
-    del seed
-    rows = [{"alpha": str(alpha), "c": c_alpha(_order(alpha))} for alpha in p["alphas"]]
-    anchors = {"half_is_two": (0.5, 2.0), "three_quarters_is_three_halves": (0.75, 1.5),
-               "one_is_four_over_e": (1.0, 4.0 / math.e), "limit_is_two": (math.inf, 2.0)}
-    checks = {k: check([(abs(c_alpha(a) - c), 1e-12)], strict=True)
-              for k, (a, c) in anchors.items()}
-    checks["interior_below_endpoints"] = check(
-        [(r["c"], 2.0) for alpha, r in zip(p["alphas"], rows) if 0.5 < _order(alpha) < math.inf],
-        strict=True)
-    return {
-        "rows": rows,
-        "derived": {"min_c": min(r["c"] for r in rows)},
-        "checks": checks,
-    }
+    return _from_report(c_alpha_table(p["alphas"]))
 
 
 def exp_rate_profile(p, seed):
@@ -272,14 +220,11 @@ def exp_area_law(p, seed):
 
 
 def exp_kolmogorov(p, seed):
-    rows = []
-    for n, d in p["pairs"]:
-        lower, upper = kolmogorov_bounds(n, d)
-        fit = rank_constrained_identity_fit(n, d, seeds=p["seeds"], polish_iters=p["polish"], seed=seed)
-        rows.append({"n": n, "d": d, "lower": lower, "upper": upper, "estimate": fit.value})
-    in_range = ([(r["lower"] - 1e-6, r["estimate"]) for r in rows]
-                + [(r["estimate"], 0.5 + 1e-9) for r in rows])
-    return {"rows": rows, "derived": {}, "checks": {"estimates_in_range": check(in_range)}}
+    fits = [rank_constrained_identity_fit(n, d, seeds=p["seeds"], polish_iters=p["polish"],
+                                          seed=seed) for n, d in p["pairs"]]
+    rows = [{"n": f.n, "d": f.d, "lower": f.lower, "upper": f.upper, "estimate": f.value}
+            for f in fits]
+    return {"rows": rows, "derived": {}, "checks": {"estimates_in_range": width_range_check(fits)}}
 
 
 def exp_no_go(p, seed):
@@ -300,13 +245,9 @@ def exp_merge(p, seed):
         s0=p["s0"], m_order=p["m"], q_order=p["q"],
         kappa=p["kappa"], d0=p["d0"], c0=p["c0"], q_param=p["q_param"],
     )
-    row = {
-        "z": str(series.z),
-        "error_measured": series.error_measured,
-        "error_bound": series.error_bound,
-        "log2_sr_bound": series.log2_sr_bound,
-        "n_bins": series.n_bins,
-    }
+    row = {"z": str(series.z), "error_measured": series.error_measured,
+           "error_bound": series.error_bound, "log2_sr_bound": series.log2_sr_bound,
+           "n_bins": series.n_bins}
     return {
         "rows": [row],
         "derived": {"q0": series.q0, "g_tilde": series.g_tilde},
@@ -317,41 +258,19 @@ def exp_merge(p, seed):
 def exp_truncation_params(p, seed):
     rows = []
     for duration in p["durations"]:
-        tp = truncation_error_params(
-            duration, p["q_param"], p["c0"], p["g_tilde"], p["kappa"], p["d0"], eps0=p["eps0"]
-        )
-        rows.append(
-            {
-                "duration": duration,
-                "q0": tp.q0,
-                "segments": tp.segments,
-                "log2_sr_real": tp.log2_sr_real,
-                "log2_sr_imag": tp.log2_sr_imag,
-            }
-        )
-    # in ascending duration no budget falls, and the first is at least -1
-    reals = [-1.0] + [r["log2_sr_real"] for r in sorted(rows, key=lambda r: r["duration"])]
-    steps = [(a - 1e-12, b) for a, b in zip(reals, reals[1:])]
-    return {"rows": rows, "derived": {}, "checks": {"real_cost_monotone": check(steps)}}
+        tp = truncation_error_params(duration, p["q_param"], p["c0"], p["g_tilde"], p["kappa"],
+                                     p["d0"], eps0=p["eps0"])
+        rows.append({"duration": duration, "q0": tp.q0, "segments": tp.segments,
+                     "log2_sr_real": tp.log2_sr_real, "log2_sr_imag": tp.log2_sr_imag})
+    return {"rows": rows, "derived": {},
+            "checks": {"real_cost_monotone": budget_monotone_check(rows)}}
 
 
 def exp_decomposition(p, seed):
-    chain = _chain_from_params(p)
-    rep = long_range_decomposition_check(chain, p["cut"])
-    return {
-        "rows": [
-            {
-                "kappa": rep.kappa,
-                "c0": rep.c0,
-                "g_tilde": rep.g_tilde,
-                "d0": rep.d0,
-                "n_terms": len(rep.v_norms),
-                "worst_margin": rep.tails_check.margin,
-            }
-        ],
-        "derived": {},
-        "checks": {"tails_decay": rep.tails_check},
-    }
+    rep = long_range_decomposition_check(_chain_from_params(p), p["cut"])
+    row = {"kappa": rep.kappa, "c0": rep.c0, "g_tilde": rep.g_tilde, "d0": rep.d0,
+           "n_terms": len(rep.v_norms), "worst_margin": rep.tails_check.margin}
+    return {"rows": [row], "derived": {}, "checks": {"tails_decay": rep.tails_check}}
 
 
 def _tdmrg_from_params(p):
@@ -397,15 +316,7 @@ def exp_mps_existence(p, seed):
 
 
 def exp_gibbs_tail(p, seed):
-    chain = _chain_from_params(p)
-    rep = gibbs_tail_experiment(chain, p["betas"], p["d_grid"])
-    tails = {(r["beta"], r["cut"], r["D"]): r["tail2"] for r in rep["rows"]}
-    betas = sorted({b for b, _, _ in tails})
-    # Each cap is stated for one beta, and no bound orders tails across betas:
-    # this worst step is reported, not checked (it is negative at hx = 0).
-    steps = [(tails[b0, cut, d], tails[b1, cut, d])
-             for b0, b1 in zip(betas, betas[1:]) for b, cut, d in tails if b == b0]
-    return _from_report(rep, tail_growth_worst_step=check(steps).margin)
+    return _from_report(gibbs_tail_experiment(_chain_from_params(p), p["betas"], p["d_grid"]))
 
 
 REGISTRY = {
@@ -553,6 +464,14 @@ _RULES = [
 ]
 
 
+# the largest chain matrix, d**n rows, each experiment may form
+_DIM_CAPS = {
+    "mps-exist": (DENSE_DIM_CAP, "dense-matrix"),
+    "gibbs-tail": (DENSE_DIM_CAP, "dense-matrix"),
+    "ground-tail": (SPARSE_DIM_CAP, "sparse-eigensolver"),
+}
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -628,12 +547,13 @@ def validate_config(cfg):
         if name == "unbounded" and p["j"] * p["t"] > 1.0 + 1e-12:
             raise ConfigError(f"params 'j' and 't' of {name} must have j*t <= 1, got "
                               f"j*t = {p['j'] * p['t']}")
-        # the dense chain matrix has d**n rows; with d >= 2 the power passes the
-        # limit by the exponent DENSE_DIM_CAP.bit_length(), so no larger one is formed
-        if name in ("mps-exist", "gibbs-tail") and (
-                p["d"] ** min(p["n"], DENSE_DIM_CAP.bit_length()) > DENSE_DIM_CAP):
-            raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {DENSE_DIM_CAP}, "
-                              f"the dense-matrix limit, got d**n = {p['d']}**{p['n']}")
+        # the chain matrix has d**n rows; with d >= 2 the power passes the cap
+        # by the exponent cap.bit_length(), so no larger one is formed
+        if name in _DIM_CAPS:
+            cap, limit = _DIM_CAPS[name]
+            if p["d"] ** min(p["n"], cap.bit_length()) > cap:
+                raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
+                                  f"the {limit} limit, got d**n = {p['d']}**{p['n']}")
     seed = cfg.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError("seed must be an integer")

@@ -1,6 +1,7 @@
-"""Entropy-rate machinery: the order-dependent rate constant, dense
-evolution, finite-difference rate profiles checked against strength bounds,
-unitary strength growth, and adiabatic path following.
+"""Entropy-rate machinery: the order-dependent rate constant and the
+closed-form families judged against it, dense evolution, finite-difference
+rate profiles checked against strength bounds, unitary strength growth, and
+adiabatic path following.
 
 Rate soundness: plain one-sided differences of the entropy are exact time
 averages of its derivative, so they can never exceed a true uniform rate
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BelowThresholdError, GapClosedError, TooLargeError
-from .models import DENSE_DIM_CAP
+from .models import DENSE_DIM_CAP, build_toy_two_qubit
 from .se_strength import BipartiteOperator, best_upper, se_lower_search
 from .spectra import PureState, check, renyi_entropy, schmidt_decompose
 
@@ -52,6 +53,64 @@ def c_alpha(alpha):
         / (1.0 - alpha)
         * (u ** ((2.0 * alpha - 1.0) / (2.0 - 2.0 * alpha)) - u ** (1.0 / (2.0 - 2.0 * alpha)))
     )
+
+
+def _order(alpha):
+    """Renyi order from a config entry: a number or the string "inf"."""
+    return math.inf if alpha == "inf" else float(alpha)
+
+
+def c_alpha_table(alphas):
+    """c_alpha over a grid of orders (numbers or "inf"), and its anchors:
+    exactly 2 at order 1/2 and at infinity and 4/e at order 1, 3/2 within
+    1e-12 (strictly) at order 3/4, and below 2 at every interior order."""
+    rows = [{"alpha": str(alpha), "c": c_alpha(_order(alpha))} for alpha in alphas]
+    anchors = (("half_is_two", 0.5, 2.0, 0.0), ("three_quarters_is_three_halves", 0.75, 1.5, 1e-12),
+               ("one_is_four_over_e", 1.0, 4.0 / math.e, 0.0), ("limit_is_two", math.inf, 2.0, 0.0))
+    checks = {name: check([(abs(c_alpha(a) - c), tol)], strict=tol > 0.0)
+              for name, a, c, tol in anchors}
+    checks["interior_below_endpoints"] = check(
+        [(r["c"], 2.0) for alpha, r in zip(alphas, rows) if 0.5 < _order(alpha) < math.inf],
+        strict=True)
+    return {"rows": rows, "min_c": min(r["c"] for r in rows), "checks": checks}
+
+
+def toy_rate_experiment(times, alphas):
+    """Closed-form entropy rates of the toy pump at each time and order (a
+    number or "inf"), bounded by c_alpha times its strength at every order
+    >= 1/2, infinity included, with the check |rate| <= bound + 1e-9."""
+    toy = build_toy_two_qubit()
+    rows = []
+    for t in times:
+        for alpha in alphas:
+            a = _order(alpha)
+            bound = c_alpha(a) * toy.se_strength_exact if a >= 0.5 else None
+            rows.append({"t": t, "alpha": str(alpha), "rate": toy.rate(a, t), "bound": bound})
+    bounded = [(abs(r["rate"]), r["bound"]) for r in rows if r["bound"] is not None]
+    return {"rows": rows, "checks": {"rate_below_bound": check(bounded, tol=1e-9)}}
+
+
+def unbounded_experiment(dyn, alphas):
+    """Entropies of the flat-spectrum burst at each order, with the floor of
+    each order in (0, 1/2), and its checks: every entropy at least its floor
+    less 1e-9, Schmidt weights summing to 1 within 1e-10 (strictly), and the
+    order-1/2 entropy at most c_{1/2} J t + 1e-9, the threshold's growth cap."""
+    rows = [{"alpha": a, "entropy": dyn.entropy(a),
+             "floor": dyn.entropy_lower_bound(a) if 0.0 < a < 0.5 else None}
+            for a in alphas]
+    norm2 = float(np.sum(dyn.spectrum().coeffs ** 2))
+    half_cap = c_alpha(0.5) * dyn.strength_budget()
+    return {
+        "budget": dyn.strength_budget(),
+        "x": dyn.x,
+        "rows": rows,
+        "checks": {
+            "entropy_above_floor": check(
+                [(r["floor"] - 1e-9, r["entropy"]) for r in rows if r["floor"] is not None]),
+            "unit_norm": check([(abs(norm2 - 1.0), 1e-10)], strict=True),
+            "half_order_below_cap": check([(dyn.entropy(0.5), half_cap)], tol=1e-9),
+        },
+    }
 
 
 class DensePropagator:

@@ -83,10 +83,14 @@ class WidthResult:
     upper: float
 
     def __post_init__(self):
-        if self.value < self.lower - 1e-6:
-            raise ValueError("fit value below the proved width lower bound")
-        if self.value > max(self.upper, 1.0) + 1e-9:
-            raise ValueError("fit value exceeds both the width upper bound and 1")
+        if not width_range_check([self]).ok:
+            raise ValueError("fit value outside [lower - 1e-6, 1/2 + 1e-9]")
+
+
+def width_range_check(fits):
+    """Every fit lies in [lower - 1e-6, 1/2 + 1e-9]: no lower than the proved
+    width bound, and no higher than the all-halves witness's 1/2."""
+    return check([(f.lower - 1e-6, f.value) for f in fits] + [(f.value, 0.5 + 1e-9) for f in fits])
 
 
 def rank_constrained_identity_fit(n, d, seeds=32, polish_iters=300, seed=0):
@@ -326,6 +330,13 @@ def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0)
         log2_sr_real=log2_real,
         log2_sr_imag=log2_imag,
     )
+
+
+def budget_monotone_check(rows):
+    """In ascending duration no real-time budget of truncation_error_params
+    rows falls by more than 1e-12; the margin is the least step."""
+    reals = [r["log2_sr_real"] for r in sorted(rows, key=lambda r: r["duration"])]
+    return check([(a, b) for a, b in zip(reals, reals[1:])], tol=1e-12)
 
 
 @dataclass(frozen=True)

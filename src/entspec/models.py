@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import EtaTooSmallError, TimeTooLongError, TooLargeError, BadAlphaError
 from .se_strength import BipartiteOperator, _opnorm
-from .spectra import PureState, SchmidtSpectrum, renyi_entropy
+from .spectra import PureState, SchmidtSpectrum, check, renyi_entropy
 
 DENSE_DIM_CAP = 2 ** 12
 
@@ -286,6 +286,19 @@ class SaturationDynamics:
         m, j, n = self.m_levels, self.j, self.n_pairs
         return t <= n * math.sqrt(m) / (2.0 * m * j)
 
+    def rate_floor_check(self, times):
+        """The average rate is at least rate_lower_bound - 1e-12 at every time
+        of `times` inside the window."""
+        return check([(self.rate_lower_bound(t) - 1e-12, self.average_rate(t))
+                      for t in times if self.in_window(t)])
+
+    def strength_checks(self, lower):
+        """A lower bound found on the pump lies within 1e-6 relative of its
+        exact strength M*J, on both sides."""
+        exact = self.se_strength_exact
+        return {"strength_reached": check([(exact * (1.0 - 1e-6), lower)]),
+                "strength_not_exceeded": check([(lower, exact * (1.0 + 1e-6))])}
+
 
 def build_saturation_dynamics(m_levels, j, n_pairs):
     if m_levels < 1 or n_pairs < 1:
@@ -422,6 +435,18 @@ def build_swap_interaction(d=2):
             mat += np.kron(e_ab, e_ba)
             decomposition.append((1.0, e_ab, e_ba))
     return BipartiteOperator((d,), (d,), mat, tuple(decomposition))
+
+
+def named_strength_checks(pump, pump_lower, projector_lower, swap_lower):
+    """Lower bounds found on the named interactions against their known
+    strengths: the pump's M*J within 1e-4 and the projector's 1 within 1e-6,
+    both strictly, and the two-qubit SWAP at least sqrt(2) - 1e-6."""
+    return {
+        "pump_strength_reached": check([(abs(pump_lower - pump.se_strength_exact), 1e-4)],
+                                       strict=True),
+        "projector_strength_is_one": check([(abs(projector_lower - 1.0), 1e-6)], strict=True),
+        "swap_reaches_root_two": check([(math.sqrt(2.0) - 1e-6, swap_lower)]),
+    }
 
 
 def product_state(dims, local_vectors):

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EtaTooSmallError, NoDecompositionError
+from .spectra import check
 
 DEFAULT_SEEDS = 16
 DEFAULT_ITERATIONS = 500
@@ -96,12 +97,17 @@ class SeEstimate:
     unconverged: int  # ascent starts that ran out of iterations before CONVERGENCE_TOL
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-9:
+        if not bracket_check([self]).ok:
             raise ValueError("lower exceeds upper")
 
     @property
     def coincides(self):
         return self.upper - self.lower < 1e-6
+
+
+def bracket_check(estimates):
+    """lower <= upper + 1e-9 on every estimate: no witness beats the proved bound."""
+    return check([(e.lower, e.upper) for e in estimates], tol=1e-9)
 
 
 def se_upper_from_decomposition(op):

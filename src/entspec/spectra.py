@@ -20,12 +20,6 @@ from .errors import (
 CLAMP_REL = 1e-14  # coefficients below CLAMP_REL * lambda_1 are treated as zero
 
 
-def worst_margin(margins):
-    """Least of a check's signed margins, bound + slack - value, which pass
-    at >= 0; None over no margins, and NaN when any margin is NaN."""
-    return float(np.min(margins)) if len(margins) else None
-
-
 class Check(namedtuple("Check", "margin strict", defaults=(False,))):
     """One check: its worst signed margin (None over no rows) and whether it
     passes only above zero."""
@@ -37,9 +31,11 @@ class Check(namedtuple("Check", "margin strict", defaults=(False,))):
 
 def check(pairs, tol=0.0, strict=False):
     """The check `value <= bound + tol` over (value, bound) pairs, with
-    margin min(bound + tol - value); it passes at >= 0, or only at > 0 when
-    strict, and over no pairs its margin is None and it passes."""
-    return Check(worst_margin([bound + tol - value for value, bound in pairs]), strict)
+    margin min(bound + tol - value), NaN when any margin is NaN; it passes at
+    >= 0, or only at > 0 when strict, and over no pairs its margin is None
+    and it passes."""
+    margins = [bound + tol - value for value, bound in pairs]
+    return Check(float(np.min(margins)) if margins else None, strict)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end runner checks: exit codes, artifact formats, determinism."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -100,6 +101,8 @@ BAD_VALUES = [
     {"experiment": "gibbs-tail", "params": {"n": 8}},
     {"experiment": "gibbs-tail", "params": {"n": 7, "d": 4}},
     {"experiment": "mps-exist", "params": {"n": 12}, "grid": [{"d": 2}, {"d": 3}]},
+    # the sparse ground-state path has its own d**n cap
+    {"experiment": "ground-tail", "params": {"n": 17}},
     # the size rules never form d**n for a huge n
     {"experiment": "mps-exist", "params": {"n": 10 ** 9}},
     {"experiment": "gibbs-tail", "params": {"n": 10 ** 9}},
@@ -422,10 +425,14 @@ def test_rank_budgets_are_at_least_rank_one(tmp_path):
 
 
 def test_rank_budgets_are_compared_in_ascending_duration(tmp_path):
-    cfg = {"experiment": "truncation-params", "params": {"durations": [2.0, 0.5]}}
-    code, _, rows = run_cli(tmp_path, cfg)
+    cfg = {"experiment": "truncation-params", "params": {"durations": [2.0, 0.5, 1.0]}}
+    code, summary, rows = run_cli(tmp_path, cfg)
     assert code == 0
-    assert [r["duration"] for r in rows] == ["2.0", "0.5"]
+    assert [r["duration"] for r in rows] == ["2.0", "0.5", "1.0"]
+    # the margin is the least step between budgets in ascending duration
+    reals = [float(r["log2_sr_real"]) for r in sorted(rows, key=lambda r: float(r["duration"]))]
+    least = min(b - a for a, b in zip(reals, reals[1:]))
+    assert summary["margins"]["real_cost_monotone"] == pytest.approx(least, abs=1e-9)
 
 
 def test_unitary_growth_row_and_check_agree_near_the_cap(tmp_path, monkeypatch):
@@ -459,3 +466,11 @@ def test_decomposition_fails_on_a_negative_worst_margin(tmp_path, monkeypatch):
 def test_selftest_fails_when_corruption_goes_undetected(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_corruption_probes", lambda: [("sabotaged probe", lambda: False)])
     assert selftest(tmp_path / "st") == 1
+
+
+def test_cli_states_no_check_rule():
+    # each check rule has one owner in the library, and the CLI only reads it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "check" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == []

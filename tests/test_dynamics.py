@@ -24,6 +24,7 @@ from entspec import (
     measure_rate_profile,
     random_dense_instance,
 )
+from entspec.dynamics import c_alpha_table, rate_bound_check
 
 from helpers import random_state
 
@@ -39,10 +40,7 @@ def _toy_v_ab():
 
 
 def test_rate_constant_anchors():
-    assert c_alpha(0.5) == 2.0
-    assert c_alpha(1.0) == 4.0 / math.e
-    assert c_alpha(math.inf) == 2.0
-    assert c_alpha(0.75) == pytest.approx(1.5, abs=1e-12)
+    assert all(c.ok for c in c_alpha_table([0.5, 0.75, 1.0, "inf"])["checks"].values())
     # u^(u/(2-2a)) route, evaluated independently at order 2
     assert c_alpha(2.0) == pytest.approx(1.539600717839002, abs=1e-12)
     with pytest.raises(BelowThresholdError):
@@ -135,18 +133,13 @@ def test_rate_profile_below_threshold_has_no_bound():
 def test_rate_profile_respects_bound_on_random_instances(rng):
     for _ in range(6):
         h, v, state = random_dense_instance(rng, max_local=6)
-        from entspec import best_upper
-
-        upper = best_upper(v)
         samples = measure_rate_profile(
             h, state, Cut.of([0], 2),
             alphas=[0.5, 1.0, 2.0, math.inf],
             times=[float(rng.uniform(0.05, 1.0))],
             v_ab=v,
         )
-        for s in samples:
-            if not s.kink:
-                assert abs(s.rate) <= c_alpha(s.alpha) * upper + 1e-4
+        assert rate_bound_check(samples).ok
 
 
 def test_unitary_growth_stays_under_exponential_cap():

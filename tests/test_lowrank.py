@@ -23,7 +23,7 @@ from entspec import (
     simplex_moment,
     truncation_error_params,
 )
-from entspec.lowrank import WidthResult, _max_abs
+from entspec.lowrank import WidthResult, _max_abs, width_range_check
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -44,6 +44,9 @@ def test_kolmogorov_bounds_frozen_values():
 def test_width_result_validation():
     with pytest.raises(ValueError):
         WidthResult(n=4, d=1, value=0.01, lower=0.2, upper=1.0)
+    # the all-halves witness caps every fit at 1/2, below the upper bound here
+    with pytest.raises(ValueError):
+        WidthResult(n=4, d=1, value=0.6, lower=0.2, upper=1.0)
 
 
 def test_identity_fit_two_by_one_is_half():
@@ -60,8 +63,7 @@ def test_identity_fit_full_rank_is_zero():
 def test_all_halves_witness_is_exactly_half():
     """The constant rank-1 witness leaves every entry of I - AB at +-1/2."""
     for n in (2, 3, 8, 16):
-        a = np.zeros((n, 1))
-        a[:, 0] = 1.0
+        a = np.ones((n, 1))
         b = np.full((1, n), 0.5)
         assert _max_abs(np.eye(n) - a @ b) == 0.5
         res = rank_constrained_identity_fit(n, 1, seeds=8)
@@ -73,7 +75,7 @@ def test_all_halves_witness_is_exactly_half():
 def test_identity_fit_stays_in_proved_window(n, data):
     d = data.draw(st.integers(1, n - 1))
     res = rank_constrained_identity_fit(n, d, seeds=4, polish_iters=60)
-    assert res.lower - 1e-6 <= res.value <= 0.5 + 1e-9
+    assert width_range_check([res]).ok
 
 
 def test_no_go_lower_bound_values():

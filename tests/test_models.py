@@ -11,7 +11,6 @@ from entspec import (
     ChainHamiltonian,
     Cut,
     LocalTerm,
-    PureState,
     TimeTooLongError,
     TooLargeError,
     basis_product_state,
@@ -22,9 +21,9 @@ from entspec import (
     build_unbounded_dynamics,
     random_dense_instance,
     random_product_state,
-    renyi_entropy,
     schmidt_decompose,
 )
+from entspec.dynamics import unbounded_experiment
 
 from helpers import random_hermitian
 
@@ -170,7 +169,7 @@ def test_saturation_protocol_entropy():
     assert e == pytest.approx(6.404029359546116, abs=1e-12)
     assert dyn.protocol_entropy(0.5, t) == pytest.approx(e, abs=1e-10)
     assert dyn.in_window(t)
-    assert dyn.average_rate(t) >= dyn.rate_lower_bound(t) - 1e-12
+    assert dyn.rate_floor_check([t]).ok
     assert dyn.rate_lower_bound(t) == pytest.approx(4.8, abs=1e-12)
     with pytest.raises(ValueError):
         dyn.average_rate(0.0)
@@ -197,11 +196,8 @@ def test_unbounded_entropy_values_and_bound():
         -0.462098120373297, abs=1e-12
     )
     for d0 in (16, 256):
-        dyn = build_unbounded_dynamics(d0, 1.0, 1.0)
-        for alpha in (0.1, 0.25, 0.4):
-            assert dyn.entropy(alpha) >= dyn.entropy_lower_bound(alpha) - 1e-9
-        # half-order entropy stays within twice the strength budget
-        assert dyn.entropy(0.5) <= 2.0 * dyn.strength_budget() + 1e-9
+        rep = unbounded_experiment(build_unbounded_dynamics(d0, 1.0, 1.0), [0.1, 0.25, 0.4])
+        assert all(c.ok for c in rep["checks"].values())
 
 
 def test_unbounded_validation():
