@@ -34,7 +34,7 @@ from .dynamics import (
     unbounded_experiment,
     unitary_growth_check,
 )
-from .errors import EntspecError
+from .errors import EntspecError, TimeTooLongError
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
     budget_monotone_check,
@@ -56,6 +56,7 @@ from .models import (
     build_swap_interaction,
     build_unbounded_dynamics,
     named_strength_checks,
+    named_strengths,
     random_dense_instance,
     random_product_state,
 )
@@ -111,16 +112,15 @@ def exp_se_search(p, seed):
     # named targets with known strengths; budgets fixed so reduced sweeps stay sharp
     pump = build_saturation_dynamics(4, 1.0, 1)
     proj = build_ising_projector_interaction(3)
-    swap = build_swap_interaction(2)
+    swap = build_swap_interaction()
     named = (
-        ("pump", pump.v, se_lower_search(pump.v, seeds=4, iterations=250, seed=seed),
-         pump.se_strength_exact),
-        ("projector", proj, se_lower_search(proj, seeds=4, iterations=150, seed=seed), 1.0),
-        ("swap", swap, se_lower_search(swap, seeds=6, iterations=200, seed=seed),
-         math.sqrt(2.0)),
+        ("pump", pump.v, se_lower_search(pump.v, seeds=4, iterations=250, seed=seed)),
+        ("projector", proj, se_lower_search(proj, seeds=4, iterations=150, seed=seed)),
+        ("swap", swap, se_lower_search(swap, seeds=6, iterations=200, seed=seed)),
     )
-    rows += [row(name, None, op, est, want) for name, op, est, want in named]
-    found_named = [est for _, _, est, _ in named]
+    want = named_strengths(pump)
+    rows += [row(name, None, op, est, want[name]) for name, op, est in named]
+    found_named = [est for _, _, est in named]
     return {
         "rows": rows,
         # ascent starts that stopped at their iteration budget, not on tolerance
@@ -228,8 +228,8 @@ def exp_kolmogorov(p, seed):
 
 
 def exp_no_go(p, seed):
-    rows = [no_go_experiment(p["n"], p["d"], t, seeds=p["seeds"], polish_iters=p["polish"],
-                             seed=seed) for t in p["times"]]
+    rows = no_go_experiment(p["n"], p["d"], p["times"], seeds=p["seeds"],
+                            polish_iters=p["polish"], seed=seed)
     return {"rows": rows, "derived": {}, "checks": {"chain_holds": no_go_chain_check(rows)}}
 
 
@@ -544,9 +544,11 @@ def validate_config(cfg):
         if "cut" in p and not 1 <= p["cut"] <= p["n"] - 1:
             raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
                               f"{p['n']}, got {p['cut']}")
-        if name == "unbounded" and p["j"] * p["t"] > 1.0 + 1e-12:
-            raise ConfigError(f"params 'j' and 't' of {name} must have j*t <= 1, got "
-                              f"j*t = {p['j'] * p['t']}")
+        if name == "unbounded":
+            try:
+                build_unbounded_dynamics(p["d0"], p["j"], p["t"])
+            except TimeTooLongError as exc:
+                raise ConfigError(f"params 'j' and 't' of {name}: {exc}") from None
         # the chain matrix has d**n rows; with d >= 2 the power passes the cap
         # by the exponent cap.bit_length(), so no larger one is formed
         if name in _DIM_CAPS:

@@ -152,13 +152,13 @@ class RateSample:
         return self.bound - abs(self.rate)
 
 
-def measure_rate_profile(h, state0, cut, alphas, times, v_ab=None):
+def measure_rate_profile(h, state0, cut, alphas, times, v_ab):
     """Finite-difference entropy rates of a dense Hamiltonian at each
-    (t, alpha), with bound columns from the cut interaction v_ab when given.
+    (t, alpha), with bound columns from the cut interaction v_ab.
 
     Five evolved states per time point are shared across all orders.
     """
-    upper = best_upper(v_ab) if v_ab is not None else None
+    upper = best_upper(v_ab)
     prop = DensePropagator(h)
     samples = []
     for t in times:
@@ -180,12 +180,10 @@ def measure_rate_profile(h, state0, cut, alphas, times, v_ab=None):
                 rate = d_plus if abs(d_plus) >= abs(d_minus) else d_minus
             else:
                 rate = (4.0 * d_half - d_full) / 3.0
-            bound = None
-            if upper is not None:
-                try:
-                    bound = c_alpha(alpha) * upper
-                except BelowThresholdError:
-                    bound = None
+            try:
+                bound = c_alpha(alpha) * upper
+            except BelowThresholdError:
+                bound = None
             samples.append(
                 RateSample(
                     t=float(t),

@@ -126,9 +126,10 @@ def no_go_chain_check(rows):
     return check([(r["chain_rhs_sound"] - CHAIN_SLACK, r["measured"]) for r in rows])
 
 
-def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
+def no_go_experiment(n, d, times, seeds=8, polish_iters=400, seed=0):
     """Best diagonal-ansatz rank-d approximation of the correlated-phase
-    target, with the chain inequality it must respect.
+    target at each time of `times`, with the chain inequality it must
+    respect: one row per time.
 
     Every candidate is feasible, so the reported minimum upper-bounds
     nothing and lower-bounds nothing falsely: it sits above the true
@@ -136,36 +137,38 @@ def no_go_experiment(n, d, t, seeds=8, polish_iters=400, seed=0):
     uses the proved width lower bound; the heuristic column is informative
     only.
     """
-    theta = np.full((n, n), 1.0, dtype=complex)
-    np.fill_diagonal(theta, np.exp(-1j * t))
+    width_lower, _ = kolmogorov_bounds(n, min(2 * d, n))
+    idfit = rank_constrained_identity_fit(n, min(2 * d, n), seeds=max(8, seeds), seed=seed)
+    # the seeded candidates do not depend on t, and _best_fit never writes to them
     rng = np.random.default_rng(seed)
-    cands = []
-    c_mid = (1.0 + np.exp(-1j * t)) / 2.0
-    a_bis = np.zeros((n, d), dtype=complex)
-    a_bis[:, 0] = 1.0
-    b_bis = np.zeros((d, n), dtype=complex)
-    b_bis[0, :] = c_mid
-    cands.append((a_bis, b_bis))
+    draws = []
     for _ in range(seeds):
         a0 = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         b0 = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-        cands.append((a0, b0))
-    measured = _best_fit(theta, cands, polish_iters)
-    gap = math.exp(t) - 1.0 - t
-    width_lower, _ = kolmogorov_bounds(n, min(2 * d, n))
-    idfit = rank_constrained_identity_fit(n, min(2 * d, n), seeds=max(8, seeds), seed=seed)
-    row = {
-        "n": n,
-        "d": d,
-        "t": t,
-        "measured": measured,
-        "bisector_witness": math.sin(t / 2.0),
-        "chain_rhs_sound": t * width_lower - gap,
-        "chain_rhs_heuristic": t * idfit.value - gap,
-        "idfit_2d": idfit.value,
-        "no_go_lb": no_go_lower_bound(t),
-    }
-    return {**row, "chain_ok": no_go_chain_check([row]).ok}
+        draws.append((a0, b0))
+    a_bis = np.zeros((n, d), dtype=complex)
+    a_bis[:, 0] = 1.0
+    rows = []
+    for t in times:
+        theta = np.full((n, n), 1.0, dtype=complex)
+        np.fill_diagonal(theta, np.exp(-1j * t))
+        b_bis = np.zeros((d, n), dtype=complex)
+        b_bis[0, :] = (1.0 + np.exp(-1j * t)) / 2.0
+        measured = _best_fit(theta, [(a_bis, b_bis)] + draws, polish_iters)
+        gap = math.exp(t) - 1.0 - t
+        row = {
+            "n": n,
+            "d": d,
+            "t": t,
+            "measured": measured,
+            "bisector_witness": math.sin(t / 2.0),
+            "chain_rhs_sound": t * width_lower - gap,
+            "chain_rhs_heuristic": t * idfit.value - gap,
+            "idfit_2d": idfit.value,
+            "no_go_lb": no_go_lower_bound(t),
+        }
+        rows.append({**row, "chain_ok": no_go_chain_check([row]).ok})
+    return rows
 
 
 def simplex_moment(qs):

@@ -422,8 +422,9 @@ def build_ising_projector_interaction(n_levels):
     return BipartiteOperator((n_levels,), (n_levels,), mat, tuple(decomposition))
 
 
-def build_swap_interaction(d=2):
-    """SWAP on two d-level systems, with a unit-norm product decomposition."""
+def build_swap_interaction():
+    """SWAP on two qubits, with a unit-norm product decomposition."""
+    d = 2
     mat = np.zeros((d * d, d * d), dtype=complex)
     decomposition = []
     for a in range(d):
@@ -437,15 +438,22 @@ def build_swap_interaction(d=2):
     return BipartiteOperator((d,), (d,), mat, tuple(decomposition))
 
 
+def named_strengths(pump):
+    """Known strengths of the named interactions: the pump's M*J, the
+    projector's 1, and sqrt(2), the known lower target of the two-qubit SWAP."""
+    return {"pump": pump.se_strength_exact, "projector": 1.0, "swap": math.sqrt(2.0)}
+
+
 def named_strength_checks(pump, pump_lower, projector_lower, swap_lower):
     """Lower bounds found on the named interactions against their known
-    strengths: the pump's M*J within 1e-4 and the projector's 1 within 1e-6,
-    both strictly, and the two-qubit SWAP at least sqrt(2) - 1e-6."""
+    strengths: the pump's within 1e-4 and the projector's within 1e-6, both
+    strictly, and the SWAP's target reached within 1e-6."""
+    want = named_strengths(pump)
     return {
-        "pump_strength_reached": check([(abs(pump_lower - pump.se_strength_exact), 1e-4)],
-                                       strict=True),
-        "projector_strength_is_one": check([(abs(projector_lower - 1.0), 1e-6)], strict=True),
-        "swap_reaches_root_two": check([(math.sqrt(2.0) - 1e-6, swap_lower)]),
+        "pump_strength_reached": check([(abs(pump_lower - want["pump"]), 1e-4)], strict=True),
+        "projector_strength_is_one": check([(abs(projector_lower - want["projector"]), 1e-6)],
+                                           strict=True),
+        "swap_reaches_root_two": check([(want["swap"] - 1e-6, swap_lower)]),
     }
 
 

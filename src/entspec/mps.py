@@ -110,7 +110,7 @@ def _truncate_bond(t, d_cap, tolerance):
     return u[:, :keep].reshape(dl, d, keep), kept[:, None] * vh[:keep], record
 
 
-def from_dense(state, d_max=None):
+def from_dense(state, d_max):
     """Sequential SVD factorization of a chain state, largest-first per bond;
     only exact zeros and values beyond d_max are dropped."""
     dims = state.dims
@@ -118,12 +118,11 @@ def from_dense(state, d_max=None):
     if any(x != d for x in dims):
         raise MismatchError("chain must have a uniform physical dimension")
     n = len(dims)
-    cap = d_max if d_max is not None else 10 ** 9
     rest = state.amps.reshape(1, -1)
     tensors = []
     bonds = []
     for _ in range(n - 1):
-        t, rest, record = _truncate_bond(rest.reshape(rest.shape[0], d, -1), cap, 0.0)
+        t, rest, record = _truncate_bond(rest.reshape(rest.shape[0], d, -1), d_max, 0.0)
         tensors.append(t)
         bonds.append(record)
     tensors.append(rest.reshape(-1, d, 1))
@@ -272,15 +271,15 @@ def _compress_blocks(sites, d_cap, tolerance):
     return out, CompressionRecord(bonds=tuple(bonds))
 
 
-def compress(mps, d_cap, tolerance=0.0):
+def compress(mps, d_cap):
     """Right-canonicalize, then truncate left-to-right, keeping at most d_cap
-    values above tolerance per bond."""
-    return _compress_blocks([[t] for t in mps.tensors], d_cap, tolerance)
+    nonzero values per bond."""
+    return _compress_blocks([[t] for t in mps.tensors], d_cap, 0.0)
 
 
 def compress_sum(states, coeffs, d_cap, tolerance=0.0):
-    """compress(add(states, coeffs), d_cap, tolerance), bit for bit, without
-    building the block-diagonal tensors of the sum."""
+    """compress(add(states, coeffs), d_cap) keeping only values above tolerance
+    (bit for bit at 0), without building the sum's block-diagonal tensors."""
     return _compress_blocks(_sum_blocks(states, coeffs), d_cap, tolerance)
 
 

@@ -15,8 +15,6 @@ import numpy as np
 from .errors import EtaTooSmallError, NoDecompositionError
 from .spectra import check
 
-DEFAULT_SEEDS = 16
-DEFAULT_ITERATIONS = 500
 CONVERGENCE_TOL = 1e-8
 
 
@@ -216,25 +214,16 @@ def _search(phi4, aa, bb, seeds, iterations, seed, extra=()):
     return best, unconverged
 
 
-def se_lower_search(
-    op,
-    ancilla_dims=None,
-    seeds=DEFAULT_SEEDS,
-    iterations=DEFAULT_ITERATIONS,
-    seed=0,
-):
+def se_lower_search(op, seeds, iterations, seed=0):
     """Heuristic lower bound on the entangling strength by product-state search.
 
-    Deterministic given `seed`. When ancillas are requested the no-ancilla
-    search runs first and its witness is embedded as an extra seed, so
-    enlarging the ancilla can never lower the result.
+    Deterministic given `seed`. The search runs with ancillas of dimension
+    min(d_A, d_B) on both sides. When that exceeds 1, a no-ancilla search
+    runs first and its witness is embedded as an extra start, so the
+    ancillas can never lower the result.
     """
     da, db = op.dim_a, op.dim_b
-    if ancilla_dims is None:
-        ancilla_dims = (min(da, db), min(da, db))
-    aa, bb = int(ancilla_dims[0]), int(ancilla_dims[1])
-    if aa < 1 or bb < 1:
-        raise ValueError("ancilla dimensions must be >= 1")
+    aa = bb = min(da, db)
     phi4 = op.as_tensor()
     extra = []
     unconverged = 0

@@ -131,7 +131,7 @@ def test_criterion_05_strength_search_targets(acceptance_lines):
     pump_est = se_lower_search(pump.v, seeds=6, iterations=400, seed=0)
     proj_est = se_lower_search(build_ising_projector_interaction(3),
                                seeds=4, iterations=200, seed=0)
-    swap_est = se_lower_search(build_swap_interaction(2), seeds=6, iterations=300, seed=0)
+    swap_est = se_lower_search(build_swap_interaction(), seeds=6, iterations=300, seed=0)
     checks = named_strength_checks(pump, pump_est.lower, proj_est.lower, swap_est.lower)
     elapsed = time.perf_counter() - t0
     ok = all(c.ok for c in checks.values()) and elapsed < budget
@@ -221,7 +221,7 @@ def test_criterion_09_width_floor_and_no_go(acceptance_lines):
         a = np.ones((n, 1))
         b = np.full((1, n), 0.5)
         halves_ok = halves_ok and _max_abs(np.eye(n) - a @ b) == 0.5
-    out = no_go_experiment(16, 1, 0.3, seeds=6, polish_iters=300)
+    [out] = no_go_experiment(16, 1, [0.3], seeds=6, polish_iters=300)
     elapsed = time.perf_counter() - t0
     ok = (fit_err <= 1e-6 and in_range.ok and halves_ok and out["measured"] >= 0.095
           and elapsed < budget)

@@ -86,7 +86,7 @@ def test_no_go_lower_bound_values():
 
 
 def test_no_go_experiment_structure():
-    out = no_go_experiment(16, 1, 0.3, seeds=4, polish_iters=100)
+    [out] = no_go_experiment(16, 1, [0.3], seeds=4, polish_iters=100)
     assert out["measured"] >= out["no_go_lb"] - 1e-9
     assert out["measured"] <= out["bisector_witness"] + 1e-9
     assert out["bisector_witness"] == pytest.approx(math.sin(0.15), abs=1e-12)

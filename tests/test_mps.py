@@ -27,6 +27,7 @@ from entspec import (
     schmidt_decompose,
     to_dense,
 )
+from entspec.mps import _compress_blocks
 
 from helpers import random_hermitian, random_state
 
@@ -63,7 +64,7 @@ def test_mps_validation():
 def test_round_trip_dense(n, seed):
     rng = np.random.default_rng(seed)
     state = random_state(rng, (2,) * n)
-    mps, rec = from_dense(state)
+    mps, rec = from_dense(state, d_max=state.amps.size)
     assert rec.sum_delta2 == pytest.approx(0.0, abs=1e-20)
     back = to_dense(mps)
     assert np.linalg.norm(back.amps - state.amps) < 1e-10
@@ -88,7 +89,7 @@ def test_from_dense_truncation_records_schmidt_data(rng):
 def test_from_dense_requires_uniform_dimension(rng):
     state = random_state(rng, (2, 3, 2))
     with pytest.raises(MismatchError):
-        from_dense(state)
+        from_dense(state, d_max=state.amps.size)
 
 
 def test_to_dense_cap():
@@ -108,7 +109,7 @@ def test_product_mps_and_norm():
 
 def test_add_matches_dense(rng):
     states = [random_state(rng, (2,) * 5) for _ in range(3)]
-    parts = [from_dense(s)[0] for s in states]
+    parts = [from_dense(s, d_max=s.amps.size)[0] for s in states]
     coeffs = [1.0, -0.5j, 0.3 + 0.7j]
     combo = add(parts, coeffs)
     want = sum(c * s.amps for c, s in zip(coeffs, states))
@@ -176,7 +177,8 @@ def test_compress_sum_equals_compress_of_add_bytes(n, d):
             summed = add(parts, coeffs)
             ref = _direct_sum_reference(parts, coeffs)
             assert [t.tobytes() for t in summed.tensors] == [t.tobytes() for t in ref]
-            want, want_rec = compress(summed, d_cap, tolerance)
+            # compress is this single-block path at tolerance 0
+            want, want_rec = _compress_blocks([[t] for t in summed.tensors], d_cap, tolerance)
             got, got_rec = compress_sum(parts, coeffs, d_cap, tolerance)
             assert [t.shape for t in got.tensors] == [t.shape for t in want.tensors]
             assert [t.tobytes() for t in got.tensors] == [t.tobytes() for t in want.tensors]
@@ -185,9 +187,21 @@ def test_compress_sum_equals_compress_of_add_bytes(n, d):
     assert truncated == (n > 1)
 
 
+def test_compress_sum_tolerance_drops_small_values():
+    up = product_mps(4, d=2, local_vectors=[np.array([1.0, 0.0])] * 4)
+    down = product_mps(4, d=2, local_vectors=[np.array([0.0, 1.0])] * 4)
+    # one Schmidt value of 1e-15 on every bond: kept at tolerance 0, dropped at 1e-14
+    kept, kept_rec = compress_sum([up, down], [1.0, 1e-15], 8)
+    assert kept.bond_dims == (1, 2, 2, 2, 1)
+    assert kept_rec.sum_delta2 == 0.0
+    cut, cut_rec = compress_sum([up, down], [1.0, 1e-15], 8, 1e-14)
+    assert cut.bond_dims == (1, 1, 1, 1, 1)
+    assert cut_rec.sum_delta2 == pytest.approx(1e-30, rel=1e-3)
+
+
 def test_apply_local_term_matches_dense(rng):
     state = random_state(rng, (2,) * 5)
-    mps, _ = from_dense(state)
+    mps, _ = from_dense(state, d_max=state.amps.size)
     one = LocalTerm(support=(2,), matrix=0.7 * X)
     got = to_dense(apply_local_term(mps, one)).amps
     want = np.kron(np.kron(np.eye(4), 0.7 * X), np.eye(4)) @ state.amps
@@ -210,7 +224,7 @@ def test_apply_local_term_matches_dense(rng):
 
 def test_apply_local_term_validation(rng):
     state = random_state(rng, (2,) * 4)
-    mps, _ = from_dense(state)
+    mps, _ = from_dense(state, d_max=state.amps.size)
     with pytest.raises(UnsupportedLocalityError):
         apply_local_term(
             mps, LocalTerm(support=(0, 1, 2), matrix=np.eye(8))
@@ -222,7 +236,7 @@ def test_apply_local_term_validation(rng):
 def test_compress_is_optimal_per_bond(rng):
     """Truncation error against the dense Schmidt tails it must match."""
     state = random_state(rng, (2,) * 7)
-    mps, _ = from_dense(state)
+    mps, _ = from_dense(state, d_max=state.amps.size)
     out, rec = compress(mps, 4)
     assert out.max_bond <= 4
     for cut, bond in enumerate(rec.bonds, start=1):
@@ -238,7 +252,7 @@ def test_compress_is_optimal_per_bond(rng):
 
 def test_compress_idempotent_zeta_monotone(rng):
     state = random_state(rng, (2,) * 6)
-    mps, _ = from_dense(state)
+    mps, _ = from_dense(state, d_max=state.amps.size)
     once, rec1 = compress(mps, 3)
     twice, rec2 = compress(once, 3)
     assert rec2.sum_delta2 <= 1e-16
@@ -249,8 +263,8 @@ def test_compress_idempotent_zeta_monotone(rng):
 def test_mps_inner_and_expectation(rng):
     a = random_state(rng, (2,) * 5)
     b = random_state(rng, (2,) * 5)
-    ma, _ = from_dense(a)
-    mb, _ = from_dense(b)
+    ma, _ = from_dense(a, d_max=a.amps.size)
+    mb, _ = from_dense(b, d_max=b.amps.size)
     assert mps_inner(ma, mb) == pytest.approx(np.vdot(a.amps, b.amps), abs=1e-10)
     term = LocalTerm(support=(1, 2), matrix=np.kron(X, Z))
     embed = np.kron(np.kron(np.eye(2), np.kron(X, Z)), np.eye(4))

@@ -1,5 +1,7 @@
-"""Every name the package exports, and every field of its result
-dataclasses, has a reader outside the tests."""
+"""Every name the package exports, every method of its classes, and every
+field of its result dataclasses has a reader outside the tests; every
+defaulted parameter of a public function is passed by a call outside the
+tests."""
 
 import ast
 import re
@@ -9,9 +11,20 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "entspec"
 
 # Exported for tests to compare against; nothing in the package calls them.
+# A "Class.method" entry is a method or property of a package class.
 ALLOWED = {
     "certificate_theory_bound": "the closed-form comparator that the tdmrg tests hold the naive bound to",
     "basis_product_state": "builds the product inputs of the existence-check tests",
+    "SaturationDynamics.per_pair_state": "the closed-form pulse state the tests hold expm(-i V x)|00> to",
+    "SaturationDynamics.protocol_entropy": "the order-1/2 protocol entropy the tests hold protocol_entropy_half to",
+    "ToyTwoQubit.hamiltonian": "the matrix the tests evolve to check rate, spectrum and state against",
+    "ToyTwoQubit.state": "the closed-form state the tests hold expm(-i H t)|00> to",
+    "CompressionRecord.stitching_bound": "the bound the mps tests hold the compression error to",
+}
+
+# Defaulted parameters that no call in the package or the benchmark passes.
+DEFAULTS_ALLOWED = {
+    "adiabatic_evolve.start_steps": "bench/tracer.py reads it by name to count refinement rounds",
 }
 
 # Dataclass fields with no `.name` reader in the package or the benchmark.
@@ -35,10 +48,21 @@ def _exported_names():
     )
 
 
-def _reader_lines():
+def _reader_files():
     files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    files += sorted((ROOT / "bench").glob("*.py"))
-    return [line for p in files for line in p.read_text().splitlines()]
+    return files + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _reader_lines():
+    return [line for p in _reader_files() for line in p.read_text().splitlines()]
+
+
+def _methods():
+    """(class, name) for every public method and property of a package class."""
+    return [(node.name, f.name)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
 
 
 def test_every_export_has_a_reader():
@@ -49,6 +73,8 @@ def test_every_export_has_a_reader():
         own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
         if not any(word.search(line) and not own.match(line) for line in lines):
             unread.append(name)
+    text = "\n".join(lines)
+    unread += [f"{cls}.{name}" for cls, name in _methods() if not re.search(rf"\.{name}\b", text)]
     assert sorted(unread) == sorted(ALLOWED)
 
 
@@ -75,3 +101,36 @@ def test_every_result_field_has_a_reader():
         and not {cls, name, f"{cls}.{name}"} & set(FIELDS_ALLOWED)
     ]
     assert unread == []
+
+
+def _public_functions():
+    """name -> (parameters, defaulted parameters) of every public module-level
+    function of the package."""
+    out = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                params = [x.arg for x in a.posonlyargs + a.args]
+                defaulted = params[len(params) - len(a.defaults):]
+                defaulted += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                out[node.name] = (params, defaulted)
+    return out
+
+
+def test_every_default_is_passed_outside_the_tests():
+    """A default no caller overrides is a constant: an option only tests set
+    is not allowed."""
+    functions = _public_functions()
+    passed = {name: set() for name in functions}
+    for path in _reader_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in passed:
+                passed[name].update(functions[name][0][: len(node.args)])
+                passed[name].update(k.arg for k in node.keywords)
+    unpassed = [f"{name}.{param}" for name, (_, defaulted) in functions.items()
+                for param in defaulted if param not in passed[name]]
+    assert sorted(unpassed) == sorted(DEFAULTS_ALLOWED)

@@ -19,7 +19,7 @@ from entspec import (
     se_lower_search,
     se_upper_from_decomposition,
 )
-from entspec.se_strength import _operator_schmidt
+from entspec.se_strength import _operator_schmidt, _search
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -93,11 +93,11 @@ def test_search_on_projector_interaction_is_exactly_one():
 
 
 def test_swap_needs_ancillas():
-    op = build_swap_interaction(2)
-    bare = se_lower_search(op, ancilla_dims=(1, 1), seeds=6, iterations=150)
+    op = build_swap_interaction()
+    (bare, _, _), _ = _search(op.as_tensor(), 1, 1, seeds=6, iterations=150, seed=0)
     extended = se_lower_search(op, seeds=6, iterations=150)
     # ancillas strictly help for swap; sqrt(2) is the known lower target
-    assert extended.lower >= bare.lower - 1e-9
+    assert extended.lower >= bare - 1e-9
     assert extended.lower >= math.sqrt(2.0) - 1e-6
 
 
@@ -113,17 +113,17 @@ def test_toy_interaction_strength_is_one_despite_upper_two():
 def test_ancilla_embedding_never_hurts(rng):
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     op = BipartiteOperator((2,), (3,), m + m.conj().T)
-    base = se_lower_search(op, ancilla_dims=(1, 1), seeds=3, iterations=80)
-    big = se_lower_search(op, ancilla_dims=(2, 2), seeds=3, iterations=80)
-    assert big.lower >= base.lower - 1e-9
+    (base, _, _), _ = _search(op.as_tensor(), 1, 1, seeds=3, iterations=80, seed=0)
+    big = se_lower_search(op, seeds=3, iterations=80)
+    assert big.lower >= base - 1e-9
 
 
 def test_search_counts_unconverged_starts():
-    op = build_swap_interaction(2)
+    op = build_swap_interaction()
     # (1, 1) search: 3 seeds + 2 fixed starts; (2, 2) search: the same plus
     # the embedded (1, 1) witness
     assert se_lower_search(op, seeds=3, iterations=1).unconverged == 11
-    assert se_lower_search(op, ancilla_dims=(1, 1), seeds=3, iterations=1).unconverged == 5
+    assert _search(op.as_tensor(), 1, 1, seeds=3, iterations=1, seed=0)[1] == 5
     assert se_lower_search(op, seeds=3, iterations=500).unconverged < 11
 
 
