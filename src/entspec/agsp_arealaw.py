@@ -290,7 +290,7 @@ class BoundaryFamily:
         return BipartiteOperator(c.dims_a, c.dims_b, s * c.matrix, dec)
 
 
-def make_coupled_qudit_family(delta=1.0, coupling=0.3):
+def make_coupled_qudit_family(delta, coupling):
     """Two qubits with local gap delta, ramped up to coupling * X (x) X."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     h_loc = np.diag([0.0, delta]).astype(complex)

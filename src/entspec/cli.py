@@ -174,10 +174,11 @@ def exp_rate_profile(p, seed):
 def exp_unitary_growth(p, seed):
     rng = _rng(seed)
     h_full, v, _ = random_dense_instance(rng, dim_cap=p["dim_cap"], n_terms=p["terms"])
+    v_upper = best_upper(v)
     rows = check_unitary_se_growth(
-        h_full, (v.dim_a,), (v.dim_b,), p["times"], best_upper(v), seeds=p["seeds"], seed=seed
+        h_full, (v.dim_a,), (v.dim_b,), p["times"], v_upper, seeds=p["seeds"], seed=seed
     )
-    return {"rows": rows, "derived": {"v_upper": best_upper(v)},
+    return {"rows": rows, "derived": {"v_upper": v_upper},
             "checks": {"below_cap": unitary_growth_check(rows)}}
 
 
@@ -187,6 +188,7 @@ def exp_agsp(p, seed):
     ops = []
     for i in range(p["instances"]):
         h, v, _ = random_gapped_instance(rng)
+        v_upper = best_upper(v)
         for beta in p["betas"]:
             a = build_agsp(h, beta)
             ops.append(a)
@@ -198,7 +200,7 @@ def exp_agsp(p, seed):
                 "defect_excited": a.defect_excited,
                 "gauss_defect": a.gauss_defect,
                 "defect_bound": a.defect_bound,
-                "strength_cap": a.strength_cap(best_upper(v)),
+                "strength_cap": a.strength_cap(v_upper),
             })
     return {"rows": rows, "derived": {}, "checks": agsp_checks(ops)}
 

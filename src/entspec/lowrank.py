@@ -16,6 +16,7 @@ from .spectra import check
 
 MERGE_DIM_CAP = 2 ** 10
 CHAIN_SLACK = 1e-9  # rounding slack of the no-go chain inequality
+ALS_SWEEPS = 8  # alternating least-squares sweeps before the max-abs polish
 
 
 def kolmogorov_bounds(n, d):
@@ -55,9 +56,9 @@ def _subgradient_polish(target, a, b, iters):
     return best
 
 
-def _als_frobenius(target, a, sweeps):
+def _als_frobenius(target, a):
     b = None
-    for _ in range(sweeps):
+    for _ in range(ALS_SWEEPS):
         b = np.linalg.lstsq(a, target, rcond=None)[0]
         at = np.linalg.lstsq(b.conj().T, target.conj().T, rcond=None)[0]
         a = at.conj().T
@@ -69,7 +70,7 @@ def _best_fit(target, cands, polish_iters):
     each taken both as given and after ALS and subgradient polish."""
     best = math.inf
     for a0, b0 in cands:
-        a, b = _als_frobenius(target, a0, sweeps=8)
+        a, b = _als_frobenius(target, a0)
         best = min(best, _max_abs(target - a0 @ b0), _subgradient_polish(target, a, b, polish_iters))
     return best
 
@@ -126,7 +127,7 @@ def no_go_chain_check(rows):
     return check([(r["chain_rhs_sound"] - CHAIN_SLACK, r["measured"]) for r in rows])
 
 
-def no_go_experiment(n, d, times, seeds=8, polish_iters=400, seed=0):
+def no_go_experiment(n, d, times, seeds, polish_iters, seed=0):
     """Best diagonal-ansatz rank-d approximation of the correlated-phase
     target at each time of `times`, with the chain inequality it must
     respect: one row per time.

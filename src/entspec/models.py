@@ -216,7 +216,7 @@ def _clock_chain(n, d, pair_weights, hx, hz, decay):
     return ChainHamiltonian(n=n, dims=(d,) * n, terms=tuple(terms), decay=decay)
 
 
-def build_long_range_ising(n, d=2, j0=1.0, eta=3.0, hx=0.0, hz=0.0):
+def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0):
     """Power-law coupled clock chain with transverse and longitudinal fields:
     weight j0 |i-j|^(-eta) on every pair."""
     if eta <= 2:
@@ -226,7 +226,7 @@ def build_long_range_ising(n, d=2, j0=1.0, eta=3.0, hx=0.0, hz=0.0):
     return _clock_chain(n, d, pairs, hx, hz, ("power", abs(j0), eta))
 
 
-def build_nearest_neighbor_chain(n, d=2, j=1.0, hx=0.0, hz=0.0):
+def build_nearest_neighbor_chain(n, d, j, hx=0.0, hz=0.0):
     """Finite-range counterpart of the clock chain (range-1 couplings only)."""
     pairs = [((i, i + 1), j) for i in range(n - 1)]
     return _clock_chain(n, d, pairs, hx, hz, ("finite", 1))

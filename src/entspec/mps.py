@@ -195,7 +195,7 @@ def _term_factors(term, n, d):
         raise MismatchError("term support outside the chain")
     if len(term.support) == 1:
         return term.matrix
-    factors = _operator_schmidt(term.matrix, d, d)
+    factors = zip(*_operator_schmidt(term.matrix, d, d))
     return [(math.sqrt(s) * e, math.sqrt(s) * f) for s, e, f in factors]
 
 

@@ -25,13 +25,13 @@ def _opnorm(m):
 def _operator_schmidt(matrix, da, db):
     """Operator-Schmidt split matrix = sum_k s_k E_k (x) F_k on A x B.
 
-    Returns the (s_k, E_k, F_k) with s_k >= 1e-14 s_1, largest first; the
-    E_k and the F_k are each Hilbert-Schmidt orthonormal.
+    Returns the stacks (s_k, E_k, F_k) over the s_k >= 1e-14 s_1, largest
+    first; the E_k and the F_k are each Hilbert-Schmidt orthonormal.
     """
     r = matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
     u, s, vh = np.linalg.svd(r, full_matrices=False)
     keep = int(np.sum(s >= 1e-14 * s[0]))
-    return [(s[k], u[:, k].reshape(da, da), vh[k, :].reshape(db, db)) for k in range(keep)]
+    return s[:keep], u[:, :keep].T.reshape(keep, da, da), vh[:keep].reshape(keep, db, db)
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,13 @@ def operator_schmidt_upper(op):
 
     Any sum of product terms with unit-norm factors bounds the strength by
     its absolute coefficient sum; the reshuffle SVD supplies one such sum.
+    The norms of all E_s, and of all F_s, come from one stacked SVD each;
+    the terms are summed in order.
     """
-    total = 0.0
-    for s, ea, fb in _operator_schmidt(op.matrix, op.dim_a, op.dim_b):
-        total += s * _opnorm(ea) * _opnorm(fb)
-    return float(total)
+    s, e, f = _operator_schmidt(op.matrix, op.dim_a, op.dim_b)
+    norms_e = np.linalg.svd(e, compute_uv=False).max(axis=-1)
+    norms_f = np.linalg.svd(f, compute_uv=False).max(axis=-1)
+    return float(sum(s * norms_e * norms_f))
 
 
 def best_upper(op):
@@ -141,13 +143,14 @@ def _contract(phi4, x, y):
     return np.einsum("abcd,ce,df->aebf", phi4, x, y).reshape(da * x.shape[1], db * y.shape[1])
 
 
-def _ascend(phi4, x, y, iterations, tol):
+def _ascend(phi4, x, y, iterations):
     """Alternating maximization of the Schmidt-coefficient sum.
 
     Each half-step linearizes the nuclear norm at the current point via its
     SVD dual certificate and solves the linear problem exactly, so the
     objective never decreases. Returns (objective, x, y, converged), where
-    converged says the gain fell below tol before `iterations` ran out.
+    converged says the gain fell below CONVERGENCE_TOL before `iterations`
+    ran out.
     """
     da, db = phi4.shape[0], phi4.shape[1]
     aa, bb = x.shape[1], y.shape[1]
@@ -169,7 +172,7 @@ def _ascend(phi4, x, y, iterations, tol):
         hn = np.linalg.norm(h)
         if hn > 1e-300:
             y = h.conj() / hn
-        if new_obj - obj < tol:
+        if new_obj - obj < CONVERGENCE_TOL:
             obj = max(obj, new_obj)
             converged = True
             break
@@ -207,7 +210,7 @@ def _search(phi4, aa, bb, seeds, iterations, seed, extra=()):
     best = (-np.inf, None, None)
     unconverged = 0
     for x0, y0 in starts:
-        obj, x, y, converged = _ascend(phi4, x0, y0, iterations, CONVERGENCE_TOL)
+        obj, x, y, converged = _ascend(phi4, x0, y0, iterations)
         unconverged += not converged
         if obj > best[0]:
             best = (obj, x, y)

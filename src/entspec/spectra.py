@@ -4,6 +4,7 @@ for dense pure states on qudit chains.
 All operations are pure functions; states are immutable once built.
 """
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
@@ -51,7 +52,7 @@ class PureState:
         if any(d < 2 for d in dims):
             raise ValueError("site dimensions must be >= 2")
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
-        if amps.size != int(np.prod(dims)):
+        if amps.size != math.prod(dims):
             raise ValueError("amplitude length does not match prod(dims)")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -103,10 +104,10 @@ class SchmidtSpectrum:
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
-        if c.size and np.any(np.diff(c) > 1e-12 * max(1.0, c[0])):
+        if c.size and (np.diff(c) > 1e-12 * max(1.0, c[0])).any():
             raise ValueError("coefficients must be descending")
         object.__setattr__(self, "coeffs", c)
-        total = float(np.sqrt(np.sum(c**2)))
+        total = math.sqrt((c**2).sum())
         if abs(total - self.source_norm) > 1e-10 * max(1.0, self.source_norm):
             raise ValueError("source_norm disagrees with coefficients")
         for vecs in (self.left_vectors, self.right_vectors):
@@ -132,14 +133,14 @@ def schmidt_decompose(state, cut, keep_vectors=False):
     """
     n = state.n_sites
     cut.validate(n)
-    if state.norm == 0 or not np.any(state.amps):
+    if state.norm == 0 or not state.amps.any():
         raise ZeroStateError("cannot decompose the zero state")
     left = sorted(cut.left_sites)
     right = sorted(cut.right_sites)
     perm = left + right
     tens = state.tensor().transpose(perm)
-    dl = int(np.prod([state.dims[i] for i in left]))
-    dr = int(np.prod([state.dims[i] for i in right]))
+    dl = math.prod(state.dims[i] for i in left)
+    dr = math.prod(state.dims[i] for i in right)
     mat = tens.reshape(dl, dr)
     if keep_vectors:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
@@ -157,26 +158,38 @@ def _clamped(coeffs):
     return np.where(c > CLAMP_REL * c[0], c, 0.0)
 
 
-def renyi_entropy(spec, alpha):
-    """Renyi entanglement entropy of order alpha from a normalized spectrum.
+def renyi_entropies(spec, alphas):
+    """Renyi entanglement entropies of every order in `alphas` from one
+    normalized spectrum, which is clamped and checked once.
 
     (1/(1-alpha)) log sum lambda^(2 alpha); alpha=1 is the von Neumann
     limit, alpha=inf is -log lambda_1^2. Natural logarithm throughout.
     """
     lam = _clamped(spec.coeffs)
-    total = float(np.sum(lam**2))
+    total = float((lam**2).sum())
     if abs(total - 1.0) > 1e-8:
         raise UnnormalizedError(f"sum lambda^2 = {total}")
-    alpha = float(alpha)
-    if not alpha > 0:
-        raise BadAlphaError(f"alpha = {alpha}")
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if not alpha > 0:
+            raise BadAlphaError(f"alpha = {alpha}")
     lam = lam[lam > 0]
     p = lam**2
-    if alpha == np.inf:
-        return float(-np.log(np.max(p)))
-    if abs(1.0 - alpha) < 1e-9:
-        return float(-np.sum(p * np.log(p)))
-    return float(np.log(np.sum(lam ** (2.0 * alpha))) / (1.0 - alpha))
+    out = []
+    for alpha in alphas:
+        if alpha == np.inf:
+            out.append(float(-np.log(p.max())))
+        elif abs(1.0 - alpha) < 1e-9:
+            out.append(float(-(p * np.log(p)).sum()))
+        else:
+            out.append(float(np.log((lam ** (2.0 * alpha)).sum()) / (1.0 - alpha)))
+    return out
+
+
+def renyi_entropy(spec, alpha):
+    """Renyi entanglement entropy of order alpha from a normalized spectrum
+    (see renyi_entropies)."""
+    return renyi_entropies(spec, [alpha])[0]
 
 
 def truncate_rank(spec, D):

@@ -215,11 +215,11 @@ def tdmrg_run(config):
     return cur, cert
 
 
-def certificate_checks(cert, dense_error=None):
+def certificate_checks(cert, dense_error):
     """The certificate's own inequalities: per-step discards tied to the
     coefficient sums, the sums under both caps, and the naive bound strictly
-    looser; with the distance to the exact state, also that the final bound
-    covers it."""
+    looser; with the distance to the exact state (None when there is none),
+    also that the final bound covers it."""
     checks = {
         "delta_linked_to_zeta": check(
             [(s.delta_bar, s.zeta / math.sqrt(cert.d_cap)) for s in cert.steps], tol=1e-12),

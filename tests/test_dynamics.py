@@ -26,7 +26,7 @@ from entspec import (
 )
 from entspec.dynamics import c_alpha_table, rate_bound_check
 
-from helpers import random_state
+from helpers import random_hermitian, random_state
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -69,10 +69,20 @@ def test_dense_propagator_matches_expm(rng):
     h = (m + m.conj().T) / 2
     prop = DensePropagator(h)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    for t in (0.3, 1.7):
-        assert np.linalg.norm(prop.apply(t, v) - expm(-1j * h * t) @ v) < 1e-10
+    for t, out in zip((0.3, 1.7), prop.evolve(v, (0.3, 1.7))):
+        assert np.linalg.norm(out - expm(-1j * h * t) @ v) < 1e-10
     with pytest.raises(ValueError):
         DensePropagator(m)
+
+
+def test_propagator_times_share_one_basis_change_bit_for_bit(rng):
+    h = random_hermitian(rng, 12)
+    prop = DensePropagator(h)
+    v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    times = [0.0, 0.05, -0.3, 1.7]
+    for t, out in zip(times, prop.evolve(v, times)):
+        expected = prop.u @ (np.exp(-1j * prop.w * t) * (prop.u.conj().T @ v))
+        assert np.array_equal(out, expected)
 
 
 def test_evolve_dense_on_chain(rng):

@@ -1,7 +1,7 @@
 """Every name the package exports, every method of its classes, and every
 field of its result dataclasses has a reader outside the tests; every
 defaulted parameter of a public function is passed by a call outside the
-tests."""
+tests, and left out by at least one call."""
 
 import ast
 import re
@@ -118,19 +118,43 @@ def _public_functions():
     return out
 
 
-def test_every_default_is_passed_outside_the_tests():
-    """A default no caller overrides is a constant: an option only tests set
-    is not allowed."""
+def _passed_per_call(files):
+    """name -> one set per call in `files` of the parameters that call
+    passes, for every public function; a call with *args or **kwargs may
+    pass any of them and counts as passing none."""
     functions = _public_functions()
-    passed = {name: set() for name in functions}
-    for path in _reader_files():
+    calls = {name: [] for name in functions}
+    for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name in passed:
-                passed[name].update(functions[name][0][: len(node.args)])
-                passed[name].update(k.arg for k in node.keywords)
-    unpassed = [f"{name}.{param}" for name, (_, defaulted) in functions.items()
-                for param in defaulted if param not in passed[name]]
+            if name not in calls:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            if starred or any(k.arg is None for k in node.keywords):
+                calls[name].append(set())
+            else:
+                calls[name].append(set(functions[name][0][: len(node.args)])
+                                   | {k.arg for k in node.keywords})
+    return calls
+
+
+def test_every_default_is_passed_outside_the_tests():
+    """A default no caller overrides is a constant: an option only tests set
+    is not allowed."""
+    calls = _passed_per_call(_reader_files())
+    unpassed = [f"{name}.{param}" for name, (_, defaulted) in _public_functions().items()
+                for param in defaulted if not any(param in c for c in calls[name])]
     assert sorted(unpassed) == sorted(DEFAULTS_ALLOWED)
+
+
+def test_every_default_is_used_by_some_call():
+    """A default that every call in the package, the benchmark and the tests
+    overrides is never used: the parameter is required."""
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    calls = _passed_per_call(_reader_files() + tests)
+    always = [f"{name}.{param}" for name, (_, defaulted) in _public_functions().items()
+              for param in defaulted
+              if calls[name] and all(param in c for c in calls[name])]
+    assert always == []

@@ -19,7 +19,7 @@ from entspec import (
     se_lower_search,
     se_upper_from_decomposition,
 )
-from entspec.se_strength import _operator_schmidt, _search
+from entspec.se_strength import _operator_schmidt, _opnorm, _search
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -29,7 +29,7 @@ Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 def test_operator_schmidt_rebuilds_with_orthonormal_factors(rng, da, db):
     n = da * db
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    split = _operator_schmidt(m, da, db)
+    split = list(zip(*_operator_schmidt(m, da, db)))
     rebuilt = sum(s * np.kron(e, f) for s, e, f in split)
     assert np.max(np.abs(rebuilt - m)) <= 1e-12
     es = np.array([e.reshape(-1) for _, e, _ in split])
@@ -63,6 +63,19 @@ def test_operator_schmidt_upper_on_product_coupling():
     op = BipartiteOperator((2,), (2,), np.kron(Z, Z))
     # single reshuffled singular value 2, each factor has operator norm 1/sqrt(2)
     assert operator_schmidt_upper(op) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (3, 4), (4, 4)])
+def test_operator_schmidt_upper_matches_per_factor_norms_exactly(rng, da, db):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for m in (np.kron(cplx(da, da), cplx(db, db)), cplx(da * db, da * db)):
+        op = BipartiteOperator((da,), (db,), m)
+        total = 0.0
+        for s, e, f in zip(*_operator_schmidt(m, da, db)):
+            total += s * _opnorm(e) * _opnorm(f)
+        assert operator_schmidt_upper(op) == float(total)
 
 
 def test_lower_never_exceeds_upper(rng):

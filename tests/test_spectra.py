@@ -18,7 +18,7 @@ from entspec import (
     schmidt_decompose,
     truncate_rank,
 )
-from entspec.spectra import SchmidtSpectrum
+from entspec.spectra import CLAMP_REL, SchmidtSpectrum, renyi_entropies
 
 from helpers import random_state
 
@@ -121,6 +121,39 @@ def test_renyi_rejects_bad_inputs():
         renyi_entropy(unit, 0.0)
     with pytest.raises(BadAlphaError):
         renyi_entropy(unit, -1.0)
+
+
+def _renyi_per_order(spec, alpha):
+    """The order-by-order formula, written out, that renyi_entropies must
+    reproduce bit for bit."""
+    c = np.asarray(spec.coeffs, dtype=float)
+    lam = np.where(c > CLAMP_REL * c[0], c, 0.0)
+    lam = lam[lam > 0]
+    p = lam**2
+    if alpha == np.inf:
+        return float(-np.log(np.max(p)))
+    if abs(1.0 - alpha) < 1e-9:
+        return float(-np.sum(p * np.log(p)))
+    return float(np.log(np.sum(lam ** (2.0 * alpha))) / (1.0 - alpha))
+
+
+def test_renyi_orders_in_one_pass_are_bit_identical(rng):
+    alphas = [0.5, 0.75, 1.0, 2.0, math.inf]
+    for k in range(40):
+        p = np.sort(rng.random(1 + k % 12))[::-1]
+        if k % 3 == 0:  # a tail the clamp zeroes
+            p = np.concatenate([p, p[0] * (CLAMP_REL * rng.random(3)) ** 2])
+        c = np.sqrt(p / p.sum())
+        spec = SchmidtSpectrum(c, float(np.sqrt(np.sum(c**2))))
+        expected = [_renyi_per_order(spec, a) for a in alphas]
+        assert renyi_entropies(spec, alphas) == expected
+        assert [renyi_entropy(spec, a) for a in alphas] == expected
+    bad = SchmidtSpectrum(np.array([1.0, 0.5]), math.sqrt(1.25))
+    with pytest.raises(UnnormalizedError):
+        renyi_entropies(bad, alphas)
+    unit = SchmidtSpectrum(np.array([1.0]), 1.0)
+    with pytest.raises(BadAlphaError):
+        renyi_entropies(unit, [1.0, 0.0])
 
 
 def test_spectrum_ordering_enforced():
