@@ -37,6 +37,7 @@ from .dynamics import (
 from .errors import EntspecError, TimeTooLongError
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
+    MERGE_DIM_CAP,
     budget_monotone_check,
     build_merge_series,
     long_range_decomposition_check,
@@ -79,18 +80,13 @@ def _rng(seed):
 
 
 def _chain_from_params(p):
-    kind = p.get("chain", "longrange")
-    if kind == "longrange":
-        return build_long_range_ising(
-            n=p["n"], d=p.get("d", 2), j0=p.get("j0", 1.0), eta=p.get("eta", 3.0),
-            hx=p.get("hx", 0.0), hz=p.get("hz", 0.0),
-        )
-    if kind == "nearest":
-        return build_nearest_neighbor_chain(
-            n=p["n"], d=p.get("d", 2), j=p.get("j0", 1.0),
-            hx=p.get("hx", 0.0), hz=p.get("hz", 0.0),
-        )
-    raise ValueError(f"unknown chain kind {kind!r}")
+    """The chain of a merged, validated point ("chain" is "longrange" or
+    "nearest")."""
+    if p["chain"] == "longrange":
+        # tdmrg and mps-exist take no eta param: their long-range chains use 3
+        return build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p.get("eta", 3.0),
+                                      hx=p["hx"], hz=p["hz"])
+    return build_nearest_neighbor_chain(n=p["n"], d=p["d"], j=p["j0"], hx=p["hx"], hz=p["hz"])
 
 
 def exp_se_search(p, seed):
@@ -558,6 +554,9 @@ def validate_config(cfg):
             if p["d"] ** min(p["n"], cap.bit_length()) > cap:
                 raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
                                   f"the {limit} limit, got d**n = {p['d']}**{p['n']}")
+        if name == "merge-series" and p["da"] * p["db"] > MERGE_DIM_CAP:
+            raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
+                              f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
     seed = cfg.get("seed", 0)
     if not _is_int(seed):
         raise ConfigError("seed must be an integer")

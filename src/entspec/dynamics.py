@@ -114,8 +114,9 @@ def unbounded_experiment(dyn, alphas):
 
 
 class DensePropagator:
-    """exp(-i H t) applied through a single Hermitian eigendecomposition
-    H = u diag(w) u^dagger."""
+    """The one dense Hermitian eigendecomposition H = u diag(w) u^dagger:
+    every spectrum, ground state, exp(-i H t) and f(H) of a dense matrix is
+    read from it. Refuses matrices above DENSE_DIM_CAP or not Hermitian."""
 
     def __init__(self, h):
         h = np.asarray(h, dtype=complex)
@@ -130,6 +131,10 @@ class DensePropagator:
         with the basis change u^dagger vec done once for all of them."""
         coeffs = self.u.conj().T @ vec
         return [self.u @ (np.exp(-1j * self.w * t) * coeffs) for t in times]
+
+    def matrix(self, vals):
+        """u diag(vals) u^dagger, e.g. exp(-i H t) from vals = exp(-i w t)."""
+        return self.u @ (vals[:, None] * self.u.conj().T)
 
 
 def evolve_dense(chain, state, t):
@@ -220,10 +225,10 @@ def unitary_growth_check(rows):
 
 def check_unitary_se_growth(h, dims_a, dims_b, t_grid, se_upper_v, seeds, seed=0):
     """Strength of exp(-i H t) across the cut, against the exp(t * strength) cap."""
-    prop = DensePropagator(np.asarray(h, dtype=complex))
+    prop = DensePropagator(h)
     rows = []
     for t in t_grid:
-        u_t = prop.u @ (np.exp(-1j * prop.w * t)[:, None] * prop.u.conj().T)
+        u_t = prop.matrix(np.exp(-1j * prop.w * t))
         op = BipartiteOperator(tuple(dims_a), tuple(dims_b), u_t)
         est = se_lower_search(op, seeds=seeds, iterations=GROWTH_ITERATIONS, seed=seed)
         row = {"t": float(t), "lower": est.lower, "cap": math.exp(se_upper_v * t)}
@@ -265,16 +270,13 @@ def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
         delta_min = min(delta_min, float(w[1] - w[0]))
     if delta_min < GAP_FLOOR:
         raise GapClosedError(f"minimum path gap {delta_min} < {GAP_FLOOR}")
-    w, u = np.linalg.eigh(np.asarray(h_of_nu(0.0), dtype=complex))
-    psi0 = u[:, 0]
+    psi0 = DensePropagator(h_of_nu(0.0)).u[:, 0]
 
     def run(k):
         psi = psi0.copy()
         dtau = t_total / k
         for i in range(k):
-            nu_mid = (i + 0.5) / k
-            w, u = np.linalg.eigh(np.asarray(h_of_nu(nu_mid), dtype=complex))
-            psi = u @ (np.exp(-1j * w * dtau) * (u.conj().T @ psi))
+            [psi] = DensePropagator(h_of_nu((i + 0.5) / k)).evolve(psi, [dtau])
         return psi
 
     k = start_steps

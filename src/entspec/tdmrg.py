@@ -18,6 +18,7 @@ from .errors import (
     StepTooCoarseError,
     TooLargeError,
 )
+from .dynamics import DensePropagator, evolve_dense
 from .models import ChainHamiltonian
 from .mps import (
     MatrixProductState,
@@ -89,10 +90,6 @@ class StepRecord:
 @dataclass(frozen=True)
 class TdmrgCertificate:
     steps: tuple
-    g: float
-    n: int
-    t: float
-    n_steps: int
     d_cap: int
     j_tilde: float
     final_bound: float
@@ -202,10 +199,6 @@ def tdmrg_run(config):
     final_bound = gnt ** 2 / config.n_steps + math.sqrt(2.0 * n) * delta_sum
     cert = TdmrgCertificate(
         steps=tuple(rows),
-        g=g,
-        n=n,
-        t=config.t,
-        n_steps=config.n_steps,
         d_cap=d_cap,
         j_tilde=j_tilde,
         final_bound=final_bound,
@@ -235,8 +228,6 @@ def certificate_checks(cert, dense_error):
 def state_mps_existence_check(chain, initial, t, d_grid):
     """Evolve densely, factor exactly, truncate per D, and compare against
     the guaranteed error and coefficient laws."""
-    from .dynamics import evolve_dense
-
     psi_t = evolve_dense(chain, initial, t)
     j_tilde = chain.boundary_strength_cap()
     n = chain.n
@@ -278,13 +269,13 @@ def gibbs_tail_experiment(chain, betas, d_grid):
     n, d = chain.n, chain.dims[0]
     k = chain.k
     g = chain.g
-    h = chain.dense()
-    w, u = np.linalg.eigh(h)
+    prop = DensePropagator(chain.dense())
     q0 = max(8.0 * g * k, 16.0 * math.e * j0 * (eta - 1.0) ** 2 * 2.0 ** (eta - 2.0) / (eta - 2.0))
     rows = []
     pairs = []
     for beta in betas:
-        rho_half = (u * np.exp(-beta * w / 2.0)) @ u.conj().T
+        # (u * f) @ u^dagger, not prop.matrix(f), whose other rounding moves the tails
+        rho_half = (prop.u * np.exp(-beta * prop.w / 2.0)) @ prop.u.conj().T
         amp = rho_half / np.linalg.norm(rho_half)
         tens = amp.reshape((d,) * (2 * n))
         perm = [i + n * side for i in range(n) for side in (0, 1)]

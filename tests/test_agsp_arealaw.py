@@ -28,7 +28,12 @@ from entspec.agsp_arealaw import (
     c_kappa_1,
     c_kappa_2,
 )
-from entspec.se_strength import BipartiteOperator, best_upper
+from entspec.se_strength import (
+    BipartiteOperator,
+    _opnorm,
+    best_upper,
+    se_upper_from_decomposition,
+)
 
 from helpers import random_hermitian
 
@@ -85,6 +90,11 @@ def test_legendre_nodes_are_computed_once_and_read_only():
 def test_agsp_rejects_degenerate_ground():
     with pytest.raises(DegenerateError):
         build_agsp(np.diag([0.0, 0.0, 1.0]).astype(complex), 2.0)
+
+
+def test_agsp_rejects_non_hermitian_matrix():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_agsp(np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex), 2.0)
 
 
 def test_agsp_defect_shrinks_with_beta(rng):
@@ -193,6 +203,21 @@ def test_boundary_family_repeats_the_closure_ramp_bytes(coupling):
         ((j, a, b),) = v.decomposition
         assert np.array(j).tobytes() == np.array(complex(nu * coupling)).tobytes()
         assert a.tobytes() == X.tobytes() and b.tobytes() == X.tobytes()
+
+
+@pytest.mark.parametrize("coupling", [0.3, -0.3, 0.7, 1e-3, -2.5])
+def test_boundary_strength_is_the_old_nu_scan(monkeypatch, coupling):
+    """g_tilde = |coupling| * strength(coupler) equals, bit for bit, the
+    65-point scan over nu that it replaced."""
+    family = make_coupled_qudit_family(delta=1.0, coupling=coupling)
+    scan = 0.0
+    for nu in np.linspace(0.0, 1.0, 65):
+        v = family.v_of_nu(nu)
+        scan = max(scan, se_upper_from_decomposition(v) if v.decomposition is not None
+                   else _opnorm(v.matrix))
+    monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
+    out = boundary_adiabatic_experiment(family, epsilon=0.5, beta=2.0, d_grid=[1])
+    assert out["g_tilde"] == scan
 
 
 def test_boundary_family_refuses_bad_couplers():

@@ -103,6 +103,8 @@ BAD_VALUES = [
     {"experiment": "mps-exist", "params": {"n": 12}, "grid": [{"d": 2}, {"d": 3}]},
     # the sparse ground-state path has its own d**n cap
     {"experiment": "ground-tail", "params": {"n": 17}},
+    # the merge series refuses a product space above MERGE_DIM_CAP
+    {"experiment": "merge-series", "params": {"da": 40, "db": 40}},
     # the size rules never form d**n for a huge n
     {"experiment": "mps-exist", "params": {"n": 10 ** 9}},
     {"experiment": "gibbs-tail", "params": {"n": 10 ** 9}},
@@ -256,6 +258,12 @@ def test_unknown_experiment_exits_2(tmp_path):
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 2
     for cfg in BAD_SIZES + BAD_VALUES:
         assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("name", ["tdmrg", "mps-exist"])
+def test_long_range_chain_of_an_experiment_without_eta_takes_eta_3(name):
+    _, [point], _, _ = validate_config({"experiment": name, "params": {"chain": "longrange"}})
+    assert cli._chain_from_params(point).decay == ("power", 1.0, 3.0)
 
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):

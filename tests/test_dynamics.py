@@ -83,6 +83,8 @@ def test_propagator_times_share_one_basis_change_bit_for_bit(rng):
     for t, out in zip(times, prop.evolve(v, times)):
         expected = prop.u @ (np.exp(-1j * prop.w * t) * (prop.u.conj().T @ v))
         assert np.array_equal(out, expected)
+    vals = np.exp(-1j * prop.w * 0.7)
+    assert np.array_equal(prop.matrix(vals), prop.u @ (vals[:, None] * prop.u.conj().T))
 
 
 def test_evolve_dense_on_chain(rng):
