@@ -260,10 +260,9 @@ class BoundaryFamily:
     """Two fixed blocks joined by a ramped boundary coupling,
     H(nu) = h_a (x) 1 + 1 (x) h_b + nu * coupling * coupler.
 
-    The coupler is the unit-strength boundary term with its decomposition;
-    its constructor has already checked the unit norms and the
-    reconstruction, so the ramp re-validates nothing per nu. The block sum
-    is built once.
+    The coupler is the unit-strength boundary term with its decomposition,
+    built once from its terms, so the ramp builds no operator per nu. The
+    block sum is built once.
     """
 
     h_a: np.ndarray
@@ -280,20 +279,12 @@ class BoundaryFamily:
     def h_of_nu(self, nu):
         return self._h0 + (nu * self.coupling) * self.coupler.matrix
 
-    def v_of_nu(self, nu):
-        """The boundary coupling at nu, with its decomposition scaled alike
-        (none at zero strength)."""
-        s = nu * self.coupling
-        c = self.coupler
-        dec = tuple((s * j, a, b) for j, a, b in c.decomposition) if s != 0 else None
-        return BipartiteOperator(c.dims_a, c.dims_b, s * c.matrix, dec)
-
 
 def make_coupled_qudit_family(delta, coupling):
     """Two qubits with local gap delta, ramped up to coupling * X (x) X."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     h_loc = np.diag([0.0, delta]).astype(complex)
-    coupler = BipartiteOperator((2,), (2,), np.kron(x, x), ((1.0, x, x),))
+    coupler = BipartiteOperator.from_terms((2,), (2,), ((1.0, x, x),))
     return BoundaryFamily(h_a=h_loc, h_b=h_loc, coupler=coupler, coupling=coupling)
 
 
@@ -308,9 +299,9 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     h_fd = 1e-4
     c0 = 0.0
     for nu in np.linspace(h_fd, 1.0 - h_fd, 9):
-        vm = family.v_of_nu(nu - h_fd).matrix
-        v0 = family.v_of_nu(nu).matrix
-        vp = family.v_of_nu(nu + h_fd).matrix
+        # V(nu) = (nu * coupling) * coupler, at nu - h_fd, nu and nu + h_fd
+        vm, v0, vp = (((nu + k * h_fd) * family.coupling) * family.coupler.matrix
+                      for k in (-1, 0, 1))
         d1 = _opnorm((vp - vm) / (2 * h_fd))
         d2 = _opnorm((vp - 2 * v0 + vm) / h_fd ** 2)
         c0 = max(c0, d1 / g_tilde, d2 / g_tilde)

@@ -119,9 +119,9 @@ def exp_se_search(p, seed):
     found_named = [est for _, _, est in named]
     return {
         "rows": rows,
+        "pump_exact": pump.se_strength_exact,
         # ascent starts that stopped at their iteration budget, not on tolerance
-        "derived": {"pump_exact": pump.se_strength_exact,
-                    "unconverged_starts": sum(est.unconverged for est in found + found_named)},
+        "unconverged_starts": sum(est.unconverged for est in found + found_named),
         "checks": {"lower_below_upper": bracket_check(found),
                    **named_strength_checks(pump, *(est.lower for est in found_named))},
     }
@@ -135,7 +135,8 @@ def exp_saturation(p, seed):
     est = se_lower_search(dyn.v, seeds=4, iterations=200, seed=seed)
     return {
         "rows": rows,
-        "derived": {"strength_exact": dyn.se_strength_exact, "strength_found": est.lower},
+        "strength_exact": dyn.se_strength_exact,
+        "strength_found": est.lower,
         "checks": {"rate_floor_in_window": dyn.rate_floor_check(p["times"]),
                    **dyn.strength_checks(est.lower)},
     }
@@ -143,16 +144,16 @@ def exp_saturation(p, seed):
 
 def exp_unbounded(p, seed):
     dyn = build_unbounded_dynamics(p["d0"], p["j"], p["t"])
-    return _from_report(unbounded_experiment(dyn, p["alphas"]))
+    return unbounded_experiment(dyn, p["alphas"])
 
 
 def exp_toy_rate(p, seed):
-    return _from_report(toy_rate_experiment(p["times"], p["alphas"]))
+    return toy_rate_experiment(p["times"], p["alphas"])
 
 
 def exp_c_alpha_table(p, seed):
     """Tabulate the rate constant over an order grid and verify its anchors."""
-    return _from_report(c_alpha_table(p["alphas"]))
+    return c_alpha_table(p["alphas"])
 
 
 def exp_rate_profile(p, seed):
@@ -164,7 +165,7 @@ def exp_rate_profile(p, seed):
         inst = measure_rate_profile(h_full, state, Cut.of([0], 2), p["alphas"], p["times"], v_ab=v)
         samples += inst
         rows += [{"instance": i, **dataclasses.asdict(s), "margin": s.margin} for s in inst]
-    return {"rows": rows, "derived": {}, "checks": {"all_margins_ok": rate_bound_check(samples)}}
+    return {"rows": rows, "checks": {"all_margins_ok": rate_bound_check(samples)}}
 
 
 def exp_unitary_growth(p, seed):
@@ -174,8 +175,7 @@ def exp_unitary_growth(p, seed):
     rows = check_unitary_se_growth(
         h_full, (v.dim_a,), (v.dim_b,), p["times"], v_upper, seeds=p["seeds"], seed=seed
     )
-    return {"rows": rows, "derived": {"v_upper": v_upper},
-            "checks": {"below_cap": unitary_growth_check(rows)}}
+    return {"rows": rows, "v_upper": v_upper, "checks": {"below_cap": unitary_growth_check(rows)}}
 
 
 def exp_agsp(p, seed):
@@ -198,23 +198,16 @@ def exp_agsp(p, seed):
                 "defect_bound": a.defect_bound,
                 "strength_cap": a.strength_cap(v_upper),
             })
-    return {"rows": rows, "derived": {}, "checks": agsp_checks(ops)}
-
-
-def _from_report(rep, **derived):
-    """An experiment result from a library report: its rows and checks, with
-    every other entry, then `derived`, as derived values."""
-    own = {k: v for k, v in rep.items() if k not in ("rows", "checks")}
-    return {"rows": rep["rows"], "derived": {**own, **derived}, "checks": rep["checks"]}
+    return {"rows": rows, "checks": agsp_checks(ops)}
 
 
 def exp_ground_tail(p, seed):
-    return _from_report(ground_tail_experiment(_chain_from_params(p), p["cut"], p["d_grid"]))
+    return ground_tail_experiment(_chain_from_params(p), p["cut"], p["d_grid"])
 
 
 def exp_area_law(p, seed):
     family = make_coupled_qudit_family(delta=p["delta"], coupling=p["coupling"])
-    return _from_report(boundary_adiabatic_experiment(family, p["epsilon"], p["beta"], p["d_grid"]))
+    return boundary_adiabatic_experiment(family, p["epsilon"], p["beta"], p["d_grid"])
 
 
 def exp_kolmogorov(p, seed):
@@ -222,13 +215,13 @@ def exp_kolmogorov(p, seed):
                                           seed=seed) for n, d in p["pairs"]]
     rows = [{"n": f.n, "d": f.d, "lower": f.lower, "upper": f.upper, "estimate": f.value}
             for f in fits]
-    return {"rows": rows, "derived": {}, "checks": {"estimates_in_range": width_range_check(fits)}}
+    return {"rows": rows, "checks": {"estimates_in_range": width_range_check(fits)}}
 
 
 def exp_no_go(p, seed):
     rows = no_go_experiment(p["n"], p["d"], p["times"], seeds=p["seeds"],
                             polish_iters=p["polish"], seed=seed)
-    return {"rows": rows, "derived": {}, "checks": {"chain_holds": no_go_chain_check(rows)}}
+    return {"rows": rows, "checks": {"chain_holds": no_go_chain_check(rows)}}
 
 
 def exp_merge(p, seed):
@@ -248,7 +241,8 @@ def exp_merge(p, seed):
            "n_bins": series.n_bins}
     return {
         "rows": [row],
-        "derived": {"q0": series.q0, "g_tilde": series.g_tilde},
+        "q0": series.q0,
+        "g_tilde": series.g_tilde,
         "checks": {"error_below_bound": series.error_check},
     }
 
@@ -260,15 +254,14 @@ def exp_truncation_params(p, seed):
                                      p["d0"], eps0=p["eps0"])
         rows.append({"duration": duration, "q0": tp.q0, "segments": tp.segments,
                      "log2_sr_real": tp.log2_sr_real, "log2_sr_imag": tp.log2_sr_imag})
-    return {"rows": rows, "derived": {},
-            "checks": {"real_cost_monotone": budget_monotone_check(rows)}}
+    return {"rows": rows, "checks": {"real_cost_monotone": budget_monotone_check(rows)}}
 
 
 def exp_decomposition(p, seed):
     rep = long_range_decomposition_check(_chain_from_params(p), p["cut"])
     row = {"kappa": rep.kappa, "c0": rep.c0, "g_tilde": rep.g_tilde, "d0": rep.d0,
            "n_terms": len(rep.v_norms), "worst_margin": rep.tails_check.margin}
-    return {"rows": [row], "derived": {}, "checks": {"tails_decay": rep.tails_check}}
+    return {"rows": [row], "checks": {"tails_decay": rep.tails_check}}
 
 
 def _tdmrg_from_params(p):
@@ -302,7 +295,7 @@ def exp_tdmrg(p, seed):
     }
     if p["compare_dense"] and cfg.chain.total_dim <= DENSE_DIM_CAP:
         derived["dense_error_raw"], derived["dense_error_normalized"] = _dense_errors(cfg, final)
-    return {"rows": rows, "derived": derived,
+    return {"rows": rows, **derived,
             "checks": certificate_checks(cert, derived.get("dense_error_raw"))}
 
 
@@ -310,11 +303,11 @@ def exp_mps_existence(p, seed):
     chain = _chain_from_params(p)
     rng = _rng(seed)
     state = random_product_state(chain.dims, rng)
-    return _from_report(state_mps_existence_check(chain, state, p["t"], p["d_grid"]))
+    return state_mps_existence_check(chain, state, p["t"], p["d_grid"])
 
 
 def exp_gibbs_tail(p, seed):
-    return _from_report(gibbs_tail_experiment(_chain_from_params(p), p["betas"], p["d_grid"]))
+    return gibbs_tail_experiment(_chain_from_params(p), p["betas"], p["d_grid"])
 
 
 REGISTRY = {
@@ -413,6 +406,10 @@ REGISTRY = {
 
 class ConfigError(Exception):
     pass
+
+
+# artifact directory when neither --out nor the config's "out" names one
+DEFAULT_OUT = "entspec_out"
 
 
 # JSON types a param may take, keyed by the Python type of its default
@@ -557,19 +554,23 @@ def validate_config(cfg):
         if name == "merge-series" and p["da"] * p["db"] > MERGE_DIM_CAP:
             raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
                               f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
-    seed = cfg.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("seed must be an integer")
-    return name, points, seed, out
+    return name, points, _checked_seed(cfg.get("seed", 0)), out
+
+
+def _checked_seed(seed):
+    """The seed of a config or of --seed: the generators take a non-negative integer."""
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _run_config(cfg, out_dir, threads, seed_override=None):
     name, points, seed, cfg_out = validate_config(cfg)
     fn = REGISTRY[name][0]
     if seed_override is not None:
-        seed = seed_override
+        seed = _checked_seed(seed_override)
     if out_dir is None:
-        out_dir = Path(cfg_out) if cfg_out else Path("entspec_out")
+        out_dir = Path(cfg_out or DEFAULT_OUT)
     started = time.time()
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -583,7 +584,7 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
     for i, res in enumerate(results):
         for r in res["rows"]:
             rows.append({"grid_point": i, **r})
-        derived.append(res["derived"])
+        derived.append({k: v for k, v in res.items() if k not in ("rows", "checks")})
         for k, c in res["checks"].items():
             if not isinstance(c, Check):
                 raise TypeError(f"check {k!r} of {name} is {c!r}, not a Check")
@@ -603,7 +604,6 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
         "all_checks_pass": all(checks.values()),
         "wall_time_s": time.time() - started,
         "rows_file": "results.csv",
-        "out_dir": str(out_dir),
     }
     write_json(out_dir / "summary.json", summary)
     return summary
@@ -728,7 +728,8 @@ def main(argv=None):
         margin = summary["margins"][k]
         shown = "none" if margin is None else f"{margin:.3e}"
         print(f"  {k}: {'pass' if ok else 'FAIL'} (margin {shown})")
-    print(f"artifacts in {summary['out_dir']} (config {summary['config_sha256'][:12]})")
+    out_dir = out_dir or Path(cfg.get("out") or DEFAULT_OUT)
+    print(f"artifacts in {out_dir} (config {summary['config_sha256'][:12]})")
     return 0 if summary["all_checks_pass"] else 1
 
 

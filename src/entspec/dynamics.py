@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BelowThresholdError, GapClosedError, TooLargeError
-from .models import DENSE_DIM_CAP, build_toy_two_qubit
+from .models import DENSE_DIM_CAP, ToyTwoQubit
 from .se_strength import BipartiteOperator, best_upper, se_lower_search
 from .spectra import PureState, check, renyi_entropies, schmidt_decompose
 
@@ -79,7 +79,7 @@ def toy_rate_experiment(times, alphas):
     """Closed-form entropy rates of the toy pump at each time and order (a
     number or "inf"), bounded by c_alpha times its strength at every order
     >= 1/2, infinity included, with the check |rate| <= bound + 1e-9."""
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     rows = []
     for t in times:
         for alpha in alphas:

@@ -55,15 +55,12 @@ def _random_coupling(rng, da, db, n_terms, low, high):
     """sum_j c_j P_j (x) Q_j with unit-norm random Hermitian P_j, Q_j and
     c_j uniform on [low, high), drawn P, Q, then c for each term; the terms
     are kept as the decomposition."""
-    mat = np.zeros((da * db, da * db), dtype=complex)
-    decomposition = []
+    terms = []
     for _ in range(n_terms):
         p = _random_unit_hermitian(rng, da)
         q = _random_unit_hermitian(rng, db)
-        c = float(rng.uniform(low, high))
-        mat += c * np.kron(p, q)
-        decomposition.append((c, p, q))
-    return BipartiteOperator((da,), (db,), mat, tuple(decomposition))
+        terms.append((float(rng.uniform(low, high)), p, q))
+    return BipartiteOperator.from_terms((da,), (db,), terms)
 
 
 def _block_sum(h_a, h_b):
@@ -304,16 +301,12 @@ def build_saturation_dynamics(m_levels, j, n_pairs):
     if m_levels < 1 or n_pairs < 1:
         raise ValueError("m_levels and n_pairs must be >= 1")
     d = m_levels + 1
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    decomposition = []
+    terms = []
     for jj in range(1, m_levels + 1):
         ket = np.zeros((d, d), dtype=complex)
         ket[jj, 0] = 1.0
-        mat += j * np.kron(ket, ket)
-        mat += j * np.kron(ket.conj().T, ket.conj().T)
-        decomposition.append((j, ket, ket))
-        decomposition.append((j, ket.conj().T, ket.conj().T))
-    v = BipartiteOperator((d,), (d,), mat, tuple(decomposition))
+        terms += [(j, ket, ket), (j, ket.conj().T, ket.conj().T)]
+    v = BipartiteOperator.from_terms((d,), (d,), terms)
     return SaturationDynamics(m_levels=m_levels, j=float(j), n_pairs=n_pairs, v=v)
 
 
@@ -406,36 +399,19 @@ class ToyTwoQubit:
         return 2.0 * alpha / (1.0 - alpha) * num / den
 
 
-def build_toy_two_qubit():
-    return ToyTwoQubit()
-
-
 def build_ising_projector_interaction(n_levels):
     """Correlated projector sum_s |ss><ss| on two n-level systems."""
-    mat = np.zeros((n_levels ** 2, n_levels ** 2), dtype=complex)
-    decomposition = []
-    for s in range(n_levels):
-        e = np.zeros((n_levels, n_levels), dtype=complex)
-        e[s, s] = 1.0
-        mat += np.kron(e, e)
-        decomposition.append((1.0, e, e))
-    return BipartiteOperator((n_levels,), (n_levels,), mat, tuple(decomposition))
+    terms = [(1.0, np.diag(u), np.diag(u)) for u in np.eye(n_levels, dtype=complex)]
+    return BipartiteOperator.from_terms((n_levels,), (n_levels,), terms)
 
 
 def build_swap_interaction():
-    """SWAP on two qubits, with a unit-norm product decomposition."""
-    d = 2
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    decomposition = []
-    for a in range(d):
-        for b in range(d):
-            e_ab = np.zeros((d, d), dtype=complex)
-            e_ab[a, b] = 1.0
-            e_ba = np.zeros((d, d), dtype=complex)
-            e_ba[b, a] = 1.0
-            mat += np.kron(e_ab, e_ba)
-            decomposition.append((1.0, e_ab, e_ba))
-    return BipartiteOperator((d,), (d,), mat, tuple(decomposition))
+    """SWAP sum_ab |a><b| (x) |b><a| on two qubits, with those unit-norm
+    product terms as its decomposition."""
+    units = np.eye(2, dtype=complex)
+    terms = [(1.0, np.outer(units[a], units[b]), np.outer(units[b], units[a]))
+             for a in range(2) for b in range(2)]
+    return BipartiteOperator.from_terms((2,), (2,), terms)
 
 
 def named_strengths(pump):

@@ -7,7 +7,7 @@ every output is labeled lower/upper; the pair is reported as coinciding
 only when they agree within 1e-6.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,14 +38,14 @@ def _operator_schmidt(matrix, da, db):
 class BipartiteOperator:
     """Dense operator on A x B with optional unit-norm term decomposition.
 
-    decomposition entries are (J_j, Phi_A_j, Phi_B_j); the factors must have
-    unit operator norm and the weighted sum must reconstruct the matrix.
+    decomposition entries are (J_j, Phi_A_j, Phi_B_j) with unit-norm factors;
+    only from_terms sets it, and then the matrix is exactly their weighted sum.
     """
 
     dims_a: tuple
     dims_b: tuple
     matrix: np.ndarray
-    decomposition: Optional[tuple] = None
+    decomposition: Optional[tuple] = field(default=None, init=False)
 
     def __post_init__(self):
         dims_a = tuple(int(d) for d in self.dims_a)
@@ -58,19 +58,24 @@ class BipartiteOperator:
         object.__setattr__(self, "dims_a", dims_a)
         object.__setattr__(self, "dims_b", dims_b)
         object.__setattr__(self, "matrix", m)
-        if self.decomposition is not None:
-            terms = tuple(
-                (complex(j), np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-                for j, a, b in self.decomposition
-            )
-            recon = np.zeros_like(m)
-            for j, a, b in terms:
-                if abs(_opnorm(a) - 1.0) > 1e-8 or abs(_opnorm(b) - 1.0) > 1e-8:
-                    raise ValueError("decomposition factors must have unit operator norm")
-                recon += j * np.kron(a, b)
-            if np.max(np.abs(recon - m)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-                raise ValueError("decomposition does not reconstruct the matrix")
-            object.__setattr__(self, "decomposition", terms)
+
+    @classmethod
+    def from_terms(cls, dims_a, dims_b, terms):
+        """sum_j J_j A_j (x) B_j, summed in term order with each J_j as given,
+        carrying the terms as its decomposition; every factor must have unit
+        operator norm."""
+        terms = tuple(terms)
+        d = int(np.prod(dims_a)) * int(np.prod(dims_b))
+        mat = np.zeros((d, d), dtype=complex)
+        for j, a, b in terms:
+            if abs(_opnorm(a) - 1.0) > 1e-8 or abs(_opnorm(b) - 1.0) > 1e-8:
+                raise ValueError("decomposition factors must have unit operator norm")
+            mat += j * np.kron(a, b)
+        op = cls(dims_a, dims_b, mat)
+        object.__setattr__(op, "decomposition", tuple(
+            (complex(j), np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+            for j, a, b in terms))
+        return op
 
     @property
     def dim_a(self):

@@ -186,23 +186,21 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 @pytest.mark.parametrize("coupling", [0.3, -0.3, 0.0])
 def test_boundary_family_repeats_the_closure_ramp_bytes(coupling):
-    """H(nu) and V(nu) equal, byte for byte, the per-call formula the family
+    """H(nu), and the coupling (nu * coupling) * coupler that the c0 scan
+    differentiates, equal byte for byte the per-call formula the family
     replaced, on the gap grid and the first refinement's midpoints."""
     h_loc = np.diag([0.0, 1.0]).astype(complex)
     family = make_coupled_qudit_family(delta=1.0, coupling=coupling)
+    assert family.coupler.matrix.tobytes() == np.kron(X, X).tobytes()
+    ((j, a, b),) = family.coupler.decomposition
+    assert np.array(j).tobytes() == np.array(1.0 + 0j).tobytes()
+    assert a.tobytes() == X.tobytes() and b.tobytes() == X.tobytes()
     h0 = np.kron(h_loc, np.eye(2)) + np.kron(np.eye(2), h_loc)
     nus = list(np.linspace(0.0, 1.0, dynamics.GAP_GRID)) + [(i + 0.5) / 256 for i in range(256)]
     for nu in nus:
         mat = nu * coupling * np.kron(X, X)
         assert family.h_of_nu(nu).tobytes() == (h0 + mat).tobytes()
-        v = family.v_of_nu(nu)
-        assert v.matrix.tobytes() == mat.tobytes()
-        if nu * coupling == 0:
-            assert v.decomposition is None
-            continue
-        ((j, a, b),) = v.decomposition
-        assert np.array(j).tobytes() == np.array(complex(nu * coupling)).tobytes()
-        assert a.tobytes() == X.tobytes() and b.tobytes() == X.tobytes()
+        assert ((nu * coupling) * family.coupler.matrix).tobytes() == mat.tobytes()
 
 
 @pytest.mark.parametrize("coupling", [0.3, -0.3, 0.7, 1e-3, -2.5])
@@ -212,9 +210,11 @@ def test_boundary_strength_is_the_old_nu_scan(monkeypatch, coupling):
     family = make_coupled_qudit_family(delta=1.0, coupling=coupling)
     scan = 0.0
     for nu in np.linspace(0.0, 1.0, 65):
-        v = family.v_of_nu(nu)
-        scan = max(scan, se_upper_from_decomposition(v) if v.decomposition is not None
-                   else _opnorm(v.matrix))
+        # V(nu) = s X (x) X with its one-term decomposition, none at s = 0
+        s = nu * coupling
+        scan = max(scan, se_upper_from_decomposition(
+            BipartiteOperator.from_terms((2,), (2,), ((s, X, X),))) if s != 0
+            else _opnorm(s * np.kron(X, X)))
     monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
     out = boundary_adiabatic_experiment(family, epsilon=0.5, beta=2.0, d_grid=[1])
     assert out["g_tilde"] == scan
@@ -224,14 +224,15 @@ def test_boundary_family_refuses_bad_couplers():
     h_loc = np.diag([0.0, 1.0]).astype(complex)
     xx = np.kron(X, X)
     with pytest.raises(ValueError, match="unit operator norm"):
-        BoundaryFamily(h_loc, h_loc, BipartiteOperator((2,), (2,), xx, ((0.5, 2.0 * X, X),)), 0.3)
+        BoundaryFamily(h_loc, h_loc, BipartiteOperator.from_terms((2,), (2,), ((0.5, 2.0 * X, X),)),
+                       0.3)
     with pytest.raises(ValueError, match="decomposition"):
         BoundaryFamily(h_loc, h_loc, BipartiteOperator((2,), (2,), xx), 0.3)
 
 
 def test_boundary_adiabatic_operator_count_is_independent_of_steps(monkeypatch):
-    """The ramp builds its coupling operators for the strength and c0 scans
-    only, never once per adiabatic step."""
+    """The ramp builds no coupling operator per adiabatic step: the coupler
+    is built once, with the family."""
     built = []
     validate = BipartiteOperator.__post_init__
 
@@ -249,4 +250,4 @@ def test_boundary_adiabatic_operator_count_is_independent_of_steps(monkeypatch):
         counts.append(len(built))
         steps.append(out["steps"])
     assert steps[0] != steps[1]
-    assert counts[0] == counts[1] < 100
+    assert counts == [0, 0]

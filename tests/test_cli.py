@@ -111,6 +111,8 @@ BAD_VALUES = [
     # a chain site of one level ended in a traceback
     {"experiment": "mps-exist", "params": {"d": 1}},
     {"experiment": "tdmrg", "params": {"d": 1}},
+    # the generators take no negative seed
+    {"experiment": "kolmogorov", "seed": -1},
 ]
 
 
@@ -226,6 +228,9 @@ def test_seed_override_changes_seed_not_hash(tmp_path):
     assert sa["config_sha256"] == sb["config_sha256"]
     assert sa["seed"] == 1
     assert sb["seed"] == 99
+    # the override takes the config's seed rule: a negative one is rejected
+    assert main(["run", cfg_path, "--out", str(tmp_path / "c"), "--seed", "-3"]) == 2
+    assert not (tmp_path / "c").exists()
 
 
 def test_config_out_field_sets_artifact_dir(tmp_path):
@@ -268,7 +273,7 @@ def test_long_range_chain_of_an_experiment_without_eta_takes_eta_3(name):
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):
     def always_failing(p, seed):
-        return {"rows": [{"x": 1}], "derived": {}, "checks": {"forced": check([(1.0, 0.0)])}}
+        return {"rows": [{"x": 1}], "checks": {"forced": check([(1.0, 0.0)])}}
 
     monkeypatch.setitem(REGISTRY, "toy", (always_failing, {}))
     code, summary, _ = run_cli(tmp_path, {"experiment": "toy"})
@@ -279,7 +284,7 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
 
 def test_bare_boolean_check_is_rejected(tmp_path, monkeypatch):
     def bare(p, seed):
-        return {"rows": [{"x": 1}], "derived": {}, "checks": {"forced": True}}
+        return {"rows": [{"x": 1}], "checks": {"forced": True}}
 
     monkeypatch.setitem(REGISTRY, "toy", (bare, {}))
     with pytest.raises(TypeError):
@@ -361,6 +366,10 @@ def test_rerun_is_byte_identical(tmp_path):
     assert main(["run", cfg_path, "--out", str(out_a)]) == 0
     assert main(["run", cfg_path, "--out", str(out_b)]) == 0
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
+    # the summaries differ only in the wall time, not in the directory they were written to
+    sa, sb = (json.loads((out / "summary.json").read_text()) for out in (out_a, out_b))
+    assert sa.pop("wall_time_s") >= 0.0 and sb.pop("wall_time_s") >= 0.0
+    assert sa == sb
 
 
 def test_se_search_reports_unconverged_starts(tmp_path):

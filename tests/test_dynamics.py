@@ -13,11 +13,11 @@ from entspec import (
     DensePropagator,
     GapClosedError,
     TooLargeError,
+    ToyTwoQubit,
     adiabatic_error_bound,
     adiabatic_evolve,
     basis_product_state,
     build_nearest_neighbor_chain,
-    build_toy_two_qubit,
     c_alpha,
     check_unitary_se_growth,
     evolve_dense,
@@ -35,8 +35,9 @@ Y = np.array([[0.0, -1j], [1j, 0.0]])
 def _toy_v_ab():
     """The toy Hamiltonian |00><11| + |11><00| = (XX - YY)/2, whose best
     proved upper bound is exactly 1."""
-    h = build_toy_two_qubit().hamiltonian
-    return BipartiteOperator((2,), (2,), h, ((0.5, X, X), (-0.5, Y, Y)))
+    v = BipartiteOperator.from_terms((2,), (2,), ((0.5, X, X), (-0.5, Y, Y)))
+    assert np.array_equal(v.matrix, ToyTwoQubit().hamiltonian)
+    return v
 
 
 def test_rate_constant_anchors():
@@ -105,7 +106,7 @@ def test_evolve_dense_refuses_chains_above_dense_cap(rng):
 
 
 def test_rate_profile_matches_toy_closed_form():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     state0 = basis_product_state((2, 2), (0, 0))
     samples = measure_rate_profile(
         toy.hamiltonian, state0, Cut.of([0], 2),
@@ -119,7 +120,7 @@ def test_rate_profile_matches_toy_closed_form():
 
 
 def test_rate_profile_flags_kink_at_max_order():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     state0 = basis_product_state((2, 2), (0, 0))
     samples = measure_rate_profile(
         toy.hamiltonian, state0, Cut.of([0], 2),
@@ -132,7 +133,7 @@ def test_rate_profile_flags_kink_at_max_order():
 
 
 def test_rate_profile_below_threshold_has_no_bound():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     state0 = basis_product_state((2, 2), (0, 0))
     samples = measure_rate_profile(
         toy.hamiltonian, state0, Cut.of([0], 2),
@@ -155,7 +156,7 @@ def test_rate_profile_respects_bound_on_random_instances(rng):
 
 
 def test_unitary_growth_stays_under_exponential_cap():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     rows = check_unitary_se_growth(
         toy.hamiltonian, (2,), (2,), [0.2, 0.5, 1.0], se_upper_v=1.0, seeds=4,
     )

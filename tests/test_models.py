@@ -13,17 +13,20 @@ from entspec import (
     LocalTerm,
     TimeTooLongError,
     TooLargeError,
+    ToyTwoQubit,
     basis_product_state,
+    build_ising_projector_interaction,
     build_long_range_ising,
     build_nearest_neighbor_chain,
     build_saturation_dynamics,
-    build_toy_two_qubit,
+    build_swap_interaction,
     build_unbounded_dynamics,
     random_dense_instance,
     random_product_state,
     schmidt_decompose,
 )
 from entspec.dynamics import unbounded_experiment
+from entspec.models import _random_coupling, _random_unit_hermitian
 
 from helpers import random_hermitian
 
@@ -210,7 +213,7 @@ def test_unbounded_validation():
 
 
 def test_toy_state_matches_direct_exponential():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     for t in (0.2, 0.7, 1.3):
         direct = expm(-1j * toy.hamiltonian * t) @ psi0
@@ -218,7 +221,7 @@ def test_toy_state_matches_direct_exponential():
 
 
 def test_toy_rates_match_finite_differences():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     h = 1e-6
     for alpha in (0.5, 0.75, 1.0, 2.0):
         for t in (0.3, 0.6, 1.1):
@@ -231,7 +234,7 @@ def test_toy_rates_match_finite_differences():
 
 
 def test_toy_rate_trichotomy():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     # t -> 0+ limit: diverges below order 1/2, 2 at 1/2, 0 above
     assert toy.rate(0.25, 1e-4) > 50.0
     assert toy.rate(0.5, 1e-4) == pytest.approx(2.0, abs=1e-3)
@@ -260,3 +263,61 @@ def test_random_dense_instance_structure(rng):
     # both sides are at least 2-dimensional, so no instance fits below 4
     with pytest.raises(ValueError):
         random_dense_instance(rng, dim_cap=3)
+
+
+def _assert_built_from(op, mat, terms):
+    """op's matrix has the bytes of mat, and its decomposition holds terms."""
+    assert op.matrix.tobytes() == mat.tobytes()
+    assert len(op.decomposition) == len(terms)
+    for (j, a, b), (jj, aa, bb) in zip(op.decomposition, terms):
+        assert np.array(j).tobytes() == np.array(complex(jj)).tobytes()
+        assert a.tobytes() == aa.tobytes() and b.tobytes() == bb.tobytes()
+
+
+def test_decomposed_builders_repeat_their_summed_matrix_bytes():
+    """Each builder's matrix equals, byte for byte, its term sum written out
+    here as a loop, and its decomposition holds the same terms."""
+    # random coupling: P, Q, then c for each term, from the same stream
+    ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+    mat = np.zeros((12, 12), dtype=complex)
+    terms = []
+    for _ in range(3):
+        p = _random_unit_hermitian(ref_rng, 3)
+        q = _random_unit_hermitian(ref_rng, 4)
+        c = float(ref_rng.uniform(0.1, 2.0))
+        mat += c * np.kron(p, q)
+        terms.append((c, p, q))
+    _assert_built_from(_random_coupling(rng, 3, 4, 3, 0.1, 2.0), mat, terms)
+
+    m_levels, j = 3, -0.7
+    d = m_levels + 1
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    terms = []
+    for jj in range(1, m_levels + 1):
+        ket = np.zeros((d, d), dtype=complex)
+        ket[jj, 0] = 1.0
+        mat += j * np.kron(ket, ket)
+        mat += j * np.kron(ket.conj().T, ket.conj().T)
+        terms += [(j, ket, ket), (j, ket.conj().T, ket.conj().T)]
+    _assert_built_from(build_saturation_dynamics(m_levels, j, 2).v, mat, terms)
+
+    mat = np.zeros((9, 9), dtype=complex)
+    terms = []
+    for s in range(3):
+        e = np.zeros((3, 3), dtype=complex)
+        e[s, s] = 1.0
+        mat += np.kron(e, e)
+        terms.append((1.0, e, e))
+    _assert_built_from(build_ising_projector_interaction(3), mat, terms)
+
+    mat = np.zeros((4, 4), dtype=complex)
+    terms = []
+    for a in range(2):
+        for b in range(2):
+            e_ab = np.zeros((2, 2), dtype=complex)
+            e_ab[a, b] = 1.0
+            e_ba = np.zeros((2, 2), dtype=complex)
+            e_ba[b, a] = 1.0
+            mat += np.kron(e_ab, e_ba)
+            terms.append((1.0, e_ab, e_ba))
+    _assert_built_from(build_swap_interaction(), mat, terms)

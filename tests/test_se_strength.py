@@ -10,10 +10,10 @@ from entspec import (
     EtaTooSmallError,
     NoDecompositionError,
     SeEstimate,
+    ToyTwoQubit,
     build_ising_projector_interaction,
     build_saturation_dynamics,
     build_swap_interaction,
-    build_toy_two_qubit,
     long_range_se_bound,
     operator_schmidt_upper,
     se_lower_search,
@@ -22,6 +22,7 @@ from entspec import (
 from entspec.se_strength import _operator_schmidt, _opnorm, _search
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
+Y = np.array([[0.0, -1j], [1j, 0.0]])
 Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
@@ -41,18 +42,39 @@ def test_operator_schmidt_rebuilds_with_orthonormal_factors(rng, da, db):
 def test_bipartite_operator_validation():
     with pytest.raises(ValueError):
         BipartiteOperator((2,), (2,), np.eye(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unit operator norm"):
         # factor operator norm 2, not 1
-        BipartiteOperator((2,), (2,), np.kron(2 * Z, Z), decomposition=[(1.0, 2 * Z, Z)])
-    with pytest.raises(ValueError):
-        BipartiteOperator((2,), (2,), np.kron(X, X), decomposition=[(0.5, X, X)])
+        BipartiteOperator.from_terms((2,), (2,), [(1.0, 2 * Z, Z)])
+    # a decomposition only comes from its terms, so it cannot disagree with the matrix
+    with pytest.raises(TypeError):
+        BipartiteOperator((2,), (2,), np.kron(X, X), decomposition=[(1.0, X, X)])
+    assert BipartiteOperator((2,), (2,), np.kron(X, X)).decomposition is None
+
+
+@pytest.mark.parametrize("coeffs", [(0.3, 0.4, 1.7), (0.5 - 0.25j, 1j, 2.0 + 1j),
+                                    (-0.5, -1.25, 0.75)])
+def test_from_terms_is_the_weighted_kron_sum(rng, coeffs):
+    """The matrix is the term sum with each coefficient as given, byte for
+    byte, and the decomposition holds the terms as complex values."""
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    g = (g + g.conj().T) / 2
+    g = g / np.linalg.norm(g, 2)
+    terms = [(coeffs[0], Z, np.eye(3)), (coeffs[1], Y, g), (coeffs[2], X, np.diag([1, -1, 1]))]
+    op = BipartiteOperator.from_terms((2,), (3,), terms)
+    ref = np.zeros((6, 6), dtype=complex)
+    for j, a, b in terms:
+        ref += j * np.kron(a, b)
+    assert op.matrix.tobytes() == ref.tobytes()
+    assert (op.dims_a, op.dims_b) == ((2,), (3,))
+    for (j, a, b), (jj, aa, bb) in zip(terms, op.decomposition):
+        assert type(jj) is complex and jj == j
+        assert aa.dtype == bb.dtype == complex
+        assert aa.tobytes() == np.asarray(a, dtype=complex).tobytes()
+        assert bb.tobytes() == np.asarray(b, dtype=complex).tobytes()
 
 
 def test_decomposition_upper_is_coefficient_sum():
-    op = BipartiteOperator(
-        (2,), (2,), 0.3 * np.kron(Z, Z) + 0.4 * np.kron(X, X),
-        decomposition=[(0.3, Z, Z), (0.4, X, X)],
-    )
+    op = BipartiteOperator.from_terms((2,), (2,), [(0.3, Z, Z), (0.4, X, X)])
     assert se_upper_from_decomposition(op) == pytest.approx(0.7, abs=1e-12)
     bare = BipartiteOperator((2,), (2,), np.kron(Z, Z))
     with pytest.raises(NoDecompositionError):
@@ -115,7 +137,7 @@ def test_swap_needs_ancillas():
 
 
 def test_toy_interaction_strength_is_one_despite_upper_two():
-    toy = build_toy_two_qubit()
+    toy = ToyTwoQubit()
     op = BipartiteOperator((2,), (2,), toy.hamiltonian)
     est = se_lower_search(op, seeds=6, iterations=150)
     # the reshuffle route only proves 2; the true supremum is 1
