@@ -225,13 +225,6 @@ class AreaLawConstants:
     ck2: float
 
     @property
-    def c(self):
-        try:
-            return math.exp(self.log_c)
-        except OverflowError:
-            return math.inf
-
-    @property
     def entropy_bound(self):
         return self.ck1 * self.log_c + self.ck2
 
@@ -321,7 +314,7 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     rows = []
     pairs = []
     for d in d_grid:
-        kept, _ = truncate_rank(spec, d)
+        kept = truncate_rank(spec, d)
         psi_d = np.zeros_like(phi)
         for s in range(kept.rank):
             psi_d += kept.coeffs[s] * np.kron(kept.left_vectors[:, s], kept.right_vectors[:, s])

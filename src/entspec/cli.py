@@ -83,8 +83,7 @@ def _chain_from_params(p):
     """The chain of a merged, validated point ("chain" is "longrange" or
     "nearest")."""
     if p["chain"] == "longrange":
-        # tdmrg and mps-exist take no eta param: their long-range chains use 3
-        return build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p.get("eta", 3.0),
+        return build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p["eta"],
                                       hx=p["hx"], hz=p["hz"])
     return build_nearest_neighbor_chain(n=p["n"], d=p["d"], j=p["j0"], hx=p["hx"], hz=p["hz"])
 
@@ -434,6 +433,8 @@ _RULES = [
      "<= 7: the thermal purification doubles the chain to 2n sites"),
     (("gibbs-tail", "decomposition"), ("chain",), lambda v: v == "longrange",
      "\"longrange\": the bounds read power-law decay"),
+    (("tdmrg", "mps-exist"), ("chain",), lambda v: v == "nearest",
+     "\"nearest\": they take no eta to set a power-law decay"),
     (("kolmogorov",), ("pairs",),
      lambda q: len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0],
      "[N, D] pairs with 1 <= D <= N"),
@@ -452,7 +453,9 @@ _RULES = [
     (("area-law",), ("epsilon", "beta"), _positive, "> 0"),
     (("area-law",), ("coupling",), lambda v: v != 0, "nonzero: the constants divide by it"),
     (("merge-series", "truncation-params"), ("kappa",), _positive, "> 0"),
-    (("merge-series",), ("c0", "q_param"), _positive, "> 0"),
+    (("merge-series", "truncation-params"), ("c0", "q_param"), _positive, "> 0"),
+    (("merge-series",), ("s0", "m", "q"), lambda v: v >= 0,
+     ">= 0: the series and its bounds are stated for orders >= 0"),
     (("truncation-params",), ("eps0",), _positive, "> 0"),
     (("tdmrg",), ("n_steps",), lambda v: v >= 0, ">= 0, where 0 derives it from eps_target"),
     (("tdmrg",), ("eps_target",), _positive, "> 0"),
@@ -565,18 +568,23 @@ def _checked_seed(seed):
 
 
 def _run_config(cfg, out_dir, threads, seed_override=None):
+    """Run every point of a config and write its artifacts; return the
+    summary and the directory written to. At `threads` 1 the points run on
+    the calling thread, so Ctrl-C stops a run at once."""
     name, points, seed, cfg_out = validate_config(cfg)
     fn = REGISTRY[name][0]
     if seed_override is not None:
         seed = _checked_seed(seed_override)
-    if out_dir is None:
-        out_dir = Path(cfg_out or DEFAULT_OUT)
+    if threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
+    out_dir = out_dir or Path(cfg_out or DEFAULT_OUT)
     started = time.time()
+    seeds = range(seed, seed + len(points))
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda ip: fn(ip[1], seed + ip[0]), enumerate(points)))
+            results = list(pool.map(fn, points, seeds))
     else:
-        results = [fn(pt, seed + i) for i, pt in enumerate(points)]
+        results = list(map(fn, points, seeds))
     rows = []
     checks = {}
     margins = {}
@@ -606,7 +614,7 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
         "rows_file": "results.csv",
     }
     write_json(out_dir / "summary.json", summary)
-    return summary
+    return summary, out_dir
 
 
 _SELFTEST_PARAMS = {
@@ -659,7 +667,7 @@ def selftest(out_root):
     for name in REGISTRY:
         cfg = {"experiment": name, "params": _SELFTEST_PARAMS.get(name, {}), "seed": 7}
         try:
-            summary = _run_config(cfg, out_root / name, 1)
+            summary, _ = _run_config(cfg, out_root / name, 1)
             status = "pass" if summary["all_checks_pass"] else "FAIL"
         except EntspecError as exc:
             status = f"FAIL ({exc})"
@@ -716,8 +724,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        out_dir = Path(args.out) if args.out is not None else None
-        summary = _run_config(cfg, out_dir, args.threads, args.seed)
+        out_arg = Path(args.out) if args.out is not None else None
+        summary, out_dir = _run_config(cfg, out_arg, args.threads, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -728,7 +736,6 @@ def main(argv=None):
         margin = summary["margins"][k]
         shown = "none" if margin is None else f"{margin:.3e}"
         print(f"  {k}: {'pass' if ok else 'FAIL'} (margin {shown})")
-    out_dir = out_dir or Path(cfg.get("out") or DEFAULT_OUT)
     print(f"artifacts in {out_dir} (config {summary['config_sha256'][:12]})")
     return 0 if summary["all_checks_pass"] else 1
 

@@ -1,8 +1,7 @@
-"""Serialization helpers: complex-number JSON encoding, RFC-4180 CSV, config hashing.
+"""Serialization helpers: strict JSON, RFC-4180 CSV, config hashing.
 
-Complex values travel as "re+imj" strings (the format Python's complex()
-constructor parses back), and non-finite floats as "inf", "-inf" and "nan",
-so JSON artifacts stay strict RFC 8259 plain text.
+Non-finite floats travel as "inf", "-inf" and "nan", so JSON artifacts stay
+strict RFC 8259 plain text.
 """
 
 import csv
@@ -10,33 +9,16 @@ import hashlib
 import json
 import math
 
-import numpy as np
-
-
-def encode_complex(z):
-    """Encode a complex scalar as an "re+imj" string."""
-    z = complex(z)
-    return f"{z.real}{'+' if z.imag >= 0 else '-'}{abs(z.imag)}j"
-
 
 def jsonable(x):
-    """Recursively convert numpy scalars/arrays, complex values and
-    non-finite floats."""
+    """Recursively turn tuples into lists and non-finite floats into strings."""
     if isinstance(x, dict):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
+    if isinstance(x, float):
+        x = float(x)  # a numpy float64 writes as the plain float
         return x if math.isfinite(x) else str(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.bool_,)):
-        return bool(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return encode_complex(x)
-    if isinstance(x, np.ndarray):
-        return jsonable(x.tolist())
     return x
 
 

@@ -305,7 +305,6 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
 class TruncationParams:
     q0: float
     segments: int
-    exponent_base: float
     log2_sr_real: float
     log2_sr_imag: float
 
@@ -330,7 +329,6 @@ def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0)
     return TruncationParams(
         q0=q0,
         segments=segments,
-        exponent_base=base,
         log2_sr_real=log2_real,
         log2_sr_imag=log2_imag,
     )

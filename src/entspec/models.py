@@ -373,13 +373,6 @@ class ToyTwoQubit:
         amps = np.array([math.cos(t), 0.0, 0.0, -1j * math.sin(t)], dtype=complex)
         return PureState(dims=(2, 2), amps=amps)
 
-    def spectrum(self, t):
-        coeffs = np.sort(np.abs(np.array([math.cos(t), math.sin(t)])))[::-1]
-        return SchmidtSpectrum(coeffs=coeffs, source_norm=1.0)
-
-    def entropy(self, alpha, t):
-        return renyi_entropy(self.spectrum(t), alpha)
-
     def rate(self, alpha, t):
         """Closed-form d/dt of the order-alpha entropy on (0, pi/2).
 

@@ -193,15 +193,11 @@ def renyi_entropy(spec, alpha):
 
 
 def truncate_rank(spec, D):
-    """Keep the top D coefficients; tail is the optimal 2-norm error
-    sqrt(sum_{s>D} lambda_s^2)."""
+    """The spectrum of the top D coefficients and their Schmidt vectors."""
     D = int(D)
     if D < 1:
         raise ValueError("D must be >= 1")
-    lam = np.asarray(spec.coeffs, dtype=float)
-    kept = lam[:D]
-    tail = float(np.sqrt(np.sum(lam[D:] ** 2)))
+    kept = np.asarray(spec.coeffs, dtype=float)[:D]
     lv = spec.left_vectors[:, :D] if spec.left_vectors is not None else None
     rv = spec.right_vectors[:, :D] if spec.right_vectors is not None else None
-    out = SchmidtSpectrum(kept, float(np.sqrt(np.sum(kept**2))), lv, rv)
-    return out, tail
+    return SchmidtSpectrum(kept, float(np.sqrt(np.sum(kept**2))), lv, rv)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import math
+import threading
 import types
 from pathlib import Path
 
@@ -113,6 +114,16 @@ BAD_VALUES = [
     {"experiment": "tdmrg", "params": {"d": 1}},
     # the generators take no negative seed
     {"experiment": "kolmogorov", "seed": -1},
+    # q0 < 0 gave a negative segment count and a math domain error
+    {"experiment": "truncation-params", "params": {"q_param": -1.0, "c0": -1.0}},
+    # negative truncation orders ran, with bounds stated for orders >= 0
+    {"experiment": "merge-series", "params": {"m": -1, "q": -1, "s0": -1}},
+    {"experiment": "merge-series", "params": {"s0": -1}},
+    {"experiment": "merge-series", "params": {"m": -1}},
+    {"experiment": "merge-series", "params": {"q": -1}},
+    # tdmrg and mps-exist have no eta param: a long-range chain took a hidden 3
+    {"experiment": "tdmrg", "params": {"chain": "longrange"}},
+    {"experiment": "mps-exist", "params": {"chain": "longrange", "n": 4}},
 ]
 
 
@@ -233,15 +244,17 @@ def test_seed_override_changes_seed_not_hash(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
-def test_config_out_field_sets_artifact_dir(tmp_path):
+def test_config_out_field_sets_artifact_dir(tmp_path, capsys):
     dest = tmp_path / "from_config"
     cfg = {"experiment": "c-alpha-table", "out": str(dest)}
     assert main(["run", write_config(tmp_path, cfg)]) == 0
     assert (dest / "summary.json").exists()
+    assert f"artifacts in {dest} " in capsys.readouterr().out
     # the command-line flag wins over the config field
     override = tmp_path / "flag_wins"
     assert main(["run", write_config(tmp_path, cfg), "--out", str(override)]) == 0
     assert (override / "results.csv").exists()
+    assert f"artifacts in {override} " in capsys.readouterr().out
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -265,10 +278,12 @@ def test_unknown_experiment_exits_2(tmp_path):
         assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("name", ["tdmrg", "mps-exist"])
-def test_long_range_chain_of_an_experiment_without_eta_takes_eta_3(name):
-    _, [point], _, _ = validate_config({"experiment": name, "params": {"chain": "longrange"}})
-    assert cli._chain_from_params(point).decay == ("power", 1.0, 3.0)
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg_path = write_config(tmp_path, {"experiment": "c-alpha-table"})
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o"), "--threads", threads]) == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_check_exits_1(tmp_path, monkeypatch):
@@ -280,6 +295,20 @@ def test_failed_check_exits_1(tmp_path, monkeypatch):
     assert code == 1
     assert summary["all_checks_pass"] is False
     assert summary["margins"] == {"forced": -1.0}
+
+
+def test_one_thread_runs_every_point_on_the_calling_thread(tmp_path, monkeypatch):
+    # a pool thread cannot be interrupted, so Ctrl-C would wait for the point
+    seen = []
+
+    def record(p, seed):
+        seen.append(threading.current_thread())
+        return {"rows": [{"x": seed}], "checks": {}}
+
+    monkeypatch.setitem(REGISTRY, "toy", (record, {"x": 0}))
+    code, _, _ = run_cli(tmp_path, {"experiment": "toy", "grid": [{"x": 1}, {"x": 2}]})
+    assert code == 0
+    assert seen == [threading.main_thread()] * 2
 
 
 def test_bare_boolean_check_is_rejected(tmp_path, monkeypatch):
@@ -421,7 +450,8 @@ def test_selftest_passes(tmp_path, capsys):
                 assert summary["checks"][key] == (margin > 0.0)
     # a gapped chain's tail margin is the closest any tail came to its cap
     out = tmp_path / "st" / "ground-tail"
-    rows = list(csv.DictReader((out / "results.csv").open()))
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     margin = json.loads((out / "summary.json").read_text())["margins"]["tails_below_cap"]
     assert margin == min(float(r["cap"]) - float(r["tail2"]) for r in rows)
 

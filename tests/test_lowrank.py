@@ -199,8 +199,7 @@ def test_truncation_params():
     p = truncation_error_params(1.0, 2.0, 1.0, 0.5, 1.0, 2, eps0=1.0)
     assert p.q0 == pytest.approx(max(8.0, 4.0 * math.e * 0.5), abs=1e-12)
     assert p.segments == math.ceil(p.q0)
-    base = 6.0 + 4.0 + 1.0
-    assert p.exponent_base == pytest.approx(base, abs=1e-12)
+    base = 6.0 + 4.0 / 1.0 + math.log2(2)
     assert p.log2_sr_real == pytest.approx(
         base * p.segments * math.log2(8.0 * p.segments), abs=1e-9
     )

@@ -178,14 +178,16 @@ def test_renyi_nonincreasing_in_alpha(probs, alpha_pair):
 
 def test_truncate_rank_matches_best_tail(rng):
     state = random_state(rng, (4, 4))
-    spec = schmidt_decompose(state, Cut.of([0], 2))
+    spec = schmidt_decompose(state, Cut.of([0], 2), keep_vectors=True)
     for d in (1, 2, 3):
-        kept, tail = truncate_rank(spec, d)
+        kept = truncate_rank(spec, d)
         assert kept.rank <= d
-        assert tail == pytest.approx(
-            math.sqrt(float(np.sum(spec.coeffs[d:] ** 2))), abs=1e-14
-        )
-    kept, tail = truncate_rank(spec, 100)
-    assert tail == 0.0
+        assert np.array_equal(kept.coeffs, spec.coeffs[:d])
+        assert np.array_equal(kept.left_vectors, spec.left_vectors[:, :d])
+        assert np.array_equal(kept.right_vectors, spec.right_vectors[:, :d])
+        # what is left out is the best rank-d tail of a unit state
+        tail2 = float(np.sum(spec.coeffs[d:] ** 2))
+        assert kept.source_norm ** 2 == pytest.approx(1.0 - tail2, abs=1e-14)
+    assert np.array_equal(truncate_rank(spec, 100).coeffs, spec.coeffs)
     with pytest.raises(ValueError):
         truncate_rank(spec, 0)
