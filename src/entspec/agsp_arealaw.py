@@ -37,7 +37,6 @@ SPARSE_DIM_CAP = 2 ** 16
 class AgspOperator:
     matrix: np.ndarray
     beta: float
-    t_c: float
     delta: float
     eigvals: np.ndarray
     filter_vals: np.ndarray
@@ -114,7 +113,6 @@ def build_agsp(h, beta):
     return AgspOperator(
         matrix=prop.matrix(f_cur),
         beta=float(beta),
-        t_c=t_c,
         delta=delta,
         eigvals=lams,
         filter_vals=f_cur,
@@ -126,7 +124,8 @@ def build_agsp(h, beta):
 def agsp_checks(ops):
     """The defect inequalities of filtered projectors (ground and Gaussian
     defects below the defect bound, excited defect below twice it) and the
-    convergence of their quadratures."""
+    convergence of their quadratures.
+    Paper: the defect bounds of the Gaussian-filtered approximate ground-state projector."""
     defects = [pair for a in ops for pair in (
         (a.defect_ground, a.defect_bound), (a.defect_excited, 2.0 * a.defect_bound),
         (a.gauss_defect, a.defect_bound))]
@@ -162,6 +161,7 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
 
     The reported cap drops the dimension prefactor (>= 1), so staying below
     it is strictly harder than the stated inequality.
+    Paper: the polynomial Schmidt-tail decay of long-range chain ground states.
     """
     dim = chain.total_dim
     if dim <= 2048:
@@ -283,7 +283,8 @@ def make_coupled_qudit_family(delta, coupling):
 
 def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     """Ramp the boundary coupling, filter, truncate, compare to the target
-    ground state, and report every link of the constant chain."""
+    ground state, and report every link of the constant chain.
+    Paper: the generalized entanglement area law under adiabatic paths."""
     # V(nu) = nu * coupling * coupler, so its strength peaks at nu = 1
     g_tilde = abs(family.coupling) * se_upper_from_decomposition(family.coupler)
     # raises GapClosedError before any step when the sampled path gap closes
@@ -318,8 +319,6 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         psi_d = np.zeros_like(phi)
         for s in range(kept.rank):
             psi_d += kept.coeffs[s] * np.kron(kept.left_vectors[:, s], kept.right_vectors[:, s])
-        # left/right vector kron order matches the sorted-cut reshape for a
-        # contiguous boundary cut
         psi_d /= np.linalg.norm(psi_d)
         err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(psi_d, omega1))))
         cap = consts.tail_cap(d)

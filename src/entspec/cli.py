@@ -292,7 +292,7 @@ def exp_tdmrg(p, seed):
         "j_tilde": cert.j_tilde,
         "max_bond": final.max_bond,
     }
-    if p["compare_dense"] and cfg.chain.total_dim <= DENSE_DIM_CAP:
+    if p["compare_dense"]:
         derived["dense_error_raw"], derived["dense_error_normalized"] = _dense_errors(cfg, final)
     return {"rows": rows, **derived,
             "checks": certificate_checks(cert, derived.get("dense_error_raw"))}
@@ -441,8 +441,9 @@ _RULES = [
     (("se-search", "sie-rate", "unitary-growth"), ("dim_cap",), lambda v: v >= 4,
      ">= 4, the least instance being 2 x 2"),
     (("saturate",), ("times", "j"), _positive, "> 0"),
-    (("mps-exist", "unitary-growth", "truncation-params"), ("t", "times", "durations"),
-     lambda v: v >= 0, ">= 0: the bounds grow with elapsed time"),
+    (("tdmrg", "mps-exist", "no-go", "unitary-growth", "truncation-params"),
+     ("t", "times", "durations"), lambda v: v >= 0, ">= 0: the bounds grow with elapsed time"),
+    (("gibbs-tail",), ("betas",), lambda v: v >= 0, ">= 0: the caps are stated for beta >= 0"),
     (("toy",), ("times",), lambda v: 0 < v < math.pi / 2,
      "in (0, pi/2), where the closed form holds"),
     (("c-alpha-table",), ("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),
@@ -462,11 +463,12 @@ _RULES = [
 ]
 
 
-# the largest chain matrix, d**n rows, each experiment may form
+# the largest chain matrix, d**n rows, each experiment may form (tdmrg: if compare_dense)
 _DIM_CAPS = {
-    "mps-exist": (DENSE_DIM_CAP, "dense-matrix"),
-    "gibbs-tail": (DENSE_DIM_CAP, "dense-matrix"),
-    "ground-tail": (SPARSE_DIM_CAP, "sparse-eigensolver"),
+    "mps-exist": (DENSE_DIM_CAP, "the dense-matrix limit"),
+    "gibbs-tail": (DENSE_DIM_CAP, "the dense-matrix limit"),
+    "tdmrg": (DENSE_DIM_CAP, "the dense-matrix limit of compare_dense (set it to false)"),
+    "ground-tail": (SPARSE_DIM_CAP, "the sparse-eigensolver limit"),
 }
 
 
@@ -549,11 +551,11 @@ def validate_config(cfg):
                 raise ConfigError(f"params 'j' and 't' of {name}: {exc}") from None
         # the chain matrix has d**n rows; with d >= 2 the power passes the cap
         # by the exponent cap.bit_length(), so no larger one is formed
-        if name in _DIM_CAPS:
+        if name in _DIM_CAPS and p.get("compare_dense", True):
             cap, limit = _DIM_CAPS[name]
             if p["d"] ** min(p["n"], cap.bit_length()) > cap:
                 raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
-                                  f"the {limit} limit, got d**n = {p['d']}**{p['n']}")
+                                  f"{limit}, got d**n = {p['d']}**{p['n']}")
         if name == "merge-series" and p["da"] * p["db"] > MERGE_DIM_CAP:
             raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
                               f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")

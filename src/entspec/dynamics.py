@@ -63,7 +63,8 @@ def _order(alpha):
 def c_alpha_table(alphas):
     """c_alpha over a grid of orders (numbers or "inf"), and its anchors:
     exactly 2 at order 1/2 and at infinity and 4/e at order 1, 3/2 within
-    1e-12 (strictly) at order 3/4, and below 2 at every interior order."""
+    1e-12 (strictly) at order 3/4, and below 2 at every interior order.
+    Paper: the rate constant c_alpha of the spectral SIE theorem and its stated values."""
     rows = [{"alpha": str(alpha), "c": c_alpha(_order(alpha))} for alpha in alphas]
     anchors = (("half_is_two", 0.5, 2.0, 0.0), ("three_quarters_is_three_halves", 0.75, 1.5, 1e-12),
                ("one_is_four_over_e", 1.0, 4.0 / math.e, 0.0), ("limit_is_two", math.inf, 2.0, 0.0))
@@ -78,7 +79,8 @@ def c_alpha_table(alphas):
 def toy_rate_experiment(times, alphas):
     """Closed-form entropy rates of the toy pump at each time and order (a
     number or "inf"), bounded by c_alpha times its strength at every order
-    >= 1/2, infinity included, with the check |rate| <= bound + 1e-9."""
+    >= 1/2, infinity included, with the check |rate| <= bound + 1e-9.
+    Paper: the spectral SIE rate bound at every order >= 1/2, on a two-qubit example."""
     toy = ToyTwoQubit()
     rows = []
     for t in times:
@@ -94,7 +96,8 @@ def unbounded_experiment(dyn, alphas):
     """Entropies of the flat-spectrum burst at each order, with the floor of
     each order in (0, 1/2), and its checks: every entropy at least its floor
     less 1e-9, Schmidt weights summing to 1 within 1e-10 (strictly), and the
-    order-1/2 entropy at most c_{1/2} J t + 1e-9, the threshold's growth cap."""
+    order-1/2 entropy at most c_{1/2} J t + 1e-9, the threshold's growth cap.
+    Paper: the threshold at order 1/2, below which entanglement growth is unbounded."""
     rows = [{"alpha": a, "entropy": dyn.entropy(a),
              "floor": dyn.entropy_lower_bound(a) if 0.0 < a < 0.5 else None}
             for a in alphas]
@@ -213,13 +216,15 @@ def measure_rate_profile(h, state0, cut, alphas, times, v_ab):
 
 def rate_bound_check(samples):
     """|rate| <= bound + RATE_MARGIN_TOL at every sample with a bound, kinks
-    included."""
+    included.
+    Paper: the spectral SIE theorem, |dE_alpha/dt| <= c_alpha times the strength, alpha >= 1/2."""
     return check([(abs(s.rate), s.bound) for s in samples if s.bound is not None],
                  tol=RATE_MARGIN_TOL)
 
 
 def unitary_growth_check(rows):
-    """lower <= cap + 1e-6 on every row of check_unitary_se_growth."""
+    """lower <= cap + 1e-6 on every row of check_unitary_se_growth.
+    Paper: a unitary's strength grows at most as exp(t times the strength of H)."""
     return check([(r["lower"], r["cap"]) for r in rows], tol=1e-6)
 
 

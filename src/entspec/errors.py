@@ -1,80 +1,79 @@
 """Exception types shared across the package.
 
-Each class carries the short tag used in error reports and exit-code
-messages; the tag is the stable identifier, the class name is sugar.
+Each message starts with the class name less "Error", the short tag used in
+error reports and exit-code messages.
 """
 
 
 class EntspecError(Exception):
-    tag = "Error"
-
     def __init__(self, message=""):
-        super().__init__(f"{self.tag}: {message}" if message else self.tag)
+        tag = type(self).__name__.removesuffix("Error")
+        super().__init__(f"{tag}: {message}" if message else tag)
 
 
 class ZeroStateError(EntspecError):
-    tag = "ZeroState"
+    pass
 
 
 class BadCutError(EntspecError):
-    tag = "BadCut"
+    pass
 
 
 class UnnormalizedError(EntspecError):
-    tag = "Unnormalized"
+    pass
 
 
 class BadAlphaError(EntspecError):
-    tag = "BadAlpha"
+    pass
 
 
 class NoDecompositionError(EntspecError):
-    tag = "NoDecomposition"
+    pass
 
 
 class EtaTooSmallError(EntspecError):
-    tag = "EtaTooSmall"
+    pass
 
 
 class TimeTooLongError(EntspecError):
-    tag = "TimeTooLong"
+    pass
 
 
 class BelowThresholdError(EntspecError):
-    tag = "BelowThreshold"
+    pass
 
 
 class TooLargeError(EntspecError):
-    tag = "TooLarge"
+    pass
 
 
 class GapClosedError(EntspecError):
-    tag = "GapClosed"
+    pass
 
 
 class DegenerateError(EntspecError):
-    tag = "Degenerate"
+    pass
 
 
 class ZOutOfRangeError(EntspecError):
-    tag = "ZOutOfRange"
+    pass
 
 
 class MismatchError(EntspecError):
-    tag = "Mismatch"
+    pass
 
 
 class UnsupportedLocalityError(EntspecError):
-    tag = "UnsupportedLocality"
+    pass
 
 
 class IntermediateTooLargeError(EntspecError):
-    tag = "IntermediateTooLarge"
+    pass
 
 
 class StepTooCoarseError(EntspecError):
-    tag = "StepTooCoarse"
+    pass
 
 
 class BoundVacuousError(EntspecError):
-    tag = "BoundVacuous"
+    pass

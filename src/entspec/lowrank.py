@@ -90,7 +90,8 @@ class WidthResult:
 
 def width_range_check(fits):
     """Every fit lies in [lower - 1e-6, 1/2 + 1e-9]: no lower than the proved
-    width bound, and no higher than the all-halves witness's 1/2."""
+    width bound, and no higher than the all-halves witness's 1/2.
+    Paper: the width bounds on rank-d approximations of the identity."""
     return check([(f.lower - 1e-6, f.value) for f in fits] + [(f.value, 0.5 + 1e-9) for f in fits])
 
 
@@ -123,7 +124,8 @@ def no_go_lower_bound(t):
 
 def no_go_chain_check(rows):
     """The width chain measured >= chain_rhs_sound - CHAIN_SLACK on every
-    no_go_experiment row."""
+    no_go_experiment row.
+    Paper: the no-go chain inequality for rank-d diagonal-phase approximation."""
     return check([(r["chain_rhs_sound"] - CHAIN_SLACK, r["measured"]) for r in rows])
 
 
@@ -206,7 +208,8 @@ class MergeSeries:
 
     @property
     def error_check(self):
-        """The measured truncation error is within the guaranteed budget."""
+        """The measured truncation error is within the guaranteed budget.
+        Paper: the truncation-error bound of the interaction-picture merge series."""
         return check([(self.error_measured, self.error_bound)], tol=1e-12)
 
 
@@ -336,7 +339,8 @@ def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0)
 
 def budget_monotone_check(rows):
     """In ascending duration no real-time budget of truncation_error_params
-    rows falls by more than 1e-12; the margin is the least step."""
+    rows falls by more than 1e-12; the margin is the least step.
+    Paper: the Schmidt-rank budget of truncated evolution, growing with duration."""
     reals = [r["log2_sr_real"] for r in sorted(rows, key=lambda r: r["duration"])]
     return check([(a, b) for a, b in zip(reals, reals[1:])], tol=1e-12)
 
@@ -352,7 +356,8 @@ class LongRangeDecomposition:
 
     @property
     def tails_check(self):
-        """Each tail is at most its cap, with no slack."""
+        """Each tail is at most its cap, with no slack.
+        Paper: the geometric-in-bin decay of a long-range interaction across a cut."""
         return check(self.tails)
 
 

@@ -285,13 +285,15 @@ class SaturationDynamics:
 
     def rate_floor_check(self, times):
         """The average rate is at least rate_lower_bound - 1e-12 at every time
-        of `times` inside the window."""
+        of `times` inside the window.
+        Paper: the optimality of the order-1/2 rate bound, reached by the pump protocol."""
         return check([(self.rate_lower_bound(t) - 1e-12, self.average_rate(t))
                       for t in times if self.in_window(t)])
 
     def strength_checks(self, lower):
         """A lower bound found on the pump lies within 1e-6 relative of its
-        exact strength M*J, on both sides."""
+        exact strength M*J, on both sides.
+        Paper: the pump's spectral-entangling strength, exactly M*J."""
         exact = self.se_strength_exact
         return {"strength_reached": check([(exact * (1.0 - 1e-6), lower)]),
                 "strength_not_exceeded": check([(lower, exact * (1.0 + 1e-6))])}
@@ -416,7 +418,8 @@ def named_strengths(pump):
 def named_strength_checks(pump, pump_lower, projector_lower, swap_lower):
     """Lower bounds found on the named interactions against their known
     strengths: the pump's within 1e-4 and the projector's within 1e-6, both
-    strictly, and the SWAP's target reached within 1e-6."""
+    strictly, and the SWAP's target reached within 1e-6.
+    Paper: the stated strengths of the pump, a projector and the SWAP."""
     want = named_strengths(pump)
     return {
         "pump_strength_reached": check([(abs(pump_lower - want["pump"]), 1e-4)], strict=True),

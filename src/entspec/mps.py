@@ -6,7 +6,6 @@ without building it) whose per-bond records feed the run certificates.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,10 +18,11 @@ DENSE_CAP = 2 ** 20
 
 @dataclass(frozen=True)
 class MatrixProductState:
-    """Site tensors indexed [left bond, physical, right bond]; boundary bonds 1."""
+    """Site tensors indexed [left bond, physical, right bond]; boundary bonds 1.
+    When left_canonical, every site but the last is left-orthonormal."""
 
     tensors: tuple
-    canonical_center: Optional[int] = None
+    left_canonical: bool = False
 
     def __post_init__(self):
         ts = tuple(np.asarray(t, dtype=complex) for t in self.tensors)
@@ -36,20 +36,12 @@ class MatrixProductState:
             if i + 1 < len(ts) and t.shape[2] != ts[i + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
         object.__setattr__(self, "tensors", ts)
-        c = self.canonical_center
-        if c is not None:
-            for i, t in enumerate(ts):
+        if self.left_canonical:
+            for i, t in enumerate(ts[:-1]):
                 dl, d, dr = t.shape
-                if i < c:
-                    m = t.reshape(dl * d, dr)
-                    gram = m.conj().T @ m
-                else:
-                    if i == c:
-                        continue
-                    m = t.reshape(dl, d * dr)
-                    gram = m @ m.conj().T
-                if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-10:
-                    raise ValueError(f"tensor {i} not orthogonal for center {c}")
+                m = t.reshape(dl * d, dr)
+                if np.max(np.abs(m.conj().T @ m - np.eye(dr))) > 1e-10:
+                    raise ValueError(f"tensor {i} not left-orthonormal")
 
     @property
     def n_sites(self):
@@ -126,7 +118,7 @@ def from_dense(state, d_max):
         tensors.append(t)
         bonds.append(record)
     tensors.append(rest.reshape(-1, d, 1))
-    mps = MatrixProductState(tensors=tuple(tensors), canonical_center=n - 1)
+    mps = MatrixProductState(tensors=tuple(tensors), left_canonical=True)
     return mps, CompressionRecord(bonds=tuple(bonds))
 
 
@@ -267,7 +259,7 @@ def _compress_blocks(sites, d_cap, tolerance):
         ts[i], carry, record = _truncate_bond(ts[i], d_cap, tolerance)
         bonds.append(record)
         ts[i + 1] = np.einsum("ab,bpr->apr", carry, ts[i + 1])
-    out = MatrixProductState(tensors=tuple(ts), canonical_center=n - 1)
+    out = MatrixProductState(tensors=tuple(ts), left_canonical=True)
     return out, CompressionRecord(bonds=tuple(bonds))
 
 

@@ -109,7 +109,8 @@ class SeEstimate:
 
 
 def bracket_check(estimates):
-    """lower <= upper + 1e-9 on every estimate: no witness beats the proved bound."""
+    """lower <= upper + 1e-9 on every estimate: no witness beats the proved bound.
+    Paper: the spectral-entangling strength, bounded below by every product-state witness."""
     return check([(e.lower, e.upper) for e in estimates], tol=1e-9)
 
 

@@ -62,31 +62,27 @@ class PureState:
     def n_sites(self):
         return len(self.dims)
 
-    def tensor(self):
-        return self.amps.reshape(self.dims)
-
 
 @dataclass(frozen=True)
 class Cut:
-    """Bipartition of site indices into left (A) and right (B)."""
+    """The bond after site k - 1 of an n-site chain: sites 0..k-1 form the
+    left part (A), the rest the right part (B)."""
 
-    left_sites: frozenset
-    right_sites: frozenset
+    k: int
+    n: int
+
+    def __post_init__(self):
+        if not 1 <= self.k < self.n:
+            raise BadCutError(f"no bond after site {self.k - 1} of a {self.n}-site chain")
 
     @staticmethod
     def of(left, n_sites):
-        left = frozenset(int(i) for i in left)
-        return Cut(left, frozenset(range(n_sites)) - left)
-
-    def validate(self, n_sites):
-        allsites = frozenset(range(n_sites))
-        if (
-            not self.left_sites
-            or not self.right_sites
-            or self.left_sites & self.right_sites
-            or (self.left_sites | self.right_sites) != allsites
-        ):
-            raise BadCutError(f"invalid bipartition of {n_sites} sites")
+        """The cut whose left part is `left`; BadCutError unless that is the
+        sites 0..k-1."""
+        left = [int(i) for i in left]
+        if left != list(range(len(left))):
+            raise BadCutError(f"left sites {left} are not 0..k-1")
+        return Cut(len(left), n_sites)
 
 
 @dataclass(frozen=True)
@@ -125,23 +121,13 @@ class SchmidtSpectrum:
 
 
 def schmidt_decompose(state, cut, keep_vectors=False):
-    """Schmidt coefficients of `state` across `cut`.
-
-    The amplitude tensor is permuted so the left sites form the row index
-    (site order preserved within each side), then SVD'd; non-contiguous
-    cuts are therefore handled by the same path.
-    """
-    n = state.n_sites
-    cut.validate(n)
+    """Schmidt coefficients of `state` across `cut`: the SVD of its
+    amplitudes with the left sites as the row index."""
+    if cut.n != state.n_sites:
+        raise BadCutError(f"cut of {cut.n} sites on a {state.n_sites}-site state")
     if state.norm == 0 or not state.amps.any():
         raise ZeroStateError("cannot decompose the zero state")
-    left = sorted(cut.left_sites)
-    right = sorted(cut.right_sites)
-    perm = left + right
-    tens = state.tensor().transpose(perm)
-    dl = math.prod(state.dims[i] for i in left)
-    dr = math.prod(state.dims[i] for i in right)
-    mat = tens.reshape(dl, dr)
+    mat = state.amps.reshape(math.prod(state.dims[: cut.k]), -1)
     if keep_vectors:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
         # vh rows are the right Schmidt vectors; store them as columns so

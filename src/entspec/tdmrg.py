@@ -24,7 +24,6 @@ from .mps import (
     MatrixProductState,
     _apply_factors,
     _term_factors,
-    compress,
     compress_sum,
     from_dense,
     mps_norm,
@@ -179,10 +178,7 @@ def tdmrg_run(config):
                 staged += rec.max_delta
                 segment = [acc]
                 inner = acc.bond_dims[1:-1]
-        if len(segment) > 1:
-            cur, rec = compress_sum(segment, coeffs[: len(segment)], d_cap)
-        else:
-            cur, rec = compress(segment[0], d_cap)
+        cur, rec = compress_sum(segment, coeffs[: len(segment)], d_cap)
         zeta = rec.max_zeta
         delta_bar = rec.max_delta + staged
         rows.append(
@@ -212,7 +208,8 @@ def certificate_checks(cert, dense_error):
     """The certificate's own inequalities: per-step discards tied to the
     coefficient sums, the sums under both caps, and the naive bound strictly
     looser; with the distance to the exact state (None when there is none),
-    also that the final bound covers it."""
+    also that the final bound covers it.
+    Paper: the precision-guarantee bound of TDMRG."""
     checks = {
         "delta_linked_to_zeta": check(
             [(s.delta_bar, s.zeta / math.sqrt(cert.d_cap)) for s in cert.steps], tol=1e-12),
@@ -227,7 +224,8 @@ def certificate_checks(cert, dense_error):
 
 def state_mps_existence_check(chain, initial, t, d_grid):
     """Evolve densely, factor exactly, truncate per D, and compare against
-    the guaranteed error and coefficient laws."""
+    the guaranteed error and coefficient laws.
+    Paper: the 1/s^2 spectral tail and polynomial bond dimension of time-evolved states."""
     psi_t = evolve_dense(chain, initial, t)
     j_tilde = chain.boundary_strength_cap()
     n = chain.n
@@ -260,7 +258,8 @@ def state_mps_existence_check(chain, initial, t, d_grid):
 def gibbs_tail_experiment(chain, betas, d_grid):
     """Schmidt tails of the normalized thermal purification, interleaved
     ordering, measured at every physical cut and compared with the loose
-    theoretical decay."""
+    theoretical decay.
+    Paper: the polynomial bond-dimension approximation of thermal states."""
     if chain.n > 7:
         raise TooLargeError(f"n = {chain.n} > 7 for the doubled system")
     if chain.decay is None or chain.decay[0] != "power":

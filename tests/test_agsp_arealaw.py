@@ -54,7 +54,7 @@ def test_agsp_two_level_defects():
     # the stop value is the exact spectral norm of the last change in K
     _, u = np.linalg.eigh(h)
     f_last, f_prev = (
-        _filter_values(k.eigvals, beta, k.t_c, nodes)
+        _filter_values(k.eigvals, beta, 2.0 * beta * k.delta, nodes)
         for nodes in (k.nodes_used, k.nodes_used // 2)
     )
     k_change = u @ np.diag(f_last - f_prev) @ u.conj().T
@@ -70,8 +70,8 @@ def test_agsp_filter_matches_direct_quadrature(rng):
     for lam, got in zip(k.eigvals[:3], k.filter_vals[:3]):
         ref, _ = quad(
             lambda t: math.cos(lam * t) * math.exp(-(t ** 2) / (4.0 * beta)),
-            -k.t_c,
-            k.t_c,
+            -2.0 * beta * k.delta,
+            2.0 * beta * k.delta,
             epsabs=1e-13,
         )
         ref /= math.sqrt(4.0 * math.pi * beta)

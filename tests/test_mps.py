@@ -59,6 +59,19 @@ def test_mps_validation():
         MatrixProductState(tensors=(np.zeros((1, 2, 3)), np.zeros((2, 2, 1))))
 
 
+def test_left_canonical_checks_every_site_but_the_last(rng):
+    """A factorized state passes the Gram check; scaling one of its
+    left-orthonormal sites by 1.1 fails it, and the last site is free."""
+    mps, _ = from_dense(random_state(rng, (2,) * 5), d_max=4)
+    ts = list(mps.tensors)
+    MatrixProductState(tensors=tuple(ts[:-1] + [1.1 * ts[-1]]), left_canonical=True)
+    for i in range(4):
+        scaled = ts[:i] + [1.1 * ts[i]] + ts[i + 1:]
+        with pytest.raises(ValueError, match=f"tensor {i} not left-orthonormal"):
+            MatrixProductState(tensors=tuple(scaled), left_canonical=True)
+        MatrixProductState(tensors=tuple(scaled))
+
+
 @given(st.integers(2, 8), st.integers(0, 10 ** 6))
 @settings(max_examples=20, deadline=None)
 def test_round_trip_dense(n, seed):

@@ -68,7 +68,6 @@ DEFAULTS_ALLOWED = {
 FIELDS_ALLOWED = {
     "StepRecord": "every field reaches the tdmrg results.csv through dataclasses.asdict",
     "RateSample": "every field reaches the sie-rate results.csv through dataclasses.asdict",
-    "t_c": "AgspOperator's integration window, kept as convergence data for the quadrature",
     "MergeSeries.exact": "the dense reference that the merge-series tests compare against",
 }
 

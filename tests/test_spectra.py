@@ -31,16 +31,14 @@ def test_pure_state_validation():
 
 
 def test_cut_validation():
-    cut = Cut.of([0, 2], 4)
-    assert sorted(cut.left_sites) == [0, 2]
-    assert sorted(cut.right_sites) == [1, 3]
-    cut.validate(4)
+    cut = Cut.of([0, 1], 3)
+    assert (cut.k, cut.n) == (2, 3)
+    for left in ([0, 2], [1], [], [0, 1, 2]):
+        with pytest.raises(BadCutError):
+            Cut.of(left, 3)
+    state = PureState(dims=(2, 2, 2, 2), amps=np.ones(16))
     with pytest.raises(BadCutError):
-        Cut.of([], 3).validate(3)
-    with pytest.raises(BadCutError):
-        Cut.of([0, 1, 2], 3).validate(3)
-    with pytest.raises(BadCutError):
-        Cut.of([3], 3).validate(3)
+        schmidt_decompose(state, cut)
 
 
 def test_bell_state_spectrum():
@@ -68,14 +66,12 @@ def test_zero_state_rejected():
 
 
 @pytest.mark.parametrize(
-    "dims,left", [((2, 3, 2), [0]), ((2, 3, 2), [1]), ((2, 2, 2, 2), [0, 2])]
+    "dims,left", [((2, 3, 2), [0]), ((2, 3, 2), [0, 1]), ((2, 2, 2, 2), [0, 1, 2])]
 )
 def test_reconstruction_from_vectors(rng, dims, left):
-    """kron(left_s, right_s) weighted by the coefficients rebuilds the state
-    in sorted-left x sorted-right site ordering."""
+    """kron(left_s, right_s) weighted by the coefficients rebuilds the state."""
     state = random_state(rng, dims)
-    cut = Cut.of(left, len(dims))
-    spec = schmidt_decompose(state, cut, keep_vectors=True)
+    spec = schmidt_decompose(state, Cut.of(left, len(dims)), keep_vectors=True)
     da = spec.left_vectors.shape[0]
     db = spec.right_vectors.shape[0]
     rebuilt = np.zeros(da * db, dtype=complex)
@@ -83,17 +79,18 @@ def test_reconstruction_from_vectors(rng, dims, left):
         rebuilt += spec.coeffs[s] * np.kron(
             spec.left_vectors[:, s], spec.right_vectors[:, s]
         )
-    perm = sorted(cut.left_sites) + sorted(cut.right_sites)
-    reordered = np.transpose(state.amps.reshape(dims), perm).reshape(da * db)
-    assert np.linalg.norm(rebuilt - reordered) < 1e-12
+    assert np.linalg.norm(rebuilt - state.amps) < 1e-12
 
 
-def test_noncontiguous_cut_matches_manual_reshape(rng):
-    state = random_state(rng, (2, 2, 2))
-    spec = schmidt_decompose(state, Cut.of([0, 2], 3))
-    mat = np.transpose(state.amps.reshape(2, 2, 2), (0, 2, 1)).reshape(4, 2)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    assert np.allclose(spec.coeffs, sv)
+def test_coefficients_are_the_svd_of_the_reshaped_amplitudes(rng):
+    """The decomposition is the SVD of the amplitudes with the first k sites
+    as rows, bit for bit."""
+    state = random_state(rng, (2, 3, 2, 2))
+    for k in (1, 2, 3):
+        spec = schmidt_decompose(state, Cut.of(range(k), 4))
+        rows = math.prod(state.dims[:k])
+        want = np.linalg.svd(state.amps.reshape(rows, -1), compute_uv=False)
+        assert np.array_equal(spec.coeffs, want)
 
 
 def test_renyi_known_values():
