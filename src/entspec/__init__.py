@@ -81,7 +81,6 @@ from .mps import (
     add,
     apply_local_term,
     compress,
-    compress_sum,
     from_dense,
     mps_inner,
     mps_norm,

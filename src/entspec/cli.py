@@ -556,9 +556,18 @@ def validate_config(cfg):
             if p["d"] ** min(p["n"], cap.bit_length()) > cap:
                 raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
                                   f"{limit}, got d**n = {p['d']}**{p['n']}")
-        if name == "merge-series" and p["da"] * p["db"] > MERGE_DIM_CAP:
-            raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
-                              f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
+        if name == "merge-series":
+            if p["da"] * p["db"] > MERGE_DIM_CAP:
+                raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
+                                  f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
+            # build_merge_series's z window and slack; each coupling has norm |v_scale|
+            g_tilde = abs(p["v_scale"]) * min(p["n_terms"], sys.float_info.max)
+            weight = 4.0 * math.e * p["c0"] * g_tilde
+            zcap = min(1.0 / (4.0 * p["q_param"]), 1.0 / weight if weight > 0 else math.inf)
+            z_abs = math.hypot(p["z_re"], p["z_im"])
+            if z_abs > zcap + 1e-12:
+                raise ConfigError(f"params 'z_re' and 'z_im' of {name} must have |z| <= {zcap}, "
+                                  f"set by q_param, c0, n_terms and v_scale, got |z| = {z_abs}")
     return name, points, _checked_seed(cfg.get("seed", 0)), out
 
 

@@ -1,7 +1,7 @@
 """Open-boundary matrix product states with exact discarded-weight
-accounting: factorization, contraction, n-way direct sums, local-term
-application, and two-sweep compression (of a state, or of a direct sum
-without building it) whose per-bond records feed the run certificates.
+accounting: factorization, contraction, n-way direct sums, local terms
+applied to bare site tensors, and two-sweep compression (of a state, or of
+a direct sum without building it) whose per-bond records feed certificates.
 """
 
 import math
@@ -40,7 +40,9 @@ class MatrixProductState:
             for i, t in enumerate(ts[:-1]):
                 dl, d, dr = t.shape
                 m = t.reshape(dl * d, dr)
-                if np.max(np.abs(m.conj().T @ m - np.eye(dr))) > 1e-10:
+                g = m.conj().T @ m
+                g.flat[:: dr + 1] -= 1.0  # the Gram matrix less the identity
+                if np.max(np.abs(g)) > 1e-10:
                     raise ValueError(f"tensor {i} not left-orthonormal")
 
     @property
@@ -134,25 +136,25 @@ def to_dense(mps):
 
 
 def _sum_blocks(states, coeffs):
-    """The direct sum sum_k coeffs[k] * states[k], site by site, as lists of
-    dense blocks: one row on the first site (the blocks side by side, each
-    scaled by its coefficient), one column on the last (the blocks stacked),
-    and on every middle site each state's tensor scaled by 1.0, for the
-    diagonal. Scaling by 1.0 is kept, as it turns some -0.0 into +0.0. A
-    one-site chain is the plain sum.
+    """The direct sum sum_k coeffs[k] * states[k] of states given by their
+    site tensors, site by site, as lists of dense blocks: one row on the first
+    site (the blocks side by side, each scaled by its coefficient), one column
+    on the last (the blocks stacked), and on every middle site each state's
+    tensor scaled by 1.0, for the diagonal. Scaling by 1.0 is kept, as it
+    turns some -0.0 into +0.0. A one-site chain is the plain sum.
     """
     first = states[0]
-    n, d = first.n_sites, first.d
-    if any(s.n_sites != n or s.d != d for s in states):
+    n, d = len(first), first[0].shape[1]
+    if any(len(s) != n or s[0].shape[1] != d for s in states):
         raise MismatchError("MPS shapes differ")
     if n == 1:
-        t = coeffs[0] * first.tensors[0]
+        t = coeffs[0] * first[0]
         for s, c in zip(states[1:], coeffs[1:]):
-            t = t + c * s.tensors[0]
+            t = t + c * s[0]
         return [[t]]
-    row = np.concatenate([s.tensors[0] * c for s, c in zip(states, coeffs)], axis=2)
-    middle = [[s.tensors[i] * 1.0 for s in states] for i in range(1, n - 1)]
-    column = np.concatenate([s.tensors[-1] * 1.0 for s in states], axis=0)
+    row = np.concatenate([s[0] * c for s, c in zip(states, coeffs)], axis=2)
+    middle = [[s[i] * 1.0 for s in states] for i in range(1, n - 1)]
+    column = np.concatenate([s[-1] * 1.0 for s in states], axis=0)
     return [[row]] + middle + [[column]]
 
 
@@ -163,7 +165,7 @@ def add(states, coeffs):
     stay 1.
     """
     ts = []
-    for blocks in _sum_blocks(states, coeffs):
+    for blocks in _sum_blocks([s.tensors for s in states], coeffs):
         rows = sum(b.shape[0] for b in blocks)
         cols = sum(b.shape[2] for b in blocks)
         t = np.zeros((rows, blocks[0].shape[1], cols), dtype=complex)
@@ -191,40 +193,33 @@ def _term_factors(term, n, d):
     return [(math.sqrt(s) * e, math.sqrt(s) * f) for s, e, f in factors]
 
 
-def _apply_factors(mps, support, factors):
-    """The term with these `_term_factors` applied to the state; bonds between
-    a two-site support grow by the number of factor pairs (at most d^2)."""
-    d = mps.d
-    ts = list(mps.tensors)
+def _apply_factors(tensors, support, factors):
+    """The site tensors of the term with these `_term_factors` applied to the
+    state with these site tensors. Sites outside the support keep their
+    arrays; bonds between a two-site support grow by the number of factor
+    pairs (at most d^2), with the middle sites block-diagonal."""
+    ts = list(tensors)
     if len(support) == 1:
-        (i,) = support
-        ts[i] = np.einsum("pq,lqr->lpr", factors, ts[i])
-        return MatrixProductState(tensors=tuple(ts))
+        ts[support[0]] = np.einsum("pq,lqr->lpr", factors, ts[support[0]])
+        return ts
     i, j = support
     na = len(factors)
-    dl_i, _, dr_i = ts[i].shape
-    new_i = np.zeros((dl_i, d, na * dr_i), dtype=complex)
-    for a, (e, _) in enumerate(factors):
-        new_i[:, :, a * dr_i : (a + 1) * dr_i] = np.einsum("pq,lqr->lpr", e, ts[i])
-    ts[i] = new_i
+    ts[i] = np.concatenate([np.einsum("pq,lqr->lpr", e, ts[i]) for e, _ in factors], axis=2)
     for k in range(i + 1, j):
-        dl, _, dr = ts[k].shape
+        dl, d, dr = ts[k].shape
         new_k = np.zeros((na * dl, d, na * dr), dtype=complex)
         for a in range(na):
             new_k[a * dl : (a + 1) * dl, :, a * dr : (a + 1) * dr] = ts[k]
         ts[k] = new_k
-    dl_j, _, dr_j = ts[j].shape
-    new_j = np.zeros((na * dl_j, d, dr_j), dtype=complex)
-    for a, (_, f) in enumerate(factors):
-        new_j[a * dl_j : (a + 1) * dl_j, :, :] = np.einsum("pq,lqr->lpr", f, ts[j])
-    ts[j] = new_j
-    return MatrixProductState(tensors=tuple(ts))
+    ts[j] = np.concatenate([np.einsum("pq,lqr->lpr", f, ts[j]) for _, f in factors], axis=0)
+    return ts
 
 
 def apply_local_term(mps, term):
     """h_Z applied to the state; bonds between a two-site support grow by the
     number of product factors (at most d^2)."""
-    return _apply_factors(mps, term.support, _term_factors(term, mps.n_sites, mps.d))
+    factors = _term_factors(term, mps.n_sites, mps.d)
+    return MatrixProductState(tensors=tuple(_apply_factors(mps.tensors, term.support, factors)))
 
 
 def _compress_blocks(sites, d_cap, tolerance):
@@ -267,12 +262,6 @@ def compress(mps, d_cap):
     """Right-canonicalize, then truncate left-to-right, keeping at most d_cap
     nonzero values per bond."""
     return _compress_blocks([[t] for t in mps.tensors], d_cap, 0.0)
-
-
-def compress_sum(states, coeffs, d_cap, tolerance=0.0):
-    """compress(add(states, coeffs), d_cap) keeping only values above tolerance
-    (bit for bit at 0), without building the sum's block-diagonal tensors."""
-    return _compress_blocks(_sum_blocks(states, coeffs), d_cap, tolerance)
 
 
 def mps_inner(a, b):

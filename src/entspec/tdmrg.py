@@ -23,8 +23,9 @@ from .models import ChainHamiltonian
 from .mps import (
     MatrixProductState,
     _apply_factors,
+    _compress_blocks,
+    _sum_blocks,
     _term_factors,
-    compress_sum,
     from_dense,
     mps_norm,
     to_dense,
@@ -157,28 +158,27 @@ def tdmrg_run(config):
     zeta_prev = 1.0
     delta_sum = 0.0
     for m in range(1, config.n_steps + 1):
-        # The sum cur + sum_k (-i dt) h_k|cur> is built one segment at a time:
-        # a segment ends where its direct sum's bond would pass the stage cap,
-        # and is then compressed into the first state of the next segment.
-        # Each sum is compressed block by block, never built.
-        segment = [cur]
-        inner = cur.bond_dims[1:-1]
+        # The sum cur + sum_k (-i dt) h_k|cur>, each piece kept as its site
+        # tensors, is built one segment at a time: a segment ends where its
+        # direct sum's bond would pass the stage cap, and is then compressed
+        # into the first state of the next. Each sum is compressed block by block.
+        segment = [cur.tensors]
+        inner = [t.shape[2] for t in cur.tensors[:-1]]
         staged = 0.0
         for support, factors in terms:
-            piece = _apply_factors(cur, support, factors)
+            piece = _apply_factors(cur.tensors, support, factors)
             segment.append(piece)
-            inner = [a + b for a, b in zip(inner, piece.bond_dims[1:-1])]
+            inner = [a + t.shape[2] for a, t in zip(inner, piece[:-1])]
             bond = max(inner, default=1)
             if bond > BOND_MEMORY_CAP:
                 raise IntermediateTooLargeError(f"bond {bond} > {BOND_MEMORY_CAP} at step {m}")
             if bond > STAGE_CAP_FACTOR * d_cap:
-                acc, rec = compress_sum(
-                    segment, coeffs[: len(segment)], STAGE_CAP_FACTOR * d_cap, STAGE_TOLERANCE
-                )
+                acc, rec = _compress_blocks(_sum_blocks(segment, coeffs[: len(segment)]),
+                                            STAGE_CAP_FACTOR * d_cap, STAGE_TOLERANCE)
                 staged += rec.max_delta
-                segment = [acc]
-                inner = acc.bond_dims[1:-1]
-        cur, rec = compress_sum(segment, coeffs[: len(segment)], d_cap)
+                segment = [acc.tensors]
+                inner = [t.shape[2] for t in acc.tensors[:-1]]
+        cur, rec = _compress_blocks(_sum_blocks(segment, coeffs[: len(segment)]), d_cap, 0.0)
         zeta = rec.max_zeta
         delta_bar = rec.max_delta + staged
         rows.append(

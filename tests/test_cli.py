@@ -132,6 +132,9 @@ BAD_VALUES = [
     {"experiment": "gibbs-tail", "params": {"betas": [-1.0]}},
     # the dense comparison was dropped without a word above the dense limit
     {"experiment": "tdmrg", "params": {"n": 13}},
+    # z outside the merge series' window exited 1 on ZOutOfRange
+    {"experiment": "merge-series", "params": {"z_im": 1.0}},
+    {"experiment": "merge-series", "params": {"v_scale": 1.0}, "grid": [{"z_re": 0.03}]},
 ]
 
 

@@ -19,7 +19,6 @@ from entspec import (
     add,
     apply_local_term,
     compress,
-    compress_sum,
     from_dense,
     mps_inner,
     mps_norm,
@@ -27,7 +26,7 @@ from entspec import (
     schmidt_decompose,
     to_dense,
 )
-from entspec.mps import _compress_blocks
+from entspec.mps import _compress_blocks, _sum_blocks
 
 from helpers import random_hermitian, random_state
 
@@ -172,6 +171,8 @@ def _direct_sum_reference(states, coeffs):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_compress_sum_equals_compress_of_add_bytes(n, d):
+    """A direct sum of site-tensor tuples, compressed block by block, is bit
+    for bit the compression of the built sum."""
     rng = np.random.default_rng(10 * n + d)
     base = _with_signed_zeros(rng, _rand_mps(rng, n, d, 3))
     states = [base, _rand_mps(rng, n, d, 2)]
@@ -192,7 +193,8 @@ def test_compress_sum_equals_compress_of_add_bytes(n, d):
             assert [t.tobytes() for t in summed.tensors] == [t.tobytes() for t in ref]
             # compress is this single-block path at tolerance 0
             want, want_rec = _compress_blocks([[t] for t in summed.tensors], d_cap, tolerance)
-            got, got_rec = compress_sum(parts, coeffs, d_cap, tolerance)
+            sites = [p.tensors for p in parts]
+            got, got_rec = _compress_blocks(_sum_blocks(sites, coeffs), d_cap, tolerance)
             assert [t.shape for t in got.tensors] == [t.shape for t in want.tensors]
             assert [t.tobytes() for t in got.tensors] == [t.tobytes() for t in want.tensors]
             assert repr(got_rec) == repr(want_rec)
@@ -203,11 +205,12 @@ def test_compress_sum_equals_compress_of_add_bytes(n, d):
 def test_compress_sum_tolerance_drops_small_values():
     up = product_mps(4, d=2, local_vectors=[np.array([1.0, 0.0])] * 4)
     down = product_mps(4, d=2, local_vectors=[np.array([0.0, 1.0])] * 4)
+    sites = [up.tensors, down.tensors]
     # one Schmidt value of 1e-15 on every bond: kept at tolerance 0, dropped at 1e-14
-    kept, kept_rec = compress_sum([up, down], [1.0, 1e-15], 8)
+    kept, kept_rec = _compress_blocks(_sum_blocks(sites, [1.0, 1e-15]), 8, 0.0)
     assert kept.bond_dims == (1, 2, 2, 2, 1)
     assert kept_rec.sum_delta2 == 0.0
-    cut, cut_rec = compress_sum([up, down], [1.0, 1e-15], 8, 1e-14)
+    cut, cut_rec = _compress_blocks(_sum_blocks(sites, [1.0, 1e-15]), 8, 1e-14)
     assert cut.bond_dims == (1, 1, 1, 1, 1)
     assert cut_rec.sum_delta2 == pytest.approx(1e-30, rel=1e-3)
 

@@ -123,7 +123,9 @@ def test_staged_compression_cap(monkeypatch):
 
 
 def test_run_compresses_without_building_the_sum(monkeypatch):
-    """The step compresses its direct sum block by block and never calls add."""
+    """The step compresses its direct sum block by block and never calls add.
+    Its pieces stay site tensors: the only states built are the outputs of
+    the compressions."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("mps.add called")
@@ -133,11 +135,50 @@ def test_run_compresses_without_building_the_sum(monkeypatch):
     chain = build_long_range_ising(6, d=2, j0=1.0, eta=3.0, hx=0.4)
     n_steps = default_step_count(chain.g, 6, 0.2, eps_target=1.0)
     cfg = TdmrgConfig(chain=chain, t=0.2, n_steps=n_steps, d_cap=2, initial=_plus_mps(6))
+    counts = {"states": 0, "compressions": 0}
+    post_init, compress_blocks = mps.MatrixProductState.__post_init__, tdmrg._compress_blocks
+
+    def counted_post_init(self):
+        counts["states"] += 1
+        post_init(self)
+
+    def counted_compress(*args):
+        counts["compressions"] += 1
+        return compress_blocks(*args)
+
+    monkeypatch.setattr(mps.MatrixProductState, "__post_init__", counted_post_init)
+    monkeypatch.setattr(tdmrg, "_compress_blocks", counted_compress)
     out, cert = tdmrg_run(cfg)
+    assert counts["compressions"] >= n_steps
+    assert counts["states"] <= counts["compressions"] + 1
     assert sum(s.delta_bar for s in cert.steps) > 0.0
     exact = expm(-1j * chain.dense() * 0.2) @ to_dense(cfg.initial).amps
     err = float(np.linalg.norm(to_dense(out).amps - exact))
     assert err <= cert.final_bound + 1e-12
+
+
+def test_run_certificate_on_a_qutrit_long_range_chain():
+    """At d = 3 each pair term splits into two factor pairs, and most pair
+    supports are not adjacent, so pieces grow bonds through middle sites;
+    with a cap that truncates, every certificate check holds against the
+    dense reference."""
+    n, t = 5, 0.3
+    chain = build_long_range_ising(n, d=3, j0=1.0, eta=3.0, hx=0.4, hz=0.2)
+    pairs = [term for term in chain.terms if len(term.support) == 2]
+    assert all(len(mps._term_factors(term, n, 3)) == 2 for term in pairs)
+    assert any(term.support[1] - term.support[0] > 1 for term in pairs)
+    v = np.ones(3) / math.sqrt(3.0)
+    initial = product_mps(n, d=3, local_vectors=[v] * n)
+    n_steps = default_step_count(chain.g, n, t, eps_target=1.0)
+    cfg = TdmrgConfig(chain=chain, t=t, n_steps=n_steps, d_cap=4, initial=initial)
+    out, cert = tdmrg_run(cfg)
+    assert out.max_bond == 4
+    assert sum(s.delta_bar for s in cert.steps) > 0.0
+    exact = expm(-1j * chain.dense() * t) @ to_dense(initial).amps
+    err = float(np.linalg.norm(to_dense(out).amps - exact))
+    checks = certificate_checks(cert, err)
+    assert "certificate_covers_error" in checks
+    assert all(c.ok for c in checks.values())
 
 
 def test_theory_bound_value():
