@@ -102,7 +102,6 @@ from .spectra import (
     SchmidtSpectrum,
     renyi_entropy,
     schmidt_decompose,
-    truncate_rank,
 )
 from .tdmrg import (
     TdmrgCertificate,

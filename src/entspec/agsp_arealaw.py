@@ -16,7 +16,7 @@ from .errors import DegenerateError
 from .dynamics import DensePropagator, adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
 from .se_strength import BipartiteOperator, _opnorm, se_upper_from_decomposition
-from .spectra import Cut, PureState, check, renyi_entropy, schmidt_decompose, truncate_rank
+from .spectra import Cut, PureState, check, renyi_entropy, schmidt_decompose
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
 # values move by less than QUAD_TOL or the count reaches NODE_CAP
@@ -315,10 +315,10 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     rows = []
     pairs = []
     for d in d_grid:
-        kept = truncate_rank(spec, d)
+        # the top min(D, rank) Schmidt terms, the coefficients being descending
         psi_d = np.zeros_like(phi)
-        for s in range(kept.rank):
-            psi_d += kept.coeffs[s] * np.kron(kept.left_vectors[:, s], kept.right_vectors[:, s])
+        for s in range(min(d, spec.rank)):
+            psi_d += spec.coeffs[s] * np.kron(spec.left_vectors[:, s], spec.right_vectors[:, s])
         psi_d /= np.linalg.norm(psi_d)
         err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(psi_d, omega1))))
         cap = consts.tail_cap(d)

@@ -34,13 +34,14 @@ from .dynamics import (
     unbounded_experiment,
     unitary_growth_check,
 )
-from .errors import EntspecError, TimeTooLongError
+from .errors import EntspecError, StepTooCoarseError, TimeTooLongError, ZOutOfRangeError
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
     MERGE_DIM_CAP,
     budget_monotone_check,
     build_merge_series,
     long_range_decomposition_check,
+    merge_z_window,
     no_go_chain_check,
     no_go_experiment,
     rank_constrained_identity_fit,
@@ -242,7 +243,7 @@ def exp_merge(p, seed):
         "rows": [row],
         "q0": series.q0,
         "g_tilde": series.g_tilde,
-        "checks": {"error_below_bound": series.error_check},
+        "checks": {"error_below_bound": series.error_check, "bins_below_cap": series.bins_check},
     }
 
 
@@ -411,7 +412,8 @@ class ConfigError(Exception):
 DEFAULT_OUT = "entspec_out"
 
 
-# JSON types a param may take, keyed by the Python type of its default
+# JSON types a param may take, keyed by the Python type of its default; an
+# integer param is a count, so it also takes no negative value
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
 
 
@@ -423,14 +425,12 @@ def _positive(v):
 # what the value must be). A list param's test applies to each entry. Each
 # value the config gives is checked, in params and in every grid entry.
 _RULES = [
-    (None, ("n", "d", "d0", "d_cap", "m_levels", "n_pairs", "da", "db", "d_grid"),
-     lambda v: v >= 1, ">= 1"),
+    (None, ("n", "d", "d0", "d_cap", "m_levels", "n_pairs", "da", "db", "d_grid", "n_terms",
+            "instances", "terms"), lambda v: v >= 1, ">= 1"),
     (None, ("chain",), lambda v: v in ("longrange", "nearest"), "\"longrange\" or \"nearest\""),
     (None, ("eta",), lambda v: v > 2, "> 2"),
     (("ground-tail", "tdmrg", "mps-exist", "gibbs-tail", "decomposition"), ("d",),
      lambda v: v >= 2, ">= 2: a chain site holds at least two levels"),
-    (("gibbs-tail",), ("n",), lambda v: v <= 7,
-     "<= 7: the thermal purification doubles the chain to 2n sites"),
     (("gibbs-tail", "decomposition"), ("chain",), lambda v: v == "longrange",
      "\"longrange\": the bounds read power-law decay"),
     (("tdmrg", "mps-exist"), ("chain",), lambda v: v == "nearest",
@@ -448,17 +448,13 @@ _RULES = [
      "in (0, pi/2), where the closed form holds"),
     (("c-alpha-table",), ("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),
     (("sie-rate", "unbounded"), ("alphas",), _positive, "> 0"),
-    (("unbounded",), ("d0",), lambda v: v >= 2, ">= 2"),
     (("unbounded",), ("j", "t"), _positive, "> 0"),
     (("agsp",), ("betas",), _positive, "> 0"),
     (("area-law",), ("epsilon", "beta"), _positive, "> 0"),
     (("area-law",), ("coupling",), lambda v: v != 0, "nonzero: the constants divide by it"),
     (("merge-series", "truncation-params"), ("kappa",), _positive, "> 0"),
     (("merge-series", "truncation-params"), ("c0", "q_param"), _positive, "> 0"),
-    (("merge-series",), ("s0", "m", "q"), lambda v: v >= 0,
-     ">= 0: the series and its bounds are stated for orders >= 0"),
     (("truncation-params",), ("eps0",), _positive, "> 0"),
-    (("tdmrg",), ("n_steps",), lambda v: v >= 0, ">= 0, where 0 derives it from eps_target"),
     (("tdmrg",), ("eps_target",), _positive, "> 0"),
 ]
 
@@ -480,6 +476,8 @@ def _has_type_of(value, default):
     accepted = _ACCEPTED_TYPES[type(default)]
     if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in accepted):
         return False
+    if type(default) is int:
+        return value >= 0
     # a float param takes a finite number: no NaN, Infinity or integer beyond float range
     return not isinstance(default, float) or -sys.float_info.max <= value <= sys.float_info.max
 
@@ -496,6 +494,7 @@ def _check_params(name, values, defaults):
     for key, value in values.items():
         if not _has_type_of(value, defaults[key]):
             want = " or ".join(t.__name__ for t in _ACCEPTED_TYPES[type(defaults[key])])
+            want += " >= 0" if type(defaults[key]) is int else ""
             raise ConfigError(f"param {key!r} of {name} must be {want}, got {value!r}")
         if isinstance(value, list):
             if not value:
@@ -547,8 +546,8 @@ def validate_config(cfg):
         if name == "unbounded":
             try:
                 build_unbounded_dynamics(p["d0"], p["j"], p["t"])
-            except TimeTooLongError as exc:
-                raise ConfigError(f"params 'j' and 't' of {name}: {exc}") from None
+            except (TimeTooLongError, ValueError) as exc:
+                raise ConfigError(f"params 'd0', 'j' and 't' of {name}: {exc}") from None
         # the chain matrix has d**n rows; with d >= 2 the power passes the cap
         # by the exponent cap.bit_length(), so no larger one is formed
         if name in _DIM_CAPS and p.get("compare_dense", True):
@@ -560,14 +559,12 @@ def validate_config(cfg):
             if p["da"] * p["db"] > MERGE_DIM_CAP:
                 raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
                                   f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
-            # build_merge_series's z window and slack; each coupling has norm |v_scale|
+            # each coupling has norm |v_scale|, so g_tilde is n_terms |v_scale|
             g_tilde = abs(p["v_scale"]) * min(p["n_terms"], sys.float_info.max)
-            weight = 4.0 * math.e * p["c0"] * g_tilde
-            zcap = min(1.0 / (4.0 * p["q_param"]), 1.0 / weight if weight > 0 else math.inf)
-            z_abs = math.hypot(p["z_re"], p["z_im"])
-            if z_abs > zcap + 1e-12:
-                raise ConfigError(f"params 'z_re' and 'z_im' of {name} must have |z| <= {zcap}, "
-                                  f"set by q_param, c0, n_terms and v_scale, got |z| = {z_abs}")
+            try:
+                merge_z_window(complex(p["z_re"], p["z_im"]), p["q_param"], p["c0"], g_tilde)
+            except ZOutOfRangeError as exc:
+                raise ConfigError(f"params 'z_re' and 'z_im' of {name}: {exc}") from None
     return name, points, _checked_seed(cfg.get("seed", 0)), out
 
 
@@ -737,7 +734,8 @@ def main(argv=None):
     try:
         out_arg = Path(args.out) if args.out is not None else None
         summary, out_dir = _run_config(cfg, out_arg, args.threads, args.seed)
-    except ConfigError as exc:
+    except (ConfigError, StepTooCoarseError) as exc:
+        # an explicit n_steps too coarse for g*n*t, refused before the first step
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EntspecError as exc:

@@ -205,12 +205,34 @@ class MergeSeries:
     error_measured: float
     error_bound: float
     log2_sr_bound: float
+    bin_caps: tuple  # (weight, cap) per bin m: its norms' sum and c0 g_tilde 4^-m (1 + 1e-9)
 
     @property
     def error_check(self):
         """The measured truncation error is within the guaranteed budget.
         Paper: the truncation-error bound of the interaction-picture merge series."""
         return check([(self.error_measured, self.error_bound)], tol=1e-12)
+
+    @property
+    def bins_check(self):
+        """Each bin's weight is at most its geometric cap, the decay the
+        truncation bound assumes.
+        Paper: the geometric-in-bin decay hypothesis of the merge series."""
+        return check(self.bin_caps)
+
+
+def merge_z_window(z, q_param, c0, g_tilde):
+    """The merge series' window |z| <= 1/q0, q0 = max(4 q_param, 4e c0 g_tilde)
+    (the second term left out when c0 g_tilde is 0): returns 1/q0, and raises
+    ZOutOfRangeError when |z| (by hypot, finite for any finite z) passes it by
+    more than 1e-12."""
+    zcap = 1.0 / (4.0 * q_param)
+    if c0 * g_tilde > 0:
+        zcap = min(zcap, 1.0 / (4.0 * math.e * c0 * g_tilde))
+    z_abs = math.hypot(z.real, z.imag)
+    if z_abs > zcap + 1e-12:
+        raise ZOutOfRangeError(f"|z| = {z_abs} > {zcap}")
+    return zcap
 
 
 def merge_error_bound(s0, m_order, q_order):
@@ -227,8 +249,8 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     order) is assembled with exact simplex moments. q_param is the model's
     derivative-budget parameter entering the z window, fixed by the physics
     rather than by the truncation orders. Returns the exact product, the
-    measured error of the series against it, and the guaranteed error
-    budget.
+    measured error of the series against it, the guaranteed error budget,
+    and each bin's weight with its geometric cap, which that budget assumes.
     """
     h0_a = np.asarray(h0_a, dtype=complex)
     h0_b = np.asarray(h0_b, dtype=complex)
@@ -240,14 +262,9 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     norms = [_opnorm(m) for m in mats]
     g_tilde = float(sum(norms))
     z = complex(z)
-    if c0 * g_tilde > 0:
-        zcap = min(1.0 / (4.0 * q_param), 1.0 / (4.0 * math.e * c0 * g_tilde))
-    else:
-        zcap = 1.0 / (4.0 * q_param)
-    if abs(z) > zcap + 1e-12:
-        raise ZOutOfRangeError(f"|z| = {abs(z)} > {zcap}")
-    q0 = 1.0 / zcap
+    q0 = 1.0 / merge_z_window(z, q_param, c0, g_tilde)
     bins = []
+    bin_caps = []
     m = 0
     while True:
         lo = 4.0 ** (m / kappa)
@@ -255,9 +272,7 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
         members = [j for j in range(len(mats)) if lo <= j + 1 < hi]
         if not members and lo > len(mats):
             break
-        wsum = sum(norms[j] for j in members)
-        if wsum > c0 * g_tilde * 4.0 ** (-m) * (1 + 1e-9):
-            raise ValueError(f"bin {m} weight {wsum} exceeds its geometric cap")
+        bin_caps.append((sum(norms[j] for j in members), c0 * g_tilde * 4.0 ** (-m) * (1 + 1e-9)))
         binmat = np.zeros_like(h0)
         for j in members:
             binmat += mats[j]
@@ -301,6 +316,7 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
         error_measured=err,
         error_bound=bound,
         log2_sr_bound=log2_sr,
+        bin_caps=tuple(bin_caps),
     )
 
 

@@ -1,5 +1,5 @@
-"""Schmidt decompositions, Renyi entanglement entropies, and rank truncation
-for dense pure states on qudit chains.
+"""Schmidt decompositions and Renyi entanglement entropies for dense pure
+states on qudit chains.
 
 All operations are pure functions; states are immutable once built.
 """
@@ -176,14 +176,3 @@ def renyi_entropy(spec, alpha):
     """Renyi entanglement entropy of order alpha from a normalized spectrum
     (see renyi_entropies)."""
     return renyi_entropies(spec, [alpha])[0]
-
-
-def truncate_rank(spec, D):
-    """The spectrum of the top D coefficients and their Schmidt vectors."""
-    D = int(D)
-    if D < 1:
-        raise ValueError("D must be >= 1")
-    kept = np.asarray(spec.coeffs, dtype=float)[:D]
-    lv = spec.left_vectors[:, :D] if spec.left_vectors is not None else None
-    rv = spec.right_vectors[:, :D] if spec.right_vectors is not None else None
-    return SchmidtSpectrum(kept, float(np.sqrt(np.sum(kept**2))), lv, rv)

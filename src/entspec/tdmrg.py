@@ -16,7 +16,6 @@ from .errors import (
     BoundVacuousError,
     IntermediateTooLargeError,
     StepTooCoarseError,
-    TooLargeError,
 )
 from .dynamics import DensePropagator, evolve_dense
 from .models import ChainHamiltonian
@@ -258,10 +257,8 @@ def state_mps_existence_check(chain, initial, t, d_grid):
 def gibbs_tail_experiment(chain, betas, d_grid):
     """Schmidt tails of the normalized thermal purification, interleaved
     ordering, measured at every physical cut and compared with the loose
-    theoretical decay.
+    theoretical decay; TooLargeError from chain.dense() above DENSE_DIM_CAP.
     Paper: the polynomial bond-dimension approximation of thermal states."""
-    if chain.n > 7:
-        raise TooLargeError(f"n = {chain.n} > 7 for the doubled system")
     if chain.decay is None or chain.decay[0] != "power":
         raise ValueError("experiment requires power-law decay metadata")
     _, j0, eta = chain.decay

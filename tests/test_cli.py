@@ -97,9 +97,9 @@ BAD_VALUES = [
     # each value the config gives is checked, even one every grid point overrides
     {"experiment": "saturate", "params": {"times": [0]}, "grid": [{"times": [0.5]}]},
     # sizes that passed validation and then exited 1 on TooLarge: the dense
-    # chain matrix has d**n rows, and the thermal purification doubles n
+    # chain matrix has d**n rows
     {"experiment": "mps-exist", "params": {"n": 13}},
-    {"experiment": "gibbs-tail", "params": {"n": 8}},
+    {"experiment": "gibbs-tail", "params": {"n": 13}},
     {"experiment": "gibbs-tail", "params": {"n": 7, "d": 4}},
     {"experiment": "mps-exist", "params": {"n": 12}, "grid": [{"d": 2}, {"d": 3}]},
     # the sparse ground-state path has its own d**n cap
@@ -135,6 +135,21 @@ BAD_VALUES = [
     # z outside the merge series' window exited 1 on ZOutOfRange
     {"experiment": "merge-series", "params": {"z_im": 1.0}},
     {"experiment": "merge-series", "params": {"v_scale": 1.0}, "grid": [{"z_re": 0.03}]},
+    # |z| past float range: the window takes it by hypot, as abs() of this
+    # complex raises OverflowError
+    {"experiment": "merge-series", "params": {"z_re": 1.5e308, "z_im": 1.5e308}},
+    # an integer param is a count: negative ones ran, merge-series n_terms -3 on
+    # no couplings at all, and a zero count of terms or instances means nothing
+    {"experiment": "merge-series", "params": {"n_terms": -3}},
+    {"experiment": "merge-series", "params": {"n_terms": 0}},
+    {"experiment": "se-search", "params": {"seeds": -1}},
+    {"experiment": "se-search", "params": {"iterations": -3}},
+    {"experiment": "kolmogorov", "params": {"polish": -5}},
+    {"experiment": "no-go", "params": {"seeds": -1}},
+    {"experiment": "sie-rate", "params": {"instances": -1}},
+    {"experiment": "agsp", "params": {"instances": 0}},
+    {"experiment": "unitary-growth", "params": {"terms": -2}},
+    {"experiment": "se-search", "params": {"terms": 0}},
 ]
 
 
@@ -369,6 +384,35 @@ def test_runtime_invariant_error_exits_1(tmp_path):
     # a closed path gap is a numeric outcome, not a malformed config
     cfg_path = write_config(tmp_path, {"experiment": "area-law", "params": {"delta": 0.0}})
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_gibbs_tail_runs_past_seven_sites(tmp_path):
+    # d**n within the dense-matrix limit is the one size rule
+    code, summary, rows = run_cli(tmp_path, {"experiment": "gibbs-tail", "params": {"n": 8}})
+    assert code == 0
+    assert {r["cut"] for r in rows} == {str(s) for s in range(1, 8)}
+
+
+def test_merge_series_reports_bins_above_their_cap(tmp_path):
+    # five terms of norm 1/4 put 1/2 in bin 1, above its cap 1.25/4; at c0 1/2
+    # bin 0 holds 1/2, above 1/4. Both exited 1 on a ValueError traceback.
+    for params in ({"n_terms": 5}, {"c0": 0.5}):
+        code, summary, rows = run_cli(tmp_path, {"experiment": "merge-series", "params": params})
+        assert code == 1
+        assert len(rows) == 1
+        assert summary["margins"]["bins_below_cap"] < 0.0
+        assert summary["checks"]["bins_below_cap"] is False
+    code, summary, _ = run_cli(tmp_path, {"experiment": "merge-series"})
+    assert code == 0
+    assert summary["margins"]["bins_below_cap"] >= 0.0
+
+
+def test_too_coarse_step_count_exits_2(tmp_path, capsys):
+    # g*n*dt > 1 is refused before the first step, so no artifact is written
+    cfg = {"experiment": "tdmrg", "params": {"n_steps": 1, "t": 3.0}}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "StepTooCoarse" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_gibbs_tail_reports_growth_in_beta_without_checking_it(tmp_path):

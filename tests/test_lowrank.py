@@ -156,6 +156,19 @@ def test_merge_series_error_within_budget():
     assert ms.g_tilde == pytest.approx(0.5, abs=1e-12)
 
 
+def test_merge_series_reports_each_bin_against_its_cap():
+    ms = _tiny_merge()
+    # one term of norm 1/2 in bin 0, whose cap is c0 g_tilde = 1/2 with 1e-9 slack
+    assert ms.bin_caps[0] == pytest.approx((0.5, 0.5 * (1 + 1e-9)), abs=1e-15)
+    assert ms.bins_check.ok
+    h0 = np.diag([0.0, 1.0]).astype(complex)
+    # at c0 1/2 the same bin is twice its cap; the series is still built
+    low = build_merge_series(h0, h0, [0.5 * np.kron(X, X)], 0.1j, 2, 2, 2,
+                             kappa=1.0, d0=2, c0=0.5, q_param=2.0)
+    assert low.bins_check.margin == pytest.approx(0.25 * (1 + 1e-9) - 0.5, abs=1e-15)
+    assert low.error_check.ok
+
+
 def test_merge_series_zero_coupling_is_exact_identity():
     h0_a = np.diag([0.0, 1.0]).astype(complex)
     h0_b = np.diag([0.0, 0.7]).astype(complex)

@@ -16,7 +16,6 @@ from entspec import (
     ZeroStateError,
     renyi_entropy,
     schmidt_decompose,
-    truncate_rank,
 )
 from entspec.spectra import CLAMP_REL, SchmidtSpectrum, renyi_entropies
 
@@ -171,20 +170,3 @@ def test_renyi_nonincreasing_in_alpha(probs, alpha_pair):
     spec = SchmidtSpectrum(np.sqrt(p), 1.0)
     lo, hi = min(alpha_pair), max(alpha_pair)
     assert renyi_entropy(spec, lo) >= renyi_entropy(spec, hi) - 1e-9
-
-
-def test_truncate_rank_matches_best_tail(rng):
-    state = random_state(rng, (4, 4))
-    spec = schmidt_decompose(state, Cut.of([0], 2), keep_vectors=True)
-    for d in (1, 2, 3):
-        kept = truncate_rank(spec, d)
-        assert kept.rank <= d
-        assert np.array_equal(kept.coeffs, spec.coeffs[:d])
-        assert np.array_equal(kept.left_vectors, spec.left_vectors[:, :d])
-        assert np.array_equal(kept.right_vectors, spec.right_vectors[:, :d])
-        # what is left out is the best rank-d tail of a unit state
-        tail2 = float(np.sum(spec.coeffs[d:] ** 2))
-        assert kept.source_norm ** 2 == pytest.approx(1.0 - tail2, abs=1e-14)
-    assert np.array_equal(truncate_rank(spec, 100).coeffs, spec.coeffs)
-    with pytest.raises(ValueError):
-        truncate_rank(spec, 0)

@@ -235,7 +235,8 @@ def test_gibbs_tails_shrink_with_rank():
 
 
 def test_gibbs_experiment_validation():
-    big = build_long_range_ising(8, d=2, j0=1.0, eta=3.0)
+    # 2**13 rows pass the dense-matrix limit
+    big = build_long_range_ising(13, d=2, j0=1.0, eta=3.0)
     with pytest.raises(TooLargeError):
         gibbs_tail_experiment(big, [0.5], [2])
     near = build_nearest_neighbor_chain(4, d=2, j=1.0)
