@@ -34,13 +34,22 @@ from .dynamics import (
     unbounded_experiment,
     unitary_growth_check,
 )
-from .errors import EntspecError, StepTooCoarseError, TimeTooLongError, ZOutOfRangeError
+from .errors import (
+    EntspecError,
+    StepTooCoarseError,
+    TimeTooLongError,
+    TooLargeError,
+    ZOutOfRangeError,
+)
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
+    IDENTITY_FIT_DIM_CAP,
     MERGE_DIM_CAP,
     budget_monotone_check,
     build_merge_series,
     long_range_decomposition_check,
+    merge_bin_count,
+    merge_q0,
     merge_z_window,
     no_go_chain_check,
     no_go_experiment,
@@ -421,6 +430,10 @@ def _positive(v):
     return v > 0
 
 
+_FIT_LIMIT = (f"the identity-fit limit: a fit holds a few N x N float matrices, "
+              f"{8 * IDENTITY_FIT_DIM_CAP ** 2 >> 20} MiB each at N = {IDENTITY_FIT_DIM_CAP}")
+
+
 # Every rule on a single value: (experiments, or None for all; params; test;
 # what the value must be). A list param's test applies to each entry. Each
 # value the config gives is checked, in params and in every grid entry.
@@ -436,8 +449,10 @@ _RULES = [
     (("tdmrg", "mps-exist"), ("chain",), lambda v: v == "nearest",
      "\"nearest\": they take no eta to set a power-law decay"),
     (("kolmogorov",), ("pairs",),
-     lambda q: len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0],
-     "[N, D] pairs with 1 <= D <= N"),
+     lambda q: len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0] <= IDENTITY_FIT_DIM_CAP,
+     f"[N, D] pairs with 1 <= D <= N <= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT}"),
+    (("no-go",), ("n",), lambda v: v <= IDENTITY_FIT_DIM_CAP,
+     f"<= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT} with N = n"),
     (("se-search", "sie-rate", "unitary-growth"), ("dim_cap",), lambda v: v >= 4,
      ">= 4, the least instance being 2 x 2"),
     (("saturate",), ("times", "j"), _positive, "> 0"),
@@ -562,9 +577,13 @@ def validate_config(cfg):
             # each coupling has norm |v_scale|, so g_tilde is n_terms |v_scale|
             g_tilde = abs(p["v_scale"]) * min(p["n_terms"], sys.float_info.max)
             try:
-                merge_z_window(complex(p["z_re"], p["z_im"]), p["q_param"], p["c0"], g_tilde)
+                merge_z_window(complex(p["z_re"], p["z_im"]), merge_q0(p["q_param"], p["c0"], g_tilde))
             except ZOutOfRangeError as exc:
                 raise ConfigError(f"params 'z_re' and 'z_im' of {name}: {exc}") from None
+            try:
+                merge_bin_count(p["n_terms"], p["kappa"], p["da"] * p["db"])
+            except TooLargeError as exc:
+                raise ConfigError(f"params 'n_terms' and 'kappa' of {name}: {exc}") from None
     return name, points, _checked_seed(cfg.get("seed", 0)), out
 
 

@@ -55,6 +55,14 @@ def c_alpha(alpha):
     )
 
 
+def rate_cap(alpha, strength):
+    """The rate bound c_alpha * strength, or None below order 1/2 (no finite c_alpha)."""
+    try:
+        return c_alpha(alpha) * strength
+    except BelowThresholdError:
+        return None
+
+
 def _order(alpha):
     """Renyi order from a config entry: a number or the string "inf"."""
     return math.inf if alpha == "inf" else float(alpha)
@@ -86,8 +94,8 @@ def toy_rate_experiment(times, alphas):
     for t in times:
         for alpha in alphas:
             a = _order(alpha)
-            bound = c_alpha(a) * toy.se_strength_exact if a >= 0.5 else None
-            rows.append({"t": t, "alpha": str(alpha), "rate": toy.rate(a, t), "bound": bound})
+            rows.append({"t": t, "alpha": str(alpha), "rate": toy.rate(a, t),
+                         "bound": rate_cap(a, toy.se_strength_exact)})
     bounded = [(abs(r["rate"]), r["bound"]) for r in rows if r["bound"] is not None]
     return {"rows": rows, "checks": {"rate_below_bound": check(bounded, tol=1e-9)}}
 
@@ -174,12 +182,7 @@ def measure_rate_profile(h, state0, cut, alphas, times, v_ab):
     renyi_entropies pass, and each order's bound is computed once.
     """
     upper = best_upper(v_ab)
-    bounds = []
-    for alpha in alphas:
-        try:
-            bounds.append(c_alpha(alpha) * upper)
-        except BelowThresholdError:
-            bounds.append(None)
+    bounds = [rate_cap(alpha, upper) for alpha in alphas]
     prop = DensePropagator(h)
     offsets = (-RATE_STEP, -RATE_STEP / 2, 0.0, RATE_STEP / 2, RATE_STEP)
     evolved = prop.evolve(state0.amps, [t + dt for t in times for dt in offsets])

@@ -3,6 +3,7 @@ rank-constrained fits, the diagonal-phase no-go experiment, and the
 normal-ordered merge series with its truncation budget.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,6 +16,7 @@ from .se_strength import _opnorm
 from .spectra import check
 
 MERGE_DIM_CAP = 2 ** 10
+MERGE_MEMORY_CAP = 2 ** 29  # bytes of the couplings and weight bins one merge series holds
 CHAIN_SLACK = 1e-9  # rounding slack of the no-go chain inequality
 ALS_SWEEPS = 8  # alternating least-squares sweeps before the max-abs polish
 
@@ -95,12 +97,19 @@ def width_range_check(fits):
     return check([(f.lower - 1e-6, f.value) for f in fits] + [(f.value, 0.5 + 1e-9) for f in fits])
 
 
+# the largest N of an identity fit, which holds a few N x N float matrices
+# (32 MiB each at the cap); TooLargeError above it, before allocating
+IDENTITY_FIT_DIM_CAP = 2 ** 11
+
+
 def rank_constrained_identity_fit(n, d, seeds=32, polish_iters=300, seed=0):
     """Heuristic minimum of max-abs |I - AB| over real rank-d factorizations.
 
     The constant all-halves factorization (value exactly 1/2 for any n) is
     always included as a candidate, so the result never exceeds 1/2.
     """
+    if n > IDENTITY_FIT_DIM_CAP:
+        raise TooLargeError(f"N = {n} > {IDENTITY_FIT_DIM_CAP}")
     lower, upper = kolmogorov_bounds(n, d)
     if d == n:
         return WidthResult(n=n, d=d, value=0.0, lower=lower, upper=upper)
@@ -221,18 +230,63 @@ class MergeSeries:
         return check(self.bin_caps)
 
 
-def merge_z_window(z, q_param, c0, g_tilde):
-    """The merge series' window |z| <= 1/q0, q0 = max(4 q_param, 4e c0 g_tilde)
-    (the second term left out when c0 g_tilde is 0): returns 1/q0, and raises
-    ZOutOfRangeError when |z| (by hypot, finite for any finite z) passes it by
-    more than 1e-12."""
-    zcap = 1.0 / (4.0 * q_param)
-    if c0 * g_tilde > 0:
-        zcap = min(zcap, 1.0 / (4.0 * math.e * c0 * g_tilde))
+def merge_q0(q_param, c0, g_tilde):
+    """q0 = max(4 q_param, 4e c0 g_tilde): the z window |z| <= 1/q0, ceil(x q0) segments."""
+    return max(4.0 * q_param, 4.0 * math.e * c0 * g_tilde)
+
+
+def rank_exponent_base(kappa, d0):
+    """6 + 4/kappa + log2 d0: the log2 Schmidt rank per segment and log2 of 1/error."""
+    return 6.0 + 4.0 / kappa + math.log2(d0)
+
+
+def long_range_constants(chain):
+    """(kappa, c0, g_tilde, d0) of the geometric-in-bin decay of couplings
+    J0 r^-eta on terms of at most k sites; ValueError without that metadata."""
+    if chain.decay is None or chain.decay[0] != "power":
+        raise ValueError("chain must carry power-law decay metadata")
+    _, j0, eta = chain.decay
+    kappa = (eta - 2.0) / (chain.k + 1.0)
+    c0 = (eta - 1.0) * 2.0 ** (eta - 2.0)
+    g_tilde = 4.0 * j0 * (1.0 + 1.0 / (eta - 2.0))
+    return kappa, c0, g_tilde, int(max(chain.dims)) ** (2 * chain.k)
+
+
+def merge_z_window(z, q0):
+    """The merge series' window |z| <= 1/q0: ZOutOfRangeError when |z| (by
+    hypot, finite for any finite z) passes 1/q0 by more than 1e-12."""
+    zcap = 1.0 / q0
     z_abs = math.hypot(z.real, z.imag)
     if z_abs > zcap + 1e-12:
         raise ZOutOfRangeError(f"|z| = {z_abs} > {zcap}")
-    return zcap
+
+
+def _bin_edge(m, kappa):
+    """4^(m/kappa), where weight bin m starts; inf past float range."""
+    try:
+        return 4.0 ** (m / kappa)
+    except OverflowError:
+        return math.inf
+
+
+def merge_bin_count(n_terms, kappa, dim):
+    """The number of weight bins of the merge series: bin m holds the terms j
+    (from 1) with 4^(m/kappa) <= j < 4^((m+1)/kappa), up to the first bin that
+    starts past n_terms. TooLargeError, before any bin is built, when the
+    n_terms couplings and the bins, dim x dim complex matrices each, would take
+    more than MERGE_MEMORY_CAP bytes, or when the last bin's upper edge is past
+    float range."""
+    matrix_bytes = 16 * dim * dim
+    room = max(MERGE_MEMORY_CAP // matrix_bytes - n_terms, 0)  # the bins that fit
+    n_bins = bisect.bisect_right(range(room + 1), n_terms, key=lambda m: _bin_edge(m, kappa))
+    if n_bins > room:
+        raise TooLargeError(f"{n_terms} couplings and at least {n_bins} bins of {dim}x{dim} complex "
+                            f"entries take at least {(n_terms + n_bins) * matrix_bytes} bytes "
+                            f"> {MERGE_MEMORY_CAP}")
+    if _bin_edge(n_bins, kappa) == math.inf:
+        raise TooLargeError(f"the upper edge 4^({n_bins}/{kappa}) of bin {n_bins - 1} is past "
+                            "float range")
+    return n_bins
 
 
 def merge_error_bound(s0, m_order, q_order):
@@ -262,23 +316,19 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     norms = [_opnorm(m) for m in mats]
     g_tilde = float(sum(norms))
     z = complex(z)
-    q0 = 1.0 / merge_z_window(z, q_param, c0, g_tilde)
+    q0 = merge_q0(q_param, c0, g_tilde)
+    merge_z_window(z, q0)
+    n_bins = merge_bin_count(len(mats), kappa, da * db)
     bins = []
     bin_caps = []
-    m = 0
-    while True:
-        lo = 4.0 ** (m / kappa)
-        hi = 4.0 ** ((m + 1) / kappa)
+    for m in range(n_bins):
+        lo, hi = _bin_edge(m, kappa), _bin_edge(m + 1, kappa)
         members = [j for j in range(len(mats)) if lo <= j + 1 < hi]
-        if not members and lo > len(mats):
-            break
         bin_caps.append((sum(norms[j] for j in members), c0 * g_tilde * 4.0 ** (-m) * (1 + 1e-9)))
         binmat = np.zeros_like(h0)
         for j in members:
             binmat += mats[j]
         bins.append(binmat)
-        m += 1
-    n_bins = len(bins)
     m_cap = min(m_order, n_bins - 1)
     ad = {}
     for mi in range(m_cap + 1):
@@ -306,7 +356,7 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     err = _opnorm(exact - series)
     bound = merge_error_bound(s0, m_order, q_order)
     eps_eff = 2.0 ** (1 - min(s0, m_order, q_order))
-    log2_sr = (6.0 + 4.0 / kappa + math.log2(d0)) * math.log2(4.0 / eps_eff)
+    log2_sr = rank_exponent_base(kappa, d0) * math.log2(4.0 / eps_eff)
     return MergeSeries(
         exact=exact,
         z=z,
@@ -336,9 +386,9 @@ def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0)
     target. Both budgets are reported, floored at 0 since a Schmidt rank is
     at least 1.
     """
-    q0 = max(4.0 * q_param, 4.0 * math.e * c0 * g_tilde)
+    q0 = merge_q0(q_param, c0, g_tilde)
     segments = int(math.ceil(duration * q0 - 1e-12)) if duration > 0 else 0
-    base = 6.0 + 4.0 / kappa + math.log2(d0)
+    base = rank_exponent_base(kappa, d0)
     if segments == 0:
         log2_real = 0.0
         log2_imag = 0.0
@@ -380,9 +430,7 @@ class LongRangeDecomposition:
 def long_range_decomposition_check(chain, cut_pos):
     """Order the cut-crossing terms canonically and pair each tail of their
     norms with its cap at the guaranteed geometric-in-bin decay rate."""
-    if chain.decay is None or chain.decay[0] != "power":
-        raise ValueError("chain must carry power-law decay metadata")
-    _, j0, eta = chain.decay
+    constants = kappa, c0, g_tilde, _ = long_range_constants(chain)
     crossing = [
         t
         for t in chain.terms
@@ -390,22 +438,10 @@ def long_range_decomposition_check(chain, cut_pos):
     ]
     crossing.sort(key=lambda t: (t.diameter, -t.norm, t.support))
     v_norms = tuple(t.norm for t in crossing)
-    k = chain.k
-    kappa = (eta - 2.0) / (k + 1.0)
-    c0 = (eta - 1.0) * 2.0 ** (eta - 2.0)
-    g_tilde = 4.0 * j0 * (1.0 + 1.0 / (eta - 2.0))
-    d0 = int(max(chain.dims)) ** (2 * k)
     tails = []
     total = sum(v_norms)
     running = 0.0
     for dd, norm in enumerate(v_norms):
         tails.append((total - running, c0 * g_tilde * (dd + 1.0) ** (-kappa)))
         running += norm
-    return LongRangeDecomposition(
-        kappa=kappa,
-        c0=c0,
-        g_tilde=g_tilde,
-        d0=d0,
-        v_norms=v_norms,
-        tails=tuple(tails),
-    )
+    return LongRangeDecomposition(*constants, v_norms=v_norms, tails=tuple(tails))

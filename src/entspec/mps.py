@@ -158,25 +158,27 @@ def _sum_blocks(states, coeffs):
     return [[row]] + middle + [[column]]
 
 
+def _block_diagonal(blocks):
+    """A zero-filled site tensor with `blocks` on its diagonal, in order."""
+    t = np.zeros((sum(b.shape[0] for b in blocks), blocks[0].shape[1],
+                  sum(b.shape[2] for b in blocks)), dtype=complex)
+    l = r = 0
+    for b in blocks:
+        lb, _, rb = b.shape
+        t[l : l + lb, :, r : r + rb] = b
+        l += lb
+        r += rb
+    return t
+
+
 def add(states, coeffs):
     """Direct sum on bonds; dense value sum_k coeffs[k] * states[k].
 
     The blocks of each middle site sit on its diagonal, so the boundary bonds
     stay 1.
     """
-    ts = []
-    for blocks in _sum_blocks([s.tensors for s in states], coeffs):
-        rows = sum(b.shape[0] for b in blocks)
-        cols = sum(b.shape[2] for b in blocks)
-        t = np.zeros((rows, blocks[0].shape[1], cols), dtype=complex)
-        l = r = 0
-        for b in blocks:
-            lb, _, rb = b.shape
-            t[l : l + lb, :, r : r + rb] = b
-            l += lb
-            r += rb
-        ts.append(t)
-    return MatrixProductState(tensors=tuple(ts))
+    sites = _sum_blocks([s.tensors for s in states], coeffs)
+    return MatrixProductState(tensors=tuple(_block_diagonal(blocks) for blocks in sites))
 
 
 def _term_factors(term, n, d):
@@ -203,14 +205,9 @@ def _apply_factors(tensors, support, factors):
         ts[support[0]] = np.einsum("pq,lqr->lpr", factors, ts[support[0]])
         return ts
     i, j = support
-    na = len(factors)
     ts[i] = np.concatenate([np.einsum("pq,lqr->lpr", e, ts[i]) for e, _ in factors], axis=2)
     for k in range(i + 1, j):
-        dl, d, dr = ts[k].shape
-        new_k = np.zeros((na * dl, d, na * dr), dtype=complex)
-        for a in range(na):
-            new_k[a * dl : (a + 1) * dl, :, a * dr : (a + 1) * dr] = ts[k]
-        ts[k] = new_k
+        ts[k] = _block_diagonal([ts[k]] * len(factors))
     ts[j] = np.concatenate([np.einsum("pq,lqr->lpr", f, ts[j]) for _, f in factors], axis=0)
     return ts
 

@@ -18,6 +18,7 @@ from .errors import (
     StepTooCoarseError,
 )
 from .dynamics import DensePropagator, evolve_dense
+from .lowrank import long_range_constants, merge_q0, rank_exponent_base
 from .models import ChainHamiltonian
 from .mps import (
     MatrixProductState,
@@ -259,14 +260,10 @@ def gibbs_tail_experiment(chain, betas, d_grid):
     ordering, measured at every physical cut and compared with the loose
     theoretical decay; TooLargeError from chain.dense() above DENSE_DIM_CAP.
     Paper: the polynomial bond-dimension approximation of thermal states."""
-    if chain.decay is None or chain.decay[0] != "power":
-        raise ValueError("experiment requires power-law decay metadata")
-    _, j0, eta = chain.decay
+    kappa, c0, g_tilde, d0 = long_range_constants(chain)
     n, d = chain.n, chain.dims[0]
-    k = chain.k
-    g = chain.g
     prop = DensePropagator(chain.dense())
-    q0 = max(8.0 * g * k, 16.0 * math.e * j0 * (eta - 1.0) ** 2 * 2.0 ** (eta - 2.0) / (eta - 2.0))
+    q0 = merge_q0(2.0 * chain.g * chain.k, c0, g_tilde)
     rows = []
     pairs = []
     for beta in betas:
@@ -278,7 +275,7 @@ def gibbs_tail_experiment(chain, betas, d_grid):
         interleaved = tens.transpose(perm).reshape(-1)
         state = PureState(dims=(d,) * (2 * n), amps=interleaved)
         m_beta = int(math.ceil(beta * q0 / 4.0 - 1e-12)) if beta > 0 else 0
-        kappa_beta = 4.0 * (6.0 + 4.0 * (k + 1.0) / (eta - 2.0) + 2.0 * k * math.log2(d)) * m_beta
+        kappa_beta = 4.0 * rank_exponent_base(kappa, d0) * m_beta
         for s in range(1, n):
             spec = schmidt_decompose(state, Cut.of(range(2 * s), 2 * n))
             for dd in d_grid:

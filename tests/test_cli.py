@@ -96,6 +96,12 @@ BAD_VALUES = [
     {"experiment": "sie-rate", "params": {"times": [float("nan")]}},
     # each value the config gives is checked, even one every grid point overrides
     {"experiment": "saturate", "params": {"times": [0]}, "grid": [{"times": [0.5]}]},
+    # sizes that passed validation and then ran out of float range or memory:
+    # bin 0 ending at 4^1000, 500,001 bins of 16 x 16, and 100000 x 100000 fits
+    {"experiment": "merge-series", "params": {"kappa": 0.001}},
+    {"experiment": "merge-series", "params": {"kappa": 1e6}},
+    {"experiment": "kolmogorov", "params": {"pairs": [[100000, 1]]}},
+    {"experiment": "no-go", "params": {"n": 100000}},
     # sizes that passed validation and then exited 1 on TooLarge: the dense
     # chain matrix has d**n rows
     {"experiment": "mps-exist", "params": {"n": 13}},
@@ -412,6 +418,20 @@ def test_too_coarse_step_count_exits_2(tmp_path, capsys):
     cfg = {"experiment": "tdmrg", "params": {"n_steps": 1, "t": 3.0}}
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     assert "StepTooCoarse" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cfg, estimate", [
+    ({"experiment": "merge-series", "params": {"kappa": 1e6}},
+     "at least 131071 bins of 16x16 complex entries take at least 536875008 bytes > 536870912"),
+    ({"experiment": "merge-series", "params": {"kappa": 0.001}},
+     "the upper edge 4^(1/0.001) of bin 0 is past float range"),
+    ({"experiment": "kolmogorov", "params": {"pairs": [[100000, 1]]}},
+     "N <= 2048, the identity-fit limit: a fit holds a few N x N float matrices, 32 MiB each"),
+])
+def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert estimate in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -24,7 +24,7 @@ from entspec import (
     measure_rate_profile,
     random_dense_instance,
 )
-from entspec.dynamics import c_alpha_table, rate_bound_check
+from entspec.dynamics import c_alpha_table, rate_bound_check, toy_rate_experiment
 
 from helpers import random_hermitian, random_state
 
@@ -141,6 +141,12 @@ def test_rate_profile_below_threshold_has_no_bound():
     )
     assert samples[0].bound is None
     assert samples[0].margin is None
+
+
+def test_toy_bound_exists_where_c_alpha_does():
+    # c_alpha reads orders within 1e-12 below 1/2 as 1/2; order 0.3 has no constant
+    rows = toy_rate_experiment([0.4], [0.5 - 1e-13, 0.3])["rows"]
+    assert [r["bound"] for r in rows] == [2.0, None]
 
 
 def test_rate_profile_respects_bound_on_random_instances(rng):

@@ -23,7 +23,15 @@ from entspec import (
     simplex_moment,
     truncation_error_params,
 )
-from entspec.lowrank import WidthResult, _max_abs, width_range_check
+from entspec.lowrank import (
+    IDENTITY_FIT_DIM_CAP,
+    WidthResult,
+    _max_abs,
+    merge_bin_count,
+    merge_q0,
+    merge_z_window,
+    width_range_check,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -53,6 +61,11 @@ def test_identity_fit_two_by_one_is_half():
     res = rank_constrained_identity_fit(2, 1)
     assert res.value == pytest.approx(0.5, abs=1e-6)
     assert res.lower <= res.value
+
+
+def test_identity_fit_refuses_n_above_its_cap():
+    with pytest.raises(TooLargeError):
+        rank_constrained_identity_fit(IDENTITY_FIT_DIM_CAP + 1, 1)
 
 
 def test_identity_fit_full_rank_is_zero():
@@ -188,6 +201,62 @@ def test_merge_series_window_enforced():
             np.eye(64), np.eye(64), [np.zeros((4096, 4096))], 0.01,
             2, 2, 2, kappa=1.0, d0=2, c0=1.0, q_param=2.0,
         )
+
+
+@pytest.mark.parametrize("q_param, c0, g_tilde", [
+    (2.0, 1.0, 0.0),  # c0 g_tilde = 0: the window is 1/(4 q_param)
+    (2.0, 1.0, 0.5),
+    (0.3, 1.7, 2.9),  # the coupling term sets the window
+    (1.1, 0.7, 0.13),
+])
+def test_merge_z_window_edge_is_the_min_of_reciprocals(q_param, c0, g_tilde):
+    # the window as a min of reciprocals, the second left out at c0 g_tilde = 0
+    zcap = 1.0 / (4.0 * q_param)
+    if c0 * g_tilde > 0:
+        zcap = min(zcap, 1.0 / (4.0 * math.e * c0 * g_tilde))
+    assert 1.0 / merge_q0(q_param, c0, g_tilde) == zcap
+    edge = zcap + 1e-12
+    accepted = []
+    for z_abs in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+        try:
+            merge_z_window(complex(0.0, z_abs), merge_q0(q_param, c0, g_tilde))
+            accepted.append(True)
+        except ZOutOfRangeError:
+            accepted.append(False)
+    assert accepted == [True, True, False]
+
+
+def test_merge_q0_reciprocal_is_the_min_of_reciprocals_bit_for_bit(rng):
+    for q_param, c0, g_tilde in rng.uniform(1e-3, 1e3, size=(2000, 3)):
+        assert 1.0 / merge_q0(q_param, c0, g_tilde) == min(
+            1.0 / (4.0 * q_param), 1.0 / (4.0 * math.e * c0 * g_tilde))
+
+
+def _bins_by_walking(n_terms, kappa):
+    """The bin count by walking the edges 4^(m/kappa) up past n_terms."""
+    m = 0
+    while 4.0 ** (m / kappa) <= n_terms:
+        m += 1
+    return m
+
+
+def test_merge_bin_count_is_the_first_edge_past_the_terms():
+    for n_terms in range(1, 41):
+        for kappa in (0.3, 0.5, 1.0, 1.7, 3.0, 10.0):
+            assert merge_bin_count(n_terms, kappa, 4) == _bins_by_walking(n_terms, kappa)
+    # the merge-series defaults: two couplings in one bin
+    assert merge_bin_count(2, 1.0, 16) == 1
+
+
+@pytest.mark.parametrize("n_terms, kappa, dim", [
+    (2, 1e6, 16),  # 500,001 bins of 16 x 16, about 2 GB
+    (2, 1e300, 16),  # every edge rounds to 1: no bin ever starts past 2
+    (2, 0.001, 16),  # bin 0 ends at 4^1000, past float range
+    (40, 1.0, 1024),  # 41 matrices of 16 MiB
+])
+def test_merge_bin_count_refuses_bins_past_its_memory_cap(n_terms, kappa, dim):
+    with pytest.raises(TooLargeError):
+        merge_bin_count(n_terms, kappa, dim)
 
 
 def test_merge_series_random_instances_stay_bounded(rng):

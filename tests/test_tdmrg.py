@@ -29,6 +29,7 @@ from entspec import (
     to_dense,
 )
 from entspec import mps, tdmrg
+from entspec.lowrank import long_range_constants, merge_q0, rank_exponent_base
 from entspec.tdmrg import certificate_checks
 
 
@@ -211,6 +212,24 @@ def test_existence_check_laws():
     assert out["checks"]["truncation_errors_bounded"].ok
     errs = [r["err2"] for r in out["rows"]]
     assert errs[0] >= errs[1] >= errs[2] - 1e-18
+
+
+@pytest.mark.parametrize("eta", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_gibbs_constants_are_the_lowrank_ones(eta, d):
+    chain = build_long_range_ising(2, d=d, j0=1.0, eta=eta, hx=0.5)
+    out = gibbs_tail_experiment(chain, betas=[1.5], d_grid=[1])
+    kappa, c0, g_tilde, d0 = long_range_constants(chain)
+    q0 = merge_q0(2.0 * chain.g * chain.k, c0, g_tilde)
+    m_beta = math.ceil(1.5 * q0 / 4.0 - 1e-12)
+    assert out["q0"] == q0
+    assert {r["kappa_beta"] for r in out["rows"]} == {4.0 * rank_exponent_base(kappa, d0) * m_beta}
+    # the constants written out in eta, k and d
+    k = chain.k
+    assert q0 == pytest.approx(max(8.0 * chain.g * k, 16.0 * math.e * (eta - 1.0) ** 2
+                                   * 2.0 ** (eta - 2.0) / (eta - 2.0)), rel=1e-14)
+    assert rank_exponent_base(kappa, d0) == pytest.approx(
+        6.0 + 4.0 * (k + 1.0) / (eta - 2.0) + 2.0 * k * math.log2(d), rel=1e-14)
 
 
 def test_gibbs_tails_shrink_with_rank():
