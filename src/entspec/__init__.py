@@ -16,7 +16,6 @@ from .errors import (
     BadAlphaError,
     BadCutError,
     BelowThresholdError,
-    BoundVacuousError,
     DegenerateError,
     EntspecError,
     EtaTooSmallError,

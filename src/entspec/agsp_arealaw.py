@@ -16,7 +16,7 @@ from .errors import DegenerateError
 from .dynamics import DensePropagator, adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
 from .se_strength import BipartiteOperator, _opnorm, se_upper_from_decomposition
-from .spectra import Cut, PureState, check, renyi_entropy, schmidt_decompose
+from .spectra import Cut, PureState, SchmidtSpectrum, check, renyi_entropy, schmidt_decompose
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
 # values move by less than QUAD_TOL or the count reaches NODE_CAP
@@ -310,7 +310,9 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
     agsp = build_agsp(family.h_of_nu(1.0), beta)
     phi = agsp.matrix @ res.psi
     phi = phi / np.linalg.norm(phi)
-    spec = schmidt_decompose(PureState(dims=dims, amps=phi), cut, keep_vectors=True)
+    # phi = sum_s coeffs[s] kron(u[:, s], vh[s]), the left sites as the row index
+    u, coeffs, vh = np.linalg.svd(phi.reshape(math.prod(dims_a), -1), full_matrices=False)
+    spec = SchmidtSpectrum(coeffs, float(np.linalg.norm(phi)))
     consts = area_law_constants(g_tilde, delta_path, s0, c0)
     rows = []
     pairs = []
@@ -318,7 +320,7 @@ def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
         # the top min(D, rank) Schmidt terms, the coefficients being descending
         psi_d = np.zeros_like(phi)
         for s in range(min(d, spec.rank)):
-            psi_d += spec.coeffs[s] * np.kron(spec.left_vectors[:, s], spec.right_vectors[:, s])
+            psi_d += coeffs[s] * np.kron(u[:, s], vh[s])
         psi_d /= np.linalg.norm(psi_d)
         err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(psi_d, omega1))))
         cap = consts.tail_cap(d)

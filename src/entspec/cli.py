@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .errors import (
     EntspecError,
-    StepTooCoarseError,
     TimeTooLongError,
     TooLargeError,
     ZOutOfRangeError,
@@ -89,13 +88,13 @@ def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _chain_from_params(p):
-    """The chain of a merged, validated point ("chain" is "longrange" or
-    "nearest")."""
-    if p["chain"] == "longrange":
-        return build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p["eta"],
-                                      hx=p["hx"], hz=p["hz"])
-    return build_nearest_neighbor_chain(n=p["n"], d=p["d"], j=p["j0"], hx=p["hx"], hz=p["hz"])
+def _long_range_chain(p):
+    return build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p["eta"],
+                                  hx=p["hx"], hz=p["hz"])
+
+
+def _nearest_chain(p, n):
+    return build_nearest_neighbor_chain(n=n, d=p["d"], j=p["j0"], hx=p["hx"], hz=p["hz"])
 
 
 def exp_se_search(p, seed):
@@ -131,7 +130,7 @@ def exp_se_search(p, seed):
         "pump_exact": pump.se_strength_exact,
         # ascent starts that stopped at their iteration budget, not on tolerance
         "unconverged_starts": sum(est.unconverged for est in found + found_named),
-        "checks": {"lower_below_upper": bracket_check(found),
+        "checks": {"lower_below_upper": bracket_check(found + found_named),
                    **named_strength_checks(pump, *(est.lower for est in found_named))},
     }
 
@@ -211,7 +210,8 @@ def exp_agsp(p, seed):
 
 
 def exp_ground_tail(p, seed):
-    return ground_tail_experiment(_chain_from_params(p), p["cut"], p["d_grid"])
+    chain = _long_range_chain(p) if p["chain"] == "longrange" else _nearest_chain(p, p["n"])
+    return ground_tail_experiment(chain, p["cut"], p["d_grid"])
 
 
 def exp_area_law(p, seed):
@@ -267,7 +267,9 @@ def exp_truncation_params(p, seed):
 
 
 def exp_decomposition(p, seed):
-    rep = long_range_decomposition_check(_chain_from_params(p), p["cut"])
+    # a one-site field term crosses no cut, so the chain takes no field
+    chain = build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p["eta"])
+    rep = long_range_decomposition_check(chain, p["cut"])
     row = {"kappa": rep.kappa, "c0": rep.c0, "g_tilde": rep.g_tilde, "d0": rep.d0,
            "n_terms": len(rep.v_norms), "worst_margin": rep.tails_check.margin}
     return {"rows": [row], "checks": {"tails_decay": rep.tails_check}}
@@ -275,8 +277,8 @@ def exp_decomposition(p, seed):
 
 def _tdmrg_from_params(p):
     """The certified evolution of a product start: the config and its run."""
-    chain = _chain_from_params(p)
-    n_steps = p["n_steps"] or default_step_count(chain.g, chain.n, p["t"], p["eps_target"])
+    chain = _nearest_chain(p, p["n"])
+    n_steps = default_step_count(chain.g, chain.n, p["t"], p["eps_target"])
     mps0 = product_mps(chain.n, chain.dims[0])
     cfg = TdmrgConfig(chain=chain, t=p["t"], n_steps=n_steps, d_cap=p["d_cap"], initial=mps0)
     return (cfg, *tdmrg_run(cfg))
@@ -309,14 +311,14 @@ def exp_tdmrg(p, seed):
 
 
 def exp_mps_existence(p, seed):
-    chain = _chain_from_params(p)
+    chain = _nearest_chain(p, p["n"])
     rng = _rng(seed)
     state = random_product_state(chain.dims, rng)
     return state_mps_existence_check(chain, state, p["t"], p["d_grid"])
 
 
 def exp_gibbs_tail(p, seed):
-    return gibbs_tail_experiment(_chain_from_params(p), p["betas"], p["d_grid"])
+    return gibbs_tail_experiment(_long_range_chain(p), p["betas"], p["d_grid"])
 
 
 REGISTRY = {
@@ -363,20 +365,18 @@ REGISTRY = {
     "tdmrg": (
         exp_tdmrg,
         {
-            "chain": "nearest", "n": 8, "d": 2, "j0": 1.0, "hx": 0.4, "hz": 0.3,
-            "t": 0.3, "n_steps": 0, "eps_target": 0.2, "d_cap": 16,
-            "compare_dense": True,
+            "n": 8, "d": 2, "j0": 1.0, "hx": 0.4, "hz": 0.3,
+            "t": 0.3, "eps_target": 0.2, "d_cap": 16, "compare_dense": True,
         },
     ),
     "mps-exist": (
         exp_mps_existence,
-        {"chain": "nearest", "n": 8, "d": 2, "j0": 1.0, "hx": 0.5, "hz": 0.0,
-         "t": 0.4, "d_grid": [2, 4, 8, 16]},
+        {"n": 8, "d": 2, "j0": 1.0, "hx": 0.5, "hz": 0.0, "t": 0.4, "d_grid": [2, 4, 8, 16]},
     ),
     "gibbs-tail": (
         exp_gibbs_tail,
-        {"chain": "longrange", "n": 4, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.5,
-         "hz": 0.0, "betas": [0.0, 1.0, 2.0], "d_grid": [1, 2, 4, 8]},
+        {"n": 4, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.5, "hz": 0.0,
+         "betas": [0.0, 1.0, 2.0], "d_grid": [1, 2, 4, 8]},
     ),
     "kolmogorov": (
         exp_kolmogorov,
@@ -403,8 +403,7 @@ REGISTRY = {
     ),
     "decomposition": (
         exp_decomposition,
-        {"chain": "longrange", "n": 10, "d": 2, "j0": 1.0, "eta": 3.5, "hx": 0.0,
-         "hz": 0.0, "cut": 5},
+        {"n": 10, "d": 2, "j0": 1.0, "eta": 3.5, "cut": 5},
     ),
     "unitary-growth": (
         exp_unitary_growth,
@@ -444,10 +443,6 @@ _RULES = [
     (None, ("eta",), lambda v: v > 2, "> 2"),
     (("ground-tail", "tdmrg", "mps-exist", "gibbs-tail", "decomposition"), ("d",),
      lambda v: v >= 2, ">= 2: a chain site holds at least two levels"),
-    (("gibbs-tail", "decomposition"), ("chain",), lambda v: v == "longrange",
-     "\"longrange\": the bounds read power-law decay"),
-    (("tdmrg", "mps-exist"), ("chain",), lambda v: v == "nearest",
-     "\"nearest\": they take no eta to set a power-law decay"),
     (("kolmogorov",), ("pairs",),
      lambda q: len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0] <= IDENTITY_FIT_DIM_CAP,
      f"[N, D] pairs with 1 <= D <= N <= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT}"),
@@ -481,6 +476,33 @@ _DIM_CAPS = {
     "tdmrg": (DENSE_DIM_CAP, "the dense-matrix limit of compare_dense (set it to false)"),
     "ground-tail": (SPARSE_DIM_CAP, "the sparse-eigensolver limit"),
 }
+
+
+# the most work a tdmrg run may take, by the estimate of _tdmrg_work
+_TDMRG_WORK_CAP = 2 ** 32
+
+
+def _tdmrg_work(p):
+    """An estimate of the work of a tdmrg run, steps * (terms + 1) * n *
+    d**6 * D**2. Each step sums terms + 1 pieces, the state and each term
+    applied to it. A term splits into at most d**2 factor pairs, so a
+    piece's site, on bonds of at most D = min(d_cap, d**(n//2)), holds at
+    most d * (D * d**2)**2 entries, and a d x d factor costs d times that.
+    When one step is already past the cap, that lower bound is returned and
+    no chain is built. The nearest chain is translation invariant, so the
+    run's g, and with it its step count, is the g of min(n, 3) sites."""
+    n, d, d_cap = p["n"], p["d"], p["d_cap"]
+    terms = n - 1 + (n if p["hx"] or p["hz"] else 0)
+    bond = min(d_cap, d ** min(n // 2, d_cap.bit_length()))
+    per_step = (terms + 1) * n * d ** 6 * bond ** 2
+    if per_step > _TDMRG_WORK_CAP:
+        return per_step
+    with np.errstate(over="ignore"):  # a g past float range is inf
+        g = _nearest_chain(p, min(n, 3)).g
+    try:
+        return default_step_count(g, n, p["t"], p["eps_target"]) * per_step
+    except (OverflowError, ValueError):  # g*n*t or g*n*t/eps_target is inf, or g*n*t NaN
+        return math.inf
 
 
 def _is_int(value):
@@ -570,6 +592,13 @@ def validate_config(cfg):
             if p["d"] ** min(p["n"], cap.bit_length()) > cap:
                 raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
                                   f"{limit}, got d**n = {p['d']}**{p['n']}")
+        if name == "tdmrg":
+            work = _tdmrg_work(p)
+            if work > _TDMRG_WORK_CAP:
+                shown = f"{work:.3g}" if work < 1e300 else "past 1e300"
+                raise ConfigError(f"params of {name} must keep the work estimate steps * "
+                                  f"(terms + 1) * n * d**6 * D**2, D = min(d_cap, d**(n//2)), "
+                                  f"<= {_TDMRG_WORK_CAP}, got {shown}")
         if name == "merge-series":
             if p["da"] * p["db"] > MERGE_DIM_CAP:
                 raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
@@ -753,8 +782,7 @@ def main(argv=None):
     try:
         out_arg = Path(args.out) if args.out is not None else None
         summary, out_dir = _run_config(cfg, out_arg, args.threads, args.seed)
-    except (ConfigError, StepTooCoarseError) as exc:
-        # an explicit n_steps too coarse for g*n*t, refused before the first step
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EntspecError as exc:

@@ -73,7 +73,3 @@ class IntermediateTooLargeError(EntspecError):
 
 class StepTooCoarseError(EntspecError):
     pass
-
-
-class BoundVacuousError(EntspecError):
-    pass

@@ -85,10 +85,6 @@ class WidthResult:
     lower: float
     upper: float
 
-    def __post_init__(self):
-        if not width_range_check([self]).ok:
-            raise ValueError("fit value outside [lower - 1e-6, 1/2 + 1e-9]")
-
 
 def width_range_check(fits):
     """Every fit lies in [lower - 1e-6, 1/2 + 1e-9]: no lower than the proved

@@ -99,10 +99,6 @@ class SeEstimate:
     upper: float
     unconverged: int  # ascent starts that ran out of iterations before CONVERGENCE_TOL
 
-    def __post_init__(self):
-        if not bracket_check([self]).ok:
-            raise ValueError("lower exceeds upper")
-
     @property
     def coincides(self):
         return self.upper - self.lower < 1e-6

@@ -7,7 +7,6 @@ All operations are pure functions; states are immutable once built.
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -87,16 +86,11 @@ class Cut:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Descending Schmidt coefficients across one cut.
-
-    left_vectors/right_vectors (when retained) hold the orthonormal Schmidt
-    vectors as columns; source_norm is the norm of the decomposed state.
-    """
+    """Descending Schmidt coefficients across one cut; source_norm is the
+    norm of the decomposed state."""
 
     coeffs: np.ndarray
     source_norm: float
-    left_vectors: Optional[np.ndarray] = None
-    right_vectors: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -106,11 +100,6 @@ class SchmidtSpectrum:
         total = math.sqrt((c**2).sum())
         if abs(total - self.source_norm) > 1e-10 * max(1.0, self.source_norm):
             raise ValueError("source_norm disagrees with coefficients")
-        for vecs in (self.left_vectors, self.right_vectors):
-            if vecs is not None:
-                gram = vecs.conj().T @ vecs
-                if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-10:
-                    raise ValueError("retained Schmidt vectors must be orthonormal")
 
     @property
     def rank(self):
@@ -120,7 +109,7 @@ class SchmidtSpectrum:
         return int(np.count_nonzero(c > CLAMP_REL * c[0]))
 
 
-def schmidt_decompose(state, cut, keep_vectors=False):
+def schmidt_decompose(state, cut):
     """Schmidt coefficients of `state` across `cut`: the SVD of its
     amplitudes with the left sites as the row index."""
     if cut.n != state.n_sites:
@@ -128,11 +117,6 @@ def schmidt_decompose(state, cut, keep_vectors=False):
     if state.norm == 0 or not state.amps.any():
         raise ZeroStateError("cannot decompose the zero state")
     mat = state.amps.reshape(math.prod(state.dims[: cut.k]), -1)
-    if keep_vectors:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        # vh rows are the right Schmidt vectors; store them as columns so
-        # state = sum_s coeffs[s] * kron(left[:, s], right[:, s])
-        return SchmidtSpectrum(s, state.norm, left_vectors=u, right_vectors=vh.T)
     s = np.linalg.svd(mat, compute_uv=False)
     return SchmidtSpectrum(s, state.norm)
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import math
 import threading
+import time
 import types
 from pathlib import Path
 
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 
 import entspec.cli as cli
 from entspec import (
-    adiabatic_evolve, agsp_arealaw, dynamics, make_coupled_qudit_family, tdmrg_run,
+    SeEstimate, adiabatic_evolve, agsp_arealaw, build_nearest_neighbor_chain, dynamics,
+    make_coupled_qudit_family, tdmrg_run,
 )
+from entspec.lowrank import WidthResult
 from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
 from entspec.spectra import check
 
@@ -83,6 +86,14 @@ BAD_VALUES = [
     {"experiment": "gibbs-tail", "params": {"chain": "nearest"}},
     {"experiment": "decomposition", "params": {"chain": "nearest"}},
     {"experiment": ["a"]},
+    # settings that could not change a run are gone: an explicit step count
+    # is one a derived count reaches or a too coarse one, each experiment has
+    # its one chain, and a one-site field crosses no cut
+    {"experiment": "tdmrg", "params": {"n_steps": 200}},
+    {"experiment": "tdmrg", "params": {"chain": "nearest"}},
+    {"experiment": "mps-exist", "params": {"chain": "nearest"}},
+    {"experiment": "decomposition", "params": {"hx": 0.5}},
+    {"experiment": "decomposition", "params": {"hz": 0.5}},
     # values that exited 1 on a failed check or invariant, and a bool seed that ran
     {"experiment": "ground-tail", "params": {"eta": 2}},
     {"experiment": "sie-rate", "params": {"alphas": [0]}},
@@ -102,6 +113,8 @@ BAD_VALUES = [
     {"experiment": "merge-series", "params": {"kappa": 1e6}},
     {"experiment": "kolmogorov", "params": {"pairs": [[100000, 1]]}},
     {"experiment": "no-go", "params": {"n": 100000}},
+    # 2.8e10 steps that never finished once the dense comparison was off
+    {"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
     # sizes that passed validation and then exited 1 on TooLarge: the dense
     # chain matrix has d**n rows
     {"experiment": "mps-exist", "params": {"n": 13}},
@@ -414,11 +427,55 @@ def test_merge_series_reports_bins_above_their_cap(tmp_path):
 
 
 def test_too_coarse_step_count_exits_2(tmp_path, capsys):
-    # g*n*dt > 1 is refused before the first step, so no artifact is written
+    # the step count is derived from eps_target, so an explicit one is an unknown param
     cfg = {"experiment": "tdmrg", "params": {"n_steps": 1, "t": 3.0}}
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "StepTooCoarse" in capsys.readouterr().err
+    assert "unknown params for tdmrg: ['n_steps']" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"j0": 1.0, "hx": 0.4, "hz": 0.3}, {"j0": 0.7, "hx": 0.5, "hz": 0.0},
+    {"j0": -1.2, "hx": 0.3, "hz": 0.8},
+])
+def test_nearest_chain_g_is_that_of_three_sites(params):
+    # the tdmrg work estimate builds min(n, 3) sites for the run's g
+    for d in (2, 3):
+        g3 = build_nearest_neighbor_chain(3, d, params["j0"], params["hx"], params["hz"]).g
+        for n in range(3, 21):
+            assert build_nearest_neighbor_chain(n, d, params["j0"], params["hx"],
+                                                params["hz"]).g == g3
+
+
+def test_tdmrg_work_cap_edge():
+    # 124 steps * 64 pieces * 32 sites * 2**6 * 16**2 = 4160749568 <= 2**32, and
+    # at t 0.0635 the 130 steps pass it; neither run is started
+    base = {"compare_dense": False, "n": 32}
+    validate_config({"experiment": "tdmrg", "params": {**base, "t": 0.062}})
+    with pytest.raises(ConfigError, match="got 4.36e"):
+        validate_config({"experiment": "tdmrg", "params": {**base, "t": 0.0635}})
+    # one step already passes the cap, so no chain is built for the refusal
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match="got 3.28e"):
+        validate_config({"experiment": "tdmrg", "params": {**base, "n": 100000}})
+    assert time.perf_counter() - started < 1.0
+
+
+def test_broken_bracket_and_width_fail_their_checks_with_artifacts(tmp_path, monkeypatch):
+    # a search that beats its proved bound, and a fit outside its proved range,
+    # exit 1 on the reported check with both artifacts written
+    monkeypatch.setattr(cli, "se_lower_search",
+                        lambda *a, **k: SeEstimate(lower=1.0 + 2e-9, upper=1.0, unconverged=0))
+    code, summary, rows = run_cli(tmp_path, {"experiment": "se-search"})
+    assert code == 1 and rows
+    assert summary["checks"]["lower_below_upper"] is False
+    assert summary["margins"]["lower_below_upper"] < 0.0
+    monkeypatch.setattr(cli, "rank_constrained_identity_fit",
+                        lambda n, d, **k: WidthResult(n=n, d=d, value=0.6, lower=0.2, upper=1.0))
+    code, summary, rows = run_cli(tmp_path, {"experiment": "kolmogorov"})
+    assert code == 1 and rows
+    assert summary["checks"]["estimates_in_range"] is False
+    assert summary["margins"]["estimates_in_range"] < 0.0
 
 
 @pytest.mark.parametrize("cfg, estimate", [
@@ -428,6 +485,9 @@ def test_too_coarse_step_count_exits_2(tmp_path, capsys):
      "the upper edge 4^(1/0.001) of bin 0 is past float range"),
     ({"experiment": "kolmogorov", "params": {"pairs": [[100000, 1]]}},
      "N <= 2048, the identity-fit limit: a fit holds a few N x N float matrices, 32 MiB each"),
+    ({"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
+     "work estimate steps * (terms + 1) * n * d**6 * D**2, D = min(d_cap, d**(n//2)), "
+     "<= 4294967296, got 3.28e+14"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2

@@ -6,7 +6,6 @@ TAGS = [
     "ZeroState", "BadCut", "Unnormalized", "BadAlpha", "NoDecomposition", "EtaTooSmall",
     "TimeTooLong", "BelowThreshold", "TooLarge", "GapClosed", "Degenerate", "ZOutOfRange",
     "Mismatch", "UnsupportedLocality", "IntermediateTooLarge", "StepTooCoarse",
-    "BoundVacuous",
 ]
 
 

@@ -64,23 +64,6 @@ def test_zero_state_rejected():
         )
 
 
-@pytest.mark.parametrize(
-    "dims,left", [((2, 3, 2), [0]), ((2, 3, 2), [0, 1]), ((2, 2, 2, 2), [0, 1, 2])]
-)
-def test_reconstruction_from_vectors(rng, dims, left):
-    """kron(left_s, right_s) weighted by the coefficients rebuilds the state."""
-    state = random_state(rng, dims)
-    spec = schmidt_decompose(state, Cut.of(left, len(dims)), keep_vectors=True)
-    da = spec.left_vectors.shape[0]
-    db = spec.right_vectors.shape[0]
-    rebuilt = np.zeros(da * db, dtype=complex)
-    for s in range(spec.rank):
-        rebuilt += spec.coeffs[s] * np.kron(
-            spec.left_vectors[:, s], spec.right_vectors[:, s]
-        )
-    assert np.linalg.norm(rebuilt - state.amps) < 1e-12
-
-
 def test_coefficients_are_the_svd_of_the_reshaped_amplitudes(rng):
     """The decomposition is the SVD of the amplitudes with the first k sites
     as rows, bit for bit."""

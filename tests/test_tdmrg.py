@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import expm
 
 from entspec import (
-    BoundVacuousError,
     ChainHamiltonian,
     IntermediateTooLargeError,
     LocalTerm,
@@ -193,8 +192,9 @@ def test_theory_bound_value():
 def test_normalized_bound():
     assert normalized_final_error_bound(0.1) == pytest.approx(19.0 / 90.0, abs=1e-15)
     assert normalized_final_error_bound(0.5) == pytest.approx(1.5, abs=1e-15)
-    with pytest.raises(BoundVacuousError):
-        normalized_final_error_bound(1.0)
+    # a raw bound of 1 or more says nothing about the normalized state
+    assert normalized_final_error_bound(1.0) == math.inf
+    assert normalized_final_error_bound(2.0) == math.inf
 
 
 def test_naive_bound_dwarfs_certificate():
