@@ -16,6 +16,7 @@ from .errors import (
     BadAlphaError,
     BadCutError,
     BelowThresholdError,
+    CheckFailedError,
     DegenerateError,
     EntspecError,
     EtaTooSmallError,

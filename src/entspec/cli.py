@@ -141,6 +141,7 @@ def exp_saturation(p, seed):
              "rate_floor": dyn.rate_lower_bound(t), "in_window": dyn.in_window(t)}
             for t in p["times"]]
     est = se_lower_search(dyn.v, seeds=4, iterations=200, seed=seed)
+    bracket_check([est]).require("saturate's strength search beats its proved bound")
     return {
         "rows": rows,
         "strength_exact": dyn.se_strength_exact,
@@ -478,23 +479,34 @@ _DIM_CAPS = {
 }
 
 
-# the most work a tdmrg run may take, by the estimate of _tdmrg_work
-_TDMRG_WORK_CAP = 2 ** 32
+# the most work a tdmrg run may take, by the estimate of _tdmrg_work; at one
+# OpenBLAS thread a unit took 520-590 ns on a 2-core x86 box, so a run at
+# the cap takes 70-80 s there
+_TDMRG_WORK_CAP = 2 ** 27
+
+
+def _bond_squares(n, d, d_cap):
+    """The sum of D**2 over the n - 1 bonds of an n-site chain, D =
+    min(d_cap, d**k) at a bond k sites from the nearer end: the most each
+    bond can hold."""
+    full = d_cap.bit_length()  # d**k >= 2**k > d_cap from k = full on
+    if n <= 2 * full:
+        return sum(min(d_cap, d ** min(i, n - i)) ** 2 for i in range(1, n))
+    ends = sum(min(d_cap, d ** k) ** 2 for k in range(1, full))
+    return 2 * ends + (n + 1 - 2 * full) * d_cap ** 2
 
 
 def _tdmrg_work(p):
-    """An estimate of the work of a tdmrg run, steps * (terms + 1) * n *
-    d**6 * D**2. Each step sums terms + 1 pieces, the state and each term
-    applied to it. A term splits into at most d**2 factor pairs, so a
-    piece's site, on bonds of at most D = min(d_cap, d**(n//2)), holds at
-    most d * (D * d**2)**2 entries, and a d x d factor costs d times that.
-    When one step is already past the cap, that lower bound is returned and
-    no chain is built. The nearest chain is translation invariant, so the
-    run's g, and with it its step count, is the g of min(n, 3) sites."""
-    n, d, d_cap = p["n"], p["d"], p["d_cap"]
+    """An estimate of the work of a tdmrg run, steps * (terms + 1) * d *
+    sum D**2: each step sums terms + 1 pieces, the state and each term
+    applied to it, and a piece holds about d * D**2 entries at a bond of
+    D, the most that bond can hold (_bond_squares). When one step is
+    already past the cap, that lower bound is returned and no chain is
+    built. The nearest chain is translation invariant, so the run's g, and
+    with it its step count, is the g of min(n, 3) sites."""
+    n, d = p["n"], p["d"]
     terms = n - 1 + (n if p["hx"] or p["hz"] else 0)
-    bond = min(d_cap, d ** min(n // 2, d_cap.bit_length()))
-    per_step = (terms + 1) * n * d ** 6 * bond ** 2
+    per_step = (terms + 1) * d * _bond_squares(n, d, p["d_cap"])
     if per_step > _TDMRG_WORK_CAP:
         return per_step
     with np.errstate(over="ignore"):  # a g past float range is inf
@@ -597,8 +609,8 @@ def validate_config(cfg):
             if work > _TDMRG_WORK_CAP:
                 shown = f"{work:.3g}" if work < 1e300 else "past 1e300"
                 raise ConfigError(f"params of {name} must keep the work estimate steps * "
-                                  f"(terms + 1) * n * d**6 * D**2, D = min(d_cap, d**(n//2)), "
-                                  f"<= {_TDMRG_WORK_CAP}, got {shown}")
+                                  f"(terms + 1) * d * sum over bonds of min(d_cap, d**k)**2, "
+                                  f"k sites to the nearer end, <= {_TDMRG_WORK_CAP}, got {shown}")
         if name == "merge-series":
             if p["da"] * p["db"] > MERGE_DIM_CAP:
                 raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "

@@ -73,3 +73,7 @@ class IntermediateTooLargeError(EntspecError):
 
 class StepTooCoarseError(EntspecError):
     pass
+
+
+class CheckFailedError(EntspecError):
+    pass

@@ -147,6 +147,7 @@ def no_go_experiment(n, d, times, seeds, polish_iters, seed=0):
     """
     width_lower, _ = kolmogorov_bounds(n, min(2 * d, n))
     idfit = rank_constrained_identity_fit(n, min(2 * d, n), seeds=max(8, seeds), seed=seed)
+    width_range_check([idfit]).require("no-go's identity fit lies outside its proved range")
     # the seeded candidates do not depend on t, and _best_fit never writes to them
     rng = np.random.default_rng(seed)
     draws = []

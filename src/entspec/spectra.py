@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     BadAlphaError,
     BadCutError,
+    CheckFailedError,
     UnnormalizedError,
     ZeroStateError,
 )
@@ -27,6 +28,12 @@ class Check(namedtuple("Check", "margin strict", defaults=(False,))):
     @property
     def ok(self):
         return self.margin is None or (self.margin > 0.0 if self.strict else self.margin >= 0.0)
+
+    def require(self, what):
+        """CheckFailedError naming `what` unless the check passes: for a
+        bound that its experiment reports under no check of its own."""
+        if not self.ok:
+            raise CheckFailedError(f"{what}, margin {self.margin}")
 
 
 def check(pairs, tol=0.0, strict=False):

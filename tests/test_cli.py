@@ -7,7 +7,6 @@ import json
 import math
 import threading
 import time
-import types
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 
 import entspec.cli as cli
 from entspec import (
-    SeEstimate, adiabatic_evolve, agsp_arealaw, build_nearest_neighbor_chain, dynamics,
+    SeEstimate, adiabatic_evolve, agsp_arealaw, build_nearest_neighbor_chain, dynamics, lowrank,
     make_coupled_qudit_family, tdmrg_run,
 )
 from entspec.lowrank import WidthResult
@@ -448,15 +447,21 @@ def test_nearest_chain_g_is_that_of_three_sites(params):
 
 
 def test_tdmrg_work_cap_edge():
-    # 124 steps * 64 pieces * 32 sites * 2**6 * 16**2 = 4160749568 <= 2**32, and
-    # at t 0.0635 the 130 steps pass it; neither run is started
+    # at n 32 and d_cap 16 the 31 bonds hold at most 2, 4, 8 and 16 at 1 to
+    # 4 sites from each end and 16 between, and a step sums 64 pieces: 159
+    # steps * 64 * 2 * 6568 = 133671936 <= 2**27, while at t 0.0706 the 160
+    # steps pass it; no run is started
     base = {"compare_dense": False, "n": 32}
-    validate_config({"experiment": "tdmrg", "params": {**base, "t": 0.062}})
-    with pytest.raises(ConfigError, match="got 4.36e"):
-        validate_config({"experiment": "tdmrg", "params": {**base, "t": 0.0635}})
+    validate_config({"experiment": "tdmrg", "params": {**base, "t": 0.0704}})
+    with pytest.raises(ConfigError, match="got 1.35e"):
+        validate_config({"experiment": "tdmrg", "params": {**base, "t": 0.0706}})
+    # below that edge: n 16 at the other defaults (720 steps, 1.14e8) and
+    # n 64 at t 0.0158 (32 steps, 1.21e8)
+    validate_config({"experiment": "tdmrg", "params": {"compare_dense": False, "n": 16}})
+    validate_config({"experiment": "tdmrg", "params": {**base, "n": 64, "t": 0.0158}})
     # one step already passes the cap, so no chain is built for the refusal
     started = time.perf_counter()
-    with pytest.raises(ConfigError, match="got 3.28e"):
+    with pytest.raises(ConfigError, match="got 1.02e"):
         validate_config({"experiment": "tdmrg", "params": {**base, "n": 100000}})
     assert time.perf_counter() - started < 1.0
 
@@ -478,6 +483,25 @@ def test_broken_bracket_and_width_fail_their_checks_with_artifacts(tmp_path, mon
     assert summary["margins"]["estimates_in_range"] < 0.0
 
 
+@pytest.mark.parametrize("module, name, experiment", [
+    (cli, "se_lower_search", "saturate"),
+    (dynamics, "se_lower_search", "unitary-growth"),
+    (lowrank, "rank_constrained_identity_fit", "no-go"),
+])
+def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module, name, experiment):
+    # these experiments report no bracket or range check of their own: a
+    # broken estimate stops the run with exit 1 before anything is written
+    broken = {"se_lower_search": lambda *a, **k: SeEstimate(lower=1.0 + 2e-9, upper=1.0,
+                                                            unconverged=0),
+              "rank_constrained_identity_fit": lambda n, d, **k: WidthResult(
+                  n=n, d=d, value=0.6, lower=0.2, upper=1.0)}
+    monkeypatch.setattr(module, name, broken[name])
+    cfg = write_config(tmp_path, {"experiment": experiment})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "invariant failure: CheckFailed: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("cfg, estimate", [
     ({"experiment": "merge-series", "params": {"kappa": 1e6}},
      "at least 131071 bins of 16x16 complex entries take at least 536875008 bytes > 536870912"),
@@ -486,8 +510,8 @@ def test_broken_bracket_and_width_fail_their_checks_with_artifacts(tmp_path, mon
     ({"experiment": "kolmogorov", "params": {"pairs": [[100000, 1]]}},
      "N <= 2048, the identity-fit limit: a fit holds a few N x N float matrices, 32 MiB each"),
     ({"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
-     "work estimate steps * (terms + 1) * n * d**6 * D**2, D = min(d_cap, d**(n//2)), "
-     "<= 4294967296, got 3.28e+14"),
+     "work estimate steps * (terms + 1) * d * sum over bonds of min(d_cap, d**k)**2, "
+     "k sites to the nearer end, <= 134217728, got 1.02e+13"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
@@ -619,8 +643,10 @@ def test_rank_budgets_are_compared_in_ascending_duration(tmp_path):
 def test_unitary_growth_row_and_check_agree_near_the_cap(tmp_path, monkeypatch):
     # cap = e^2 > 1: the lower bound lies between cap + 1e-6 and cap * (1 + 1e-6)
     monkeypatch.setattr(cli, "best_upper", lambda v: 10.0)
+    # a bracket that holds, so only the cap is broken
+    beyond = math.exp(2.0) + 3e-6
     monkeypatch.setattr(dynamics, "se_lower_search",
-                        lambda *a, **k: types.SimpleNamespace(lower=math.exp(2.0) + 3e-6))
+                        lambda *a, **k: SeEstimate(lower=beyond, upper=beyond, unconverged=0))
     code, summary, (row,) = run_cli(
         tmp_path, {"experiment": "unitary-growth", "params": {"times": [0.2]}})
     assert code == 1

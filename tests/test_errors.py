@@ -6,6 +6,7 @@ TAGS = [
     "ZeroState", "BadCut", "Unnormalized", "BadAlpha", "NoDecomposition", "EtaTooSmall",
     "TimeTooLong", "BelowThreshold", "TooLarge", "GapClosed", "Degenerate", "ZOutOfRange",
     "Mismatch", "UnsupportedLocality", "IntermediateTooLarge", "StepTooCoarse",
+    "CheckFailed",
 ]
 
 
