@@ -497,22 +497,26 @@ def _bond_squares(n, d, d_cap):
 
 
 def _tdmrg_work(p):
-    """An estimate of the work of a tdmrg run, steps * (terms + 1) * d *
-    sum D**2: each step sums terms + 1 pieces, the state and each term
-    applied to it, and a piece holds about d * D**2 entries at a bond of
-    D, the most that bond can hold (_bond_squares). When one step is
-    already past the cap, that lower bound is returned and no chain is
-    built. The nearest chain is translation invariant, so the run's g, and
-    with it its step count, is the g of min(n, 3) sites."""
+    """An estimate of the work of a tdmrg run, n * d**6 // 512 + steps *
+    (terms + 1) * d * sum D**2. Building the chain and splitting its terms
+    takes about d**6 flops a site, as the coupling is a d**2 x d**2 matrix
+    split by one SVD, and such a flop took about 1/512 of a unit (1.1 ns at
+    n 3 and d 32). Each step sums terms + 1 pieces, the state and each term
+    applied to it, and a piece holds about d * D**2 entries at a bond of D,
+    the most that bond can hold (_bond_squares). When the chain and one
+    step are already past the cap, that lower bound is returned and no
+    chain is built. The nearest chain is translation invariant, so the
+    run's g, and with it its step count, is the g of min(n, 3) sites."""
     n, d = p["n"], p["d"]
     terms = n - 1 + (n if p["hx"] or p["hz"] else 0)
+    setup = n * d ** 6 // 512
     per_step = (terms + 1) * d * _bond_squares(n, d, p["d_cap"])
-    if per_step > _TDMRG_WORK_CAP:
-        return per_step
+    if setup + per_step > _TDMRG_WORK_CAP:
+        return setup + per_step
     with np.errstate(over="ignore"):  # a g past float range is inf
         g = _nearest_chain(p, min(n, 3)).g
     try:
-        return default_step_count(g, n, p["t"], p["eps_target"]) * per_step
+        return setup + default_step_count(g, n, p["t"], p["eps_target"]) * per_step
     except (OverflowError, ValueError):  # g*n*t or g*n*t/eps_target is inf, or g*n*t NaN
         return math.inf
 
@@ -608,9 +612,10 @@ def validate_config(cfg):
             work = _tdmrg_work(p)
             if work > _TDMRG_WORK_CAP:
                 shown = f"{work:.3g}" if work < 1e300 else "past 1e300"
-                raise ConfigError(f"params of {name} must keep the work estimate steps * "
-                                  f"(terms + 1) * d * sum over bonds of min(d_cap, d**k)**2, "
-                                  f"k sites to the nearer end, <= {_TDMRG_WORK_CAP}, got {shown}")
+                raise ConfigError(f"params of {name} must keep the work estimate n * d**6 // 512 + "
+                                  f"steps * (terms + 1) * d * sum over bonds of "
+                                  f"min(d_cap, d**k)**2, k sites to the nearer end, "
+                                  f"<= {_TDMRG_WORK_CAP}, got {shown}")
         if name == "merge-series":
             if p["da"] * p["db"] > MERGE_DIM_CAP:
                 raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "

@@ -448,9 +448,9 @@ def test_nearest_chain_g_is_that_of_three_sites(params):
 
 def test_tdmrg_work_cap_edge():
     # at n 32 and d_cap 16 the 31 bonds hold at most 2, 4, 8 and 16 at 1 to
-    # 4 sites from each end and 16 between, and a step sums 64 pieces: 159
-    # steps * 64 * 2 * 6568 = 133671936 <= 2**27, while at t 0.0706 the 160
-    # steps pass it; no run is started
+    # 4 sites from each end and 16 between, and a step sums 64 pieces: 32 *
+    # 2**6 // 512 + 159 steps * 64 * 2 * 6568 = 133671940 <= 2**27, while at
+    # t 0.0706 the 160 steps pass it; no run is started
     base = {"compare_dense": False, "n": 32}
     validate_config({"experiment": "tdmrg", "params": {**base, "t": 0.0704}})
     with pytest.raises(ConfigError, match="got 1.35e"):
@@ -459,10 +459,14 @@ def test_tdmrg_work_cap_edge():
     # n 64 at t 0.0158 (32 steps, 1.21e8)
     validate_config({"experiment": "tdmrg", "params": {"compare_dense": False, "n": 16}})
     validate_config({"experiment": "tdmrg", "params": {**base, "n": 64, "t": 0.0158}})
-    # one step already passes the cap, so no chain is built for the refusal
+    # one step, or the chain alone, already passes the cap, so no chain is
+    # built for the refusal: at d 50000 its coupling would be 50000**2 square
     started = time.perf_counter()
     with pytest.raises(ConfigError, match="got 1.02e"):
         validate_config({"experiment": "tdmrg", "params": {**base, "n": 100000}})
+    with pytest.raises(ConfigError, match="got 3.05e"):
+        validate_config({"experiment": "tdmrg", "params": {
+            **base, "n": 1, "d": 50000, "hx": 0.0, "hz": 0.0}})
     assert time.perf_counter() - started < 1.0
 
 
@@ -510,8 +514,8 @@ def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module
     ({"experiment": "kolmogorov", "params": {"pairs": [[100000, 1]]}},
      "N <= 2048, the identity-fit limit: a fit holds a few N x N float matrices, 32 MiB each"),
     ({"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
-     "work estimate steps * (terms + 1) * d * sum over bonds of min(d_cap, d**k)**2, "
-     "k sites to the nearer end, <= 134217728, got 1.02e+13"),
+     "work estimate n * d**6 // 512 + steps * (terms + 1) * d * sum over bonds of "
+     "min(d_cap, d**k)**2, k sites to the nearer end, <= 134217728, got 1.02e+13"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
