@@ -41,7 +41,6 @@ from .agsp_arealaw import (
     c_kappa_1,
     c_kappa_2,
     ground_tail_experiment,
-    make_coupled_qudit_family,
     random_gapped_instance,
 )
 from .lowrank import (

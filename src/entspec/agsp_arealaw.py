@@ -8,14 +8,14 @@ with node doubling until the dense operator stops moving.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateError
 from .dynamics import DensePropagator, adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
-from .se_strength import BipartiteOperator, _opnorm, se_upper_from_decomposition
+from .se_strength import _opnorm
 from .spectra import Cut, PureState, SchmidtSpectrum, check, renyi_entropy, schmidt_decompose
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
@@ -248,70 +248,44 @@ def area_law_constants(g_tilde, delta, s0, c0_tilde):
     )
 
 
-@dataclass(frozen=True)
-class BoundaryFamily:
-    """Two fixed blocks joined by a ramped boundary coupling,
-    H(nu) = h_a (x) 1 + 1 (x) h_b + nu * coupling * coupler.
-
-    The coupler is the unit-strength boundary term with its decomposition,
-    built once from its terms, so the ramp builds no operator per nu. The
-    block sum is built once.
-    """
-
-    h_a: np.ndarray
-    h_b: np.ndarray
-    coupler: BipartiteOperator
-    coupling: float
-    _h0: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.coupler.decomposition is None:
-            raise ValueError("the coupler needs its term decomposition")
-        object.__setattr__(self, "_h0", _block_sum(self.h_a, self.h_b))
-
-    def h_of_nu(self, nu):
-        return self._h0 + (nu * self.coupling) * self.coupler.matrix
-
-
-def make_coupled_qudit_family(delta, coupling):
-    """Two qubits with local gap delta, ramped up to coupling * X (x) X."""
+def boundary_adiabatic_experiment(delta, coupling, epsilon, beta, d_grid):
+    """Two qubits with local gap delta, the boundary coupling ramped up to
+    coupling * X (x) X: ramp, filter, truncate, compare to the target ground
+    state, and report every link of the constant chain.
+    Paper: the generalized entanglement area law under adiabatic paths."""
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     h_loc = np.diag([0.0, delta]).astype(complex)
-    coupler = BipartiteOperator.from_terms((2,), (2,), ((1.0, x, x),))
-    return BoundaryFamily(h_a=h_loc, h_b=h_loc, coupler=coupler, coupling=coupling)
+    h0 = _block_sum(h_loc, h_loc)
+    xx = np.kron(x, x)
 
+    def h(nu):
+        return h0 + (nu * coupling) * xx
 
-def boundary_adiabatic_experiment(family, epsilon, beta, d_grid):
-    """Ramp the boundary coupling, filter, truncate, compare to the target
-    ground state, and report every link of the constant chain.
-    Paper: the generalized entanglement area law under adiabatic paths."""
-    # V(nu) = nu * coupling * coupler, so its strength peaks at nu = 1
-    g_tilde = abs(family.coupling) * se_upper_from_decomposition(family.coupler)
+    # V(nu) = nu * coupling * X (x) X, one unit-norm product term, so its
+    # strength peaks at nu = 1
+    g_tilde = abs(float(coupling))
     # raises GapClosedError before any step when the sampled path gap closes
-    res = adiabatic_evolve(family.h_of_nu, epsilon)
+    res = adiabatic_evolve(h, epsilon)
     delta_path = res.delta_min
     h_fd = 1e-4
     c0 = 0.0
     for nu in np.linspace(h_fd, 1.0 - h_fd, 9):
-        # V(nu) = (nu * coupling) * coupler, at nu - h_fd, nu and nu + h_fd
-        vm, v0, vp = (((nu + k * h_fd) * family.coupling) * family.coupler.matrix
-                      for k in (-1, 0, 1))
+        # V(nu) at nu - h_fd, nu and nu + h_fd
+        vm, v0, vp = (((nu + k * h_fd) * coupling) * xx for k in (-1, 0, 1))
         d1 = _opnorm((vp - vm) / (2 * h_fd))
         d2 = _opnorm((vp - 2 * v0 + vm) / h_fd ** 2)
         c0 = max(c0, d1 / g_tilde, d2 / g_tilde)
-    omega0 = DensePropagator(family.h_of_nu(0.0)).u[:, 0]
-    omega1 = DensePropagator(family.h_of_nu(1.0)).u[:, 0]
-    dims_a, dims_b = family.coupler.dims_a, family.coupler.dims_b
-    cut = Cut.of(range(len(dims_a)), len(dims_a) + len(dims_b))
-    dims = dims_a + dims_b
+    omega0 = DensePropagator(h(0.0)).u[:, 0]
+    omega1 = DensePropagator(h(1.0)).u[:, 0]
+    cut, dims = Cut(1, 2), (2, 2)
     s0 = renyi_entropy(schmidt_decompose(PureState(dims=dims, amps=omega0), cut), 1.0)
     adiab_err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(res.psi, omega1))))
     adiab_cap = adiabatic_error_bound(c0, g_tilde, epsilon, delta_path)
-    agsp = build_agsp(family.h_of_nu(1.0), beta)
+    agsp = build_agsp(h(1.0), beta)
     phi = agsp.matrix @ res.psi
     phi = phi / np.linalg.norm(phi)
-    # phi = sum_s coeffs[s] kron(u[:, s], vh[s]), the left sites as the row index
-    u, coeffs, vh = np.linalg.svd(phi.reshape(math.prod(dims_a), -1), full_matrices=False)
+    # phi = sum_s coeffs[s] kron(u[:, s], vh[s]), the left qubit as the row index
+    u, coeffs, vh = np.linalg.svd(phi.reshape(2, 2), full_matrices=False)
     spec = SchmidtSpectrum(coeffs, float(np.linalg.norm(phi)))
     consts = area_law_constants(g_tilde, delta_path, s0, c0)
     rows = []

@@ -21,7 +21,6 @@ from .agsp_arealaw import (
     boundary_adiabatic_experiment,
     build_agsp,
     ground_tail_experiment,
-    make_coupled_qudit_family,
     random_gapped_instance,
 )
 from .dynamics import (
@@ -216,8 +215,8 @@ def exp_ground_tail(p, seed):
 
 
 def exp_area_law(p, seed):
-    family = make_coupled_qudit_family(delta=p["delta"], coupling=p["coupling"])
-    return boundary_adiabatic_experiment(family, p["epsilon"], p["beta"], p["d_grid"])
+    return boundary_adiabatic_experiment(p["delta"], p["coupling"], p["epsilon"], p["beta"],
+                                         p["d_grid"])
 
 
 def exp_kolmogorov(p, seed):

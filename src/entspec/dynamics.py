@@ -258,8 +258,8 @@ class AdiabaticResult:
         return check([(self.converged_diff, ADIABATIC_TOL)], strict=True)
 
 
-def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
-    """Follow the ground state of h_of_nu(0) along nu in [0, 1] at ramp
+def adiabatic_evolve(h, epsilon, start_steps=256):
+    """Follow the ground state of h(0) along nu in [0, 1] at ramp
     rate epsilon.
 
     Total time is 1/epsilon; midpoint piecewise-constant stepping, halving
@@ -275,17 +275,17 @@ def adiabatic_evolve(h_of_nu, epsilon, start_steps=256):
     nus = np.linspace(0.0, 1.0, GAP_GRID)
     delta_min = math.inf
     for nu in nus:
-        w = np.linalg.eigvalsh(np.asarray(h_of_nu(nu), dtype=complex))
+        w = np.linalg.eigvalsh(np.asarray(h(nu), dtype=complex))
         delta_min = min(delta_min, float(w[1] - w[0]))
     if delta_min < GAP_FLOOR:
         raise GapClosedError(f"minimum path gap {delta_min} < {GAP_FLOOR}")
-    psi0 = DensePropagator(h_of_nu(0.0)).u[:, 0]
+    psi0 = DensePropagator(h(0.0)).u[:, 0]
 
     def run(k):
         psi = psi0.copy()
         dtau = t_total / k
         for i in range(k):
-            [psi] = DensePropagator(h_of_nu((i + 0.5) / k)).evolve(psi, [dtau])
+            [psi] = DensePropagator(h((i + 0.5) / k)).evolve(psi, [dtau])
         return psi
 
     k = start_steps

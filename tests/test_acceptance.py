@@ -30,7 +30,6 @@ from entspec import (
     default_step_count,
     gibbs_tail_experiment,
     ground_tail_experiment,
-    make_coupled_qudit_family,
     measure_rate_profile,
     no_go_experiment,
     product_mps,
@@ -273,8 +272,7 @@ def test_criterion_11_desk_scale_property_checks(acceptance_lines):
     ground_ok = (ground["checks"]["tails_below_cap"].ok
                  and all(a >= b - 1e-15 for a, b in zip(tails, tails[1:])))
 
-    family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
-    adiabatic = boundary_adiabatic_experiment(family, epsilon=0.05, beta=4.0,
+    adiabatic = boundary_adiabatic_experiment(1.0, 0.3, epsilon=0.05, beta=4.0,
                                               d_grid=[1, 2, 4])
     adiabatic_ok = all(c.ok for c in adiabatic["checks"].values())
 

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from entspec import (
     DegenerateError,
     GapClosedError,
+    agsp_arealaw,
     area_law_constants,
     boundary_adiabatic_experiment,
     build_agsp,
@@ -17,12 +18,10 @@ from entspec import (
     build_nearest_neighbor_chain,
     dynamics,
     ground_tail_experiment,
-    make_coupled_qudit_family,
     random_gapped_instance,
     se_lower_search,
 )
 from entspec.agsp_arealaw import (
-    BoundaryFamily,
     _filter_values,
     _legendre,
     agsp_checks,
@@ -169,8 +168,7 @@ def test_area_law_constants_survive_huge_exponents():
 
 
 def test_boundary_adiabatic_chain_holds_together():
-    family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
-    out = boundary_adiabatic_experiment(family, epsilon=0.1, beta=3.0, d_grid=[1, 2])
+    out = boundary_adiabatic_experiment(1.0, 0.3, epsilon=0.1, beta=3.0, d_grid=[1, 2])
     assert all(c.ok for c in out["checks"].values())
     assert out["agsp_defect_ground"] <= out["agsp_defect_bound"] + 1e-9
     # full rank reproduces the target state up to discretization error
@@ -178,38 +176,43 @@ def test_boundary_adiabatic_chain_holds_together():
 
 
 def test_boundary_adiabatic_rejects_closed_gap():
-    family = make_coupled_qudit_family(delta=1e-9, coupling=0.0)
     with pytest.raises((GapClosedError, DegenerateError)):
-        boundary_adiabatic_experiment(family, epsilon=0.1, beta=2.0, d_grid=[1])
+        boundary_adiabatic_experiment(1e-9, 0.0, epsilon=0.1, beta=2.0, d_grid=[1])
 
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+class _Captured(Exception):
+    pass
+
+
 @pytest.mark.parametrize("coupling", [0.3, -0.3, 0.0])
-def test_boundary_family_repeats_the_closure_ramp_bytes(coupling):
-    """H(nu), and the coupling (nu * coupling) * coupler that the c0 scan
-    differentiates, equal byte for byte the per-call formula the family
-    replaced, on the gap grid and the first refinement's midpoints."""
+def test_boundary_family_repeats_the_closure_ramp_bytes(monkeypatch, coupling):
+    """The H(nu) handed to the adiabatic ramp equals, byte for byte, the
+    per-call formula h_a (x) 1 + 1 (x) h_b + nu * coupling * X (x) X, on the
+    gap grid and the first refinement's midpoints."""
+    captured = []
+
+    def capture(h, epsilon):
+        captured.append(h)
+        raise _Captured
+
+    monkeypatch.setattr(agsp_arealaw, "adiabatic_evolve", capture)
+    with pytest.raises(_Captured):
+        boundary_adiabatic_experiment(1.0, coupling, epsilon=0.1, beta=3.0, d_grid=[1])
+    (h,) = captured
     h_loc = np.diag([0.0, 1.0]).astype(complex)
-    family = make_coupled_qudit_family(delta=1.0, coupling=coupling)
-    assert family.coupler.matrix.tobytes() == np.kron(X, X).tobytes()
-    ((j, a, b),) = family.coupler.decomposition
-    assert np.array(j).tobytes() == np.array(1.0 + 0j).tobytes()
-    assert a.tobytes() == X.tobytes() and b.tobytes() == X.tobytes()
     h0 = np.kron(h_loc, np.eye(2)) + np.kron(np.eye(2), h_loc)
     nus = list(np.linspace(0.0, 1.0, dynamics.GAP_GRID)) + [(i + 0.5) / 256 for i in range(256)]
     for nu in nus:
-        mat = nu * coupling * np.kron(X, X)
-        assert family.h_of_nu(nu).tobytes() == (h0 + mat).tobytes()
-        assert ((nu * coupling) * family.coupler.matrix).tobytes() == mat.tobytes()
+        assert h(nu).tobytes() == (h0 + nu * coupling * np.kron(X, X)).tobytes()
 
 
 @pytest.mark.parametrize("coupling", [0.3, -0.3, 0.7, 1e-3, -2.5])
 def test_boundary_strength_is_the_old_nu_scan(monkeypatch, coupling):
     """g_tilde = |coupling| * strength(coupler) equals, bit for bit, the
     65-point scan over nu that it replaced."""
-    family = make_coupled_qudit_family(delta=1.0, coupling=coupling)
     scan = 0.0
     for nu in np.linspace(0.0, 1.0, 65):
         # V(nu) = s X (x) X with its one-term decomposition, none at s = 0
@@ -218,23 +221,13 @@ def test_boundary_strength_is_the_old_nu_scan(monkeypatch, coupling):
             BipartiteOperator.from_terms((2,), (2,), ((s, X, X),))) if s != 0
             else _opnorm(s * np.kron(X, X)))
     monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
-    out = boundary_adiabatic_experiment(family, epsilon=0.5, beta=2.0, d_grid=[1])
+    out = boundary_adiabatic_experiment(1.0, coupling, epsilon=0.5, beta=2.0, d_grid=[1])
     assert out["g_tilde"] == scan
 
 
-def test_boundary_family_refuses_bad_couplers():
-    h_loc = np.diag([0.0, 1.0]).astype(complex)
-    xx = np.kron(X, X)
-    with pytest.raises(ValueError, match="unit operator norm"):
-        BoundaryFamily(h_loc, h_loc, BipartiteOperator.from_terms((2,), (2,), ((0.5, 2.0 * X, X),)),
-                       0.3)
-    with pytest.raises(ValueError, match="decomposition"):
-        BoundaryFamily(h_loc, h_loc, BipartiteOperator((2,), (2,), xx), 0.3)
-
-
 def test_boundary_adiabatic_operator_count_is_independent_of_steps(monkeypatch):
-    """The ramp builds no coupling operator per adiabatic step: the coupler
-    is built once, with the family."""
+    """The ramp builds no coupling operator per adiabatic step: X (x) X is
+    one matrix, built once."""
     built = []
     validate = BipartiteOperator.__post_init__
 
@@ -243,12 +236,11 @@ def test_boundary_adiabatic_operator_count_is_independent_of_steps(monkeypatch):
         validate(self)
 
     monkeypatch.setattr(BipartiteOperator, "__post_init__", counting)
-    family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
     counts, steps = [], []
     for max_steps in (dynamics.MAX_STEPS, 512):
         monkeypatch.setattr(dynamics, "MAX_STEPS", max_steps)
         built.clear()
-        out = boundary_adiabatic_experiment(family, epsilon=0.1, beta=3.0, d_grid=[1, 2])
+        out = boundary_adiabatic_experiment(1.0, 0.3, epsilon=0.1, beta=3.0, d_grid=[1, 2])
         counts.append(len(built))
         steps.append(out["steps"])
     assert steps[0] != steps[1]

@@ -9,6 +9,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import entspec.cli as cli
 from entspec import (
     SeEstimate, adiabatic_evolve, agsp_arealaw, build_nearest_neighbor_chain, dynamics, lowrank,
-    make_coupled_qudit_family, tdmrg_run,
+    tdmrg_run,
 )
 from entspec.lowrank import WidthResult
 from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
@@ -382,8 +383,11 @@ def test_corrupted_certificate_turns_its_margin_negative(tmp_path, monkeypatch):
 
 def test_area_law_fails_when_adiabatic_refinement_is_cut(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
-    family = make_coupled_qudit_family(delta=1.0, coupling=0.3)
-    assert not adiabatic_evolve(family.h_of_nu, 0.05).converged_check.ok
+    # the default ramp, delta 1 and coupling 0.3, stops short of ADIABATIC_TOL
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h0 = np.kron(np.diag([0.0, 1.0]), np.eye(2)) + np.kron(np.eye(2), np.diag([0.0, 1.0]))
+    xx = np.kron(x, x)
+    assert not adiabatic_evolve(lambda nu: h0 + (nu * 0.3) * xx, 0.05).converged_check.ok
     code, summary, _ = run_cli(tmp_path, {"experiment": "area-law"})
     assert code == 1
     assert summary["checks"]["adiabatic_converged"] is False
