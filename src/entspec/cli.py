@@ -516,7 +516,7 @@ def _tdmrg_work(p):
         g = _nearest_chain(p, min(n, 3)).g
     try:
         return setup + default_step_count(g, n, p["t"], p["eps_target"]) * per_step
-    except (OverflowError, ValueError):  # g*n*t or g*n*t/eps_target is inf, or g*n*t NaN
+    except TooLargeError:  # g*n*t or g*n*t/eps_target is inf, or g*n*t NaN
         return math.inf
 
 

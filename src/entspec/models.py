@@ -97,8 +97,8 @@ class ChainHamiltonian:
     """Sum of local terms on a line, with locality and decay metadata.
 
     decay is None, ("power", J0, eta) meaning every pair (i, j) carries total
-    coupling weight at most J0 |i-j|^(-eta), or ("finite", ell) meaning no
-    term spans more than ell sites.
+    coupling weight at most J0 |i-j|^(-eta), with eta > 2 (EtaTooSmallError
+    otherwise), or ("finite", ell) meaning no term spans more than ell sites.
     """
 
     n: int
@@ -137,6 +137,8 @@ class ChainHamiltonian:
         kind = self.decay[0]
         if kind == "power":
             _, j0, eta = self.decay
+            if eta <= 2:
+                raise EtaTooSmallError(f"eta = {eta} <= 2")
             pair = {}
             for t in self.terms:
                 for a in range(len(t.support)):
@@ -184,7 +186,7 @@ class ChainHamiltonian:
     def boundary_strength_cap(self):
         """Uniform cap on the cut-interaction strength, from decay metadata."""
         if self.decay is None:
-            raise EtaTooSmallError("chain carries no decay metadata")
+            raise ValueError("chain carries no decay metadata")
         if self.decay[0] == "power":
             from .se_strength import long_range_se_bound
 
@@ -216,8 +218,6 @@ def _clock_chain(n, d, pair_weights, hx, hz, decay):
 def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0):
     """Power-law coupled clock chain with transverse and longitudinal fields:
     weight j0 |i-j|^(-eta) on every pair."""
-    if eta <= 2:
-        raise EtaTooSmallError(f"eta = {eta} <= 2")
     pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(n) for j in range(i + 1, n)]
     # pair weights enter the decay metadata as norms
     return _clock_chain(n, d, pairs, hx, hz, ("power", abs(j0), eta))

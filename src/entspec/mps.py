@@ -28,11 +28,11 @@ class MatrixProductState:
         ts = tuple(np.asarray(t, dtype=complex) for t in self.tensors)
         if not ts:
             raise ValueError("empty tensor list")
+        if any(t.ndim != 3 for t in ts):
+            raise ValueError("site tensors must have 3 indices")
         if ts[0].shape[0] != 1 or ts[-1].shape[2] != 1:
             raise ValueError("boundary bond dims must be 1")
         for i, t in enumerate(ts):
-            if t.ndim != 3:
-                raise ValueError("site tensors must have 3 indices")
             if i + 1 < len(ts) and t.shape[2] != ts[i + 1].shape[0]:
                 raise ValueError(f"bond mismatch between sites {i} and {i + 1}")
         object.__setattr__(self, "tensors", ts)

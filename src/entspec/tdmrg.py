@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntermediateTooLargeError, StepTooCoarseError
+from .errors import IntermediateTooLargeError, StepTooCoarseError, TooLargeError
 from .dynamics import DensePropagator, evolve_dense
 from .lowrank import long_range_constants, merge_q0, rank_exponent_base
 from .models import ChainHamiltonian
@@ -37,11 +37,15 @@ BOND_MEMORY_CAP = 4096
 
 
 def default_step_count(g, n, t, eps_target=0.1):
-    """Smallest step count putting the coherent-error term near eps_target."""
+    """Smallest step count putting the coherent-error term near eps_target;
+    TooLargeError when that count is not a finite number."""
     gnt = g * n * t
     if gnt <= 0:
         return 1
-    return int(math.ceil(gnt * max(1.0, gnt / eps_target)))
+    steps = gnt * max(1.0, gnt / eps_target)
+    if not math.isfinite(steps):
+        raise TooLargeError(f"no finite step count for g*n*t = {gnt} at eps_target = {eps_target}")
+    return int(math.ceil(steps))
 
 
 @dataclass(frozen=True)

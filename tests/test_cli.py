@@ -115,6 +115,9 @@ BAD_VALUES = [
     {"experiment": "no-go", "params": {"n": 100000}},
     # 2.8e10 steps that never finished once the dense comparison was off
     {"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
+    # step counts past float range: g inf at j0 1e308, g*n*t/eps_target inf
+    {"experiment": "tdmrg", "params": {"j0": 1e308}},
+    {"experiment": "tdmrg", "params": {"eps_target": 1e-320}},
     # sizes that passed validation and then exited 1 on TooLarge: the dense
     # chain matrix has d**n rows
     {"experiment": "mps-exist", "params": {"n": 13}},

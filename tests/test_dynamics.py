@@ -25,6 +25,7 @@ from entspec import (
     random_dense_instance,
 )
 from entspec.dynamics import c_alpha_table, rate_bound_check, toy_rate_experiment
+from entspec.models import DENSE_DIM_CAP
 
 from helpers import random_hermitian, random_state
 
@@ -103,6 +104,9 @@ def test_evolve_dense_refuses_chains_above_dense_cap(rng):
     chain = build_nearest_neighbor_chain(13, d=2, j=1.0, hx=0.3)
     with pytest.raises(TooLargeError):
         evolve_dense(chain, random_state(rng, (2,) * 13), 0.1)
+    # a read-only zero view, refused before any dense copy is made
+    with pytest.raises(TooLargeError, match=f"dim {DENSE_DIM_CAP + 1} > cap"):
+        DensePropagator(np.broadcast_to(np.complex128(0), (DENSE_DIM_CAP + 1,) * 2))
 
 
 def test_rate_profile_matches_toy_closed_form():

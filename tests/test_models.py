@@ -10,6 +10,7 @@ from entspec import (
     BadAlphaError,
     ChainHamiltonian,
     Cut,
+    EtaTooSmallError,
     LocalTerm,
     TimeTooLongError,
     TooLargeError,
@@ -133,6 +134,21 @@ def test_chain_validation_errors():
         )
     with pytest.raises(TooLargeError):
         build_nearest_neighbor_chain(30, d=2, j=1.0).dense()
+    # a two-site term needs a 4 x 4 matrix on qubits
+    with pytest.raises(ValueError, match="does not match its support dims"):
+        ChainHamiltonian(n=2, dims=(2, 2), terms=(LocalTerm(support=(0, 1), matrix=Z),))
+    with pytest.raises(ValueError, match="diameter exceeds declared range"):
+        ChainHamiltonian(n=3, dims=(2, 2, 2), terms=strong, decay=("finite", 1))
+    with pytest.raises(ValueError, match="unknown decay kind 'gauss'"):
+        ChainHamiltonian(n=3, dims=(2, 2, 2), terms=strong, decay=("gauss", 1.0))
+    # the long-range constants divide by eta - 2
+    pair = (LocalTerm(support=(0, 1), matrix=np.kron(Z, Z)),)
+    for eta in (2.0, 1.5):
+        with pytest.raises(EtaTooSmallError, match=f"eta = {eta} <= 2"):
+            ChainHamiltonian(n=2, dims=(2, 2), terms=pair, decay=("power", 1.0, eta))
+    # the same error long_range_constants raises for a chain without metadata
+    with pytest.raises(ValueError, match="no decay metadata"):
+        ChainHamiltonian(n=2, dims=(2, 2), terms=pair).boundary_strength_cap()
 
 
 def test_long_range_ising_shape():
@@ -146,8 +162,6 @@ def test_long_range_ising_shape():
     flipped = build_long_range_ising(n, d=2, j0=-1.0, eta=3.0, hx=0.4, hz=0.2)
     assert flipped.decay == chain.decay
     assert np.array_equal(flipped.terms[0].matrix, -chain.terms[0].matrix)
-    from entspec import EtaTooSmallError
-
     with pytest.raises(EtaTooSmallError):
         build_long_range_ising(4, eta=1.5)
 
@@ -177,6 +191,8 @@ def test_saturation_protocol_entropy():
     assert dyn.rate_lower_bound(t) == pytest.approx(4.8, abs=1e-12)
     with pytest.raises(ValueError):
         dyn.average_rate(0.0)
+    with pytest.raises(ValueError, match="m_levels and n_pairs must be >= 1"):
+        build_saturation_dynamics(0, 1.0, 1)
 
 
 def test_saturation_rate_approaches_strength():

@@ -56,6 +56,14 @@ def test_mps_validation():
         MatrixProductState(tensors=(np.zeros((2, 2, 1)), good))
     with pytest.raises(ValueError):
         MatrixProductState(tensors=(np.zeros((1, 2, 3)), np.zeros((2, 2, 1))))
+    with pytest.raises(ValueError, match="3 indices"):
+        MatrixProductState((np.ones((1, 2)),))
+    # states of different lengths
+    two, three = product_mps(2, 2), product_mps(3, 2)
+    with pytest.raises(MismatchError):
+        add([two, three], [1.0, 1.0])
+    with pytest.raises(MismatchError):
+        mps_inner(two, three)
 
 
 def test_left_canonical_checks_every_site_but_the_last(rng):

@@ -108,6 +108,9 @@ def test_lower_never_exceeds_upper(rng):
     # the bracket is a reported check with 1e-9 of slack, not a constructor raise
     assert bracket_check([SeEstimate(lower=1.0 + 5e-10, upper=1.0, unconverged=0)]).margin > 0.0
     assert bracket_check([SeEstimate(lower=1.0 + 2e-9, upper=1.0, unconverged=0)]).margin < 0.0
+    # the bracket coincides when it is narrower than 1e-6
+    assert SeEstimate(lower=1.0, upper=1.0 + 0.9e-6, unconverged=0).coincides
+    assert not SeEstimate(lower=1.0, upper=1.0 + 1.1e-6, unconverged=0).coincides
 
 
 def test_search_saturates_product_coupling_sum():

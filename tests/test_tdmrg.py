@@ -43,6 +43,13 @@ def test_default_step_count():
     assert default_step_count(1.0, 4, 0.5, eps_target=1.0) == math.ceil(2.0 * 2.0)
 
 
+@pytest.mark.parametrize("g, eps_target", [
+    (math.inf, 0.1), (math.nan, 0.1), (1e308, 0.1), (1.0, 1e-320)])
+def test_default_step_count_past_float_range(g, eps_target):
+    with pytest.raises(TooLargeError, match=r"g\*n\*t = .* at eps_target = "):
+        default_step_count(g, 4, 1.0, eps_target)
+
+
 def test_config_validation():
     chain = build_nearest_neighbor_chain(4, d=2, j=1.0, hx=0.3)
     good = TdmrgConfig(chain=chain, t=0.5, n_steps=64, d_cap=8, initial=_plus_mps(4))
@@ -51,6 +58,8 @@ def test_config_validation():
         TdmrgConfig(chain=chain, t=0.5, n_steps=1, d_cap=8, initial=_plus_mps(4))
     with pytest.raises(ValueError):
         TdmrgConfig(chain=chain, t=0.5, n_steps=0, d_cap=8, initial=_plus_mps(4))
+    with pytest.raises(ValueError, match="d_cap must be >= 1"):
+        TdmrgConfig(chain=chain, t=0.5, n_steps=64, d_cap=0, initial=_plus_mps(4))
     with pytest.raises(ValueError):
         TdmrgConfig(chain=chain, t=0.5, n_steps=64, d_cap=8, initial=_plus_mps(5))
     bad = product_mps(4, d=2, local_vectors=[np.array([1.0, 1.0])] * 4)
