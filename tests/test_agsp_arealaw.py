@@ -211,8 +211,8 @@ def test_boundary_family_repeats_the_closure_ramp_bytes(monkeypatch, coupling):
 
 @pytest.mark.parametrize("coupling", [0.3, -0.3, 0.7, 1e-3, -2.5])
 def test_boundary_strength_is_the_old_nu_scan(monkeypatch, coupling):
-    """g_tilde = |coupling| * strength(coupler) equals, bit for bit, the
-    65-point scan over nu that it replaced."""
+    """g_tilde = |coupling|, X (x) X being one unit-norm product term,
+    equals, bit for bit, the 65-point scan over nu that it replaced."""
     scan = 0.0
     for nu in np.linspace(0.0, 1.0, 65):
         # V(nu) = s X (x) X with its one-term decomposition, none at s = 0

@@ -146,7 +146,7 @@ def test_chain_validation_errors():
     for eta in (2.0, 1.5):
         with pytest.raises(EtaTooSmallError, match=f"eta = {eta} <= 2"):
             ChainHamiltonian(n=2, dims=(2, 2), terms=pair, decay=("power", 1.0, eta))
-    # the same error long_range_constants raises for a chain without metadata
+    # a ValueError, as long_range_constants raises for the same chain
     with pytest.raises(ValueError, match="no decay metadata"):
         ChainHamiltonian(n=2, dims=(2, 2), terms=pair).boundary_strength_cap()
 
