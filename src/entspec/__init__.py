@@ -28,7 +28,6 @@ from .errors import (
     TimeTooLongError,
     TooLargeError,
     UnnormalizedError,
-    UnsupportedLocalityError,
     ZeroStateError,
     ZOutOfRangeError,
 )
@@ -90,7 +89,6 @@ from .se_strength import (
     BipartiteOperator,
     SeEstimate,
     best_upper,
-    long_range_se_bound,
     operator_schmidt_upper,
     se_lower_search,
     se_upper_from_decomposition,

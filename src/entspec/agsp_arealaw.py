@@ -176,7 +176,7 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
         order = np.argsort(w)
         gap = float(w[order[1]] - w[order[0]])
         ground = u[:, order[0]]
-    state = PureState(dims=chain.dims, amps=ground)
+    state = PureState(dims=(chain.d,) * chain.n, amps=ground)
     spec = schmidt_decompose(state, Cut.of(range(cut_pos), chain.n))
     j_tilde = chain.boundary_strength_cap()
     expo = gap / (2.0 * j_tilde + gap) if j_tilde > 0 else 1.0

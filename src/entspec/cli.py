@@ -279,14 +279,14 @@ def _tdmrg_from_params(p):
     """The certified evolution of a product start: the config and its run."""
     chain = _nearest_chain(p, p["n"])
     n_steps = default_step_count(chain.g, chain.n, p["t"], p["eps_target"])
-    mps0 = product_mps(chain.n, chain.dims[0])
+    mps0 = product_mps(chain.n, chain.d)
     cfg = TdmrgConfig(chain=chain, t=p["t"], n_steps=n_steps, d_cap=p["d_cap"], initial=mps0)
     return (cfg, *tdmrg_run(cfg))
 
 
 def _dense_errors(cfg, final):
     """Distances of the raw and of the normalized final MPS to the exact state."""
-    psi0 = PureState(dims=cfg.chain.dims, amps=to_dense(cfg.initial).amps)
+    psi0 = PureState(dims=(cfg.chain.d,) * cfg.chain.n, amps=to_dense(cfg.initial).amps)
     exact = evolve_dense(cfg.chain, psi0, cfg.t).amps
     approx = to_dense(final).amps
     return (float(np.linalg.norm(exact - approx)),
@@ -313,7 +313,7 @@ def exp_tdmrg(p, seed):
 def exp_mps_existence(p, seed):
     chain = _nearest_chain(p, p["n"])
     rng = _rng(seed)
-    state = random_product_state(chain.dims, rng)
+    state = random_product_state((chain.d,) * chain.n, rng)
     return state_mps_existence_check(chain, state, p["t"], p["d_grid"])
 
 
@@ -442,7 +442,9 @@ _RULES = [
     (None, ("chain",), lambda v: v in ("longrange", "nearest"), "\"longrange\" or \"nearest\""),
     (None, ("eta",), lambda v: v > 2, "> 2"),
     (("ground-tail", "tdmrg", "mps-exist", "gibbs-tail", "decomposition"), ("d",),
-     lambda v: v >= 2, ">= 2: a chain site holds at least two levels"),
+     lambda v: 2 <= v and v * v <= DENSE_DIM_CAP,
+     f"in 2..{math.isqrt(DENSE_DIM_CAP)}: a chain site holds at least two levels, and a "
+     f"two-site term is a dense d**2 x d**2 matrix, within the dense-matrix limit"),
     (("kolmogorov",), ("pairs",),
      lambda q: len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0] <= IDENTITY_FIT_DIM_CAP,
      f"[N, D] pairs with 1 <= D <= N <= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT}"),
@@ -476,6 +478,12 @@ _DIM_CAPS = {
     "tdmrg": (DENSE_DIM_CAP, "the dense-matrix limit of compare_dense (set it to false)"),
     "ground-tail": (SPARSE_DIM_CAP, "the sparse-eigensolver limit"),
 }
+
+
+# the most entries the n(n-1)/2 pair terms of a decomposition chain may hold,
+# d**4 each; at one OpenBLAS thread n 512 at d 2, the edge, ran in 5.3 s at a
+# 150 MB peak, and the edges at d 3, 8 and 32 ran faster and smaller
+_DECOMPOSITION_ENTRY_CAP = 2 ** 21
 
 
 # the most work a tdmrg run may take, by the estimate of _tdmrg_work; at one
@@ -615,6 +623,12 @@ def validate_config(cfg):
                                   f"steps * (terms + 1) * d * sum over bonds of "
                                   f"min(d_cap, d**k)**2, k sites to the nearer end, "
                                   f"<= {_TDMRG_WORK_CAP}, got {shown}")
+        if name == "decomposition":
+            entries = p["n"] * (p["n"] - 1) // 2 * p["d"] ** 4
+            if entries > _DECOMPOSITION_ENTRY_CAP:
+                raise ConfigError(f"params 'n' and 'd' of {name} must keep the n(n-1)/2 pair terms "
+                                  f"of d**4 entries each at <= {_DECOMPOSITION_ENTRY_CAP} entries, "
+                                  f"got {entries}")
         if name == "merge-series":
             if p["da"] * p["db"] > MERGE_DIM_CAP:
                 raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "

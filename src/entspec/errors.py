@@ -63,10 +63,6 @@ class MismatchError(EntspecError):
     pass
 
 
-class UnsupportedLocalityError(EntspecError):
-    pass
-
-
 class IntermediateTooLargeError(EntspecError):
     pass
 

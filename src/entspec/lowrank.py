@@ -239,14 +239,14 @@ def rank_exponent_base(kappa, d0):
 
 def long_range_constants(chain):
     """(kappa, c0, g_tilde, d0) of the geometric-in-bin decay of couplings
-    J0 r^-eta on terms of at most k sites; ValueError without that metadata."""
-    if chain.decay is None or chain.decay[0] != "power":
-        raise ValueError("chain must carry power-law decay metadata")
-    _, j0, eta = chain.decay
+    J0 r^-eta on terms of at most k sites; ValueError on a nearest-neighbour chain."""
+    if chain.power is None:
+        raise ValueError("chain has no power-law decay")
+    j0, eta = chain.power
     kappa = (eta - 2.0) / (chain.k + 1.0)
     c0 = (eta - 1.0) * 2.0 ** (eta - 2.0)
     g_tilde = 4.0 * j0 * (1.0 + 1.0 / (eta - 2.0))
-    return kappa, c0, g_tilde, int(max(chain.dims)) ** (2 * chain.k)
+    return kappa, c0, g_tilde, chain.d ** (2 * chain.k)
 
 
 def merge_z_window(z, q0):

@@ -1,4 +1,4 @@
-"""Model builders: local-term chains with decay metadata and the
+"""Model builders: one- and two-site chains with their decay and the
 closed-form families used to exercise the entropy-rate machinery
 (saturation protocol, flat-spectrum burst, toy two-qubit pump, projector
 interactions).
@@ -17,21 +17,21 @@ from .spectra import PureState, SchmidtSpectrum, check, renyi_entropy
 DENSE_DIM_CAP = 2 ** 12
 
 
-def _digit_offsets(sites, dims):
-    """Flat chain index of every joint value of the digits on `sites`
-    (sorted, first site most significant), with all other digits zero."""
+def _digit_offsets(sites, n, d):
+    """Flat index, in an n-site chain of dimension d, of every joint value of
+    the digits on `sites` (sorted, first site most significant), with all
+    other digits zero."""
     off = np.zeros(1, dtype=np.int64)
     for i in sites:
-        stride = int(np.prod(dims[i + 1:]))
-        off = (off[:, None] + stride * np.arange(dims[i])).ravel()
+        off = (off[:, None] + d ** (n - 1 - i) * np.arange(d)).ravel()
     return off
 
 
-def _term_entries(term, dims):
+def _term_entries(term, n, d):
     """(rows, cols, vals) of one term in the chain matrix: each nonzero of its
     matrix at its support digits, repeated over the other sites' digits."""
-    base = _digit_offsets(term.support, dims)
-    shift = _digit_offsets([i for i in range(len(dims)) if i not in term.support], dims)
+    base = _digit_offsets(term.support, n, d)
+    shift = _digit_offsets([i for i in range(n) if i not in term.support], n, d)
     r, c = np.nonzero(term.matrix)
     rows = (base[r][:, None] + shift).ravel()
     cols = (base[c][:, None] + shift).ravel()
@@ -70,7 +70,7 @@ def _block_sum(h_a, h_b):
 
 @dataclass(frozen=True)
 class LocalTerm:
-    """Hermitian term acting on a tuple of sites (matrix on their composite space)."""
+    """Hermitian term on one site or a pair of sites (matrix on their composite space)."""
 
     support: tuple
     matrix: np.ndarray
@@ -80,6 +80,8 @@ class LocalTerm:
         support = tuple(sorted(int(i) for i in self.support))
         if len(set(support)) != len(support):
             raise ValueError("repeated site in support")
+        if len(support) > 2:
+            raise ValueError(f"support {support} has more than two sites")
         m = np.asarray(self.matrix, dtype=complex)
         if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("term is not Hermitian")
@@ -92,74 +94,57 @@ class LocalTerm:
         return self.support[-1] - self.support[0]
 
 
+def _checked_eta(eta):
+    """EtaTooSmallError unless eta > 2, which a NaN eta is not."""
+    if not eta > 2:
+        raise EtaTooSmallError(f"eta = {eta}, not > 2")
+
+
 @dataclass(frozen=True)
 class ChainHamiltonian:
-    """Sum of local terms on a line, with locality and decay metadata.
+    """Sum of one- and two-site terms on a line of n sites of dimension d.
 
-    decay is None, ("power", J0, eta) meaning every pair (i, j) carries total
-    coupling weight at most J0 |i-j|^(-eta), with eta > 2 (EtaTooSmallError
-    otherwise), or ("finite", ell) meaning no term spans more than ell sites.
+    power is (J0, eta), meaning every pair (i, j) carries total coupling
+    weight at most J0 |i-j|^(-eta), with eta > 2 (EtaTooSmallError
+    otherwise), or None for a nearest-neighbour chain, whose two-site terms
+    join adjacent sites.
     """
 
     n: int
-    dims: tuple
+    d: int
     terms: tuple
-    decay: Optional[tuple] = None
+    power: Optional[tuple] = None
     k: int = field(init=False)
     g: float = field(init=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) != self.n:
-            raise ValueError("dims length must equal n")
         terms = tuple(self.terms)
+        per_site = np.zeros(self.n)
+        pair = {}
         for t in terms:
             if t.support[-1] >= self.n:
                 raise ValueError("term support outside chain")
-            d_sup = int(np.prod([dims[i] for i in t.support]))
-            if t.matrix.shape != (d_sup, d_sup):
+            if t.matrix.shape != (self.d ** len(t.support),) * 2:
                 raise ValueError("term matrix does not match its support dims")
-        k = max((len(t.support) for t in terms), default=1)
-        per_site = np.zeros(self.n)
-        for t in terms:
-            for i in t.support:
-                per_site[i] += t.norm
-        g = float(per_site.max()) if self.n else 0.0
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "g", g)
-        self._check_decay()
-
-    def _check_decay(self):
-        if self.decay is None:
-            return
-        kind = self.decay[0]
-        if kind == "power":
-            _, j0, eta = self.decay
-            if eta <= 2:
-                raise EtaTooSmallError(f"eta = {eta} <= 2")
-            pair = {}
-            for t in self.terms:
-                for a in range(len(t.support)):
-                    for b in range(a + 1, len(t.support)):
-                        key = (t.support[a], t.support[b])
-                        pair[key] = pair.get(key, 0.0) + t.norm
+            if self.power is None and t.diameter > 1:
+                raise ValueError(f"term on {t.support} in a nearest-neighbour chain")
+            per_site[list(t.support)] += t.norm
+            if len(t.support) == 2:
+                pair[t.support] = pair.get(t.support, 0.0) + t.norm
+        if self.power is not None:
+            j0, eta = self.power
+            _checked_eta(eta)
             for (i, j), w in pair.items():
-                cap = j0 * abs(j - i) ** (-eta)
+                cap = j0 * (j - i) ** (-eta)
                 if w > cap * (1 + 1e-9):
                     raise ValueError(f"pair ({i},{j}) weight {w} exceeds decay cap {cap}")
-        elif kind == "finite":
-            _, ell = self.decay
-            for t in self.terms:
-                if t.diameter > ell:
-                    raise ValueError("term diameter exceeds declared range")
-        else:
-            raise ValueError(f"unknown decay kind {kind!r}")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "k", max((len(t.support) for t in terms), default=1))
+        object.__setattr__(self, "g", float(per_site.max()) if self.n else 0.0)
 
     @property
     def total_dim(self):
-        return int(np.prod(self.dims))
+        return self.d ** self.n
 
     def dense(self):
         """The chain matrix, summed in term order; TooLargeError above DENSE_DIM_CAP."""
@@ -168,7 +153,7 @@ class ChainHamiltonian:
             raise TooLargeError(f"total dim {d} > cap {DENSE_DIM_CAP}")
         h = np.zeros((d, d), dtype=complex)
         for t in self.terms:
-            rows, cols, vals = _term_entries(t, self.dims)
+            rows, cols, vals = _term_entries(t, self.n, self.d)
             h[rows, cols] += vals  # one term repeats no (row, col), so each adds once
         return h
 
@@ -179,18 +164,16 @@ class ChainHamiltonian:
         d = self.total_dim
         h = sparse.csr_matrix((d, d), dtype=complex)
         for t in self.terms:
-            rows, cols, vals = _term_entries(t, self.dims)
+            rows, cols, vals = _term_entries(t, self.n, self.d)
             h = h + sparse.csr_matrix((vals, (rows, cols)), shape=(d, d))
         return h
 
     def boundary_strength_cap(self):
-        """Uniform cap on the cut-interaction strength, from decay metadata."""
-        if self.decay is None:
-            raise ValueError("chain carries no decay metadata")
-        if self.decay[0] == "power":
-            from .se_strength import long_range_se_bound
-
-            return long_range_se_bound(self.decay[1], self.decay[2])
+        """Uniform cap on the cut-interaction strength: eta J0/(eta - 2) for a
+        power decay, else the largest sum of term norms across one bond."""
+        if self.power is not None:
+            j0, eta = self.power
+            return float(eta * j0 / (eta - 2.0))
         cut_sums = [
             sum(t.norm for t in self.terms if t.support[0] < s <= t.support[-1])
             for s in range(1, self.n)
@@ -198,11 +181,11 @@ class ChainHamiltonian:
         return float(max(cut_sums, default=0.0))
 
 
-def _clock_chain(n, d, pair_weights, hx, hz, decay):
+def _clock_chain(n, d, pair_weights, hx, hz, power):
     """Clock chain: coupling w (Z_i Z_j^dag + h.c.)/2 for each ((i, j), w) in
     pair_weights, plus the field hx (X + X^dag)/2 + hz (Z + Z^dag)/2 on every
     site, from the clock and shift pair (Pauli Z, X at d = 2). Every local
-    matrix has unit operator norm, so decay metadata from the weights is tight.
+    matrix has unit operator norm, so a power read from the weights is tight.
     """
     omega = np.exp(2j * np.pi / d)
     z = np.diag(omega ** np.arange(d))
@@ -212,21 +195,23 @@ def _clock_chain(n, d, pair_weights, hx, hz, decay):
     if hx or hz:
         fld = hx * ((x + x.conj().T) / 2) + hz * ((z + z.conj().T) / 2)
         terms += [LocalTerm((i,), fld) for i in range(n)]
-    return ChainHamiltonian(n=n, dims=(d,) * n, terms=tuple(terms), decay=decay)
+    return ChainHamiltonian(n=n, d=d, terms=tuple(terms), power=power)
 
 
 def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0):
     """Power-law coupled clock chain with transverse and longitudinal fields:
-    weight j0 |i-j|^(-eta) on every pair."""
+    weight j0 |i-j|^(-eta) on every pair; EtaTooSmallError unless eta > 2,
+    before any weight is formed."""
+    _checked_eta(eta)
     pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(n) for j in range(i + 1, n)]
-    # pair weights enter the decay metadata as norms
-    return _clock_chain(n, d, pairs, hx, hz, ("power", abs(j0), eta))
+    # pair weights enter power as norms, hence |j0|
+    return _clock_chain(n, d, pairs, hx, hz, (abs(j0), eta))
 
 
 def build_nearest_neighbor_chain(n, d, j, hx=0.0, hz=0.0):
-    """Finite-range counterpart of the clock chain (range-1 couplings only)."""
+    """Nearest-neighbour counterpart of the clock chain."""
     pairs = [((i, i + 1), j) for i in range(n - 1)]
-    return _clock_chain(n, d, pairs, hx, hz, ("finite", 1))
+    return _clock_chain(n, d, pairs, hx, hz, None)
 
 
 @dataclass(frozen=True)

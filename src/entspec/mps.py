@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchError, TooLargeError, UnsupportedLocalityError
+from .errors import MismatchError, TooLargeError
 from .se_strength import _operator_schmidt
 from .spectra import PureState
 
@@ -185,8 +185,6 @@ def _term_factors(term, n, d):
     """Check that a local term fits an n-site chain of dimension d and split
     it for `_apply_factors`: the matrix itself on one site, or the pairs
     (sqrt(s) E, sqrt(s) F) of its operator-Schmidt split on two."""
-    if len(term.support) > 2:
-        raise UnsupportedLocalityError(f"support size {len(term.support)} > 2")
     if term.support[-1] >= n:
         raise MismatchError("term support outside the chain")
     if len(term.support) == 1:

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EtaTooSmallError, NoDecompositionError
+from .errors import NoDecompositionError
 from .spectra import check
 
 CONVERGENCE_TOL = 1e-8
@@ -241,10 +241,3 @@ def se_lower_search(op, seeds, iterations, seed=0):
         extra.append((xb, yb))
     (obj, _, _), missed = _search(phi4, aa, bb, seeds, iterations, seed, extra)
     return SeEstimate(lower=max(obj, 0.0), upper=best_upper(op), unconverged=unconverged + missed)
-
-
-def long_range_se_bound(j0, eta):
-    """Uniform cut-strength cap eta*J0/(eta-2) for r^(-eta) couplings."""
-    if eta <= 2:
-        raise EtaTooSmallError(f"eta = {eta} <= 2")
-    return float(eta * j0 / (eta - 2.0))

@@ -38,7 +38,10 @@ BOND_MEMORY_CAP = 4096
 
 def default_step_count(g, n, t, eps_target=0.1):
     """Smallest step count putting the coherent-error term near eps_target;
-    TooLargeError when that count is not a finite number."""
+    ValueError unless eps_target > 0, TooLargeError when that count is not a
+    finite number."""
+    if not eps_target > 0:
+        raise ValueError(f"eps_target = {eps_target}, not > 0")
     gnt = g * n * t
     if gnt <= 0:
         return 1
@@ -259,7 +262,7 @@ def gibbs_tail_experiment(chain, betas, d_grid):
     theoretical decay; TooLargeError from chain.dense() above DENSE_DIM_CAP.
     Paper: the polynomial bond-dimension approximation of thermal states."""
     kappa, c0, g_tilde, d0 = long_range_constants(chain)
-    n, d = chain.n, chain.dims[0]
+    n, d = chain.n, chain.d
     prop = DensePropagator(chain.dense())
     q0 = merge_q0(2.0 * chain.g * chain.k, c0, g_tilde)
     rows = []

@@ -467,14 +467,38 @@ def test_tdmrg_work_cap_edge():
     validate_config({"experiment": "tdmrg", "params": {"compare_dense": False, "n": 16}})
     validate_config({"experiment": "tdmrg", "params": {**base, "n": 64, "t": 0.0158}})
     # one step, or the chain alone, already passes the cap, so no chain is
-    # built for the refusal: at d 50000 its coupling would be 50000**2 square
+    # built for the refusal: at d 64 its coupling would be 4096 square
     started = time.perf_counter()
     with pytest.raises(ConfigError, match="got 1.02e"):
         validate_config({"experiment": "tdmrg", "params": {**base, "n": 100000}})
-    with pytest.raises(ConfigError, match="got 3.05e"):
+    with pytest.raises(ConfigError, match="got 2.68e"):
         validate_config({"experiment": "tdmrg", "params": {
-            **base, "n": 1, "d": 50000, "hx": 0.0, "hz": 0.0}})
+            **base, "n": 2, "d": 64, "hx": 0.0, "hz": 0.0}})
     assert time.perf_counter() - started < 1.0
+
+
+def test_chain_size_rules_refuse_before_any_chain_is_built():
+    # a two-site term is a dense d**2 x d**2 matrix: at d 256 the ground-tail
+    # coupling alone is 65536 square (64 GiB), though d**n meets the sparse cap
+    with pytest.raises(ConfigError, match=r"param 'd' of ground-tail must be in 2\.\.64"):
+        validate_config({"experiment": "ground-tail", "params": {"n": 2, "d": 256, "cut": 1}})
+    validate_config({"experiment": "ground-tail", "params": {"n": 2, "d": 64, "cut": 1}})
+    for name in ("tdmrg", "mps-exist", "gibbs-tail", "decomposition"):
+        with pytest.raises(ConfigError, match=f"param 'd' of {name} must be in 2\\.\\.64"):
+            validate_config({"experiment": name, "params": {"n": 2, "d": 65}})
+    # decomposition holds n(n-1)/2 pair terms of d**4 entries each; n 512 at
+    # d 2 is the edge
+    with pytest.raises(ConfigError, match=r"param 'd' of decomposition"):
+        validate_config({"experiment": "decomposition", "params": {"n": 100000, "d": 300}})
+    with pytest.raises(ConfigError, match="<= 2097152 entries, got 79999200000"):
+        validate_config({"experiment": "decomposition", "params": {"n": 100000}})
+    validate_config({"experiment": "decomposition", "params": {"n": 512}})
+    with pytest.raises(ConfigError, match="<= 2097152 entries, got 2101248"):
+        validate_config({"experiment": "decomposition", "params": {"n": 513}})
+    # at d 32 one pair term holds 2**20 entries, so two sites fit and three do not
+    validate_config({"experiment": "decomposition", "params": {"n": 2, "d": 32, "cut": 1}})
+    with pytest.raises(ConfigError, match="<= 2097152 entries, got 3145728"):
+        validate_config({"experiment": "decomposition", "params": {"n": 3, "d": 32, "cut": 1}})
 
 
 def test_broken_bracket_and_width_fail_their_checks_with_artifacts(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import entspec.errors as errors
 TAGS = [
     "ZeroState", "BadCut", "Unnormalized", "BadAlpha", "NoDecomposition", "EtaTooSmall",
     "TimeTooLong", "BelowThreshold", "TooLarge", "GapClosed", "Degenerate", "ZOutOfRange",
-    "Mismatch", "UnsupportedLocality", "IntermediateTooLarge", "StepTooCoarse",
+    "Mismatch", "IntermediateTooLarge", "StepTooCoarse",
     "CheckFailed",
 ]
 

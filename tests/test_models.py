@@ -28,6 +28,7 @@ from entspec import (
     schmidt_decompose,
 )
 from entspec.dynamics import unbounded_experiment
+from entspec.lowrank import long_range_constants
 from entspec.models import _random_coupling, _random_unit_hermitian
 
 from helpers import random_hermitian
@@ -53,9 +54,12 @@ def test_chain_metadata_and_dense():
         LocalTerm(support=(1, 2), matrix=0.5 * np.kron(Z, Z)),
         LocalTerm(support=(1,), matrix=0.3 * X),
     )
-    chain = ChainHamiltonian(n=3, dims=(2, 2, 2), terms=terms)
+    chain = ChainHamiltonian(n=3, d=2, terms=terms)
     assert chain.k == 2
     assert chain.g == pytest.approx(1.3)  # site 1 touches all three terms
+    assert chain.total_dim == 8
+    # a nearest-neighbour chain's cap is its largest sum of norms across a bond
+    assert chain.boundary_strength_cap() == pytest.approx(0.5)
     h = chain.dense()
     assert np.allclose(h, h.conj().T)
     assert np.array_equal(chain.sparse().toarray(), h)
@@ -68,24 +72,17 @@ def test_chain_metadata_and_dense():
 
 
 def _exact_test_chains():
-    """Non-adjacent and three-site supports, complex terms, clock sites
-    (d = 3) and mixed site dimensions."""
+    """Non-adjacent complex terms under a loose power decay, and clock sites
+    (d = 3)."""
     rng = np.random.default_rng(5)
-    scattered = ChainHamiltonian(n=4, dims=(2, 2, 2, 2), terms=(
+    scattered = ChainHamiltonian(n=4, d=2, terms=(
         LocalTerm(support=(0, 2), matrix=random_hermitian(rng, 4)),
         LocalTerm(support=(1, 3), matrix=random_hermitian(rng, 4)),
         LocalTerm(support=(0, 3), matrix=0.5 * np.kron(Z, X)),
-        LocalTerm(support=(0, 2, 3), matrix=random_hermitian(rng, 8)),
         LocalTerm(support=(1,), matrix=0.3 * X),
-    ))
-    mixed = ChainHamiltonian(n=3, dims=(2, 3, 2), terms=(
-        LocalTerm(support=(0, 2), matrix=random_hermitian(rng, 4)),
-        LocalTerm(support=(1,), matrix=random_hermitian(rng, 3)),
-        LocalTerm(support=(0, 1), matrix=random_hermitian(rng, 6)),
-    ))
+    ), power=(100.0, 3.0))
     return (
         scattered,
-        mixed,
         build_long_range_ising(6, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2),
         build_long_range_ising(4, d=3, j0=1.0, eta=3.0, hx=0.3, hz=0.1),
         build_nearest_neighbor_chain(5, d=3, j=0.7, hx=0.2),
@@ -95,15 +92,14 @@ def _exact_test_chains():
 def _kron_reference(chain):
     """Each term as matrix (x) identity on the other sites, its axes moved
     back into site order, summed in term order."""
-    n, dims, d = chain.n, chain.dims, chain.total_dim
-    h = np.zeros((d, d), dtype=complex)
+    n, d, dim = chain.n, chain.d, chain.total_dim
+    h = np.zeros((dim, dim), dtype=complex)
     for t in chain.terms:
         rest = [i for i in range(n) if i not in t.support]
         order = list(t.support) + rest
-        big = np.kron(t.matrix, np.eye(math.prod(dims[i] for i in rest)))
+        big = np.kron(t.matrix, np.eye(d ** len(rest)))
         perm = list(np.argsort(order))
-        axes = [dims[i] for i in order] * 2
-        h += big.reshape(axes).transpose(perm + [n + p for p in perm]).reshape(d, d)
+        h += big.reshape([d] * (2 * n)).transpose(perm + [n + p for p in perm]).reshape(dim, dim)
     return h
 
 
@@ -122,33 +118,38 @@ def test_dense_equals_kron_reference_bytes():
 
 def test_chain_validation_errors():
     bad = (LocalTerm(support=(0, 3), matrix=np.kron(Z, Z)),)
-    with pytest.raises(ValueError):
-        ChainHamiltonian(n=3, dims=(2, 2, 2), terms=bad)
-    with pytest.raises(ValueError):
-        ChainHamiltonian(n=2, dims=(2,), terms=())
+    with pytest.raises(ValueError, match="outside chain"):
+        ChainHamiltonian(n=3, d=2, terms=bad, power=(1.0, 3.0))
     # declared power decay must actually hold
     strong = (LocalTerm(support=(0, 2), matrix=np.kron(Z, Z)),)
-    with pytest.raises(ValueError):
-        ChainHamiltonian(
-            n=3, dims=(2, 2, 2), terms=strong, decay=("power", 1.0, 3.0)
-        )
+    with pytest.raises(ValueError, match="exceeds decay cap"):
+        ChainHamiltonian(n=3, d=2, terms=strong, power=(1.0, 3.0))
     with pytest.raises(TooLargeError):
         build_nearest_neighbor_chain(30, d=2, j=1.0).dense()
     # a two-site term needs a 4 x 4 matrix on qubits
     with pytest.raises(ValueError, match="does not match its support dims"):
-        ChainHamiltonian(n=2, dims=(2, 2), terms=(LocalTerm(support=(0, 1), matrix=Z),))
-    with pytest.raises(ValueError, match="diameter exceeds declared range"):
-        ChainHamiltonian(n=3, dims=(2, 2, 2), terms=strong, decay=("finite", 1))
-    with pytest.raises(ValueError, match="unknown decay kind 'gauss'"):
-        ChainHamiltonian(n=3, dims=(2, 2, 2), terms=strong, decay=("gauss", 1.0))
+        ChainHamiltonian(n=2, d=2, terms=(LocalTerm(support=(0, 1), matrix=Z),))
+    # a chain with no power joins adjacent sites only
+    with pytest.raises(ValueError, match=r"term on \(0, 2\) in a nearest-neighbour chain"):
+        ChainHamiltonian(n=3, d=2, terms=strong)
     # the long-range constants divide by eta - 2
     pair = (LocalTerm(support=(0, 1), matrix=np.kron(Z, Z)),)
     for eta in (2.0, 1.5):
-        with pytest.raises(EtaTooSmallError, match=f"eta = {eta} <= 2"):
-            ChainHamiltonian(n=2, dims=(2, 2), terms=pair, decay=("power", 1.0, eta))
-    # a ValueError, as long_range_constants raises for the same chain
-    with pytest.raises(ValueError, match="no decay metadata"):
-        ChainHamiltonian(n=2, dims=(2, 2), terms=pair).boundary_strength_cap()
+        with pytest.raises(EtaTooSmallError, match=f"eta = {eta}, not > 2"):
+            ChainHamiltonian(n=2, d=2, terms=pair, power=(1.0, eta))
+    # a nearest-neighbour chain has no power for the long-range constants
+    with pytest.raises(ValueError, match="no power-law decay"):
+        long_range_constants(ChainHamiltonian(n=2, d=2, terms=pair))
+
+
+def test_nan_eta_raises_eta_too_small():
+    # eta <= 2 is false for NaN: the chain took it with a NaN cap, and the
+    # builder ended in LinAlgError on the norm of a NaN term
+    pair = (LocalTerm(support=(0, 1), matrix=np.kron(Z, Z)),)
+    with pytest.raises(EtaTooSmallError, match="eta = nan, not > 2"):
+        ChainHamiltonian(n=2, d=2, terms=pair, power=(1.0, math.nan))
+    with pytest.raises(EtaTooSmallError, match="eta = nan, not > 2"):
+        build_long_range_ising(4, eta=math.nan)
 
 
 def test_long_range_ising_shape():
@@ -156,11 +157,11 @@ def test_long_range_ising_shape():
     chain = build_long_range_ising(n, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2)
     pair_terms = [t for t in chain.terms if len(t.support) == 2]
     assert len(pair_terms) == n * (n - 1) // 2
-    assert chain.decay == ("power", 1.0, 3.0)
+    assert chain.power == (1.0, 3.0)
     assert chain.boundary_strength_cap() == pytest.approx(3.0, abs=1e-12)
-    # a negative coupling keeps the pair norms, so the decay cap reads |j0|
+    # a negative coupling keeps the pair norms, so the power reads |j0|
     flipped = build_long_range_ising(n, d=2, j0=-1.0, eta=3.0, hx=0.4, hz=0.2)
-    assert flipped.decay == chain.decay
+    assert flipped.power == chain.power
     assert np.array_equal(flipped.terms[0].matrix, -chain.terms[0].matrix)
     with pytest.raises(EtaTooSmallError):
         build_long_range_ising(4, eta=1.5)

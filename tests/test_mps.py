@@ -15,7 +15,6 @@ from entspec import (
     MismatchError,
     PureState,
     TooLargeError,
-    UnsupportedLocalityError,
     add,
     apply_local_term,
     compress,
@@ -249,10 +248,9 @@ def test_apply_local_term_matches_dense(rng):
 def test_apply_local_term_validation(rng):
     state = random_state(rng, (2,) * 4)
     mps, _ = from_dense(state, d_max=state.amps.size)
-    with pytest.raises(UnsupportedLocalityError):
-        apply_local_term(
-            mps, LocalTerm(support=(0, 1, 2), matrix=np.eye(8))
-        )
+    # a term has one or two sites, so no three-site term reaches the state
+    with pytest.raises(ValueError, match="more than two sites"):
+        LocalTerm(support=(0, 1, 2), matrix=np.eye(8))
     with pytest.raises(MismatchError):
         apply_local_term(mps, LocalTerm(support=(5,), matrix=X))
 

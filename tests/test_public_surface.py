@@ -53,6 +53,7 @@ SHARED = {
         "PureState": "spectra.schmidt_decompose checks the cut against it",
     },
     "d": {
+        "ChainHamiltonian": "ChainHamiltonian.dense strides by it and cli._tdmrg_from_params sizes the MPS",
         "MatrixProductState": "mps.to_dense, mps.add and tdmrg_run read the site dimension",
         "WidthResult": "cli.exp_kolmogorov writes it to results.csv",
     },

@@ -12,9 +12,9 @@ from entspec import (
     SeEstimate,
     ToyTwoQubit,
     build_ising_projector_interaction,
+    build_long_range_ising,
     build_saturation_dynamics,
     build_swap_interaction,
-    long_range_se_bound,
     operator_schmidt_upper,
     se_lower_search,
     se_upper_from_decomposition,
@@ -165,7 +165,10 @@ def test_search_counts_unconverged_starts():
 
 
 def test_long_range_strength_cap():
-    assert long_range_se_bound(1.0, 3.0) == pytest.approx(3.0, abs=1e-12)
-    assert long_range_se_bound(0.5, 4.0) == pytest.approx(1.0, abs=1e-12)
+    # eta J0 / (eta - 2), read from the chain's power
+    assert build_long_range_ising(4, j0=1.0, eta=3.0).boundary_strength_cap() == pytest.approx(
+        3.0, abs=1e-12)
+    assert build_long_range_ising(4, j0=0.5, eta=4.0).boundary_strength_cap() == pytest.approx(
+        1.0, abs=1e-12)
     with pytest.raises(EtaTooSmallError):
-        long_range_se_bound(1.0, 2.0)
+        build_long_range_ising(4, j0=1.0, eta=2.0)

@@ -13,7 +13,6 @@ from entspec import (
     StepTooCoarseError,
     TdmrgConfig,
     TooLargeError,
-    UnsupportedLocalityError,
     basis_product_state,
     build_long_range_ising,
     build_nearest_neighbor_chain,
@@ -41,6 +40,13 @@ def test_default_step_count():
     assert default_step_count(0.0, 4, 1.0) == 1
     assert default_step_count(1.0, 4, 0.5) == math.ceil(2.0 * (2.0 / 0.1))
     assert default_step_count(1.0, 4, 0.5, eps_target=1.0) == math.ceil(2.0 * 2.0)
+
+
+@pytest.mark.parametrize("eps_target", [0.0, -0.1, math.nan])
+def test_default_step_count_needs_a_positive_eps_target(eps_target):
+    # 0 divided by zero, and a NaN gave g*n*t steps, as max(1.0, nan) is 1.0
+    with pytest.raises(ValueError, match="eps_target = .*, not > 0"):
+        default_step_count(1.0, 4, 1.0, eps_target)
 
 
 @pytest.mark.parametrize("g, eps_target", [
@@ -94,7 +100,7 @@ def test_run_is_deterministic():
 
 
 def test_run_with_no_terms_is_identity():
-    chain = ChainHamiltonian(n=3, dims=(2, 2, 2), terms=())
+    chain = ChainHamiltonian(n=3, d=2, terms=())
     cfg = TdmrgConfig(chain=chain, t=1.0, n_steps=4, d_cap=2, initial=_plus_mps(3))
     out, cert = tdmrg_run(cfg)
     assert cert.final_bound == 0.0
@@ -102,12 +108,10 @@ def test_run_with_no_terms_is_identity():
 
 
 def test_run_rejects_three_site_terms():
+    # a chain holds one- and two-site terms only, so none reaches a run
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    term = LocalTerm(support=(0, 1, 2), matrix=0.1 * np.kron(np.kron(x, x), x))
-    chain = ChainHamiltonian(n=4, dims=(2,) * 4, terms=(term,), decay=("finite", 3))
-    cfg = TdmrgConfig(chain=chain, t=0.1, n_steps=4, d_cap=2, initial=_plus_mps(4))
-    with pytest.raises(UnsupportedLocalityError):
-        tdmrg_run(cfg)
+    with pytest.raises(ValueError, match="more than two sites"):
+        LocalTerm(support=(0, 1, 2), matrix=0.1 * np.kron(np.kron(x, x), x))
 
 
 def test_staged_compression_cap(monkeypatch):
