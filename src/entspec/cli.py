@@ -12,6 +12,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -267,8 +268,9 @@ def exp_truncation_params(p, seed):
 
 
 def exp_decomposition(p, seed):
-    # a one-site field term crosses no cut, so the chain takes no field
-    chain = build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p["eta"])
+    # the check reads only the terms across the cut, and a one-site field
+    # term crosses none, so the chain holds only the crossing pairs
+    chain = build_long_range_ising(n=p["n"], d=p["d"], j0=p["j0"], eta=p["eta"], cut=p["cut"])
     rep = long_range_decomposition_check(chain, p["cut"])
     row = {"kappa": rep.kappa, "c0": rep.c0, "g_tilde": rep.g_tilde, "d0": rep.d0,
            "n_terms": len(rep.v_norms), "worst_margin": rep.tails_check.margin}
@@ -321,97 +323,6 @@ def exp_gibbs_tail(p, seed):
     return gibbs_tail_experiment(_long_range_chain(p), p["betas"], p["d_grid"])
 
 
-REGISTRY = {
-    "sie-rate": (
-        exp_rate_profile,
-        {
-            "instances": 2,
-            "dim_cap": 36,
-            "terms": 3,
-            "times": [0.3, 0.7],
-            "alphas": [0.5, 1.0, 2.0],
-        },
-    ),
-    "c-alpha-table": (
-        exp_c_alpha_table,
-        {"alphas": [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, "inf"]},
-    ),
-    "saturate": (
-        exp_saturation,
-        {"m_levels": 4, "j": 1.0, "n_pairs": 10, "times": [0.25, 0.5, 1.0]},
-    ),
-    "unbounded": (
-        exp_unbounded,
-        {"d0": 16, "j": 1.0, "t": 1.0, "alphas": [0.25, 0.4, 0.5, 1.0]},
-    ),
-    "toy": (
-        exp_toy_rate,
-        {"times": [0.2, 0.5, 0.9, 1.2], "alphas": [0.3, 0.5, 0.75, 1.0, 2.0, "inf"]},
-    ),
-    "se-search": (
-        exp_se_search,
-        {"instances": 4, "dim_cap": 64, "terms": 3, "seeds": 8, "iterations": 300},
-    ),
-    "agsp": (exp_agsp, {"instances": 3, "betas": [1.0, 4.0]}),
-    "ground-tail": (
-        exp_ground_tail,
-        {"chain": "longrange", "n": 8, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.6,
-         "hz": 0.2, "cut": 4, "d_grid": [1, 2, 4, 8, 16]},
-    ),
-    "area-law": (
-        exp_area_law,
-        {"delta": 1.0, "coupling": 0.3, "epsilon": 0.05, "beta": 4.0, "d_grid": [1, 2, 4]},
-    ),
-    "tdmrg": (
-        exp_tdmrg,
-        {
-            "n": 8, "d": 2, "j0": 1.0, "hx": 0.4, "hz": 0.3,
-            "t": 0.3, "eps_target": 0.2, "d_cap": 16, "compare_dense": True,
-        },
-    ),
-    "mps-exist": (
-        exp_mps_existence,
-        {"n": 8, "d": 2, "j0": 1.0, "hx": 0.5, "hz": 0.0, "t": 0.4, "d_grid": [2, 4, 8, 16]},
-    ),
-    "gibbs-tail": (
-        exp_gibbs_tail,
-        {"n": 4, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.5, "hz": 0.0,
-         "betas": [0.0, 1.0, 2.0], "d_grid": [1, 2, 4, 8]},
-    ),
-    "kolmogorov": (
-        exp_kolmogorov,
-        {"pairs": [[8, 1], [16, 1], [16, 4]], "seeds": 8, "polish": 200},
-    ),
-    "no-go": (
-        exp_no_go,
-        {"n": 16, "d": 1, "times": [0.2, 0.3, 0.4], "seeds": 6, "polish": 300},
-    ),
-    "merge-series": (
-        exp_merge,
-        {
-            "da": 4, "db": 4, "n_terms": 2, "v_scale": 0.25,
-            "z_re": 0.0, "z_im": 0.05, "s0": 4, "m": 4, "q": 4,
-            "kappa": 1.0, "d0": 4, "c0": 1.0, "q_param": 2.0,
-        },
-    ),
-    "truncation-params": (
-        exp_truncation_params,
-        {
-            "durations": [0.5, 1.0, 2.0], "q_param": 2.0, "c0": 1.0,
-            "g_tilde": 0.5, "kappa": 1.0, "d0": 4, "eps0": 0.01,
-        },
-    ),
-    "decomposition": (
-        exp_decomposition,
-        {"n": 10, "d": 2, "j0": 1.0, "eta": 3.5, "cut": 5},
-    ),
-    "unitary-growth": (
-        exp_unitary_growth,
-        {"dim_cap": 25, "terms": 2, "times": [0.1, 0.3, 0.6], "seeds": 4},
-    ),
-}
-
-
 class ConfigError(Exception):
     pass
 
@@ -425,65 +336,70 @@ DEFAULT_OUT = "entspec_out"
 _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
 
 
-def _positive(v):
-    return v > 0
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """One experiment's whole config contract, which validate_config reads
+    without naming the experiment. `rules` are the value rules on its own
+    params, checked after _RULES. `cost(p, name)` raises ConfigError when a
+    merged run point passes one of its caps; it is None where the value
+    rules alone bound the run. `selftest_params` reduce the defaults for
+    `entspec selftest`."""
+
+    run: Callable
+    defaults: dict
+    rules: tuple = ()
+    cost: Optional[Callable] = None
+    selftest_params: dict = dataclasses.field(default_factory=dict)
+
+
+def _above_zero(*params):
+    return (params, lambda v: v > 0, "> 0")
 
 
 _FIT_LIMIT = (f"the identity-fit limit: a fit holds a few N x N float matrices, "
               f"{8 * IDENTITY_FIT_DIM_CAP ** 2 >> 20} MiB each at N = {IDENTITY_FIT_DIM_CAP}")
 
 
-# Every rule on a single value: (experiments, or None for all; params; test;
-# what the value must be). A list param's test applies to each entry. Each
-# value the config gives is checked, in params and in every grid entry.
-_RULES = [
-    (None, ("n", "d", "d0", "d_cap", "m_levels", "n_pairs", "da", "db", "d_grid", "n_terms",
-            "instances", "terms"), lambda v: v >= 1, ">= 1"),
-    (None, ("chain",), lambda v: v in ("longrange", "nearest"), "\"longrange\" or \"nearest\""),
-    (None, ("eta",), lambda v: v > 2, "> 2"),
-    (("ground-tail", "tdmrg", "mps-exist", "gibbs-tail", "decomposition"), ("d",),
-     lambda v: 2 <= v and v * v <= DENSE_DIM_CAP,
-     f"in 2..{math.isqrt(DENSE_DIM_CAP)}: a chain site holds at least two levels, and a "
-     f"two-site term is a dense d**2 x d**2 matrix, within the dense-matrix limit"),
-    (("kolmogorov",), ("pairs",),
-     lambda q: len(q) == 2 and all(map(_is_int, q)) and 1 <= q[1] <= q[0] <= IDENTITY_FIT_DIM_CAP,
-     f"[N, D] pairs with 1 <= D <= N <= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT}"),
-    (("no-go",), ("n",), lambda v: v <= IDENTITY_FIT_DIM_CAP,
-     f"<= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT} with N = n"),
-    (("se-search", "sie-rate", "unitary-growth"), ("dim_cap",), lambda v: v >= 4,
-     ">= 4, the least instance being 2 x 2"),
-    (("saturate",), ("times", "j"), _positive, "> 0"),
-    (("tdmrg", "mps-exist", "no-go", "unitary-growth", "truncation-params"),
-     ("t", "times", "durations"), lambda v: v >= 0, ">= 0: the bounds grow with elapsed time"),
-    (("gibbs-tail",), ("betas",), lambda v: v >= 0, ">= 0: the caps are stated for beta >= 0"),
-    (("toy",), ("times",), lambda v: 0 < v < math.pi / 2,
-     "in (0, pi/2), where the closed form holds"),
-    (("c-alpha-table",), ("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),
-    (("sie-rate", "unbounded"), ("alphas",), _positive, "> 0"),
-    (("unbounded",), ("j", "t"), _positive, "> 0"),
-    (("agsp",), ("betas",), _positive, "> 0"),
-    (("area-law",), ("epsilon", "beta"), _positive, "> 0"),
-    (("area-law",), ("coupling",), lambda v: v != 0, "nonzero: the constants divide by it"),
-    (("merge-series", "truncation-params"), ("kappa",), _positive, "> 0"),
-    (("merge-series", "truncation-params"), ("c0", "q_param"), _positive, "> 0"),
-    (("truncation-params",), ("eps0",), _positive, "> 0"),
-    (("tdmrg",), ("eps_target",), _positive, "> 0"),
-]
+# Every rule on a single value is (params, test, what the value must be). A
+# list param's test applies to each entry, and each value the config gives is
+# checked, in params and in every grid entry. These rules hold for every
+# experiment; the ones below them are shared by the records that name them.
+_RULES = (
+    (("n", "d", "d0", "d_cap", "m_levels", "n_pairs", "da", "db", "d_grid", "n_terms",
+      "instances", "terms"), lambda v: v >= 1, ">= 1"),
+    (("chain",), lambda v: v in ("longrange", "nearest"), "\"longrange\" or \"nearest\""),
+    (("eta",), lambda v: v > 2, "> 2"),
+)
+_CHAIN_D = (("d",), lambda v: 2 <= v and v * v <= DENSE_DIM_CAP,
+            f"in 2..{math.isqrt(DENSE_DIM_CAP)}: a chain site holds at least two levels, and a "
+            f"two-site term is a dense d**2 x d**2 matrix, within the dense-matrix limit")
+_ELAPSED = (("t", "times", "durations"), lambda v: v >= 0,
+            ">= 0: the bounds grow with elapsed time")
+_INSTANCE_DIM_CAP = (("dim_cap",), lambda v: v >= 4, ">= 4, the least instance being 2 x 2")
+_MERGE_CONSTANTS = _above_zero("kappa", "c0", "q_param")
+_POSITIVE_ALPHAS = _above_zero("alphas")
 
 
-# the largest chain matrix, d**n rows, each experiment may form (tdmrg: if compare_dense)
-_DIM_CAPS = {
-    "mps-exist": (DENSE_DIM_CAP, "the dense-matrix limit"),
-    "gibbs-tail": (DENSE_DIM_CAP, "the dense-matrix limit"),
-    "tdmrg": (DENSE_DIM_CAP, "the dense-matrix limit of compare_dense (set it to false)"),
-    "ground-tail": (SPARSE_DIM_CAP, "the sparse-eigensolver limit"),
-}
+def _unbounded_cost(p, name):
+    try:
+        build_unbounded_dynamics(p["d0"], p["j"], p["t"])
+    except (TimeTooLongError, ValueError) as exc:
+        raise ConfigError(f"params 'd0', 'j' and 't' of {name}: {exc}") from None
 
 
-# the most entries the n(n-1)/2 pair terms of a decomposition chain may hold,
-# d**4 each; at one OpenBLAS thread n 512 at d 2, the edge, ran in 5.3 s at a
-# 150 MB peak, and the edges at d 3, 8 and 32 ran faster and smaller
-_DECOMPOSITION_ENTRY_CAP = 2 ** 21
+def _chain_matrix_cost(cap, limit):
+    """The cost rule of an experiment that forms the chain matrix, d**n rows:
+    d**n <= cap. With d >= 2 the power passes the cap by the exponent
+    cap.bit_length(), so no larger one is formed."""
+
+    def cost(p, name):
+        if p["d"] ** min(p["n"], cap.bit_length()) > cap:
+            raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
+                              f"{limit}, got d**n = {p['d']}**{p['n']}")
+    return cost
+
+
+_DENSE_CHAIN_COST = _chain_matrix_cost(DENSE_DIM_CAP, "the dense-matrix limit")
 
 
 # the most work a tdmrg run may take, by the estimate of _tdmrg_work; at one
@@ -528,6 +444,138 @@ def _tdmrg_work(p):
         return math.inf
 
 
+def _tdmrg_cost(p, name):
+    if p["compare_dense"]:
+        _chain_matrix_cost(DENSE_DIM_CAP, "the dense-matrix limit of compare_dense "
+                           "(set it to false)")(p, name)
+    work = _tdmrg_work(p)
+    if work > _TDMRG_WORK_CAP:
+        shown = f"{work:.3g}" if work < 1e300 else "past 1e300"
+        raise ConfigError(f"params of {name} must keep the work estimate n * d**6 // 512 + "
+                          f"steps * (terms + 1) * d * sum over bonds of "
+                          f"min(d_cap, d**k)**2, k sites to the nearer end, "
+                          f"<= {_TDMRG_WORK_CAP}, got {shown}")
+
+
+# the most entries the n(n-1)/2 pair terms of a decomposition chain may hold,
+# d**4 each; the run builds only the cut * (n - cut) pairs that cross the cut,
+# and at one OpenBLAS thread n 512 at d 2, the edge, ran in 0.14 s at a 38 MB
+# peak at the default cut 5, and in 3.9 s at 93 MB at cut 256, the most pairs
+_DECOMPOSITION_ENTRY_CAP = 2 ** 21
+
+
+def _decomposition_cost(p, name):
+    entries = p["n"] * (p["n"] - 1) // 2 * p["d"] ** 4
+    if entries > _DECOMPOSITION_ENTRY_CAP:
+        raise ConfigError(f"params 'n' and 'd' of {name} must keep the n(n-1)/2 pair terms "
+                          f"of d**4 entries each at <= {_DECOMPOSITION_ENTRY_CAP} entries, "
+                          f"got {entries}")
+
+
+def _merge_cost(p, name):
+    """The product space within MERGE_DIM_CAP, z within the series' window,
+    and the weight bins within merge_bin_count's limits."""
+    if p["da"] * p["db"] > MERGE_DIM_CAP:
+        raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
+                          f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
+    # each coupling has norm |v_scale|, so g_tilde is n_terms |v_scale|
+    g_tilde = abs(p["v_scale"]) * min(p["n_terms"], sys.float_info.max)
+    try:
+        merge_z_window(complex(p["z_re"], p["z_im"]), merge_q0(p["q_param"], p["c0"], g_tilde))
+    except ZOutOfRangeError as exc:
+        raise ConfigError(f"params 'z_re' and 'z_im' of {name}: {exc}") from None
+    try:
+        merge_bin_count(p["n_terms"], p["kappa"], p["da"] * p["db"])
+    except TooLargeError as exc:
+        raise ConfigError(f"params 'n_terms' and 'kappa' of {name}: {exc}") from None
+
+
+REGISTRY = {
+    "sie-rate": Experiment(
+        exp_rate_profile,
+        {"instances": 2, "dim_cap": 36, "terms": 3, "times": [0.3, 0.7], "alphas": [0.5, 1.0, 2.0]},
+        rules=(_INSTANCE_DIM_CAP, _POSITIVE_ALPHAS),
+        selftest_params={"instances": 1, "dim_cap": 16, "times": [0.4]}),
+    "c-alpha-table": Experiment(
+        exp_c_alpha_table, {"alphas": [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, "inf"]},
+        rules=((("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),)),
+    "saturate": Experiment(
+        exp_saturation, {"m_levels": 4, "j": 1.0, "n_pairs": 10, "times": [0.25, 0.5, 1.0]},
+        rules=(_above_zero("times", "j"),), selftest_params={"times": [0.5]}),
+    "unbounded": Experiment(
+        exp_unbounded, {"d0": 16, "j": 1.0, "t": 1.0, "alphas": [0.25, 0.4, 0.5, 1.0]},
+        rules=(_POSITIVE_ALPHAS, _above_zero("j", "t")), cost=_unbounded_cost),
+    "toy": Experiment(
+        exp_toy_rate, {"times": [0.2, 0.5, 0.9, 1.2], "alphas": [0.3, 0.5, 0.75, 1.0, 2.0, "inf"]},
+        rules=((("times",), lambda v: 0 < v < math.pi / 2,
+                "in (0, pi/2), where the closed form holds"),)),
+    "se-search": Experiment(
+        exp_se_search, {"instances": 4, "dim_cap": 64, "terms": 3, "seeds": 8, "iterations": 300},
+        rules=(_INSTANCE_DIM_CAP,),
+        selftest_params={"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100}),
+    "agsp": Experiment(
+        exp_agsp, {"instances": 3, "betas": [1.0, 4.0]}, rules=(_above_zero("betas"),),
+        selftest_params={"instances": 1, "betas": [2.0]}),
+    "ground-tail": Experiment(
+        exp_ground_tail,
+        {"chain": "longrange", "n": 8, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.6,
+         "hz": 0.2, "cut": 4, "d_grid": [1, 2, 4, 8, 16]},
+        rules=(_CHAIN_D,), cost=_chain_matrix_cost(SPARSE_DIM_CAP, "the sparse-eigensolver limit"),
+        selftest_params={"n": 6, "cut": 3, "d_grid": [1, 4, 8]}),
+    "area-law": Experiment(
+        exp_area_law,
+        {"delta": 1.0, "coupling": 0.3, "epsilon": 0.05, "beta": 4.0, "d_grid": [1, 2, 4]},
+        rules=(_above_zero("epsilon", "beta"),
+               (("coupling",), lambda v: v != 0, "nonzero: the constants divide by it")),
+        selftest_params={"epsilon": 0.1, "d_grid": [1, 2]}),
+    "tdmrg": Experiment(
+        exp_tdmrg,
+        {"n": 8, "d": 2, "j0": 1.0, "hx": 0.4, "hz": 0.3,
+         "t": 0.3, "eps_target": 0.2, "d_cap": 16, "compare_dense": True},
+        rules=(_CHAIN_D, _ELAPSED, _above_zero("eps_target")), cost=_tdmrg_cost,
+        selftest_params={"n": 4, "t": 0.2, "d_cap": 8, "eps_target": 0.5}),
+    "mps-exist": Experiment(
+        exp_mps_existence,
+        {"n": 8, "d": 2, "j0": 1.0, "hx": 0.5, "hz": 0.0, "t": 0.4, "d_grid": [2, 4, 8, 16]},
+        rules=(_CHAIN_D, _ELAPSED), cost=_DENSE_CHAIN_COST,
+        selftest_params={"n": 6, "t": 0.3, "d_grid": [2, 8]}),
+    "gibbs-tail": Experiment(
+        exp_gibbs_tail,
+        {"n": 4, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.5, "hz": 0.0,
+         "betas": [0.0, 1.0, 2.0], "d_grid": [1, 2, 4, 8]},
+        rules=(_CHAIN_D,
+               (("betas",), lambda v: v >= 0, ">= 0: the caps are stated for beta >= 0")),
+        cost=_DENSE_CHAIN_COST, selftest_params={"n": 3, "betas": [0.0, 1.0], "d_grid": [1, 2, 4]}),
+    "kolmogorov": Experiment(
+        exp_kolmogorov, {"pairs": [[8, 1], [16, 1], [16, 4]], "seeds": 8, "polish": 200},
+        rules=((("pairs",), lambda q: len(q) == 2 and all(map(_is_int, q))
+                and 1 <= q[1] <= q[0] <= IDENTITY_FIT_DIM_CAP,
+                f"[N, D] pairs with 1 <= D <= N <= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT}"),),
+        selftest_params={"pairs": [[8, 1]], "seeds": 4, "polish": 80}),
+    "no-go": Experiment(
+        exp_no_go, {"n": 16, "d": 1, "times": [0.2, 0.3, 0.4], "seeds": 6, "polish": 300},
+        rules=((("n",), lambda v: v <= IDENTITY_FIT_DIM_CAP,
+                f"<= {IDENTITY_FIT_DIM_CAP}, {_FIT_LIMIT} with N = n"), _ELAPSED),
+        selftest_params={"times": [0.3], "seeds": 3, "polish": 120}),
+    "merge-series": Experiment(
+        exp_merge,
+        {"da": 4, "db": 4, "n_terms": 2, "v_scale": 0.25, "z_re": 0.0, "z_im": 0.05,
+         "s0": 4, "m": 4, "q": 4, "kappa": 1.0, "d0": 4, "c0": 1.0, "q_param": 2.0},
+        rules=(_MERGE_CONSTANTS,), cost=_merge_cost),
+    "truncation-params": Experiment(
+        exp_truncation_params,
+        {"durations": [0.5, 1.0, 2.0], "q_param": 2.0, "c0": 1.0,
+         "g_tilde": 0.5, "kappa": 1.0, "d0": 4, "eps0": 0.01},
+        rules=(_ELAPSED, _MERGE_CONSTANTS, _above_zero("eps0"))),
+    "decomposition": Experiment(
+        exp_decomposition, {"n": 10, "d": 2, "j0": 1.0, "eta": 3.5, "cut": 5},
+        rules=(_CHAIN_D,), cost=_decomposition_cost),
+    "unitary-growth": Experiment(
+        exp_unitary_growth, {"dim_cap": 25, "terms": 2, "times": [0.1, 0.3, 0.6], "seeds": 4},
+        rules=(_INSTANCE_DIM_CAP, _ELAPSED), selftest_params={"times": [0.2], "dim_cap": 16}),
+}
+
+
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -550,7 +598,8 @@ def _entry_ok(entry, default_entries):
     return any(_has_type_of(entry, d) for d in default_entries if not isinstance(d, str))
 
 
-def _check_params(name, values, defaults):
+def _check_params(name, values, experiment):
+    defaults = experiment.defaults
     for key, value in values.items():
         if not _has_type_of(value, defaults[key]):
             want = " or ".join(t.__name__ for t in _ACCEPTED_TYPES[type(defaults[key])])
@@ -564,9 +613,8 @@ def _check_params(name, values, defaults):
                 raise ConfigError(f"param {key!r} of {name} holds entries unlike its "
                                   f"default {defaults[key]!r}: {bad!r}")
         entries = value if isinstance(value, list) else [value]
-        for experiments, keys, test, want in _RULES:
-            if (key in keys and (experiments is None or name in experiments)
-                    and not all(map(test, entries))):
+        for keys, test, want in _RULES + experiment.rules:
+            if key in keys and not all(map(test, entries)):
                 raise ConfigError(f"param {key!r} of {name} must be {want}, got {value!r}")
 
 
@@ -585,7 +633,8 @@ def validate_config(cfg):
     name = cfg.get("experiment")
     if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(REGISTRY)}")
-    defaults = REGISTRY[name][1]
+    experiment = REGISTRY[name]
+    defaults = experiment.defaults
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
@@ -596,53 +645,15 @@ def validate_config(cfg):
         bad = set(values) - set(defaults)
         if bad:
             raise ConfigError(f"unknown {where} for {name}: {sorted(bad)}")
-        _check_params(name, values, defaults)
+        _check_params(name, values, experiment)
     # the rules that span params
     points = [{**defaults, **params, **g} for g in grid or [{}]]
     for p in points:
         if "cut" in p and not 1 <= p["cut"] <= p["n"] - 1:
             raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
                               f"{p['n']}, got {p['cut']}")
-        if name == "unbounded":
-            try:
-                build_unbounded_dynamics(p["d0"], p["j"], p["t"])
-            except (TimeTooLongError, ValueError) as exc:
-                raise ConfigError(f"params 'd0', 'j' and 't' of {name}: {exc}") from None
-        # the chain matrix has d**n rows; with d >= 2 the power passes the cap
-        # by the exponent cap.bit_length(), so no larger one is formed
-        if name in _DIM_CAPS and p.get("compare_dense", True):
-            cap, limit = _DIM_CAPS[name]
-            if p["d"] ** min(p["n"], cap.bit_length()) > cap:
-                raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
-                                  f"{limit}, got d**n = {p['d']}**{p['n']}")
-        if name == "tdmrg":
-            work = _tdmrg_work(p)
-            if work > _TDMRG_WORK_CAP:
-                shown = f"{work:.3g}" if work < 1e300 else "past 1e300"
-                raise ConfigError(f"params of {name} must keep the work estimate n * d**6 // 512 + "
-                                  f"steps * (terms + 1) * d * sum over bonds of "
-                                  f"min(d_cap, d**k)**2, k sites to the nearer end, "
-                                  f"<= {_TDMRG_WORK_CAP}, got {shown}")
-        if name == "decomposition":
-            entries = p["n"] * (p["n"] - 1) // 2 * p["d"] ** 4
-            if entries > _DECOMPOSITION_ENTRY_CAP:
-                raise ConfigError(f"params 'n' and 'd' of {name} must keep the n(n-1)/2 pair terms "
-                                  f"of d**4 entries each at <= {_DECOMPOSITION_ENTRY_CAP} entries, "
-                                  f"got {entries}")
-        if name == "merge-series":
-            if p["da"] * p["db"] > MERGE_DIM_CAP:
-                raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
-                                  f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
-            # each coupling has norm |v_scale|, so g_tilde is n_terms |v_scale|
-            g_tilde = abs(p["v_scale"]) * min(p["n_terms"], sys.float_info.max)
-            try:
-                merge_z_window(complex(p["z_re"], p["z_im"]), merge_q0(p["q_param"], p["c0"], g_tilde))
-            except ZOutOfRangeError as exc:
-                raise ConfigError(f"params 'z_re' and 'z_im' of {name}: {exc}") from None
-            try:
-                merge_bin_count(p["n_terms"], p["kappa"], p["da"] * p["db"])
-            except TooLargeError as exc:
-                raise ConfigError(f"params 'n_terms' and 'kappa' of {name}: {exc}") from None
+        if experiment.cost:
+            experiment.cost(p, name)
     return name, points, _checked_seed(cfg.get("seed", 0)), out
 
 
@@ -658,7 +669,7 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
     summary and the directory written to. At `threads` 1 the points run on
     the calling thread, so Ctrl-C stops a run at once."""
     name, points, seed, cfg_out = validate_config(cfg)
-    fn = REGISTRY[name][0]
+    fn = REGISTRY[name].run
     if seed_override is not None:
         seed = _checked_seed(seed_override)
     if threads < 1:
@@ -703,22 +714,6 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
     return summary, out_dir
 
 
-_SELFTEST_PARAMS = {
-    "se-search": {"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100},
-    "saturate": {"times": [0.5]},
-    "sie-rate": {"instances": 1, "dim_cap": 16, "times": [0.4]},
-    "unitary-growth": {"times": [0.2], "dim_cap": 16},
-    "agsp": {"instances": 1, "betas": [2.0]},
-    "ground-tail": {"n": 6, "cut": 3, "d_grid": [1, 4, 8]},
-    "area-law": {"epsilon": 0.1, "d_grid": [1, 2]},
-    "kolmogorov": {"pairs": [[8, 1]], "seeds": 4, "polish": 80},
-    "no-go": {"times": [0.3], "seeds": 3, "polish": 120},
-    "tdmrg": {"n": 4, "t": 0.2, "d_cap": 8, "eps_target": 0.5},
-    "mps-exist": {"n": 6, "t": 0.3, "d_grid": [2, 8]},
-    "gibbs-tail": {"n": 3, "betas": [0.0, 1.0], "d_grid": [1, 2, 4]},
-}
-
-
 def _spectrum_rejected(coeffs, source_norm):
     try:
         SchmidtSpectrum(np.array(coeffs), source_norm)
@@ -728,7 +723,8 @@ def _spectrum_rejected(coeffs, source_norm):
 
 
 def _shrunk_certificate_fails():
-    cfg, final, cert = _tdmrg_from_params({**REGISTRY["tdmrg"][1], **_SELFTEST_PARAMS["tdmrg"]})
+    tdmrg = REGISTRY["tdmrg"]
+    cfg, final, cert = _tdmrg_from_params({**tdmrg.defaults, **tdmrg.selftest_params})
     shrunk = dataclasses.replace(cert, final_bound=cert.final_bound * 1e-6)
     covers = certificate_checks(shrunk, _dense_errors(cfg, final)[0])["certificate_covers_error"]
     return covers.margin < 0.0
@@ -750,8 +746,8 @@ def _corruption_probes():
 def selftest(out_root):
     print("selftest: reduced sweep over every experiment")
     failures = []
-    for name in REGISTRY:
-        cfg = {"experiment": name, "params": _SELFTEST_PARAMS.get(name, {}), "seed": 7}
+    for name, experiment in REGISTRY.items():
+        cfg = {"experiment": name, "params": experiment.selftest_params, "seed": 7}
         try:
             summary, _ = _run_config(cfg, out_root / name, 1)
             status = "pass" if summary["all_checks_pass"] else "FAIL"

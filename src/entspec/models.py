@@ -198,12 +198,18 @@ def _clock_chain(n, d, pair_weights, hx, hz, power):
     return ChainHamiltonian(n=n, d=d, terms=tuple(terms), power=power)
 
 
-def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0):
+def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0, cut=None):
     """Power-law coupled clock chain with transverse and longitudinal fields:
     weight j0 |i-j|^(-eta) on every pair; EtaTooSmallError unless eta > 2,
-    before any weight is formed."""
+    before any weight is formed. Given a cut in 1..n-1 (ValueError
+    otherwise), the chain holds only the pairs i < cut <= j that cross it,
+    with the fields: its power is still (|j0|, eta), but its g and dense()
+    are those of the crossing part alone."""
     _checked_eta(eta)
-    pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(n) for j in range(i + 1, n)]
+    if cut is not None and not 1 <= cut <= n - 1:
+        raise ValueError(f"cut = {cut} not in 1..n-1 for n = {n}")
+    pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(n) for j in range(i + 1, n)
+             if cut is None or i < cut <= j]
     # pair weights enter power as norms, hence |j0|
     return _clock_chain(n, d, pairs, hx, hz, (abs(j0), eta))
 

@@ -42,7 +42,7 @@ class MatrixProductState:
                 m = t.reshape(dl * d, dr)
                 g = m.conj().T @ m
                 g.flat[:: dr + 1] -= 1.0  # the Gram matrix less the identity
-                if np.max(np.abs(g)) > 1e-10:
+                if np.abs(g).max() > 1e-10:
                     raise ValueError(f"tensor {i} not left-orthonormal")
 
     @property
@@ -98,9 +98,10 @@ def _truncate_bond(t, d_cap, tolerance):
     """
     dl, d, dr = t.shape
     u, s, vh = np.linalg.svd(t.reshape(dl * d, dr), full_matrices=False)
-    keep = int(min(d_cap, max(1, int(np.sum(s > tolerance)))))
+    keep = int(min(d_cap, max(1, np.count_nonzero(s > tolerance))))
     kept = s[:keep]
-    record = BondRecord(delta2=float(np.sum(s[keep:] ** 2)), zeta=float(np.sum(kept)))
+    record = BondRecord(delta2=float(np.add.reduce(s[keep:] ** 2)),
+                        zeta=float(np.add.reduce(kept)))
     return u[:, :keep].reshape(dl, d, keep), kept[:, None] * vh[:keep], record
 
 

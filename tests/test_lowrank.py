@@ -315,3 +315,22 @@ def test_long_range_decomposition_check():
         long_range_decomposition_check(
             build_nearest_neighbor_chain(6, d=2, j=1.0), 3
         )
+
+
+@pytest.mark.parametrize("cut", [1, 5, 11])
+def test_decomposition_of_the_crossing_pairs_is_that_of_the_whole_chain(cut):
+    # the decomposition reads only the pairs across the cut, so a chain of
+    # those pairs alone gives the same norms and constants, bit for bit
+    whole = long_range_decomposition_check(build_long_range_ising(12, d=2, j0=1.0, eta=3.5), cut)
+    part = long_range_decomposition_check(
+        build_long_range_ising(12, d=2, j0=1.0, eta=3.5, cut=cut), cut)
+    assert len(part.v_norms) == cut * (12 - cut)
+    assert np.array(part.v_norms).tobytes() == np.array(whole.v_norms).tobytes()
+    assert repr((part.kappa, part.c0, part.g_tilde, part.d0, part.tails)) == repr(
+        (whole.kappa, whole.c0, whole.g_tilde, whole.d0, whole.tails))
+
+
+@pytest.mark.parametrize("cut", [-1, 0, 12])
+def test_crossing_pairs_need_a_cut_inside_the_chain(cut):
+    with pytest.raises(ValueError, match="not in 1..n-1"):
+        build_long_range_ising(12, d=2, j0=1.0, eta=3.5, cut=cut)

@@ -222,6 +222,16 @@ def test_compress_sum_tolerance_drops_small_values():
     assert cut_rec.sum_delta2 == pytest.approx(1e-30, rel=1e-3)
 
 
+def test_sum_blocks_scaling_by_one_clears_signed_zeros():
+    """The middle and last blocks of a direct sum are each tensor times 1.0,
+    which is not the tensor itself: a complex -0.0 with a negative other part
+    comes back +0.0, so dropping the scaling would change the sum's bytes."""
+    t = np.full((1, 2, 1), complex(-0.0, -1.0))
+    sites = _sum_blocks([[np.ones((1, 2, 1), dtype=complex), t, t]], [1.0])
+    assert np.signbit(t.real).all()
+    assert not any(np.signbit(b.real).any() for blocks in sites[1:] for b in blocks)
+
+
 def test_apply_local_term_matches_dense(rng):
     state = random_state(rng, (2,) * 5)
     mps, _ = from_dense(state, d_max=state.amps.size)
