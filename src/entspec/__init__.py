@@ -12,25 +12,7 @@ from .dynamics import (
     evolve_dense,
     measure_rate_profile,
 )
-from .errors import (
-    BadAlphaError,
-    BadCutError,
-    BelowThresholdError,
-    CheckFailedError,
-    DegenerateError,
-    EntspecError,
-    EtaTooSmallError,
-    GapClosedError,
-    IntermediateTooLargeError,
-    MismatchError,
-    NoDecompositionError,
-    StepTooCoarseError,
-    TimeTooLongError,
-    TooLargeError,
-    UnnormalizedError,
-    ZeroStateError,
-    ZOutOfRangeError,
-)
+from .errors import EntspecError
 from .agsp_arealaw import (
     AgspOperator,
     AreaLawConstants,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError
+from .errors import EntspecError
 from .dynamics import DensePropagator, adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
 from .se_strength import _opnorm
@@ -97,7 +97,7 @@ def build_agsp(h, beta):
     w = prop.w
     delta = float(w[1] - w[0])
     if delta < 1e-9:
-        raise DegenerateError(f"spectral gap {delta} below 1e-9")
+        raise EntspecError(f"spectral gap {delta} below 1e-9")
     lams = w - w[0]
     t_c = 2.0 * beta * delta
     nodes = START_NODES
@@ -264,7 +264,7 @@ def boundary_adiabatic_experiment(delta, coupling, epsilon, beta, d_grid):
     # V(nu) = nu * coupling * X (x) X, one unit-norm product term, so its
     # strength peaks at nu = 1
     g_tilde = abs(float(coupling))
-    # raises GapClosedError before any step when the sampled path gap closes
+    # raises EntspecError before any step when the sampled path gap closes
     res = adiabatic_evolve(h, epsilon)
     delta_path = res.delta_min
     h_fd = 1e-4

@@ -34,12 +34,7 @@ from .dynamics import (
     unbounded_experiment,
     unitary_growth_check,
 )
-from .errors import (
-    EntspecError,
-    TimeTooLongError,
-    TooLargeError,
-    ZOutOfRangeError,
-)
+from .errors import EntspecError
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
     IDENTITY_FIT_DIM_CAP,
@@ -383,7 +378,7 @@ _POSITIVE_ALPHAS = _above_zero("alphas")
 def _unbounded_cost(p, name):
     try:
         build_unbounded_dynamics(p["d0"], p["j"], p["t"])
-    except (TimeTooLongError, ValueError) as exc:
+    except (EntspecError, ValueError) as exc:
         raise ConfigError(f"params 'd0', 'j' and 't' of {name}: {exc}") from None
 
 
@@ -440,7 +435,7 @@ def _tdmrg_work(p):
         g = _nearest_chain(p, min(n, 3)).g
     try:
         return setup + default_step_count(g, n, p["t"], p["eps_target"]) * per_step
-    except TooLargeError:  # g*n*t or g*n*t/eps_target is inf, or g*n*t NaN
+    except EntspecError:  # g*n*t or g*n*t/eps_target is inf, or g*n*t NaN
         return math.inf
 
 
@@ -457,19 +452,19 @@ def _tdmrg_cost(p, name):
                           f"<= {_TDMRG_WORK_CAP}, got {shown}")
 
 
-# the most entries the n(n-1)/2 pair terms of a decomposition chain may hold,
-# d**4 each; the run builds only the cut * (n - cut) pairs that cross the cut,
-# and at one OpenBLAS thread n 512 at d 2, the edge, ran in 0.14 s at a 38 MB
-# peak at the default cut 5, and in 3.9 s at 93 MB at cut 256, the most pairs
-_DECOMPOSITION_ENTRY_CAP = 2 ** 21
+# the most entries the cut * (n - cut) pair terms that cross the cut, all a
+# decomposition run builds, may hold, d**4 each: 65,536 pairs at d 2. At one
+# OpenBLAS thread on a 2-core x86 box, n 65537 at cut 1 ran in 2.5-4.0 s and
+# n 512 at cut 256 in 2.4-3.8 s, both at a 93 MB peak
+_DECOMPOSITION_ENTRY_CAP = 2 ** 20
 
 
 def _decomposition_cost(p, name):
-    entries = p["n"] * (p["n"] - 1) // 2 * p["d"] ** 4
+    entries = p["cut"] * (p["n"] - p["cut"]) * p["d"] ** 4
     if entries > _DECOMPOSITION_ENTRY_CAP:
-        raise ConfigError(f"params 'n' and 'd' of {name} must keep the n(n-1)/2 pair terms "
-                          f"of d**4 entries each at <= {_DECOMPOSITION_ENTRY_CAP} entries, "
-                          f"got {entries}")
+        raise ConfigError(f"params 'n', 'cut' and 'd' of {name} must keep the cut * (n - cut) "
+                          f"crossing pair terms of d**4 entries each at <= "
+                          f"{_DECOMPOSITION_ENTRY_CAP} entries, got {entries}")
 
 
 def _merge_cost(p, name):
@@ -482,11 +477,11 @@ def _merge_cost(p, name):
     g_tilde = abs(p["v_scale"]) * min(p["n_terms"], sys.float_info.max)
     try:
         merge_z_window(complex(p["z_re"], p["z_im"]), merge_q0(p["q_param"], p["c0"], g_tilde))
-    except ZOutOfRangeError as exc:
+    except EntspecError as exc:
         raise ConfigError(f"params 'z_re' and 'z_im' of {name}: {exc}") from None
     try:
         merge_bin_count(p["n_terms"], p["kappa"], p["da"] * p["db"])
-    except TooLargeError as exc:
+    except EntspecError as exc:
         raise ConfigError(f"params 'n_terms' and 'kappa' of {name}: {exc}") from None
 
 
@@ -751,7 +746,7 @@ def selftest(out_root):
         try:
             summary, _ = _run_config(cfg, out_root / name, 1)
             status = "pass" if summary["all_checks_pass"] else "FAIL"
-        except EntspecError as exc:
+        except (EntspecError, ValueError, ArithmeticError) as exc:
             status = f"FAIL ({exc})"
         if status != "pass":
             failures.append(name)
@@ -811,7 +806,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EntspecError as exc:
+    except (EntspecError, ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
     for k, ok in summary["checks"].items():

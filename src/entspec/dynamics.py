@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BelowThresholdError, GapClosedError, TooLargeError
+from .errors import EntspecError
 from .models import DENSE_DIM_CAP, ToyTwoQubit
 from .se_strength import BipartiteOperator, best_upper, bracket_check, se_lower_search
 from .spectra import PureState, check, renyi_entropies, schmidt_decompose
@@ -41,7 +41,7 @@ def c_alpha(alpha):
         return 2.0
     alpha = float(alpha)
     if alpha < 0.5 - 1e-12:
-        raise BelowThresholdError(f"no finite rate constant at alpha = {alpha}")
+        raise EntspecError(f"no finite rate constant at alpha = {alpha}")
     if abs(alpha - 0.5) < 1e-9:
         return 2.0
     if abs(alpha - 1.0) < 1e-9:
@@ -59,7 +59,7 @@ def rate_cap(alpha, strength):
     """The rate bound c_alpha * strength, or None below order 1/2 (no finite c_alpha)."""
     try:
         return c_alpha(alpha) * strength
-    except BelowThresholdError:
+    except EntspecError:
         return None
 
 
@@ -132,7 +132,7 @@ class DensePropagator:
     def __init__(self, h):
         h = np.asarray(h, dtype=complex)
         if h.shape[0] > DENSE_DIM_CAP:
-            raise TooLargeError(f"dim {h.shape[0]} > cap {DENSE_DIM_CAP}")
+            raise EntspecError(f"dense propagator dim {h.shape[0]} > cap {DENSE_DIM_CAP}")
         if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
             raise ValueError("Hamiltonian is not Hermitian")
         self.w, self.u = np.linalg.eigh(h)
@@ -149,7 +149,7 @@ class DensePropagator:
 
 
 def evolve_dense(chain, state, t):
-    """exp(-i H t)|state>; TooLargeError, before allocating, above DENSE_DIM_CAP."""
+    """exp(-i H t)|state>; EntspecError, before allocating, above DENSE_DIM_CAP."""
     prop = DensePropagator(chain.dense())
     [amps] = prop.evolve(state.amps, [t])
     return PureState(dims=state.dims, amps=amps)
@@ -265,7 +265,7 @@ def adiabatic_evolve(h, epsilon, start_steps=256):
     Total time is 1/epsilon; midpoint piecewise-constant stepping, halving
     the step until successive refinements agree within ADIABATIC_TOL or
     reach MAX_STEPS. Raises ValueError unless epsilon is finite and
-    positive, and GapClosedError when the sampled path gap falls below
+    positive, and EntspecError when the sampled path gap falls below
     GAP_FLOOR, both before any step.
     """
     epsilon = float(epsilon)
@@ -278,7 +278,7 @@ def adiabatic_evolve(h, epsilon, start_steps=256):
         w = np.linalg.eigvalsh(np.asarray(h(nu), dtype=complex))
         delta_min = min(delta_min, float(w[1] - w[0]))
     if delta_min < GAP_FLOOR:
-        raise GapClosedError(f"minimum path gap {delta_min} < {GAP_FLOOR}")
+        raise EntspecError(f"minimum path gap {delta_min} < {GAP_FLOOR}")
     psi0 = DensePropagator(h(0.0)).u[:, 0]
 
     def run(k):

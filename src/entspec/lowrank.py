@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import TooLargeError, ZOutOfRangeError
+from .errors import EntspecError
 from .models import _block_sum
 from .se_strength import _opnorm
 from .spectra import check
@@ -94,7 +94,7 @@ def width_range_check(fits):
 
 
 # the largest N of an identity fit, which holds a few N x N float matrices
-# (32 MiB each at the cap); TooLargeError above it, before allocating
+# (32 MiB each at the cap); EntspecError above it, before allocating
 IDENTITY_FIT_DIM_CAP = 2 ** 11
 
 
@@ -105,7 +105,7 @@ def rank_constrained_identity_fit(n, d, seeds=32, polish_iters=300, seed=0):
     always included as a candidate, so the result never exceeds 1/2.
     """
     if n > IDENTITY_FIT_DIM_CAP:
-        raise TooLargeError(f"N = {n} > {IDENTITY_FIT_DIM_CAP}")
+        raise EntspecError(f"identity fit N = {n} > {IDENTITY_FIT_DIM_CAP}")
     lower, upper = kolmogorov_bounds(n, d)
     if d == n:
         return WidthResult(n=n, d=d, value=0.0, lower=lower, upper=upper)
@@ -250,12 +250,12 @@ def long_range_constants(chain):
 
 
 def merge_z_window(z, q0):
-    """The merge series' window |z| <= 1/q0: ZOutOfRangeError when |z| (by
+    """The merge series' window |z| <= 1/q0: EntspecError when |z| (by
     hypot, finite for any finite z) passes 1/q0 by more than 1e-12."""
     zcap = 1.0 / q0
     z_abs = math.hypot(z.real, z.imag)
     if z_abs > zcap + 1e-12:
-        raise ZOutOfRangeError(f"|z| = {z_abs} > {zcap}")
+        raise EntspecError(f"z outside the merge window: |z| = {z_abs} > {zcap}")
 
 
 def _bin_edge(m, kappa):
@@ -269,7 +269,7 @@ def _bin_edge(m, kappa):
 def merge_bin_count(n_terms, kappa, dim):
     """The number of weight bins of the merge series: bin m holds the terms j
     (from 1) with 4^(m/kappa) <= j < 4^((m+1)/kappa), up to the first bin that
-    starts past n_terms. TooLargeError, before any bin is built, when the
+    starts past n_terms. EntspecError, before any bin is built, when the
     n_terms couplings and the bins, dim x dim complex matrices each, would take
     more than MERGE_MEMORY_CAP bytes, or when the last bin's upper edge is past
     float range."""
@@ -277,11 +277,11 @@ def merge_bin_count(n_terms, kappa, dim):
     room = max(MERGE_MEMORY_CAP // matrix_bytes - n_terms, 0)  # the bins that fit
     n_bins = bisect.bisect_right(range(room + 1), n_terms, key=lambda m: _bin_edge(m, kappa))
     if n_bins > room:
-        raise TooLargeError(f"{n_terms} couplings and at least {n_bins} bins of {dim}x{dim} complex "
+        raise EntspecError(f"{n_terms} couplings and at least {n_bins} bins of {dim}x{dim} complex "
                             f"entries take at least {(n_terms + n_bins) * matrix_bytes} bytes "
                             f"> {MERGE_MEMORY_CAP}")
     if _bin_edge(n_bins, kappa) == math.inf:
-        raise TooLargeError(f"the upper edge 4^({n_bins}/{kappa}) of bin {n_bins - 1} is past "
+        raise EntspecError(f"the upper edge 4^({n_bins}/{kappa}) of bin {n_bins - 1} is past "
                             "float range")
     return n_bins
 
@@ -307,7 +307,7 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     h0_b = np.asarray(h0_b, dtype=complex)
     da, db = h0_a.shape[0], h0_b.shape[0]
     if da * db > MERGE_DIM_CAP:
-        raise TooLargeError(f"total dim {da * db} > {MERGE_DIM_CAP}")
+        raise EntspecError(f"merge total dim {da * db} > {MERGE_DIM_CAP}")
     h0 = _block_sum(h0_a, h0_b)
     mats = [np.asarray(m, dtype=complex) for m in v_terms]
     norms = [_opnorm(m) for m in mats]

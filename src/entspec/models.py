@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EtaTooSmallError, TimeTooLongError, TooLargeError, BadAlphaError
+from .errors import EntspecError
 from .se_strength import BipartiteOperator, _opnorm
 from .spectra import PureState, SchmidtSpectrum, check, renyi_entropy
 
@@ -95,9 +95,9 @@ class LocalTerm:
 
 
 def _checked_eta(eta):
-    """EtaTooSmallError unless eta > 2, which a NaN eta is not."""
+    """EntspecError unless eta > 2, which a NaN eta is not."""
     if not eta > 2:
-        raise EtaTooSmallError(f"eta = {eta}, not > 2")
+        raise EntspecError(f"eta = {eta}, not > 2")
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ class ChainHamiltonian:
     """Sum of one- and two-site terms on a line of n sites of dimension d.
 
     power is (J0, eta), meaning every pair (i, j) carries total coupling
-    weight at most J0 |i-j|^(-eta), with eta > 2 (EtaTooSmallError
+    weight at most J0 |i-j|^(-eta), with eta > 2 (EntspecError
     otherwise), or None for a nearest-neighbour chain, whose two-site terms
     join adjacent sites.
     """
@@ -147,10 +147,10 @@ class ChainHamiltonian:
         return self.d ** self.n
 
     def dense(self):
-        """The chain matrix, summed in term order; TooLargeError above DENSE_DIM_CAP."""
+        """The chain matrix, summed in term order; EntspecError above DENSE_DIM_CAP."""
         d = self.total_dim
         if d > DENSE_DIM_CAP:
-            raise TooLargeError(f"total dim {d} > cap {DENSE_DIM_CAP}")
+            raise EntspecError(f"dense chain total dim {d} > cap {DENSE_DIM_CAP}")
         h = np.zeros((d, d), dtype=complex)
         for t in self.terms:
             rows, cols, vals = _term_entries(t, self.n, self.d)
@@ -200,7 +200,7 @@ def _clock_chain(n, d, pair_weights, hx, hz, power):
 
 def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0, cut=None):
     """Power-law coupled clock chain with transverse and longitudinal fields:
-    weight j0 |i-j|^(-eta) on every pair; EtaTooSmallError unless eta > 2,
+    weight j0 |i-j|^(-eta) on every pair; EntspecError unless eta > 2,
     before any weight is formed. Given a cut in 1..n-1 (ValueError
     otherwise), the chain holds only the pairs i < cut <= j that cross it,
     with the fields: its power is still (|j0|, eta), but its g and dense()
@@ -208,8 +208,9 @@ def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0, cut=None):
     _checked_eta(eta)
     if cut is not None and not 1 <= cut <= n - 1:
         raise ValueError(f"cut = {cut} not in 1..n-1 for n = {n}")
-    pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(n) for j in range(i + 1, n)
-             if cut is None or i < cut <= j]
+    # every pair i < j, or with a cut only those with i < cut <= j, i then j ascending
+    pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(cut or n)
+             for j in range(max(i + 1, cut or 0), n)]
     # pair weights enter power as norms, hence |j0|
     return _clock_chain(n, d, pairs, hx, hz, (abs(j0), eta))
 
@@ -329,7 +330,7 @@ class UnboundedDynamics:
     def entropy_lower_bound(self, alpha):
         alpha = float(alpha)
         if not 0.0 < alpha < 0.5:
-            raise BadAlphaError(f"alpha = {alpha} not in (0, 0.5)")
+            raise EntspecError(f"threshold-violation order alpha = {alpha} not in (0, 0.5)")
         jt = self.j * self.t
         return (1.0 - 2.0 * alpha) / (1.0 - alpha) * math.log(self.d0) + math.log(
             alpha * (jt / 2.0) ** (2.0 * alpha)
@@ -344,7 +345,7 @@ def build_unbounded_dynamics(d0, j, t):
     if d0 < 2:
         raise ValueError("d0 must be >= 2")
     if j * t > 1.0 + 1e-12:
-        raise TimeTooLongError(f"J*t = {j * t} > 1")
+        raise EntspecError(f"time too long: J*t = {j * t} > 1")
     return UnboundedDynamics(d0=int(d0), j=float(j), t=float(t))
 
 

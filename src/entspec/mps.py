@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchError, TooLargeError
+from .errors import EntspecError
 from .se_strength import _operator_schmidt
 from .spectra import PureState
 
@@ -111,7 +111,7 @@ def from_dense(state, d_max):
     dims = state.dims
     d = dims[0]
     if any(x != d for x in dims):
-        raise MismatchError("chain must have a uniform physical dimension")
+        raise EntspecError("chain must have a uniform physical dimension")
     n = len(dims)
     rest = state.amps.reshape(1, -1)
     tensors = []
@@ -129,7 +129,7 @@ def to_dense(mps):
     d = mps.d
     total = d ** mps.n_sites
     if total > DENSE_CAP:
-        raise TooLargeError(f"total dim {total} > cap {DENSE_CAP}")
+        raise EntspecError(f"dense state total dim {total} > cap {DENSE_CAP}")
     acc = mps.tensors[0].reshape(d, -1)
     for t in mps.tensors[1:]:
         acc = np.einsum("xb,bpr->xpr", acc, t).reshape(-1, t.shape[2])
@@ -147,7 +147,7 @@ def _sum_blocks(states, coeffs):
     first = states[0]
     n, d = len(first), first[0].shape[1]
     if any(len(s) != n or s[0].shape[1] != d for s in states):
-        raise MismatchError("MPS shapes differ")
+        raise EntspecError("MPS shapes differ")
     if n == 1:
         t = coeffs[0] * first[0]
         for s, c in zip(states[1:], coeffs[1:]):
@@ -187,7 +187,7 @@ def _term_factors(term, n, d):
     it for `_apply_factors`: the matrix itself on one site, or the pairs
     (sqrt(s) E, sqrt(s) F) of its operator-Schmidt split on two."""
     if term.support[-1] >= n:
-        raise MismatchError("term support outside the chain")
+        raise EntspecError("term support outside the chain")
     if len(term.support) == 1:
         return term.matrix
     factors = zip(*_operator_schmidt(term.matrix, d, d))
@@ -263,7 +263,7 @@ def compress(mps, d_cap):
 def mps_inner(a, b):
     """<a|b> by transfer contraction."""
     if a.n_sites != b.n_sites or a.d != b.d:
-        raise MismatchError("MPS shapes differ")
+        raise EntspecError("MPS shapes differ")
     env = np.ones((1, 1), dtype=complex)
     for ta, tb in zip(a.tensors, b.tensors):
         env = np.einsum("xy,xps,ypr->sr", env, ta.conj(), tb)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoDecompositionError
+from .errors import EntspecError
 from .spectra import check
 
 CONVERGENCE_TOL = 1e-8
@@ -113,7 +113,7 @@ def bracket_check(estimates):
 def se_upper_from_decomposition(op):
     """sum_j |J_j| over the unit-norm term decomposition."""
     if op.decomposition is None:
-        raise NoDecompositionError("operator carries no term decomposition")
+        raise EntspecError("operator carries no term decomposition")
     return float(sum(abs(j) for j, _, _ in op.decomposition))
 
 

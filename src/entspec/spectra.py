@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadAlphaError,
-    BadCutError,
-    CheckFailedError,
-    UnnormalizedError,
-    ZeroStateError,
-)
+from .errors import EntspecError
 
 CLAMP_REL = 1e-14  # coefficients below CLAMP_REL * lambda_1 are treated as zero
 
@@ -30,10 +24,10 @@ class Check(namedtuple("Check", "margin strict", defaults=(False,))):
         return self.margin is None or (self.margin > 0.0 if self.strict else self.margin >= 0.0)
 
     def require(self, what):
-        """CheckFailedError naming `what` unless the check passes: for a
+        """EntspecError naming `what` unless the check passes: for a
         bound that its experiment reports under no check of its own."""
         if not self.ok:
-            raise CheckFailedError(f"{what}, margin {self.margin}")
+            raise EntspecError(f"check failed: {what}, margin {self.margin}")
 
 
 def check(pairs, tol=0.0, strict=False):
@@ -79,15 +73,15 @@ class Cut:
 
     def __post_init__(self):
         if not 1 <= self.k < self.n:
-            raise BadCutError(f"no bond after site {self.k - 1} of a {self.n}-site chain")
+            raise EntspecError(f"no bond after site {self.k - 1} of a {self.n}-site chain")
 
     @staticmethod
     def of(left, n_sites):
-        """The cut whose left part is `left`; BadCutError unless that is the
+        """The cut whose left part is `left`; EntspecError unless that is the
         sites 0..k-1."""
         left = [int(i) for i in left]
         if left != list(range(len(left))):
-            raise BadCutError(f"left sites {left} are not 0..k-1")
+            raise EntspecError(f"left sites {left} are not 0..k-1")
         return Cut(len(left), n_sites)
 
 
@@ -120,9 +114,9 @@ def schmidt_decompose(state, cut):
     """Schmidt coefficients of `state` across `cut`: the SVD of its
     amplitudes with the left sites as the row index."""
     if cut.n != state.n_sites:
-        raise BadCutError(f"cut of {cut.n} sites on a {state.n_sites}-site state")
+        raise EntspecError(f"cut of {cut.n} sites on a {state.n_sites}-site state")
     if state.norm == 0 or not state.amps.any():
-        raise ZeroStateError("cannot decompose the zero state")
+        raise EntspecError("cannot decompose the zero state")
     mat = state.amps.reshape(math.prod(state.dims[: cut.k]), -1)
     s = np.linalg.svd(mat, compute_uv=False)
     return SchmidtSpectrum(s, state.norm)
@@ -145,11 +139,11 @@ def renyi_entropies(spec, alphas):
     lam = _clamped(spec.coeffs)
     total = float((lam**2).sum())
     if abs(total - 1.0) > 1e-8:
-        raise UnnormalizedError(f"sum lambda^2 = {total}")
+        raise EntspecError(f"spectrum not normalized: sum lambda^2 = {total}")
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
         if not alpha > 0:
-            raise BadAlphaError(f"alpha = {alpha}")
+            raise EntspecError(f"Renyi order alpha = {alpha}, not > 0")
     lam = lam[lam > 0]
     p = lam**2
     out = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntermediateTooLargeError, StepTooCoarseError, TooLargeError
+from .errors import EntspecError
 from .dynamics import DensePropagator, evolve_dense
 from .lowrank import long_range_constants, merge_q0, rank_exponent_base
 from .models import ChainHamiltonian
@@ -38,7 +38,7 @@ BOND_MEMORY_CAP = 4096
 
 def default_step_count(g, n, t, eps_target=0.1):
     """Smallest step count putting the coherent-error term near eps_target;
-    ValueError unless eps_target > 0, TooLargeError when that count is not a
+    ValueError unless eps_target > 0, EntspecError when that count is not a
     finite number."""
     if not eps_target > 0:
         raise ValueError(f"eps_target = {eps_target}, not > 0")
@@ -47,7 +47,7 @@ def default_step_count(g, n, t, eps_target=0.1):
         return 1
     steps = gnt * max(1.0, gnt / eps_target)
     if not math.isfinite(steps):
-        raise TooLargeError(f"no finite step count for g*n*t = {gnt} at eps_target = {eps_target}")
+        raise EntspecError(f"no finite step count for g*n*t = {gnt} at eps_target = {eps_target}")
     return int(math.ceil(steps))
 
 
@@ -72,8 +72,8 @@ class TdmrgConfig:
         g = self.chain.g
         dt = self.t / self.n_steps
         if g * self.chain.n * dt > 1.0 + 1e-12:
-            raise StepTooCoarseError(
-                f"g*n*dt = {g * self.chain.n * dt} > 1; increase n_steps"
+            raise EntspecError(
+                f"step too coarse: g*n*dt = {g * self.chain.n * dt} > 1; increase n_steps"
             )
 
     @property
@@ -110,7 +110,7 @@ def certificate_theory_bound(g, n, t, n_steps, d_cap, j_tilde):
         return 0.0
     dt = t / n_steps
     if g * n * dt > 1.0 + 1e-12:
-        raise StepTooCoarseError(f"g*n*dt = {g * n * dt} > 1")
+        raise EntspecError(f"step too coarse: g*n*dt = {g * n * dt} > 1")
     gnt = g * n * t
     return gnt ** 2 / n_steps + (n_steps / math.sqrt(d_cap / (2.0 * n))) * math.exp(
         j_tilde * t + gnt ** 2 / n_steps
@@ -172,7 +172,8 @@ def tdmrg_run(config):
             inner = [a + t.shape[2] for a, t in zip(inner, piece[:-1])]
             bond = max(inner, default=1)
             if bond > BOND_MEMORY_CAP:
-                raise IntermediateTooLargeError(f"bond {bond} > {BOND_MEMORY_CAP} at step {m}")
+                raise EntspecError(f"predicted bond {bond} > memory cap {BOND_MEMORY_CAP} "
+                                   f"at step {m}")
             if bond > STAGE_CAP_FACTOR * d_cap:
                 acc, rec = _compress_blocks(_sum_blocks(segment, coeffs[: len(segment)]),
                                             STAGE_CAP_FACTOR * d_cap, STAGE_TOLERANCE)
@@ -259,7 +260,7 @@ def state_mps_existence_check(chain, initial, t, d_grid):
 def gibbs_tail_experiment(chain, betas, d_grid):
     """Schmidt tails of the normalized thermal purification, interleaved
     ordering, measured at every physical cut and compared with the loose
-    theoretical decay; TooLargeError from chain.dense() above DENSE_DIM_CAP.
+    theoretical decay; EntspecError from chain.dense() above DENSE_DIM_CAP.
     Paper: the polynomial bond-dimension approximation of thermal states."""
     kappa, c0, g_tilde, d0 = long_range_constants(chain)
     n, d = chain.n, chain.d

@@ -8,8 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from entspec import (
-    DegenerateError,
-    GapClosedError,
+    EntspecError,
     agsp_arealaw,
     area_law_constants,
     boundary_adiabatic_experiment,
@@ -88,7 +87,7 @@ def test_legendre_nodes_are_computed_once_and_read_only():
 
 
 def test_agsp_rejects_degenerate_ground():
-    with pytest.raises(DegenerateError):
+    with pytest.raises(EntspecError, match="spectral gap 0.0 below 1e-9"):
         build_agsp(np.diag([0.0, 0.0, 1.0]).astype(complex), 2.0)
 
 
@@ -176,7 +175,7 @@ def test_boundary_adiabatic_chain_holds_together():
 
 
 def test_boundary_adiabatic_rejects_closed_gap():
-    with pytest.raises((GapClosedError, DegenerateError)):
+    with pytest.raises(EntspecError, match="minimum path gap 1e-09 < "):
         boundary_adiabatic_experiment(1e-9, 0.0, epsilon=0.1, beta=2.0, d_grid=[1])
 
 

@@ -39,6 +39,9 @@ BAD_SIZES = [
     {"experiment": "no-go", "params": {"d": 0}},
     {"experiment": "merge-series", "params": {"da": 0}},
     {"experiment": "merge-series", "params": {"db": 0}},
+    # more than 65,536 crossing pairs at d 2
+    {"experiment": "decomposition", "params": {"n": 513, "cut": 256}},
+    {"experiment": "decomposition", "params": {"n": 65538, "cut": 1}},
 ]
 
 # List entries unlike the default's, an empty list, or a cut outside 1..n-1
@@ -118,8 +121,8 @@ BAD_VALUES = [
     # step counts past float range: g inf at j0 1e308, g*n*t/eps_target inf
     {"experiment": "tdmrg", "params": {"j0": 1e308}},
     {"experiment": "tdmrg", "params": {"eps_target": 1e-320}},
-    # sizes that passed validation and then exited 1 on TooLarge: the dense
-    # chain matrix has d**n rows
+    # sizes that passed validation and then exited 1 on the dense-matrix guard:
+    # the dense chain matrix has d**n rows
     {"experiment": "mps-exist", "params": {"n": 13}},
     {"experiment": "gibbs-tail", "params": {"n": 13}},
     {"experiment": "gibbs-tail", "params": {"n": 7, "d": 4}},
@@ -154,7 +157,7 @@ BAD_VALUES = [
     {"experiment": "gibbs-tail", "params": {"betas": [-1.0]}},
     # the dense comparison was dropped without a word above the dense limit
     {"experiment": "tdmrg", "params": {"n": 13}},
-    # z outside the merge series' window exited 1 on ZOutOfRange
+    # z outside the merge series' window exited 1 on the series' own guard
     {"experiment": "merge-series", "params": {"z_im": 1.0}},
     {"experiment": "merge-series", "params": {"v_scale": 1.0}, "grid": [{"z_re": 0.03}]},
     # |z| past float range: the window takes it by hypot, as abs() of this
@@ -450,6 +453,40 @@ def test_runtime_invariant_error_exits_1(tmp_path):
     assert main(["run", cfg_path, "--out", str(tmp_path / "o")]) == 1
 
 
+# accepted configs whose runs leave float range: each ended in a LinAlgError,
+# OverflowError, ValueError or ZeroDivisionError traceback
+NUMERIC_FAILURES = [
+    {"experiment": "ground-tail", "params": {"hx": 1e308, "hz": 1e308}},
+    {"experiment": "ground-tail", "params": {"j0": 1e308}},
+    {"experiment": "gibbs-tail", "params": {"hx": 1e308, "hz": 1e308}},
+    {"experiment": "unitary-growth", "params": {"times": [1e308]}},
+    {"experiment": "sie-rate", "params": {"times": [1e308]}},
+    {"experiment": "gibbs-tail", "params": {"betas": [1e308]}},
+    {"experiment": "mps-exist", "params": {"t": 1e308}},
+    {"experiment": "mps-exist", "params": {"j0": 1e308, "hx": 1e308}},
+    {"experiment": "truncation-params", "params": {"g_tilde": 1e308}},
+    {"experiment": "truncation-params", "params": {"durations": [1e308]}},
+    {"experiment": "no-go", "params": {"times": [1e308]}},
+    {"experiment": "decomposition", "params": {"eta": 1e308}},
+    {"experiment": "saturate", "params": {"j": 1e308}},
+    {"experiment": "saturate", "params": {"times": [1e308]}},
+    {"experiment": "toy", "params": {"alphas": [1e308]}},
+]
+
+
+# the overflow these runs reach is their subject, so its RuntimeWarning is not an error here
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg, threads", [(cfg, "1") for cfg in NUMERIC_FAILURES] + [
+    ({"experiment": "saturate", "grid": [{"j": 1.0}, {"j": 1e308}]}, "2")])
+def test_numeric_failure_exits_1_with_a_message(tmp_path, capsys, cfg, threads):
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["run", cfg_path, "--out", str(tmp_path / "o"), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("invariant failure: ")] == \
+        err.splitlines()[-1:]
+
+
 def test_gibbs_tail_runs_past_seven_sites(tmp_path):
     # d**n within the dense-matrix limit is the one size rule
     code, summary, rows = run_cli(tmp_path, {"experiment": "gibbs-tail", "params": {"n": 8}})
@@ -525,19 +562,33 @@ def test_chain_size_rules_refuse_before_any_chain_is_built():
     for name in ("tdmrg", "mps-exist", "gibbs-tail", "decomposition"):
         with pytest.raises(ConfigError, match=f"param 'd' of {name} must be in 2\\.\\.64"):
             validate_config({"experiment": name, "params": {"n": 2, "d": 65}})
-    # decomposition holds n(n-1)/2 pair terms of d**4 entries each; n 512 at
-    # d 2 is the edge
+    # decomposition holds the cut * (n - cut) crossing pair terms of d**4
+    # entries each; at d 2 the edge is 65,536 pairs, n 512 at cut 256 or n
+    # 65537 at cut 1
     with pytest.raises(ConfigError, match=r"param 'd' of decomposition"):
         validate_config({"experiment": "decomposition", "params": {"n": 100000, "d": 300}})
-    with pytest.raises(ConfigError, match="<= 2097152 entries, got 79999200000"):
+    with pytest.raises(ConfigError, match="<= 1048576 entries, got 7999600"):
         validate_config({"experiment": "decomposition", "params": {"n": 100000}})
-    validate_config({"experiment": "decomposition", "params": {"n": 512}})
-    with pytest.raises(ConfigError, match="<= 2097152 entries, got 2101248"):
-        validate_config({"experiment": "decomposition", "params": {"n": 513}})
+    validate_config({"experiment": "decomposition", "params": {"n": 512, "cut": 256}})
+    with pytest.raises(ConfigError, match="<= 1048576 entries, got 1052672"):
+        validate_config({"experiment": "decomposition", "params": {"n": 513, "cut": 256}})
+    validate_config({"experiment": "decomposition", "params": {"n": 65537, "cut": 1}})
+    with pytest.raises(ConfigError, match="<= 1048576 entries, got 1048592"):
+        validate_config({"experiment": "decomposition", "params": {"n": 65538, "cut": 1}})
     # at d 32 one pair term holds 2**20 entries, so two sites fit and three do not
     validate_config({"experiment": "decomposition", "params": {"n": 2, "d": 32, "cut": 1}})
-    with pytest.raises(ConfigError, match="<= 2097152 entries, got 3145728"):
+    with pytest.raises(ConfigError, match="<= 1048576 entries, got 2097152"):
         validate_config({"experiment": "decomposition", "params": {"n": 3, "d": 32, "cut": 1}})
+
+
+def test_decomposition_at_cut_1_builds_only_the_crossing_pairs(tmp_path):
+    # n 513 at cut 1 is 512 crossing pairs, which a cap on all n(n-1)/2
+    # pairs refused
+    started = time.perf_counter()
+    code, _, (row,) = run_cli(tmp_path, {"experiment": "decomposition",
+                                         "params": {"n": 513, "cut": 1}})
+    assert code == 0 and row["n_terms"] == "512"
+    assert time.perf_counter() - started < 1.0
 
 
 def test_broken_bracket_and_width_fail_their_checks_with_artifacts(tmp_path, monkeypatch):
@@ -572,7 +623,7 @@ def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module
     monkeypatch.setattr(module, name, broken[name])
     cfg = write_config(tmp_path, {"experiment": experiment})
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "invariant failure: CheckFailed: " in capsys.readouterr().err
+    assert "invariant failure: check failed: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -7,12 +7,10 @@ import pytest
 from scipy.linalg import expm
 
 from entspec import (
-    BelowThresholdError,
     BipartiteOperator,
     Cut,
     DensePropagator,
-    GapClosedError,
-    TooLargeError,
+    EntspecError,
     ToyTwoQubit,
     adiabatic_error_bound,
     adiabatic_evolve,
@@ -45,9 +43,9 @@ def test_rate_constant_anchors():
     assert all(c.ok for c in c_alpha_table([0.5, 0.75, 1.0, "inf"])["checks"].values())
     # u^(u/(2-2a)) route, evaluated independently at order 2
     assert c_alpha(2.0) == pytest.approx(1.539600717839002, abs=1e-12)
-    with pytest.raises(BelowThresholdError):
+    with pytest.raises(EntspecError, match="no finite rate constant at alpha = 0.49"):
         c_alpha(0.49)
-    with pytest.raises(BelowThresholdError):
+    with pytest.raises(EntspecError, match="no finite rate constant at alpha = 0.25"):
         c_alpha(0.25)
 
 
@@ -102,10 +100,10 @@ def test_evolve_dense_refuses_chains_above_dense_cap(rng):
     """13 qubits make an 8192-dim chain, over DENSE_DIM_CAP: refused before
     any chain matrix is allocated."""
     chain = build_nearest_neighbor_chain(13, d=2, j=1.0, hx=0.3)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(EntspecError, match="dense chain total dim 8192 > cap"):
         evolve_dense(chain, random_state(rng, (2,) * 13), 0.1)
     # a read-only zero view, refused before any dense copy is made
-    with pytest.raises(TooLargeError, match=f"dim {DENSE_DIM_CAP + 1} > cap"):
+    with pytest.raises(EntspecError, match=f"propagator dim {DENSE_DIM_CAP + 1} > cap"):
         DensePropagator(np.broadcast_to(np.complex128(0), (DENSE_DIM_CAP + 1,) * 2))
 
 
@@ -196,7 +194,7 @@ def test_adiabatic_rejects_closed_gap():
         # levels cross at nu = 1/2
         return (1.0 - 2.0 * nu) * hz
 
-    with pytest.raises(GapClosedError):
+    with pytest.raises(EntspecError, match="minimum path gap"):
         adiabatic_evolve(h_of_nu, epsilon=0.1)
 
 

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entspec import (
-    TooLargeError,
-    ZOutOfRangeError,
+    EntspecError,
     build_long_range_ising,
     build_merge_series,
     kolmogorov_bounds,
@@ -64,7 +63,7 @@ def test_identity_fit_two_by_one_is_half():
 
 
 def test_identity_fit_refuses_n_above_its_cap():
-    with pytest.raises(TooLargeError):
+    with pytest.raises(EntspecError, match=f"identity fit N = {IDENTITY_FIT_DIM_CAP + 1} > "):
         rank_constrained_identity_fit(IDENTITY_FIT_DIM_CAP + 1, 1)
 
 
@@ -194,9 +193,9 @@ def test_merge_series_zero_coupling_is_exact_identity():
 
 
 def test_merge_series_window_enforced():
-    with pytest.raises(ZOutOfRangeError):
+    with pytest.raises(EntspecError, match="z outside the merge window"):
         _tiny_merge(z=0.2)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(EntspecError, match="merge total dim 4096 > "):
         build_merge_series(
             np.eye(64), np.eye(64), [np.zeros((4096, 4096))], 0.01,
             2, 2, 2, kappa=1.0, d0=2, c0=1.0, q_param=2.0,
@@ -221,7 +220,7 @@ def test_merge_z_window_edge_is_the_min_of_reciprocals(q_param, c0, g_tilde):
         try:
             merge_z_window(complex(0.0, z_abs), merge_q0(q_param, c0, g_tilde))
             accepted.append(True)
-        except ZOutOfRangeError:
+        except EntspecError:
             accepted.append(False)
     assert accepted == [True, True, False]
 
@@ -255,7 +254,7 @@ def test_merge_bin_count_is_the_first_edge_past_the_terms():
     (40, 1.0, 1024),  # 41 matrices of 16 MiB
 ])
 def test_merge_bin_count_refuses_bins_past_its_memory_cap(n_terms, kappa, dim):
-    with pytest.raises(TooLargeError):
+    with pytest.raises(EntspecError, match="bytes > |past float range"):
         merge_bin_count(n_terms, kappa, dim)
 
 

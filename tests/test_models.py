@@ -7,13 +7,10 @@ import pytest
 from scipy.linalg import expm
 
 from entspec import (
-    BadAlphaError,
     ChainHamiltonian,
     Cut,
-    EtaTooSmallError,
+    EntspecError,
     LocalTerm,
-    TimeTooLongError,
-    TooLargeError,
     ToyTwoQubit,
     basis_product_state,
     build_ising_projector_interaction,
@@ -124,7 +121,7 @@ def test_chain_validation_errors():
     strong = (LocalTerm(support=(0, 2), matrix=np.kron(Z, Z)),)
     with pytest.raises(ValueError, match="exceeds decay cap"):
         ChainHamiltonian(n=3, d=2, terms=strong, power=(1.0, 3.0))
-    with pytest.raises(TooLargeError):
+    with pytest.raises(EntspecError, match="dense chain total dim 1073741824 > cap"):
         build_nearest_neighbor_chain(30, d=2, j=1.0).dense()
     # a two-site term needs a 4 x 4 matrix on qubits
     with pytest.raises(ValueError, match="does not match its support dims"):
@@ -135,7 +132,7 @@ def test_chain_validation_errors():
     # the long-range constants divide by eta - 2
     pair = (LocalTerm(support=(0, 1), matrix=np.kron(Z, Z)),)
     for eta in (2.0, 1.5):
-        with pytest.raises(EtaTooSmallError, match=f"eta = {eta}, not > 2"):
+        with pytest.raises(EntspecError, match=f"eta = {eta}, not > 2"):
             ChainHamiltonian(n=2, d=2, terms=pair, power=(1.0, eta))
     # a nearest-neighbour chain has no power for the long-range constants
     with pytest.raises(ValueError, match="no power-law decay"):
@@ -146,9 +143,9 @@ def test_nan_eta_raises_eta_too_small():
     # eta <= 2 is false for NaN: the chain took it with a NaN cap, and the
     # builder ended in LinAlgError on the norm of a NaN term
     pair = (LocalTerm(support=(0, 1), matrix=np.kron(Z, Z)),)
-    with pytest.raises(EtaTooSmallError, match="eta = nan, not > 2"):
+    with pytest.raises(EntspecError, match="eta = nan, not > 2"):
         ChainHamiltonian(n=2, d=2, terms=pair, power=(1.0, math.nan))
-    with pytest.raises(EtaTooSmallError, match="eta = nan, not > 2"):
+    with pytest.raises(EntspecError, match="eta = nan, not > 2"):
         build_long_range_ising(4, eta=math.nan)
 
 
@@ -163,7 +160,7 @@ def test_long_range_ising_shape():
     flipped = build_long_range_ising(n, d=2, j0=-1.0, eta=3.0, hx=0.4, hz=0.2)
     assert flipped.power == chain.power
     assert np.array_equal(flipped.terms[0].matrix, -chain.terms[0].matrix)
-    with pytest.raises(EtaTooSmallError):
+    with pytest.raises(EntspecError, match="eta = 1.5, not > 2"):
         build_long_range_ising(4, eta=1.5)
 
 
@@ -222,11 +219,11 @@ def test_unbounded_entropy_values_and_bound():
 
 
 def test_unbounded_validation():
-    with pytest.raises(TimeTooLongError):
+    with pytest.raises(EntspecError, match=r"time too long: J\*t = 1.5 > 1"):
         build_unbounded_dynamics(16, 1.0, 1.5)
     with pytest.raises(ValueError):
         build_unbounded_dynamics(1, 1.0, 0.5)
-    with pytest.raises(BadAlphaError):
+    with pytest.raises(EntspecError, match=r"order alpha = 0.6 not in \(0, 0.5\)"):
         build_unbounded_dynamics(16, 1.0, 1.0).entropy_lower_bound(0.6)
 
 

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from entspec import (
     Cut,
+    EntspecError,
     LocalTerm,
     MatrixProductState,
-    MismatchError,
     PureState,
-    TooLargeError,
     add,
     apply_local_term,
     compress,
@@ -59,9 +58,9 @@ def test_mps_validation():
         MatrixProductState((np.ones((1, 2)),))
     # states of different lengths
     two, three = product_mps(2, 2), product_mps(3, 2)
-    with pytest.raises(MismatchError):
+    with pytest.raises(EntspecError, match="MPS shapes differ"):
         add([two, three], [1.0, 1.0])
-    with pytest.raises(MismatchError):
+    with pytest.raises(EntspecError, match="MPS shapes differ"):
         mps_inner(two, three)
 
 
@@ -107,13 +106,13 @@ def test_from_dense_truncation_records_schmidt_data(rng):
 
 def test_from_dense_requires_uniform_dimension(rng):
     state = random_state(rng, (2, 3, 2))
-    with pytest.raises(MismatchError):
+    with pytest.raises(EntspecError, match="uniform physical dimension"):
         from_dense(state, d_max=state.amps.size)
 
 
 def test_to_dense_cap():
     mps = product_mps(30, d=2)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(EntspecError, match="dense state total dim 1073741824 > cap"):
         to_dense(mps)
 
 
@@ -261,7 +260,7 @@ def test_apply_local_term_validation(rng):
     # a term has one or two sites, so no three-site term reaches the state
     with pytest.raises(ValueError, match="more than two sites"):
         LocalTerm(support=(0, 1, 2), matrix=np.eye(8))
-    with pytest.raises(MismatchError):
+    with pytest.raises(EntspecError, match="term support outside the chain"):
         apply_local_term(mps, LocalTerm(support=(5,), matrix=X))
 
 

@@ -7,8 +7,7 @@ import pytest
 
 from entspec import (
     BipartiteOperator,
-    EtaTooSmallError,
-    NoDecompositionError,
+    EntspecError,
     SeEstimate,
     ToyTwoQubit,
     build_ising_projector_interaction,
@@ -77,7 +76,7 @@ def test_decomposition_upper_is_coefficient_sum():
     op = BipartiteOperator.from_terms((2,), (2,), [(0.3, Z, Z), (0.4, X, X)])
     assert se_upper_from_decomposition(op) == pytest.approx(0.7, abs=1e-12)
     bare = BipartiteOperator((2,), (2,), np.kron(Z, Z))
-    with pytest.raises(NoDecompositionError):
+    with pytest.raises(EntspecError, match="no term decomposition"):
         se_upper_from_decomposition(bare)
 
 
@@ -170,5 +169,5 @@ def test_long_range_strength_cap():
         3.0, abs=1e-12)
     assert build_long_range_ising(4, j0=0.5, eta=4.0).boundary_strength_cap() == pytest.approx(
         1.0, abs=1e-12)
-    with pytest.raises(EtaTooSmallError):
+    with pytest.raises(EntspecError, match="eta = 2.0, not > 2"):
         build_long_range_ising(4, j0=1.0, eta=2.0)

@@ -8,11 +8,9 @@ from scipy.linalg import expm
 
 from entspec import (
     ChainHamiltonian,
-    IntermediateTooLargeError,
+    EntspecError,
     LocalTerm,
-    StepTooCoarseError,
     TdmrgConfig,
-    TooLargeError,
     basis_product_state,
     build_long_range_ising,
     build_nearest_neighbor_chain,
@@ -52,7 +50,7 @@ def test_default_step_count_needs_a_positive_eps_target(eps_target):
 @pytest.mark.parametrize("g, eps_target", [
     (math.inf, 0.1), (math.nan, 0.1), (1e308, 0.1), (1.0, 1e-320)])
 def test_default_step_count_past_float_range(g, eps_target):
-    with pytest.raises(TooLargeError, match=r"g\*n\*t = .* at eps_target = "):
+    with pytest.raises(EntspecError, match=r"no finite step count for g\*n\*t = .* at eps_target = "):
         default_step_count(g, 4, 1.0, eps_target)
 
 
@@ -60,7 +58,7 @@ def test_config_validation():
     chain = build_nearest_neighbor_chain(4, d=2, j=1.0, hx=0.3)
     good = TdmrgConfig(chain=chain, t=0.5, n_steps=64, d_cap=8, initial=_plus_mps(4))
     assert good.dt == pytest.approx(0.5 / 64)
-    with pytest.raises(StepTooCoarseError):
+    with pytest.raises(EntspecError, match=r"step too coarse: g\*n\*dt = .* > 1; increase n_steps"):
         TdmrgConfig(chain=chain, t=0.5, n_steps=1, d_cap=8, initial=_plus_mps(4))
     with pytest.raises(ValueError):
         TdmrgConfig(chain=chain, t=0.5, n_steps=0, d_cap=8, initial=_plus_mps(4))
@@ -124,7 +122,7 @@ def test_staged_compression_cap(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(tdmrg, "STAGE_CAP_FACTOR", 1000)
         m.setattr(tdmrg, "BOND_MEMORY_CAP", 6)
-        with pytest.raises(IntermediateTooLargeError):
+        with pytest.raises(EntspecError, match="predicted bond .* > memory cap 6 at step "):
             tdmrg_run(cfg)
     # staged path: a small factor keeps intermediates tight and still sound
     monkeypatch.setattr(tdmrg, "STAGE_CAP_FACTOR", 2)
@@ -198,7 +196,7 @@ def test_theory_bound_value():
     got = certificate_theory_bound(1.0, 8, 0.5, 32, 2048, 3.0)
     assert got == pytest.approx(21.399406696486692, rel=1e-12)
     assert certificate_theory_bound(1.0, 8, 0.0, 32, 2048, 3.0) == 0.0
-    with pytest.raises(StepTooCoarseError):
+    with pytest.raises(EntspecError, match=r"step too coarse: g\*n\*dt = 8.0 > 1"):
         certificate_theory_bound(1.0, 8, 2.0, 2, 64, 3.0)
 
 
@@ -269,7 +267,7 @@ def test_gibbs_tails_shrink_with_rank():
 def test_gibbs_experiment_validation():
     # 2**13 rows pass the dense-matrix limit
     big = build_long_range_ising(13, d=2, j0=1.0, eta=3.0)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(EntspecError, match="dense chain total dim 8192 > cap"):
         gibbs_tail_experiment(big, [0.5], [2])
     near = build_nearest_neighbor_chain(4, d=2, j=1.0)
     with pytest.raises(ValueError):
