@@ -26,7 +26,6 @@ from .agsp_arealaw import (
 )
 from .lowrank import (
     MergeSeries,
-    TruncationParams,
     WidthResult,
     build_merge_series,
     kolmogorov_bounds,

@@ -276,12 +276,13 @@ def boundary_adiabatic_experiment(delta, coupling, epsilon, beta, d_grid):
         d2 = _opnorm((vp - 2 * v0 + vm) / h_fd ** 2)
         c0 = max(c0, d1 / g_tilde, d2 / g_tilde)
     omega0 = DensePropagator(h(0.0)).u[:, 0]
-    omega1 = DensePropagator(h(1.0)).u[:, 0]
+    h1 = h(1.0)
+    omega1 = DensePropagator(h1).u[:, 0]
     cut, dims = Cut(1, 2), (2, 2)
     s0 = renyi_entropy(schmidt_decompose(PureState(dims=dims, amps=omega0), cut), 1.0)
     adiab_err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(res.psi, omega1))))
     adiab_cap = adiabatic_error_bound(c0, g_tilde, epsilon, delta_path)
-    agsp = build_agsp(h(1.0), beta)
+    agsp = build_agsp(h1, beta)
     phi = agsp.matrix @ res.psi
     phi = phi / np.linalg.norm(phi)
     # phi = sum_s coeffs[s] kron(u[:, s], vh[s]), the left qubit as the row index

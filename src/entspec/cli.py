@@ -253,12 +253,8 @@ def exp_merge(p, seed):
 
 
 def exp_truncation_params(p, seed):
-    rows = []
-    for duration in p["durations"]:
-        tp = truncation_error_params(duration, p["q_param"], p["c0"], p["g_tilde"], p["kappa"],
-                                     p["d0"], eps0=p["eps0"])
-        rows.append({"duration": duration, "q0": tp.q0, "segments": tp.segments,
-                     "log2_sr_real": tp.log2_sr_real, "log2_sr_imag": tp.log2_sr_imag})
+    rows = [truncation_error_params(duration, p["q_param"], p["c0"], p["g_tilde"], p["kappa"],
+                                    p["d0"], eps0=p["eps0"]) for duration in p["durations"]]
     return {"rows": rows, "checks": {"real_cost_monotone": budget_monotone_check(rows)}}
 
 
@@ -375,7 +371,15 @@ _MERGE_CONSTANTS = _above_zero("kappa", "c0", "q_param")
 _POSITIVE_ALPHAS = _above_zero("alphas")
 
 
+# the most levels of an unbounded spectrum, a list of d0 + 1 floats: at one
+# OpenBLAS thread on a 2-core x86 box a run at the cap took 1.3-1.5 s at a 260 MB peak
+_UNBOUNDED_D0_CAP = 2 ** 22
+
+
 def _unbounded_cost(p, name):
+    if p["d0"] > _UNBOUNDED_D0_CAP:
+        raise ConfigError(f"param 'd0' of {name} must be <= {_UNBOUNDED_D0_CAP}, the length "
+                          f"limit of its spectrum, got {p['d0']}")
     try:
         build_unbounded_dynamics(p["d0"], p["j"], p["t"])
     except (EntspecError, ValueError) as exc:
@@ -659,12 +663,22 @@ def _checked_seed(seed):
     return seed
 
 
+# a run that fails on a number, which main and selftest report in one line: numpy's
+# LinAlgError is a ValueError, its FloatingPointError an ArithmeticError
+NUMERIC_FAILURE = (EntspecError, ValueError, ArithmeticError)
+
+
 def _run_config(cfg, out_dir, threads, seed_override=None):
     """Run every point of a config and write its artifacts; return the
     summary and the directory written to. At `threads` 1 the points run on
-    the calling thread, so Ctrl-C stops a run at once."""
+    the calling thread, so Ctrl-C stops a run at once. As in the tests, a
+    numpy overflow, invalid value or division by zero raises; underflow passes."""
     name, points, seed, cfg_out = validate_config(cfg)
-    fn = REGISTRY[name].run
+
+    def fn(p, point_seed):  # numpy's error state is per thread, so each point sets it
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return REGISTRY[name].run(p, point_seed)
+
     if seed_override is not None:
         seed = _checked_seed(seed_override)
     if threads < 1:
@@ -746,7 +760,7 @@ def selftest(out_root):
         try:
             summary, _ = _run_config(cfg, out_root / name, 1)
             status = "pass" if summary["all_checks_pass"] else "FAIL"
-        except (EntspecError, ValueError, ArithmeticError) as exc:
+        except NUMERIC_FAILURE as exc:
             status = f"FAIL ({exc})"
         if status != "pass":
             failures.append(name)
@@ -806,7 +820,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (EntspecError, ValueError, ArithmeticError) as exc:  # LinAlgError is a ValueError
+    except NUMERIC_FAILURE as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
     for k, ok in summary["checks"].items():

@@ -33,9 +33,11 @@ MAX_STEPS = 2 ** 19
 
 
 def c_alpha(alpha):
-    """Sharp rate constant: 2 at order 1/2, 4/e at order 1, 2 at infinity.
+    """Rate constant: 2 at order 1/2, 4/e at order 1, 2 at infinity.
 
-    Orders below 1/2 admit no finite constant.
+    Orders below 1/2 admit no finite constant. The toy pump attains it at orders
+    1/2 and infinity, and only 0.90-0.95 of it at 0.6, 0.75, 1, 2 and 4; the
+    paper claims optimality at order 1/2, which acceptance criterion 03 checks.
     """
     if alpha == math.inf:
         return 2.0
@@ -106,10 +108,12 @@ def unbounded_experiment(dyn, alphas):
     less 1e-9, Schmidt weights summing to 1 within 1e-10 (strictly), and the
     order-1/2 entropy at most c_{1/2} J t + 1e-9, the threshold's growth cap.
     Paper: the threshold at order 1/2, below which entanglement growth is unbounded."""
-    rows = [{"alpha": a, "entropy": dyn.entropy(a),
+    spec = dyn.spectrum()
+    *entropies, half = renyi_entropies(spec, [*alphas, 0.5])
+    rows = [{"alpha": a, "entropy": e,
              "floor": dyn.entropy_lower_bound(a) if 0.0 < a < 0.5 else None}
-            for a in alphas]
-    norm2 = float(np.sum(dyn.spectrum().coeffs ** 2))
+            for a, e in zip(alphas, entropies)]
+    norm2 = float(np.sum(spec.coeffs ** 2))
     half_cap = c_alpha(0.5) * dyn.strength_budget()
     return {
         "budget": dyn.strength_budget(),
@@ -119,7 +123,7 @@ def unbounded_experiment(dyn, alphas):
             "entropy_above_floor": check(
                 [(r["floor"] - 1e-9, r["entropy"]) for r in rows if r["floor"] is not None]),
             "unit_norm": check([(abs(norm2 - 1.0), 1e-10)], strict=True),
-            "half_order_below_cap": check([(dyn.entropy(0.5), half_cap)], tol=1e-9),
+            "half_order_below_cap": check([(half, half_cap)], tol=1e-9),
         },
     }
 

@@ -145,7 +145,6 @@ def no_go_experiment(n, d, times, seeds, polish_iters, seed=0):
     uses the proved width lower bound; the heuristic column is informative
     only.
     """
-    width_lower, _ = kolmogorov_bounds(n, min(2 * d, n))
     idfit = rank_constrained_identity_fit(n, min(2 * d, n), seeds=max(8, seeds), seed=seed)
     width_range_check([idfit]).require("no-go's identity fit lies outside its proved range")
     # the seeded candidates do not depend on t, and _best_fit never writes to them
@@ -171,7 +170,7 @@ def no_go_experiment(n, d, times, seeds, polish_iters, seed=0):
             "t": t,
             "measured": measured,
             "bisector_witness": math.sin(t / 2.0),
-            "chain_rhs_sound": t * width_lower - gap,
+            "chain_rhs_sound": t * idfit.lower - gap,
             "chain_rhs_heuristic": t * idfit.value - gap,
             "idfit_2d": idfit.value,
             "no_go_lb": no_go_lower_bound(t),
@@ -367,16 +366,8 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     )
 
 
-@dataclass(frozen=True)
-class TruncationParams:
-    q0: float
-    segments: int
-    log2_sr_real: float
-    log2_sr_imag: float
-
-
 def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0):
-    """Schmidt-rank budgets for propagator truncation over a given duration.
+    """Schmidt-rank budgets for propagator truncation over a duration: one results.csv row.
 
     duration is physical time for the real-time budget and inverse
     temperature for the imaginary-time one; eps0 is the per-segment error
@@ -392,12 +383,8 @@ def truncation_error_params(duration, q_param, c0, g_tilde, kappa, d0, eps0=1.0)
     else:
         log2_real = max(0.0, base * segments * math.log2(8.0 * segments / eps0))
         log2_imag = max(0.0, 2.0 * base * segments * math.log2(48.0 * segments / eps0))
-    return TruncationParams(
-        q0=q0,
-        segments=segments,
-        log2_sr_real=log2_real,
-        log2_sr_imag=log2_imag,
-    )
+    return {"duration": duration, "q0": q0, "segments": segments,
+            "log2_sr_real": log2_real, "log2_sr_imag": log2_imag}
 
 
 def budget_monotone_check(rows):

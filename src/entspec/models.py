@@ -324,9 +324,6 @@ class UnboundedDynamics:
         coeffs = np.sort(np.abs(np.array(coeffs)))[::-1]
         return SchmidtSpectrum(coeffs=coeffs, source_norm=1.0)
 
-    def entropy(self, alpha):
-        return renyi_entropy(self.spectrum(), alpha)
-
     def entropy_lower_bound(self, alpha):
         alpha = float(alpha)
         if not 0.0 < alpha < 0.5:

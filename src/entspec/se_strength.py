@@ -1,6 +1,5 @@
 """Spectral entangling strength: heuristic lower bounds by product-state
-search, proved upper bounds from term decompositions, and the closed-form
-bounds used for long-range chains.
+search and proved upper bounds from term decompositions.
 
 The exact value is a concave-roof optimization (NP-hard in general), so
 every output is labeled lower/upper; the pair is reported as coinciding

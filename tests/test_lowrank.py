@@ -278,18 +278,18 @@ def test_merge_series_random_instances_stay_bounded(rng):
 
 def test_truncation_params():
     p = truncation_error_params(1.0, 2.0, 1.0, 0.5, 1.0, 2, eps0=1.0)
-    assert p.q0 == pytest.approx(max(8.0, 4.0 * math.e * 0.5), abs=1e-12)
-    assert p.segments == math.ceil(p.q0)
+    assert p["q0"] == pytest.approx(max(8.0, 4.0 * math.e * 0.5), abs=1e-12)
+    assert p["segments"] == math.ceil(p["q0"])
     base = 6.0 + 4.0 / 1.0 + math.log2(2)
-    assert p.log2_sr_real == pytest.approx(
-        base * p.segments * math.log2(8.0 * p.segments), abs=1e-9
+    assert p["log2_sr_real"] == pytest.approx(
+        base * p["segments"] * math.log2(8.0 * p["segments"]), abs=1e-9
     )
-    assert p.log2_sr_imag == pytest.approx(
-        2.0 * base * p.segments * math.log2(48.0 * p.segments), abs=1e-9
+    assert p["log2_sr_imag"] == pytest.approx(
+        2.0 * base * p["segments"] * math.log2(48.0 * p["segments"]), abs=1e-9
     )
     zero = truncation_error_params(0.0, 2.0, 1.0, 0.5, 1.0, 2)
-    assert zero.segments == 0
-    assert zero.log2_sr_real == 0.0 and zero.log2_sr_imag == 0.0
+    assert zero["segments"] == 0
+    assert zero["log2_sr_real"] == 0.0 and zero["log2_sr_imag"] == 0.0
 
 
 def test_long_range_decomposition_check():

@@ -209,7 +209,7 @@ def test_unbounded_spectrum_is_normalized():
 
 def test_unbounded_entropy_values_and_bound():
     dyn = build_unbounded_dynamics(16, 1.0, 1.0)
-    assert dyn.entropy(0.25) == pytest.approx(2.133600597822918, abs=1e-12)
+    assert renyi_entropy(dyn.spectrum(), 0.25) == pytest.approx(2.133600597822918, abs=1e-12)
     assert dyn.entropy_lower_bound(0.25) == pytest.approx(
         -0.462098120373297, abs=1e-12
     )

@@ -40,10 +40,6 @@ SHARED = {
         "SaturationDynamics": "cli.exp_saturation reports it",
         "ToyTwoQubit": "dynamics.toy_rate_experiment scales the bound by it",
     },
-    "entropy": {
-        "RateSample": "reaches the sie-rate results.csv through dataclasses.asdict",
-        "UnboundedDynamics": "dynamics.unbounded_experiment tabulates it",
-    },
     "rate": {
         "RateSample": "dynamics.rate_bound_check compares it to its bound",
         "ToyTwoQubit": "dynamics.toy_rate_experiment tabulates it",
