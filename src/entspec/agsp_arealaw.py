@@ -19,9 +19,11 @@ from .se_strength import _opnorm
 from .spectra import Cut, PureState, SchmidtSpectrum, check, renyi_entropy, schmidt_decompose
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
-# values move by less than QUAD_TOL or the count reaches NODE_CAP
+# values move by less than QUAD_TOL and the ground value is within
+# GROUND_TOL of its closed form, or the count reaches NODE_CAP
 START_NODES = 64
 QUAD_TOL = 1e-10
+GROUND_TOL = 1e-8
 NODE_CAP = 2 ** 14
 # random gapped instances: block dimensions drawn from 2..GAPPED_MAX_LOCAL,
 # coupling made of GAPPED_V_TERMS product terms
@@ -89,10 +91,16 @@ def _filter_values(lams, beta, t_c, nodes):
     return vals / math.sqrt(4.0 * math.pi * beta)
 
 
+def _ground_miss(f0, beta, delta):
+    """Distance of the filter's ground value from its closed form erf(sqrt(beta) * gap)."""
+    return abs(f0 - math.erf(math.sqrt(beta) * delta))
+
+
 def build_agsp(h, beta):
     """Gaussian-window filter of a dense Hermitian matrix (ValueError if it
     is not Hermitian), ground energy shifted to zero, integration window
-    2 * beta * gap."""
+    2 * beta * gap. A small change stops the doubling only where the ground
+    value is its closed form erf(sqrt(beta) * gap), not on two passes of zeros."""
     prop = DensePropagator(h)
     w = prop.w
     delta = float(w[1] - w[0])
@@ -107,7 +115,8 @@ def build_agsp(h, beta):
         f_cur = _filter_values(lams, beta, t_c, nodes)
         # ||U diag(df) U^dag|| = max|df| exactly, since U is unitary
         k_diff = float(np.max(np.abs(f_cur - f_prev)))
-        if k_diff < QUAD_TOL or nodes >= NODE_CAP:
+        if (k_diff < QUAD_TOL and _ground_miss(f_cur[0], beta, delta) < GROUND_TOL
+                or nodes >= NODE_CAP):
             break
         f_prev = f_cur
     return AgspOperator(
@@ -124,14 +133,17 @@ def build_agsp(h, beta):
 def agsp_checks(ops):
     """The defect inequalities of filtered projectors (ground and Gaussian
     defects below the defect bound, excited defect below twice it) and the
-    convergence of their quadratures.
+    convergence of their quadratures: a last change below QUAD_TOL and a
+    ground value within GROUND_TOL of its closed form, which zeros miss.
     Paper: the defect bounds of the Gaussian-filtered approximate ground-state projector."""
     defects = [pair for a in ops for pair in (
         (a.defect_ground, a.defect_bound), (a.defect_excited, 2.0 * a.defect_bound),
         (a.gauss_defect, a.defect_bound))]
     return {
         "defects_below_bounds": check(defects, tol=1e-12),
-        "quadrature_converged": check([(a.quad_diff, QUAD_TOL) for a in ops], strict=True),
+        "quadrature_converged": check([(a.quad_diff, QUAD_TOL) for a in ops] + [
+            (_ground_miss(a.filter_vals[0], a.beta, a.delta), GROUND_TOL) for a in ops],
+            strict=True),
     }
 
 
@@ -283,6 +295,7 @@ def boundary_adiabatic_experiment(delta, coupling, epsilon, beta, d_grid):
     adiab_err = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(res.psi, omega1))))
     adiab_cap = adiabatic_error_bound(c0, g_tilde, epsilon, delta_path)
     agsp = build_agsp(h1, beta)
+    agsp_checks([agsp])["quadrature_converged"].require("area-law's filter quadrature")
     phi = agsp.matrix @ res.psi
     phi = phi / np.linalg.norm(phi)
     # phi = sum_s coeffs[s] kron(u[:, s], vh[s]), the left qubit as the row index

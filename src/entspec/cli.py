@@ -38,7 +38,6 @@ from .errors import EntspecError
 from .ioutil import config_hash, write_csv, write_json
 from .lowrank import (
     IDENTITY_FIT_DIM_CAP,
-    MERGE_DIM_CAP,
     budget_monotone_check,
     build_merge_series,
     long_range_decomposition_check,
@@ -331,10 +330,11 @@ _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
 class Experiment:
     """One experiment's whole config contract, which validate_config reads
     without naming the experiment. `rules` are the value rules on its own
-    params, checked after _RULES. `cost(p, name)` raises ConfigError when a
-    merged run point passes one of its caps; it is None where the value
-    rules alone bound the run. `selftest_params` reduce the defaults for
-    `entspec selftest`."""
+    params, checked after _RULES. `cost(p)` refuses a merged run point that
+    passes one of its caps, by ConfigError for a budget of a CLI run or by
+    the library's own EntspecError for a limit of the code that allocates;
+    it is None where the value rules alone bound the run. `selftest_params`
+    reduce the defaults for `entspec selftest`."""
 
     run: Callable
     defaults: dict
@@ -371,19 +371,29 @@ _MERGE_CONSTANTS = _above_zero("kappa", "c0", "q_param")
 _POSITIVE_ALPHAS = _above_zero("alphas")
 
 
-# the most levels of an unbounded spectrum, a list of d0 + 1 floats: at one
-# OpenBLAS thread on a 2-core x86 box a run at the cap took 1.3-1.5 s at a 260 MB peak
-_UNBOUNDED_D0_CAP = 2 ** 22
+# the most levels m a side of saturate's pump: its strength search on two
+# (m + 1)-level systems takes about (m + 1)**6; at one OpenBLAS thread on a
+# 2-core x86 box a run at the cap took 10.5-11.3 s over seeds 0-3, at a 55 MB peak
+_SATURATE_LEVELS_CAP = 16
 
 
-def _unbounded_cost(p, name):
-    if p["d0"] > _UNBOUNDED_D0_CAP:
-        raise ConfigError(f"param 'd0' of {name} must be <= {_UNBOUNDED_D0_CAP}, the length "
-                          f"limit of its spectrum, got {p['d0']}")
-    try:
-        build_unbounded_dynamics(p["d0"], p["j"], p["t"])
-    except (EntspecError, ValueError) as exc:
-        raise ConfigError(f"params 'd0', 'j' and 't' of {name}: {exc}") from None
+def _saturate_cost(p):
+    if p["m_levels"] > _SATURATE_LEVELS_CAP:
+        raise ConfigError(f"param 'm_levels' must be <= {_SATURATE_LEVELS_CAP}, as the strength "
+                          f"search takes about (m_levels + 1)**6, got {p['m_levels']}")
+
+
+# the most filters an agsp run builds, instances * len(betas), each kept for
+# agsp_checks; at one OpenBLAS thread on a 2-core x86 box a run at the cap
+# took 2.4-2.8 s at the default betas and 11-12 s at betas [100, 100], at a 95-99 MB peak
+_AGSP_FILTER_CAP = 2 ** 11
+
+
+def _agsp_cost(p):
+    filters = p["instances"] * len(p["betas"])
+    if filters > _AGSP_FILTER_CAP:
+        raise ConfigError(f"params 'instances' and 'betas' must keep the instances * len(betas) "
+                          f"filters a run keeps at <= {_AGSP_FILTER_CAP}, got {filters}")
 
 
 def _chain_matrix_cost(cap, limit):
@@ -391,9 +401,9 @@ def _chain_matrix_cost(cap, limit):
     d**n <= cap. With d >= 2 the power passes the cap by the exponent
     cap.bit_length(), so no larger one is formed."""
 
-    def cost(p, name):
+    def cost(p):
         if p["d"] ** min(p["n"], cap.bit_length()) > cap:
-            raise ConfigError(f"params 'd' and 'n' of {name} must have d**n <= {cap}, "
+            raise ConfigError(f"params 'd' and 'n' must have d**n <= {cap}, "
                               f"{limit}, got d**n = {p['d']}**{p['n']}")
     return cost
 
@@ -437,20 +447,17 @@ def _tdmrg_work(p):
         return setup + per_step
     with np.errstate(over="ignore"):  # a g past float range is inf
         g = _nearest_chain(p, min(n, 3)).g
-    try:
-        return setup + default_step_count(g, n, p["t"], p["eps_target"]) * per_step
-    except EntspecError:  # g*n*t or g*n*t/eps_target is inf, or g*n*t NaN
-        return math.inf
+    return setup + default_step_count(g, n, p["t"], p["eps_target"]) * per_step
 
 
-def _tdmrg_cost(p, name):
+def _tdmrg_cost(p):
     if p["compare_dense"]:
         _chain_matrix_cost(DENSE_DIM_CAP, "the dense-matrix limit of compare_dense "
-                           "(set it to false)")(p, name)
+                           "(set it to false)")(p)
     work = _tdmrg_work(p)
     if work > _TDMRG_WORK_CAP:
         shown = f"{work:.3g}" if work < 1e300 else "past 1e300"
-        raise ConfigError(f"params of {name} must keep the work estimate n * d**6 // 512 + "
+        raise ConfigError(f"params must keep the work estimate n * d**6 // 512 + "
                           f"steps * (terms + 1) * d * sum over bonds of "
                           f"min(d_cap, d**k)**2, k sites to the nearer end, "
                           f"<= {_TDMRG_WORK_CAP}, got {shown}")
@@ -463,30 +470,21 @@ def _tdmrg_cost(p, name):
 _DECOMPOSITION_ENTRY_CAP = 2 ** 20
 
 
-def _decomposition_cost(p, name):
+def _decomposition_cost(p):
     entries = p["cut"] * (p["n"] - p["cut"]) * p["d"] ** 4
     if entries > _DECOMPOSITION_ENTRY_CAP:
-        raise ConfigError(f"params 'n', 'cut' and 'd' of {name} must keep the cut * (n - cut) "
+        raise ConfigError(f"params 'n', 'cut' and 'd' must keep the cut * (n - cut) "
                           f"crossing pair terms of d**4 entries each at <= "
                           f"{_DECOMPOSITION_ENTRY_CAP} entries, got {entries}")
 
 
-def _merge_cost(p, name):
-    """The product space within MERGE_DIM_CAP, z within the series' window,
-    and the weight bins within merge_bin_count's limits."""
-    if p["da"] * p["db"] > MERGE_DIM_CAP:
-        raise ConfigError(f"params 'da' and 'db' of {name} must have da*db <= "
-                          f"{MERGE_DIM_CAP}, got {p['da']}*{p['db']}")
+def _merge_cost(p):
+    """The product space and the weight bins within merge_bin_count's
+    limits, and z within the series' window, as build_merge_series checks them."""
+    merge_bin_count(p["n_terms"], p["kappa"], p["da"] * p["db"])
     # each coupling has norm |v_scale|, so g_tilde is n_terms |v_scale|
     g_tilde = abs(p["v_scale"]) * min(p["n_terms"], sys.float_info.max)
-    try:
-        merge_z_window(complex(p["z_re"], p["z_im"]), merge_q0(p["q_param"], p["c0"], g_tilde))
-    except EntspecError as exc:
-        raise ConfigError(f"params 'z_re' and 'z_im' of {name}: {exc}") from None
-    try:
-        merge_bin_count(p["n_terms"], p["kappa"], p["da"] * p["db"])
-    except EntspecError as exc:
-        raise ConfigError(f"params 'n_terms' and 'kappa' of {name}: {exc}") from None
+    merge_z_window(complex(p["z_re"], p["z_im"]), merge_q0(p["q_param"], p["c0"], g_tilde))
 
 
 REGISTRY = {
@@ -500,10 +498,11 @@ REGISTRY = {
         rules=((("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),)),
     "saturate": Experiment(
         exp_saturation, {"m_levels": 4, "j": 1.0, "n_pairs": 10, "times": [0.25, 0.5, 1.0]},
-        rules=(_above_zero("times", "j"),), selftest_params={"times": [0.5]}),
+        rules=(_above_zero("times", "j"),), cost=_saturate_cost, selftest_params={"times": [0.5]}),
     "unbounded": Experiment(
         exp_unbounded, {"d0": 16, "j": 1.0, "t": 1.0, "alphas": [0.25, 0.4, 0.5, 1.0]},
-        rules=(_POSITIVE_ALPHAS, _above_zero("j", "t")), cost=_unbounded_cost),
+        rules=(_POSITIVE_ALPHAS, _above_zero("j", "t"), (("d0",), lambda v: v >= 2, ">= 2")),
+        cost=lambda p: build_unbounded_dynamics(p["d0"], p["j"], p["t"])),
     "toy": Experiment(
         exp_toy_rate, {"times": [0.2, 0.5, 0.9, 1.2], "alphas": [0.3, 0.5, 0.75, 1.0, 2.0, "inf"]},
         rules=((("times",), lambda v: 0 < v < math.pi / 2,
@@ -514,7 +513,7 @@ REGISTRY = {
         selftest_params={"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100}),
     "agsp": Experiment(
         exp_agsp, {"instances": 3, "betas": [1.0, 4.0]}, rules=(_above_zero("betas"),),
-        selftest_params={"instances": 1, "betas": [2.0]}),
+        cost=_agsp_cost, selftest_params={"instances": 1, "betas": [2.0]}),
     "ground-tail": Experiment(
         exp_ground_tail,
         {"chain": "longrange", "n": 8, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.6,
@@ -652,7 +651,10 @@ def validate_config(cfg):
             raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
                               f"{p['n']}, got {p['cut']}")
         if experiment.cost:
-            experiment.cost(p, name)
+            try:
+                experiment.cost(p)
+            except (ConfigError, EntspecError) as exc:
+                raise ConfigError(f"run point of {name}: {exc}") from None
     return name, points, _checked_seed(cfg.get("seed", 0)), out
 
 

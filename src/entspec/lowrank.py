@@ -270,8 +270,10 @@ def merge_bin_count(n_terms, kappa, dim):
     (from 1) with 4^(m/kappa) <= j < 4^((m+1)/kappa), up to the first bin that
     starts past n_terms. EntspecError, before any bin is built, when the
     n_terms couplings and the bins, dim x dim complex matrices each, would take
-    more than MERGE_MEMORY_CAP bytes, or when the last bin's upper edge is past
-    float range."""
+    more than MERGE_MEMORY_CAP bytes, when dim is past MERGE_DIM_CAP, or when
+    the last bin's upper edge is past float range."""
+    if dim > MERGE_DIM_CAP:
+        raise EntspecError(f"merge total dim {dim} > {MERGE_DIM_CAP}")
     matrix_bytes = 16 * dim * dim
     room = max(MERGE_MEMORY_CAP // matrix_bytes - n_terms, 0)  # the bins that fit
     n_bins = bisect.bisect_right(range(room + 1), n_terms, key=lambda m: _bin_edge(m, kappa))
@@ -305,8 +307,7 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     h0_a = np.asarray(h0_a, dtype=complex)
     h0_b = np.asarray(h0_b, dtype=complex)
     da, db = h0_a.shape[0], h0_b.shape[0]
-    if da * db > MERGE_DIM_CAP:
-        raise EntspecError(f"merge total dim {da * db} > {MERGE_DIM_CAP}")
+    n_bins = merge_bin_count(len(v_terms), kappa, da * db)
     h0 = _block_sum(h0_a, h0_b)
     mats = [np.asarray(m, dtype=complex) for m in v_terms]
     norms = [_opnorm(m) for m in mats]
@@ -314,7 +315,6 @@ def build_merge_series(h0_a, h0_b, v_terms, z, s0, m_order, q_order, kappa, d0, 
     z = complex(z)
     q0 = merge_q0(q_param, c0, g_tilde)
     merge_z_window(z, q0)
-    n_bins = merge_bin_count(len(mats), kappa, da * db)
     bins = []
     bin_caps = []
     for m in range(n_bins):

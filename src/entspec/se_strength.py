@@ -174,7 +174,6 @@ def _ascend(phi4, x, y, iterations):
         if hn > 1e-300:
             y = h.conj() / hn
         if new_obj - obj < CONVERGENCE_TOL:
-            obj = max(obj, new_obj)
             converged = True
             break
         obj = new_obj

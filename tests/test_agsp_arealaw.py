@@ -86,6 +86,22 @@ def test_legendre_nodes_are_computed_once_and_read_only():
     assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
 
 
+def test_agsp_quadrature_of_zeros_is_not_converged(monkeypatch):
+    # a window of 2 * 4 * 1000: the 64- and 128-node passes both miss the
+    # Gaussian and read about 0, which once stopped the doubling at 128
+    # nodes; the ground value erf(2000) = 1 keeps it doubling to the cap
+    # (cut to 1024 here, as the 2^14 nodes take seconds to compute)
+    monkeypatch.setattr(agsp_arealaw, "NODE_CAP", 1024)
+    k = build_agsp(np.diag([0.0, 1000.0, 1500.0, 2000.0]).astype(complex), 4.0)
+    assert k.nodes_used == 1024
+    assert not agsp_checks([k])["quadrature_converged"].ok
+    # ten times wider, the two passes at that cap agree on zeros, a last
+    # change of 0, and only the ground value fails the check
+    k = build_agsp(np.diag([0.0, 1e4, 1.5e4, 2e4]).astype(complex), 4.0)
+    assert k.quad_diff < agsp_arealaw.QUAD_TOL and abs(k.filter_vals[0]) < 1e-100
+    assert not agsp_checks([k])["quadrature_converged"].ok
+
+
 def test_agsp_rejects_degenerate_ground():
     with pytest.raises(EntspecError, match="spectral gap 0.0 below 1e-9"):
         build_agsp(np.diag([0.0, 0.0, 1.0]).astype(complex), 2.0)

@@ -44,6 +44,9 @@ BAD_SIZES = [
     {"experiment": "decomposition", "params": {"n": 65538, "cut": 1}},
     # a spectrum of more than 2**22 + 1 levels
     {"experiment": "unbounded", "params": {"d0": 4194305}},
+    # a strength search on two 18-level systems, and 2050 filters
+    {"experiment": "saturate", "params": {"m_levels": 17}},
+    {"experiment": "agsp", "params": {"instances": 1025}},
 ]
 
 # List entries unlike the default's, an empty list, or a cut outside 1..n-1
@@ -213,10 +216,8 @@ def test_registry_lists_every_published_experiment():
 NO_COST_RULE = {
     "sie-rate",  # instances and terms are counts no rule bounds
     "c-alpha-table",  # closed forms, one row per listed order
-    "saturate",  # m_levels is a count no rule bounds
     "toy",  # closed forms on two qubits, one row per listed time and order
     "se-search",  # instances, terms, seeds and iterations are counts no rule bounds
-    "agsp",  # instances is a count no rule bounds; each instance is a small gapped one
     "area-law",  # two qubits; the adiabatic refinement stops at dynamics.MAX_STEPS
     "kolmogorov",  # the pairs rule caps N; seeds and polish are counts no rule bounds
     "no-go",  # the n rule caps N; seeds and polish are counts no rule bounds
@@ -449,6 +450,18 @@ def test_agsp_fails_when_quadrature_is_cut(tmp_path, monkeypatch):
     assert summary["checks"] == {"defects_below_bounds": True, "quadrature_converged": False}
 
 
+def test_area_law_exits_1_on_a_filter_of_zeros(tmp_path, capsys, monkeypatch):
+    # at delta 1000 the filter window is 8000 wide, and two passes that both
+    # miss the Gaussian once stopped the doubling; the 2^14-node cap takes
+    # seconds to compute, so it is cut to 1024 here
+    monkeypatch.setattr(agsp_arealaw, "NODE_CAP", 1024)
+    cfg = write_config(tmp_path, {"experiment": "area-law", "params": {"delta": 1000.0}})
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("invariant failure: check failed: area-law's filter quadrature")
+
+
 def test_runtime_invariant_error_exits_1(tmp_path):
     # a closed path gap is a numeric outcome, not a malformed config
     cfg_path = write_config(tmp_path, {"experiment": "area-law", "params": {"delta": 0.0}})
@@ -640,10 +653,22 @@ def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module
     ({"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
      "work estimate n * d**6 // 512 + steps * (terms + 1) * d * sum over bonds of "
      "min(d_cap, d**k)**2, k sites to the nearer end, <= 134217728, got 1.02e+13"),
+    # library errors that a cost rule lets through: the series' own window
+    # and dimension limits, a step count that is not finite at g = inf, and
+    # the length limit of a spectrum
+    ({"experiment": "merge-series", "params": {"z_im": 1.0}}, "z outside the merge window"),
+    ({"experiment": "merge-series", "params": {"da": 64, "db": 64}}, "merge total dim 4096 > 1024"),
+    ({"experiment": "tdmrg", "params": {"j0": 1e308}}, "no finite step count for g*n*t = inf"),
+    ({"experiment": "unbounded", "params": {"d0": 4194305}}, "d0 = 4194305 > 4194304"),
+    ({"experiment": "saturate", "params": {"m_levels": 17}}, "'m_levels' must be <= 16"),
+    ({"experiment": "agsp", "params": {"instances": 1025}}, "<= 2048, got 2050"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
+    # one line, which names the experiment once, whoever raised the refusal
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert estimate in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and estimate in err[0]
+    assert err[0].count(cfg["experiment"]) == 1
     assert not (tmp_path / "o").exists()
 
 

@@ -15,6 +15,7 @@ from entspec import (
     build_merge_series,
     kolmogorov_bounds,
     long_range_decomposition_check,
+    lowrank,
     merge_error_bound,
     no_go_experiment,
     no_go_lower_bound,
@@ -24,6 +25,7 @@ from entspec import (
 )
 from entspec.lowrank import (
     IDENTITY_FIT_DIM_CAP,
+    MERGE_DIM_CAP,
     WidthResult,
     _max_abs,
     merge_bin_count,
@@ -195,11 +197,22 @@ def test_merge_series_zero_coupling_is_exact_identity():
 def test_merge_series_window_enforced():
     with pytest.raises(EntspecError, match="z outside the merge window"):
         _tiny_merge(z=0.2)
+
+
+def test_merge_series_refuses_its_dimension_before_forming_h0(monkeypatch):
+    # merge_bin_count holds the one comparison with MERGE_DIM_CAP, and the
+    # series calls it before the 4096 x 4096 H0 is formed or a coupling read
+    with pytest.raises(EntspecError, match=f"merge total dim {MERGE_DIM_CAP + 1} > "):
+        merge_bin_count(1, 1.0, MERGE_DIM_CAP + 1)
+    merge_bin_count(1, 1.0, MERGE_DIM_CAP)
+
+    def formed(*args):
+        raise AssertionError("H0 was formed")
+
+    monkeypatch.setattr(lowrank, "_block_sum", formed)
     with pytest.raises(EntspecError, match="merge total dim 4096 > "):
-        build_merge_series(
-            np.eye(64), np.eye(64), [np.zeros((4096, 4096))], 0.01,
-            2, 2, 2, kappa=1.0, d0=2, c0=1.0, q_param=2.0,
-        )
+        build_merge_series(np.eye(64), np.eye(64), [None], 0.01,
+                           2, 2, 2, kappa=1.0, d0=2, c0=1.0, q_param=2.0)
 
 
 @pytest.mark.parametrize("q_param, c0, g_tilde", [

@@ -26,7 +26,7 @@ from entspec import (
 )
 from entspec.dynamics import unbounded_experiment
 from entspec.lowrank import long_range_constants
-from entspec.models import _random_coupling, _random_unit_hermitian
+from entspec.models import UNBOUNDED_D0_CAP, _random_coupling, _random_unit_hermitian
 
 from helpers import random_hermitian
 
@@ -223,6 +223,10 @@ def test_unbounded_validation():
         build_unbounded_dynamics(16, 1.0, 1.5)
     with pytest.raises(ValueError):
         build_unbounded_dynamics(1, 1.0, 0.5)
+    # the spectrum is a list of d0 + 1 floats, so its length is capped
+    with pytest.raises(EntspecError, match=f"d0 = {UNBOUNDED_D0_CAP + 1} > {UNBOUNDED_D0_CAP}"):
+        build_unbounded_dynamics(UNBOUNDED_D0_CAP + 1, 1.0, 1.0)
+    assert build_unbounded_dynamics(UNBOUNDED_D0_CAP, 1.0, 1.0).d0 == UNBOUNDED_D0_CAP
     with pytest.raises(EntspecError, match=r"order alpha = 0.6 not in \(0, 0.5\)"):
         build_unbounded_dynamics(16, 1.0, 1.0).entropy_lower_bound(0.6)
 
