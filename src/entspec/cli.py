@@ -52,6 +52,7 @@ from .lowrank import (
 )
 from .models import (
     DENSE_DIM_CAP,
+    INSTANCE_SIDE_CAP,
     _random_unit_hermitian,
     build_ising_projector_interaction,
     build_long_range_ising,
@@ -317,7 +318,7 @@ class ConfigError(Exception):
     pass
 
 
-# artifact directory when neither --out nor the config's "out" names one
+# artifact directory of a run without --out
 DEFAULT_OUT = "entspec_out"
 
 
@@ -369,6 +370,39 @@ _ELAPSED = (("t", "times", "durations"), lambda v: v >= 0,
 _INSTANCE_DIM_CAP = (("dim_cap",), lambda v: v >= 4, ">= 4, the least instance being 2 x 2")
 _MERGE_CONSTANTS = _above_zero("kappa", "c0", "q_param")
 _POSITIVE_ALPHAS = _above_zero("alphas")
+
+
+def _shown(work):
+    """A work estimate in a message: three digits, as a float holds it."""
+    return f"{work:.3g}" if work < 1e300 else "past 1e300"
+
+
+# the most work an se-search run may take, by the estimate of _se_search_cost,
+# the least power of two that admits the defaults (3.68e9); at one OpenBLAS
+# thread on a 2-core x86 box a unit took about 20 ns, and at the cap the
+# slowest of seeds 0-9 took 58 s (34,893 instances) at a 63 MB peak, or 44 s
+# at 423 MB (58,253 terms on one instance)
+_SE_SEARCH_WORK_CAP = 2 ** 32
+
+
+def _se_search_cost(p):
+    """The work estimate instances * (2**16 + terms * (s**2 + 2**13) +
+    (seeds + 3) * iterations * (s**3 + 2**14)), s = min(dim_cap, 256): an
+    instance of random_dense_instance holds da * db <= s levels, a side
+    holding at most INSTANCE_SIDE_CAP (16). A term's Kronecker product holds
+    s**2 entries, and an ascent iteration with ancillas of min(da, db) levels
+    contracts (da * db)**2 * min(da, db)**2 <= s**3. Each instance's search
+    runs seeds + 3 starts with ancillas and seeds + 2 without, for at most
+    `iterations` each; the powers of two are the overheads of an instance, a
+    term and an iteration of both searches at the least instance."""
+    s = min(p["dim_cap"], INSTANCE_SIDE_CAP ** 2)
+    work = p["instances"] * (2 ** 16 + p["terms"] * (s * s + 2 ** 13)
+                             + (p["seeds"] + 3) * p["iterations"] * (s ** 3 + 2 ** 14))
+    if work > _SE_SEARCH_WORK_CAP:
+        raise ConfigError(f"params must keep the work estimate instances * (2**16 + terms * "
+                          f"(s**2 + 2**13) + (seeds + 3) * iterations * (s**3 + 2**14)), "
+                          f"s = min(dim_cap, {INSTANCE_SIDE_CAP ** 2}), <= {_SE_SEARCH_WORK_CAP}, "
+                          f"got {_shown(work)}")
 
 
 # the most levels m a side of saturate's pump: its strength search on two
@@ -456,11 +490,10 @@ def _tdmrg_cost(p):
                            "(set it to false)")(p)
     work = _tdmrg_work(p)
     if work > _TDMRG_WORK_CAP:
-        shown = f"{work:.3g}" if work < 1e300 else "past 1e300"
         raise ConfigError(f"params must keep the work estimate n * d**6 // 512 + "
                           f"steps * (terms + 1) * d * sum over bonds of "
                           f"min(d_cap, d**k)**2, k sites to the nearer end, "
-                          f"<= {_TDMRG_WORK_CAP}, got {shown}")
+                          f"<= {_TDMRG_WORK_CAP}, got {_shown(work)}")
 
 
 # the most entries the cut * (n - cut) pair terms that cross the cut, all a
@@ -509,7 +542,7 @@ REGISTRY = {
                 "in (0, pi/2), where the closed form holds"),)),
     "se-search": Experiment(
         exp_se_search, {"instances": 4, "dim_cap": 64, "terms": 3, "seeds": 8, "iterations": 300},
-        rules=(_INSTANCE_DIM_CAP,),
+        rules=(_INSTANCE_DIM_CAP,), cost=_se_search_cost,
         selftest_params={"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100}),
     "agsp": Experiment(
         exp_agsp, {"instances": 3, "betas": [1.0, 4.0]}, rules=(_above_zero("betas"),),
@@ -617,17 +650,13 @@ def _check_params(name, values, experiment):
 
 
 def validate_config(cfg):
-    """Check a config and return (experiment, merged run points, seed, out):
+    """Check a config and return (experiment, merged run points, seed):
     each point is the defaults, then `params`, then one grid entry."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    allowed = {"experiment", "params", "grid", "seed", "out"}
-    extra = set(cfg) - allowed
+    extra = set(cfg) - {"experiment", "params", "grid", "seed"}
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    out = cfg.get("out", None)
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out must be a string path")
     name = cfg.get("experiment")
     if not isinstance(name, str) or name not in REGISTRY:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(REGISTRY)}")
@@ -655,7 +684,7 @@ def validate_config(cfg):
                 experiment.cost(p)
             except (ConfigError, EntspecError) as exc:
                 raise ConfigError(f"run point of {name}: {exc}") from None
-    return name, points, _checked_seed(cfg.get("seed", 0)), out
+    return name, points, _checked_seed(cfg.get("seed", 0))
 
 
 def _checked_seed(seed):
@@ -671,11 +700,11 @@ NUMERIC_FAILURE = (EntspecError, ValueError, ArithmeticError)
 
 
 def _run_config(cfg, out_dir, threads, seed_override=None):
-    """Run every point of a config and write its artifacts; return the
-    summary and the directory written to. At `threads` 1 the points run on
-    the calling thread, so Ctrl-C stops a run at once. As in the tests, a
-    numpy overflow, invalid value or division by zero raises; underflow passes."""
-    name, points, seed, cfg_out = validate_config(cfg)
+    """Run every point of a config, write its artifacts to `out_dir` and
+    return the summary. At `threads` 1 the points run on the calling
+    thread, so Ctrl-C stops a run at once. As in the tests, a numpy
+    overflow, invalid value or division by zero raises; underflow passes."""
+    name, points, seed = validate_config(cfg)
 
     def fn(p, point_seed):  # numpy's error state is per thread, so each point sets it
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -685,7 +714,6 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
         seed = _checked_seed(seed_override)
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
-    out_dir = out_dir or Path(cfg_out or DEFAULT_OUT)
     started = time.time()
     seeds = range(seed, seed + len(points))
     if threads > 1 and len(points) > 1:
@@ -722,7 +750,7 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
         "rows_file": "results.csv",
     }
     write_json(out_dir / "summary.json", summary)
-    return summary, out_dir
+    return summary
 
 
 def _spectrum_rejected(coeffs, source_norm):
@@ -760,7 +788,7 @@ def selftest(out_root):
     for name, experiment in REGISTRY.items():
         cfg = {"experiment": name, "params": experiment.selftest_params, "seed": 7}
         try:
-            summary, _ = _run_config(cfg, out_root / name, 1)
+            summary = _run_config(cfg, out_root / name, 1)
             status = "pass" if summary["all_checks_pass"] else "FAIL"
         except NUMERIC_FAILURE as exc:
             status = f"FAIL ({exc})"
@@ -797,8 +825,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run one experiment from a JSON config")
     run.add_argument("config", help="path to the config JSON")
-    run.add_argument("--out", default=None,
-                     help="artifact directory (overrides the config's own)")
+    run.add_argument("--out", default=DEFAULT_OUT, help="artifact directory")
     run.add_argument("--threads", type=int, default=1)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     st = sub.add_parser("selftest", help="reduced sweep of every experiment")
@@ -816,9 +843,9 @@ def main(argv=None):
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
     try:
-        out_arg = Path(args.out) if args.out is not None else None
-        summary, out_dir = _run_config(cfg, out_arg, args.threads, args.seed)
+        summary = _run_config(cfg, out_dir, args.threads, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

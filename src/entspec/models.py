@@ -449,7 +449,11 @@ def random_product_state(dims, rng):
     return product_state(dims, vecs)
 
 
-def random_dense_instance(rng, dim_cap=256, max_local=16, n_terms=4):
+# the most levels a side of a random dense instance has by default
+INSTANCE_SIDE_CAP = 16
+
+
+def random_dense_instance(rng, dim_cap=256, max_local=INSTANCE_SIDE_CAP, n_terms=4):
     """Random H_A + H_B + V with a Hermitian unit-norm term decomposition.
 
     Returns (cut Hamiltonian pieces as dense matrices, V as BipartiteOperator,

@@ -306,3 +306,36 @@ def test_criterion_12_selftest_passes(acceptance_lines, tmp_path):
     ok = code == 0 and elapsed < budget
     record(acceptance_lines, 12, ok, elapsed, budget, f"exit code {code}")
     assert ok
+
+
+def test_criterion_13_certified_evolution_that_truncates(acceptance_lines):
+    # criterion 07's chain and start at caps below the exact bond of 16, so
+    # the discard half sqrt(2n) * sum(delta) of the bound is exercised
+    budget = 10.0
+    t0 = time.perf_counter()
+    chain = build_long_range_ising(8, d=2, j0=1.0, eta=3.0, hx=0.4, hz=0.2)
+    t = 0.25
+    n_steps = default_step_count(chain.g, 8, t, eps_target=0.5)
+    v = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    init = product_mps(8, d=2, local_vectors=[v] * 8)
+    exact = expm(-1j * chain.dense() * t) @ to_dense(init).amps
+    runs = []
+    for d_cap in (2, 4):
+        out, cert = tdmrg_run(
+            TdmrgConfig(chain=chain, t=t, n_steps=n_steps, d_cap=d_cap, initial=init)
+        )
+        err = float(np.linalg.norm(to_dense(out).amps - exact))
+        discarded = sum(s.delta_bar for s in cert.steps)
+        runs.append((d_cap, err, cert, discarded, certificate_checks(cert, err)))
+    elapsed = time.perf_counter() - t0
+    ok = (all(c.ok for *_, checks in runs for c in checks.values())
+          and all(discarded > 1e-8 for *_, discarded, _ in runs)
+          and elapsed < budget)
+    record(acceptance_lines, 13, ok, elapsed, budget,
+           f"{n_steps} steps; "
+           + "; ".join(f"D={d_cap}: err {err:.3e} <= bound {cert.final_bound:.3e}, "
+                       f"sum delta {discarded:.2e}, discard share "
+                       f"{math.sqrt(2 * 8) * discarded / cert.final_bound:.1%}, least margin "
+                       f"{min(c.margin for c in checks.values()):.3g}"
+                       for d_cap, err, cert, discarded, checks in runs))
+    assert ok

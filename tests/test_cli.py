@@ -47,6 +47,8 @@ BAD_SIZES = [
     # a strength search on two 18-level systems, and 2050 filters
     {"experiment": "saturate", "params": {"m_levels": 17}},
     {"experiment": "agsp", "params": {"instances": 1025}},
+    # one ascent iteration a start past the se-search work cap at the other defaults
+    {"experiment": "se-search", "params": {"iterations": 351}},
 ]
 
 # List entries unlike the default's, an empty list, or a cut outside 1..n-1
@@ -217,7 +219,6 @@ NO_COST_RULE = {
     "sie-rate",  # instances and terms are counts no rule bounds
     "c-alpha-table",  # closed forms, one row per listed order
     "toy",  # closed forms on two qubits, one row per listed time and order
-    "se-search",  # instances, terms, seeds and iterations are counts no rule bounds
     "area-law",  # two qubits; the adiabatic refinement stops at dynamics.MAX_STEPS
     "kolmogorov",  # the pairs rule caps N; seeds and polish are counts no rule bounds
     "no-go",  # the n rule caps N; seeds and polish are counts no rule bounds
@@ -253,6 +254,8 @@ def test_validation_names_no_experiment():
         {"experiment": "saturate", "grid": {"times": [0.1]}},
         {"experiment": "saturate", "grid": [{"bogus": 1}]},
         {"experiment": "ground-tail", "params": {"n": "8"}},
+        # --out alone names the artifact directory
+        {"experiment": "toy", "out": "x"},
     ] + BAD_SIZES + [{"experiment": "merge-series", "grid": [{"db": 0}]}] + BAD_VALUES,
 )
 def test_validator_rejects_malformed_configs(cfg):
@@ -266,9 +269,9 @@ def test_range_rules_are_per_experiment():
     validate_config({"experiment": "area-law", "params": {"coupling": -0.3}})
     # cut is checked on the merged point, against the n that params set
     cfg = {"experiment": "ground-tail", "params": {"n": 4}, "grid": [{"cut": 2}]}
-    name, points, seed, out = validate_config(cfg)
+    name, points, seed = validate_config(cfg)
     assert points == [{**REGISTRY[name].defaults, "n": 4, "cut": 2}]
-    assert (seed, out) == (0, None)
+    assert seed == 0
     # a rule several experiments take is stated once, and each record names it
     assert [name for name, e in REGISTRY.items() if cli._CHAIN_D in e.rules] == [
         "ground-tail", "tdmrg", "mps-exist", "gibbs-tail", "decomposition"]
@@ -336,17 +339,19 @@ def test_seed_override_changes_seed_not_hash(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
-def test_config_out_field_sets_artifact_dir(tmp_path, capsys):
+def test_out_flag_alone_names_the_artifact_dir(tmp_path, capsys, monkeypatch):
+    # a config that names a directory is refused, so its hash names only the computation
     dest = tmp_path / "from_config"
     cfg = {"experiment": "c-alpha-table", "out": str(dest)}
-    assert main(["run", write_config(tmp_path, cfg)]) == 0
-    assert (dest / "summary.json").exists()
-    assert f"artifacts in {dest} " in capsys.readouterr().out
-    # the command-line flag wins over the config field
-    override = tmp_path / "flag_wins"
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(override)]) == 0
-    assert (override / "results.csv").exists()
-    assert f"artifacts in {override} " in capsys.readouterr().out
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error: unknown config keys: ['out']"]
+    assert not dest.exists() and not (tmp_path / "o").exists()
+    # without the flag, a run writes to entspec_out in the working directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", write_config(tmp_path, {"experiment": "c-alpha-table"})]) == 0
+    assert (tmp_path / cli.DEFAULT_OUT / "summary.json").exists()
+    assert f"artifacts in {cli.DEFAULT_OUT} " in capsys.readouterr().out
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -569,6 +574,23 @@ def test_tdmrg_work_cap_edge():
     assert time.perf_counter() - started < 1.0
 
 
+def test_se_search_work_cap_edge():
+    # the defaults' shape takes 350 iterations a start and not 351; at dim_cap
+    # 256 an ancilla iteration on a 16 x 16 instance costs 256**3, so one
+    # instance of three starts takes 85 iterations and not 86
+    name = "se-search"
+    validate_config({"experiment": name, "params": {"iterations": 350}})
+    edge = {"dim_cap": 256, "instances": 1, "seeds": 0}
+    validate_config({"experiment": name, "params": {**edge, "iterations": 85}})
+    with pytest.raises(ConfigError, match="<= 4294967296, got 4.33e"):
+        validate_config({"experiment": name, "params": {**edge, "iterations": 86}})
+    # a dim_cap past the largest instance, 16 x 16 levels, costs no more
+    validate_config({"experiment": name, "params": {**edge, "iterations": 85, "dim_cap": 10 ** 9}})
+    # an estimate past float range is refused with its message intact
+    with pytest.raises(ConfigError, match="got past 1e300"):
+        validate_config({"experiment": name, "params": {"terms": 10 ** 400}})
+
+
 def test_chain_size_rules_refuse_before_any_chain_is_built():
     # a two-site term is a dense d**2 x d**2 matrix: at d 256 the ground-tail
     # coupling alone is 65536 square (64 GiB), though d**n meets the sparse cap
@@ -662,6 +684,9 @@ def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module
     ({"experiment": "unbounded", "params": {"d0": 4194305}}, "d0 = 4194305 > 4194304"),
     ({"experiment": "saturate", "params": {"m_levels": 17}}, "'m_levels' must be <= 16"),
     ({"experiment": "agsp", "params": {"instances": 1025}}, "<= 2048, got 2050"),
+    ({"experiment": "se-search", "params": {"iterations": 10 ** 12}},
+     "work estimate instances * (2**16 + terms * (s**2 + 2**13) + (seeds + 3) * iterations * "
+     "(s**3 + 2**14)), s = min(dim_cap, 256), <= 4294967296, got 1.23e+19"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
     # one line, which names the experiment once, whoever raised the refusal
