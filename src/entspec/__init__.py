@@ -72,7 +72,6 @@ from .se_strength import (
     best_upper,
     operator_schmidt_upper,
     se_lower_search,
-    se_upper_from_decomposition,
 )
 from .spectra import (
     Cut,

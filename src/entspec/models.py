@@ -56,14 +56,16 @@ def _random_unit_hermitian(rng, d):
 
 def _random_coupling(rng, da, db, n_terms, low, high):
     """sum_j c_j P_j (x) Q_j with unit-norm random Hermitian P_j, Q_j and
-    c_j uniform on [low, high), drawn P, Q, then c for each term; the terms
-    are kept as the decomposition."""
-    terms = []
-    for _ in range(n_terms):
-        p = _random_unit_hermitian(rng, da)
-        q = _random_unit_hermitian(rng, db)
-        terms.append((float(rng.uniform(low, high)), p, q))
-    return BipartiteOperator.from_terms((da,), (db,), terms)
+    c_j uniform on [low, high), drawn P, Q, then c for each term as
+    from_terms reads it, so no term outlives its sum; the weight is sum_j c_j."""
+
+    def terms():
+        for _ in range(n_terms):
+            p = _random_unit_hermitian(rng, da)
+            q = _random_unit_hermitian(rng, db)
+            yield float(rng.uniform(low, high)), p, q
+
+    return BipartiteOperator.from_terms((da,), (db,), terms())
 
 
 def _block_sum(h_a, h_b):
@@ -395,8 +397,8 @@ def build_ising_projector_interaction(n_levels):
 
 
 def build_swap_interaction():
-    """SWAP sum_ab |a><b| (x) |b><a| on two qubits, with those unit-norm
-    product terms as its decomposition."""
+    """SWAP sum_ab |a><b| (x) |b><a| on two qubits, summed from those
+    unit-norm product terms, so its weight is 4."""
     units = np.eye(2, dtype=complex)
     terms = [(1.0, np.outer(units[a], units[b]), np.outer(units[b], units[a]))
              for a in range(2) for b in range(2)]

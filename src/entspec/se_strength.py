@@ -1,5 +1,6 @@
 """Spectral entangling strength: heuristic lower bounds by product-state
-search and proved upper bounds from term decompositions.
+search, and proved upper bounds from the operator-Schmidt split and from
+the weight sum_j |J_j| of a unit-norm term decomposition.
 
 The exact value is a concave-roof optimization (NP-hard in general), so
 every output is labeled lower/upper; the pair is reported as coinciding
@@ -11,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EntspecError
 from .spectra import check
 
 CONVERGENCE_TOL = 1e-8
@@ -35,16 +35,16 @@ def _operator_schmidt(matrix, da, db):
 
 @dataclass(frozen=True)
 class BipartiteOperator:
-    """Dense operator on A x B with optional unit-norm term decomposition.
+    """Dense operator on A x B, with the weight sum_j |J_j| of a unit-norm
+    term decomposition sum_j J_j A_j (x) B_j of it, or None.
 
-    decomposition entries are (J_j, Phi_A_j, Phi_B_j) with unit-norm factors;
-    only from_terms sets it, and then the matrix is exactly their weighted sum.
+    Only from_terms sets weight, from the terms the matrix is summed from.
     """
 
     dims_a: tuple
     dims_b: tuple
     matrix: np.ndarray
-    decomposition: Optional[tuple] = field(default=None, init=False)
+    weight: Optional[float] = field(default=None, init=False)
 
     def __post_init__(self):
         dims_a = tuple(int(d) for d in self.dims_a)
@@ -61,19 +61,20 @@ class BipartiteOperator:
     @classmethod
     def from_terms(cls, dims_a, dims_b, terms):
         """sum_j J_j A_j (x) B_j, summed in term order with each J_j as given,
-        carrying the terms as its decomposition; every factor must have unit
-        operator norm."""
-        terms = tuple(terms)
+        and its weight sum(|J_j|), reading each term of `terms` once; every
+        factor must have unit operator norm."""
         d = int(np.prod(dims_a)) * int(np.prod(dims_b))
         mat = np.zeros((d, d), dtype=complex)
-        for j, a, b in terms:
+
+        def add(j, a, b):
             if abs(_opnorm(a) - 1.0) > 1e-8 or abs(_opnorm(b) - 1.0) > 1e-8:
-                raise ValueError("decomposition factors must have unit operator norm")
-            mat += j * np.kron(a, b)
+                raise ValueError("term factors must have unit operator norm")
+            np.add(mat, j * np.kron(a, b), out=mat)
+            return abs(complex(j))
+
+        weight = float(sum(add(*term) for term in terms))
         op = cls(dims_a, dims_b, mat)
-        object.__setattr__(op, "decomposition", tuple(
-            (complex(j), np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-            for j, a, b in terms))
+        object.__setattr__(op, "weight", weight)
         return op
 
     @property
@@ -109,13 +110,6 @@ def bracket_check(estimates):
     return check([(e.lower, e.upper) for e in estimates], tol=1e-9)
 
 
-def se_upper_from_decomposition(op):
-    """sum_j |J_j| over the unit-norm term decomposition."""
-    if op.decomposition is None:
-        raise EntspecError("operator carries no term decomposition")
-    return float(sum(abs(j) for j, _, _ in op.decomposition))
-
-
 def operator_schmidt_upper(op):
     """Upper bound sum_s sigma_s ||E_s||op ||F_s||op from the reshuffled SVD.
 
@@ -131,11 +125,10 @@ def operator_schmidt_upper(op):
 
 
 def best_upper(op):
-    """Tightest available proved upper bound."""
-    cands = [operator_schmidt_upper(op)]
-    if op.decomposition is not None:
-        cands.append(se_upper_from_decomposition(op))
-    return float(min(cands))
+    """Tightest available proved upper bound: the operator-Schmidt one, or
+    the term weight where that is less."""
+    upper = operator_schmidt_upper(op)
+    return upper if op.weight is None else min(upper, op.weight)
 
 
 def _contract(phi4, x, y):

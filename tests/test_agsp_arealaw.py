@@ -31,7 +31,6 @@ from entspec.se_strength import (
     BipartiteOperator,
     _opnorm,
     best_upper,
-    se_upper_from_decomposition,
 )
 
 from helpers import random_hermitian
@@ -230,11 +229,10 @@ def test_boundary_strength_is_the_old_nu_scan(monkeypatch, coupling):
     equals, bit for bit, the 65-point scan over nu that it replaced."""
     scan = 0.0
     for nu in np.linspace(0.0, 1.0, 65):
-        # V(nu) = s X (x) X with its one-term decomposition, none at s = 0
+        # V(nu) = s X (x) X with the weight of its one term, none at s = 0
         s = nu * coupling
-        scan = max(scan, se_upper_from_decomposition(
-            BipartiteOperator.from_terms((2,), (2,), ((s, X, X),))) if s != 0
-            else _opnorm(s * np.kron(X, X)))
+        scan = max(scan, BipartiteOperator.from_terms((2,), (2,), ((s, X, X),)).weight
+                   if s != 0 else _opnorm(s * np.kron(X, X)))
     monkeypatch.setattr(dynamics, "MAX_STEPS", 512)
     out = boundary_adiabatic_experiment(1.0, coupling, epsilon=0.5, beta=2.0, d_grid=[1])
     assert out["g_tilde"] == scan

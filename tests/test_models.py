@@ -1,6 +1,7 @@
 """Chain Hamiltonians and the three analytic protocol families."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,7 +281,8 @@ def test_random_dense_instance_structure(rng):
         da, db = v.dim_a, v.dim_b
         assert da * db <= 256
         assert np.allclose(h, h.conj().T)
-        assert v.decomposition is not None
+        # four terms, each coefficient in [0.1, 2)
+        assert 0.4 <= v.weight < 8.0
         assert state.norm == pytest.approx(1.0, abs=1e-12)
         assert state.dims == (da, db)
     # both sides are at least 2-dimensional, so no instance fits below 4
@@ -289,17 +291,29 @@ def test_random_dense_instance_structure(rng):
 
 
 def _assert_built_from(op, mat, terms):
-    """op's matrix has the bytes of mat, and its decomposition holds terms."""
+    """op's matrix has the bytes of mat, and its weight the bits of the sum
+    of the terms' |J_j|."""
     assert op.matrix.tobytes() == mat.tobytes()
-    assert len(op.decomposition) == len(terms)
-    for (j, a, b), (jj, aa, bb) in zip(op.decomposition, terms):
-        assert np.array(j).tobytes() == np.array(complex(jj)).tobytes()
-        assert a.tobytes() == aa.tobytes() and b.tobytes() == bb.tobytes()
+    weight = float(sum(abs(complex(j)) for j, _, _ in terms))
+    assert np.array(op.weight).tobytes() == np.array(weight).tobytes()
+
+
+def test_random_dense_instance_holds_no_term():
+    """Each term is summed as it is drawn: 2,000 terms on a 12 x 14 draw,
+    whose factors alone would take 11 MB, peak below 4 MiB."""
+    tracemalloc.start()
+    try:
+        _, v, _ = random_dense_instance(np.random.default_rng(5), n_terms=2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (v.dim_a, v.dim_b) == (12, 14)
+    assert peak < 4 * 2 ** 20
 
 
 def test_decomposed_builders_repeat_their_summed_matrix_bytes():
     """Each builder's matrix equals, byte for byte, its term sum written out
-    here as a loop, and its decomposition holds the same terms."""
+    here as a loop, and its weight is the sum of those terms' |J_j|."""
     # random coupling: P, Q, then c for each term, from the same stream
     ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
     mat = np.zeros((12, 12), dtype=complex)

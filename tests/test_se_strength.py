@@ -10,13 +10,14 @@ from entspec import (
     EntspecError,
     SeEstimate,
     ToyTwoQubit,
+    best_upper,
     build_ising_projector_interaction,
     build_long_range_ising,
     build_saturation_dynamics,
     build_swap_interaction,
     operator_schmidt_upper,
+    random_dense_instance,
     se_lower_search,
-    se_upper_from_decomposition,
 )
 from entspec.se_strength import _operator_schmidt, _opnorm, _search, bracket_check
 
@@ -44,40 +45,48 @@ def test_bipartite_operator_validation():
     with pytest.raises(ValueError, match="unit operator norm"):
         # factor operator norm 2, not 1
         BipartiteOperator.from_terms((2,), (2,), [(1.0, 2 * Z, Z)])
-    # a decomposition only comes from its terms, so it cannot disagree with the matrix
+    # a weight only comes from the terms, so it cannot disagree with the matrix
     with pytest.raises(TypeError):
-        BipartiteOperator((2,), (2,), np.kron(X, X), decomposition=[(1.0, X, X)])
-    assert BipartiteOperator((2,), (2,), np.kron(X, X)).decomposition is None
+        BipartiteOperator((2,), (2,), np.kron(X, X), weight=1.0)
 
 
 @pytest.mark.parametrize("coeffs", [(0.3, 0.4, 1.7), (0.5 - 0.25j, 1j, 2.0 + 1j),
                                     (-0.5, -1.25, 0.75)])
 def test_from_terms_is_the_weighted_kron_sum(rng, coeffs):
     """The matrix is the term sum with each coefficient as given, byte for
-    byte, and the decomposition holds the terms as complex values."""
+    byte, and the weight is sum(|J_j|), bit for bit, both from one pass
+    over a one-shot iterator."""
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     g = (g + g.conj().T) / 2
     g = g / np.linalg.norm(g, 2)
     terms = [(coeffs[0], Z, np.eye(3)), (coeffs[1], Y, g), (coeffs[2], X, np.diag([1, -1, 1]))]
-    op = BipartiteOperator.from_terms((2,), (3,), terms)
+    op = BipartiteOperator.from_terms((2,), (3,), iter(terms))
     ref = np.zeros((6, 6), dtype=complex)
     for j, a, b in terms:
         ref += j * np.kron(a, b)
     assert op.matrix.tobytes() == ref.tobytes()
     assert (op.dims_a, op.dims_b) == ((2,), (3,))
-    for (j, a, b), (jj, aa, bb) in zip(terms, op.decomposition):
-        assert type(jj) is complex and jj == j
-        assert aa.dtype == bb.dtype == complex
-        assert aa.tobytes() == np.asarray(a, dtype=complex).tobytes()
-        assert bb.tobytes() == np.asarray(b, dtype=complex).tobytes()
+    weight = float(sum(abs(complex(j)) for j, _, _ in terms))
+    assert type(op.weight) is float
+    assert np.array(op.weight).tobytes() == np.array(weight).tobytes()
 
 
-def test_decomposition_upper_is_coefficient_sum():
+def test_decomposition_upper_is_coefficient_sum(rng):
+    """best_upper is the least of the operator-Schmidt bound and the term
+    weight, and the Schmidt bound alone on a bare matrix."""
     op = BipartiteOperator.from_terms((2,), (2,), [(0.3, Z, Z), (0.4, X, X)])
-    assert se_upper_from_decomposition(op) == pytest.approx(0.7, abs=1e-12)
-    bare = BipartiteOperator((2,), (2,), np.kron(Z, Z))
-    with pytest.raises(EntspecError, match="no term decomposition"):
-        se_upper_from_decomposition(bare)
+    assert op.weight == pytest.approx(0.7, abs=1e-12)
+    picked = set()
+    for _ in range(10):
+        _, v, _ = random_dense_instance(rng, dim_cap=16, n_terms=2)
+        schmidt = operator_schmidt_upper(v)
+        assert best_upper(v) == min(schmidt, v.weight)
+        picked.add(best_upper(v) == v.weight)
+        bare = BipartiteOperator(v.dims_a, v.dims_b, v.matrix)
+        assert bare.weight is None
+        assert best_upper(bare) == schmidt
+    # each bound is the lesser on some draw
+    assert picked == {True, False}
 
 
 def test_operator_schmidt_upper_on_product_coupling():
