@@ -25,6 +25,7 @@ from .agsp_arealaw import (
     random_gapped_instance,
 )
 from .dynamics import (
+    GROWTH_ITERATIONS,
     c_alpha_table,
     check_unitary_se_growth,
     evolve_dense,
@@ -377,32 +378,64 @@ def _shown(work):
     return f"{work:.3g}" if work < 1e300 else "past 1e300"
 
 
-# the most work an se-search run may take, by the estimate of _se_search_cost,
-# the least power of two that admits the defaults (3.68e9); at one OpenBLAS
-# thread on a 2-core x86 box a unit took about 20 ns, and at the cap the
-# slowest of seeds 0-9 took 58 s (34,893 instances) at a 63 MB peak, or 44 s
-# at 423 MB (58,253 terms on one instance)
-_SE_SEARCH_WORK_CAP = 2 ** 32
+# the most work a run on instances of random_dense_instance may take, by the
+# estimate of _check_instance_work, the least power of two that admits the
+# se-search defaults (3.68e9). At one OpenBLAS thread on a 2-core x86 box a
+# unit took about 20 ns, and at the cap the slowest of seeds 0-9 took, in
+# se-search, 58 s at a 63 MB peak (34,893 instances) and 47 s at 46 MB
+# (58,253 terms on one 14 x 14 draw); in sie-rate, 54 s at 69 MB (40,320
+# instances), 46 s at 46 MB (58,224 terms), 36 s at 206 MB (131,069 time
+# points) and 11 s at 235 MB (262,138 orders); in unitary-growth, 70 s at
+# 40 MB (477,967 terms), 35 s at 40 MB (159 time points) and 40 s at 50 MB
+# (dim_cap 228, one time point, no seeds)
+_INSTANCE_WORK_CAP = 2 ** 32
 
 
-def _se_search_cost(p):
-    """The work estimate instances * (2**16 + terms * (s**2 + 2**13) +
-    (seeds + 3) * iterations * (s**3 + 2**14)), s = min(dim_cap, 256): an
+def _check_instance_work(p, estimate, instances, searched, per_instance=lambda s: 0):
+    """Refuse a run whose work estimate, named by `estimate`, is past
+    _INSTANCE_WORK_CAP: instances * (2**16 + terms * (s**2 + 2**13) +
+    per_instance(s)) + searched * (s**3 + 2**14), s = min(dim_cap, 256). An
     instance of random_dense_instance holds da * db <= s levels, a side
     holding at most INSTANCE_SIDE_CAP (16). A term's Kronecker product holds
     s**2 entries, and an ascent iteration with ancillas of min(da, db) levels
-    contracts (da * db)**2 * min(da, db)**2 <= s**3. Each instance's search
-    runs seeds + 3 starts with ancillas and seeds + 2 without, for at most
-    `iterations` each; the powers of two are the overheads of an instance, a
-    term and an iteration of both searches at the least instance."""
+    contracts (da * db)**2 * min(da, db)**2 <= s**3; `searched` counts the
+    iterations of the starts with ancillas, each with its start without. The
+    powers of two are the overheads of an instance, a term and an iteration
+    of both searches at the least instance."""
     s = min(p["dim_cap"], INSTANCE_SIDE_CAP ** 2)
-    work = p["instances"] * (2 ** 16 + p["terms"] * (s * s + 2 ** 13)
-                             + (p["seeds"] + 3) * p["iterations"] * (s ** 3 + 2 ** 14))
-    if work > _SE_SEARCH_WORK_CAP:
-        raise ConfigError(f"params must keep the work estimate instances * (2**16 + terms * "
-                          f"(s**2 + 2**13) + (seeds + 3) * iterations * (s**3 + 2**14)), "
-                          f"s = min(dim_cap, {INSTANCE_SIDE_CAP ** 2}), <= {_SE_SEARCH_WORK_CAP}, "
-                          f"got {_shown(work)}")
+    work = (instances * (2 ** 16 + p["terms"] * (s * s + 2 ** 13) + per_instance(s))
+            + searched * (s ** 3 + 2 ** 14))
+    if work > _INSTANCE_WORK_CAP:
+        raise ConfigError(f"params must keep the work estimate {estimate}, s = min(dim_cap, "
+                          f"{INSTANCE_SIDE_CAP ** 2}), <= {_INSTANCE_WORK_CAP}, got {_shown(work)}")
+
+
+def _se_search_cost(p):
+    """Each instance's search runs seeds + 3 starts with ancillas and seeds
+    + 2 without, for at most `iterations` each."""
+    _check_instance_work(p, "instances * (2**16 + terms * (s**2 + 2**13) + (seeds + 3) * "
+                            "iterations * (s**3 + 2**14))",
+                         p["instances"], p["instances"] * (p["seeds"] + 3) * p["iterations"])
+
+
+def _sie_rate_cost(p):
+    """An instance searches nothing; it adds s**3 // 8 for its dense
+    eigendecomposition and its operator-Schmidt SVD, and 2**14 for each
+    time point and each of its len(alphas) rows: the five evolved states,
+    their Schmidt spectra and the entropies at every order, and under a
+    kilobyte a row kept for results.csv."""
+    rows = len(p["times"]) * (1 + len(p["alphas"]))
+    _check_instance_work(p, "instances * (2**16 + terms * (s**2 + 2**13) + s**3 // 8 + "
+                            "len(times) * (1 + len(alphas)) * 2**14)",
+                         p["instances"], 0, lambda s: s ** 3 // 8 + rows * 2 ** 14)
+
+
+def _unitary_growth_cost(p):
+    """One instance, whose propagator at each time point is searched with
+    seeds + 3 starts for at most GROWTH_ITERATIONS each."""
+    _check_instance_work(p, f"2**16 + terms * (s**2 + 2**13) + len(times) * (seeds + 3) * "
+                            f"{GROWTH_ITERATIONS} * (s**3 + 2**14)",
+                         1, len(p["times"]) * (p["seeds"] + 3) * GROWTH_ITERATIONS)
 
 
 # the most levels m a side of saturate's pump: its strength search on two
@@ -524,7 +557,7 @@ REGISTRY = {
     "sie-rate": Experiment(
         exp_rate_profile,
         {"instances": 2, "dim_cap": 36, "terms": 3, "times": [0.3, 0.7], "alphas": [0.5, 1.0, 2.0]},
-        rules=(_INSTANCE_DIM_CAP, _POSITIVE_ALPHAS),
+        rules=(_INSTANCE_DIM_CAP, _POSITIVE_ALPHAS), cost=_sie_rate_cost,
         selftest_params={"instances": 1, "dim_cap": 16, "times": [0.4]}),
     "c-alpha-table": Experiment(
         exp_c_alpha_table, {"alphas": [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, "inf"]},
@@ -603,7 +636,8 @@ REGISTRY = {
         rules=(_CHAIN_D,), cost=_decomposition_cost),
     "unitary-growth": Experiment(
         exp_unitary_growth, {"dim_cap": 25, "terms": 2, "times": [0.1, 0.3, 0.6], "seeds": 4},
-        rules=(_INSTANCE_DIM_CAP, _ELAPSED), selftest_params={"times": [0.2], "dim_cap": 16}),
+        rules=(_INSTANCE_DIM_CAP, _ELAPSED), cost=_unitary_growth_cost,
+        selftest_params={"times": [0.2], "dim_cap": 16}),
 }
 
 

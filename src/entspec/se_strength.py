@@ -72,6 +72,7 @@ class BipartiteOperator:
             np.add(mat, j * np.kron(a, b), out=mat)
             return abs(complex(j))
 
+        # sum(), not a += loop: from Python 3.12 on they round floats apart
         weight = float(sum(add(*term) for term in terms))
         op = cls(dims_a, dims_b, mat)
         object.__setattr__(op, "weight", weight)

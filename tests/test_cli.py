@@ -47,8 +47,11 @@ BAD_SIZES = [
     # a strength search on two 18-level systems, and 2050 filters
     {"experiment": "saturate", "params": {"m_levels": 17}},
     {"experiment": "agsp", "params": {"instances": 1025}},
-    # one ascent iteration a start past the se-search work cap at the other defaults
+    # one ascent iteration a start past the se-search work cap at the other
+    # defaults, and one instance and one term past it in sie-rate and unitary-growth
     {"experiment": "se-search", "params": {"iterations": 351}},
+    {"experiment": "sie-rate", "params": {"instances": 18601}},
+    {"experiment": "unitary-growth", "params": {"terms": 477968}},
 ]
 
 # List entries unlike the default's, an empty list, or a cut outside 1..n-1
@@ -216,19 +219,16 @@ def test_registry_lists_every_published_experiment():
 # run instead; a count that no rule bounds yet is an open robustness item.
 # A new experiment without a cost rule must be added here by name.
 NO_COST_RULE = {
-    "sie-rate",  # instances and terms are counts no rule bounds
     "c-alpha-table",  # closed forms, one row per listed order
     "toy",  # closed forms on two qubits, one row per listed time and order
     "area-law",  # two qubits; the adiabatic refinement stops at dynamics.MAX_STEPS
     "kolmogorov",  # the pairs rule caps N; seeds and polish are counts no rule bounds
     "no-go",  # the n rule caps N; seeds and polish are counts no rule bounds
     "truncation-params",  # closed forms, one row per listed duration
-    "unitary-growth",  # terms and seeds are counts no rule bounds
 }
 
 
 def test_the_experiments_without_a_cost_rule_are_named():
-    # random_dense_instance takes at most 16 levels a side, so dim_cap bounds no run
     assert {name for name, e in REGISTRY.items() if e.cost is None} == NO_COST_RULE
 
 
@@ -687,6 +687,13 @@ def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module
     ({"experiment": "se-search", "params": {"iterations": 10 ** 12}},
      "work estimate instances * (2**16 + terms * (s**2 + 2**13) + (seeds + 3) * iterations * "
      "(s**3 + 2**14)), s = min(dim_cap, 256), <= 4294967296, got 1.23e+19"),
+    # counts that ran until killed before they shared the se-search estimate
+    ({"experiment": "sie-rate", "params": {"instances": 10 ** 8}},
+     "work estimate instances * (2**16 + terms * (s**2 + 2**13) + s**3 // 8 + len(times) * "
+     "(1 + len(alphas)) * 2**14), s = min(dim_cap, 256), <= 4294967296, got 2.31e+13"),
+    ({"experiment": "unitary-growth", "params": {"terms": 10 ** 7}},
+     "work estimate 2**16 + terms * (s**2 + 2**13) + len(times) * (seeds + 3) * 120 * "
+     "(s**3 + 2**14), s = min(dim_cap, 256), <= 4294967296, got 8.83e+10"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
     # one line, which names the experiment once, whoever raised the refusal
