@@ -332,16 +332,19 @@ _ACCEPTED_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,),
 class Experiment:
     """One experiment's whole config contract, which validate_config reads
     without naming the experiment. `rules` are the value rules on its own
-    params, checked after _RULES. `cost(p)` refuses a merged run point that
-    passes one of its caps, by ConfigError for a budget of a CLI run or by
-    the library's own EntspecError for a limit of the code that allocates;
-    it is None where the value rules alone bound the run. `selftest_params`
-    reduce the defaults for `entspec selftest`."""
+    params, checked after _RULES. `budgets` are the budgets of a CLI run,
+    each a row (what, estimate, cap): validate_config refuses a merged run
+    point p with estimate(p) > cap. `limits(p)` calls the library code that
+    allocates, whose own EntspecError refuses a point past a limit of the
+    library; it is None where the library holds no such limit. An estimate
+    may raise that error too. `selftest_params` reduce the defaults for
+    `entspec selftest`."""
 
     run: Callable
     defaults: dict
     rules: tuple = ()
-    cost: Optional[Callable] = None
+    budgets: tuple = ()
+    limits: Optional[Callable] = None
     selftest_params: dict = dataclasses.field(default_factory=dict)
 
 
@@ -373,13 +376,16 @@ _MERGE_CONSTANTS = _above_zero("kappa", "c0", "q_param")
 _POSITIVE_ALPHAS = _above_zero("alphas")
 
 
-def _shown(work):
-    """A work estimate in a message: three digits, as a float holds it."""
-    return f"{work:.3g}" if work < 1e300 else "past 1e300"
+def _shown(estimate):
+    """An estimate in a message: exact below 10**15, else three digits as a
+    float holds it."""
+    if estimate < 10 ** 15:
+        return str(estimate)
+    return f"{estimate:.3g}" if estimate < 1e300 else "past 1e300"
 
 
 # the most work a run on instances of random_dense_instance may take, by the
-# estimate of _check_instance_work, the least power of two that admits the
+# estimate of _instance_work, the least power of two that admits the
 # se-search defaults (3.68e9). At one OpenBLAS thread on a 2-core x86 box a
 # unit took about 20 ns, and at the cap the slowest of seeds 0-9 took, in
 # se-search, 58 s at a 63 MB peak (34,893 instances) and 47 s at 46 MB
@@ -391,51 +397,29 @@ def _shown(work):
 _INSTANCE_WORK_CAP = 2 ** 32
 
 
-def _check_instance_work(p, estimate, instances, searched, per_instance=lambda s: 0):
-    """Refuse a run whose work estimate, named by `estimate`, is past
-    _INSTANCE_WORK_CAP: instances * (2**16 + terms * (s**2 + 2**13) +
-    per_instance(s)) + searched * (s**3 + 2**14), s = min(dim_cap, 256). An
-    instance of random_dense_instance holds da * db <= s levels, a side
-    holding at most INSTANCE_SIDE_CAP (16). A term's Kronecker product holds
-    s**2 entries, and an ascent iteration with ancillas of min(da, db) levels
-    contracts (da * db)**2 * min(da, db)**2 <= s**3; `searched` counts the
-    iterations of the starts with ancillas, each with its start without. The
-    powers of two are the overheads of an instance, a term and an iteration
-    of both searches at the least instance."""
+def _instance_work(p, instances, searched, per_instance=lambda s: 0):
+    """The work estimate of a run on instances of random_dense_instance:
+    instances * (2**16 + terms * (s**2 + 2**13) + per_instance(s)) +
+    searched * (s**3 + 2**14), s = min(dim_cap, 256). An instance holds
+    da * db <= s levels, a side holding at most INSTANCE_SIDE_CAP (16). A
+    term's Kronecker product holds s**2 entries, and an ascent iteration
+    with ancillas of min(da, db) levels contracts (da * db)**2 * min(da,
+    db)**2 <= s**3; `searched` counts the iterations of the starts with
+    ancillas, each with its start without. The powers of two are the
+    overheads of an instance, a term and an iteration of both searches at
+    the least instance."""
     s = min(p["dim_cap"], INSTANCE_SIDE_CAP ** 2)
-    work = (instances * (2 ** 16 + p["terms"] * (s * s + 2 ** 13) + per_instance(s))
+    return (instances * (2 ** 16 + p["terms"] * (s * s + 2 ** 13) + per_instance(s))
             + searched * (s ** 3 + 2 ** 14))
-    if work > _INSTANCE_WORK_CAP:
-        raise ConfigError(f"params must keep the work estimate {estimate}, s = min(dim_cap, "
-                          f"{INSTANCE_SIDE_CAP ** 2}), <= {_INSTANCE_WORK_CAP}, got {_shown(work)}")
 
 
-def _se_search_cost(p):
-    """Each instance's search runs seeds + 3 starts with ancillas and seeds
-    + 2 without, for at most `iterations` each."""
-    _check_instance_work(p, "instances * (2**16 + terms * (s**2 + 2**13) + (seeds + 3) * "
-                            "iterations * (s**3 + 2**14))",
-                         p["instances"], p["instances"] * (p["seeds"] + 3) * p["iterations"])
+_PER_INSTANCE = "2**16 + terms * (s**2 + 2**13)"
 
 
-def _sie_rate_cost(p):
-    """An instance searches nothing; it adds s**3 // 8 for its dense
-    eigendecomposition and its operator-Schmidt SVD, and 2**14 for each
-    time point and each of its len(alphas) rows: the five evolved states,
-    their Schmidt spectra and the entropies at every order, and under a
-    kilobyte a row kept for results.csv."""
-    rows = len(p["times"]) * (1 + len(p["alphas"]))
-    _check_instance_work(p, "instances * (2**16 + terms * (s**2 + 2**13) + s**3 // 8 + "
-                            "len(times) * (1 + len(alphas)) * 2**14)",
-                         p["instances"], 0, lambda s: s ** 3 // 8 + rows * 2 ** 14)
-
-
-def _unitary_growth_cost(p):
-    """One instance, whose propagator at each time point is searched with
-    seeds + 3 starts for at most GROWTH_ITERATIONS each."""
-    _check_instance_work(p, f"2**16 + terms * (s**2 + 2**13) + len(times) * (seeds + 3) * "
-                            f"{GROWTH_ITERATIONS} * (s**3 + 2**14)",
-                         1, len(p["times"]) * (p["seeds"] + 3) * GROWTH_ITERATIONS)
+def _instance_budget(shape, estimate):
+    """The budget row of a run on instances, its _instance_work worded by `shape`."""
+    return (f"the work estimate {shape}, s = min(dim_cap, {INSTANCE_SIDE_CAP ** 2}),", estimate,
+            _INSTANCE_WORK_CAP)
 
 
 # the most levels m a side of saturate's pump: its strength search on two
@@ -444,38 +428,19 @@ def _unitary_growth_cost(p):
 _SATURATE_LEVELS_CAP = 16
 
 
-def _saturate_cost(p):
-    if p["m_levels"] > _SATURATE_LEVELS_CAP:
-        raise ConfigError(f"param 'm_levels' must be <= {_SATURATE_LEVELS_CAP}, as the strength "
-                          f"search takes about (m_levels + 1)**6, got {p['m_levels']}")
-
-
 # the most filters an agsp run builds, instances * len(betas), each kept for
 # agsp_checks; at one OpenBLAS thread on a 2-core x86 box a run at the cap
 # took 2.4-2.8 s at the default betas and 11-12 s at betas [100, 100], at a 95-99 MB peak
 _AGSP_FILTER_CAP = 2 ** 11
 
 
-def _agsp_cost(p):
-    filters = p["instances"] * len(p["betas"])
-    if filters > _AGSP_FILTER_CAP:
-        raise ConfigError(f"params 'instances' and 'betas' must keep the instances * len(betas) "
-                          f"filters a run keeps at <= {_AGSP_FILTER_CAP}, got {filters}")
+def _chain_dim(p):
+    """d**n, the rows of the chain matrix. At d >= 2 the power at n = 1024
+    is past float range, so no larger one is formed."""
+    return p["d"] ** min(p["n"], 1024)
 
 
-def _chain_matrix_cost(cap, limit):
-    """The cost rule of an experiment that forms the chain matrix, d**n rows:
-    d**n <= cap. With d >= 2 the power passes the cap by the exponent
-    cap.bit_length(), so no larger one is formed."""
-
-    def cost(p):
-        if p["d"] ** min(p["n"], cap.bit_length()) > cap:
-            raise ConfigError(f"params 'd' and 'n' must have d**n <= {cap}, "
-                              f"{limit}, got d**n = {p['d']}**{p['n']}")
-    return cost
-
-
-_DENSE_CHAIN_COST = _chain_matrix_cost(DENSE_DIM_CAP, "the dense-matrix limit")
+_DENSE_CHAIN = ("the chain dimension d**n", _chain_dim, DENSE_DIM_CAP)
 
 
 # the most work a tdmrg run may take, by the estimate of _tdmrg_work; at one
@@ -517,18 +482,6 @@ def _tdmrg_work(p):
     return setup + default_step_count(g, n, p["t"], p["eps_target"]) * per_step
 
 
-def _tdmrg_cost(p):
-    if p["compare_dense"]:
-        _chain_matrix_cost(DENSE_DIM_CAP, "the dense-matrix limit of compare_dense "
-                           "(set it to false)")(p)
-    work = _tdmrg_work(p)
-    if work > _TDMRG_WORK_CAP:
-        raise ConfigError(f"params must keep the work estimate n * d**6 // 512 + "
-                          f"steps * (terms + 1) * d * sum over bonds of "
-                          f"min(d_cap, d**k)**2, k sites to the nearer end, "
-                          f"<= {_TDMRG_WORK_CAP}, got {_shown(work)}")
-
-
 # the most entries the cut * (n - cut) pair terms that cross the cut, all a
 # decomposition run builds, may hold, d**4 each: 65,536 pairs at d 2. At one
 # OpenBLAS thread on a 2-core x86 box, n 65537 at cut 1 ran in 2.5-4.0 s and
@@ -536,15 +489,7 @@ def _tdmrg_cost(p):
 _DECOMPOSITION_ENTRY_CAP = 2 ** 20
 
 
-def _decomposition_cost(p):
-    entries = p["cut"] * (p["n"] - p["cut"]) * p["d"] ** 4
-    if entries > _DECOMPOSITION_ENTRY_CAP:
-        raise ConfigError(f"params 'n', 'cut' and 'd' must keep the cut * (n - cut) "
-                          f"crossing pair terms of d**4 entries each at <= "
-                          f"{_DECOMPOSITION_ENTRY_CAP} entries, got {entries}")
-
-
-def _merge_cost(p):
+def _merge_limits(p):
     """The product space and the weight bins within merge_bin_count's
     limits, and z within the series' window, as build_merge_series checks them."""
     merge_bin_count(p["n_terms"], p["kappa"], p["da"] * p["db"])
@@ -557,34 +502,53 @@ REGISTRY = {
     "sie-rate": Experiment(
         exp_rate_profile,
         {"instances": 2, "dim_cap": 36, "terms": 3, "times": [0.3, 0.7], "alphas": [0.5, 1.0, 2.0]},
-        rules=(_INSTANCE_DIM_CAP, _POSITIVE_ALPHAS), cost=_sie_rate_cost,
+        rules=(_INSTANCE_DIM_CAP, _POSITIVE_ALPHAS),
+        # an instance searches nothing; it adds s**3 // 8 for its dense
+        # eigendecomposition and its operator-Schmidt SVD, and 2**14 for each
+        # time point and each of its len(alphas) rows: the five evolved states,
+        # their Schmidt spectra and the entropies at every order, and under a
+        # kilobyte a row kept for results.csv
+        budgets=(_instance_budget(
+            f"instances * ({_PER_INSTANCE} + s**3 // 8 + len(times) * (1 + len(alphas)) * 2**14)",
+            lambda p: _instance_work(p, p["instances"], 0, lambda s: s ** 3 // 8 + len(p["times"])
+                                     * (1 + len(p["alphas"])) * 2 ** 14)),),
         selftest_params={"instances": 1, "dim_cap": 16, "times": [0.4]}),
     "c-alpha-table": Experiment(
         exp_c_alpha_table, {"alphas": [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, "inf"]},
         rules=((("alphas",), lambda v: v == "inf" or v >= 0.5, ">= 0.5 or \"inf\""),)),
     "saturate": Experiment(
         exp_saturation, {"m_levels": 4, "j": 1.0, "n_pairs": 10, "times": [0.25, 0.5, 1.0]},
-        rules=(_above_zero("times", "j"),), cost=_saturate_cost, selftest_params={"times": [0.5]}),
+        rules=(_above_zero("times", "j"),),
+        budgets=(("m_levels", lambda p: p["m_levels"], _SATURATE_LEVELS_CAP),),
+        selftest_params={"times": [0.5]}),
     "unbounded": Experiment(
         exp_unbounded, {"d0": 16, "j": 1.0, "t": 1.0, "alphas": [0.25, 0.4, 0.5, 1.0]},
         rules=(_POSITIVE_ALPHAS, _above_zero("j", "t"), (("d0",), lambda v: v >= 2, ">= 2")),
-        cost=lambda p: build_unbounded_dynamics(p["d0"], p["j"], p["t"])),
+        limits=lambda p: build_unbounded_dynamics(p["d0"], p["j"], p["t"])),
     "toy": Experiment(
         exp_toy_rate, {"times": [0.2, 0.5, 0.9, 1.2], "alphas": [0.3, 0.5, 0.75, 1.0, 2.0, "inf"]},
         rules=((("times",), lambda v: 0 < v < math.pi / 2,
                 "in (0, pi/2), where the closed form holds"),)),
     "se-search": Experiment(
         exp_se_search, {"instances": 4, "dim_cap": 64, "terms": 3, "seeds": 8, "iterations": 300},
-        rules=(_INSTANCE_DIM_CAP,), cost=_se_search_cost,
+        rules=(_INSTANCE_DIM_CAP,),
+        # each instance's search runs seeds + 3 starts with ancillas and
+        # seeds + 2 without, for at most `iterations` each
+        budgets=(_instance_budget(
+            f"instances * ({_PER_INSTANCE} + (seeds + 3) * iterations * (s**3 + 2**14))",
+            lambda p: _instance_work(p, p["instances"],
+                                     p["instances"] * (p["seeds"] + 3) * p["iterations"])),),
         selftest_params={"instances": 1, "dim_cap": 16, "seeds": 3, "iterations": 100}),
     "agsp": Experiment(
         exp_agsp, {"instances": 3, "betas": [1.0, 4.0]}, rules=(_above_zero("betas"),),
-        cost=_agsp_cost, selftest_params={"instances": 1, "betas": [2.0]}),
+        budgets=(("the filters instances * len(betas)", lambda p: p["instances"] * len(p["betas"]),
+                  _AGSP_FILTER_CAP),),
+        selftest_params={"instances": 1, "betas": [2.0]}),
     "ground-tail": Experiment(
         exp_ground_tail,
         {"chain": "longrange", "n": 8, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.6,
          "hz": 0.2, "cut": 4, "d_grid": [1, 2, 4, 8, 16]},
-        rules=(_CHAIN_D,), cost=_chain_matrix_cost(SPARSE_DIM_CAP, "the sparse-eigensolver limit"),
+        rules=(_CHAIN_D,), budgets=(("the chain dimension d**n", _chain_dim, SPARSE_DIM_CAP),),
         selftest_params={"n": 6, "cut": 3, "d_grid": [1, 4, 8]}),
     "area-law": Experiment(
         exp_area_law,
@@ -596,12 +560,17 @@ REGISTRY = {
         exp_tdmrg,
         {"n": 8, "d": 2, "j0": 1.0, "hx": 0.4, "hz": 0.3,
          "t": 0.3, "eps_target": 0.2, "d_cap": 16, "compare_dense": True},
-        rules=(_CHAIN_D, _ELAPSED, _above_zero("eps_target")), cost=_tdmrg_cost,
+        rules=(_CHAIN_D, _ELAPSED, _above_zero("eps_target")),
+        budgets=(("the chain dimension d**n, with compare_dense true,",
+                  lambda p: _chain_dim(p) if p["compare_dense"] else 0, DENSE_DIM_CAP),
+                 ("the work estimate n * d**6 // 512 + steps * (terms + 1) * d * sum over bonds "
+                  "of min(d_cap, d**k)**2, k sites to the nearer end,", _tdmrg_work,
+                  _TDMRG_WORK_CAP)),
         selftest_params={"n": 4, "t": 0.2, "d_cap": 8, "eps_target": 0.5}),
     "mps-exist": Experiment(
         exp_mps_existence,
         {"n": 8, "d": 2, "j0": 1.0, "hx": 0.5, "hz": 0.0, "t": 0.4, "d_grid": [2, 4, 8, 16]},
-        rules=(_CHAIN_D, _ELAPSED), cost=_DENSE_CHAIN_COST,
+        rules=(_CHAIN_D, _ELAPSED), budgets=(_DENSE_CHAIN,),
         selftest_params={"n": 6, "t": 0.3, "d_grid": [2, 8]}),
     "gibbs-tail": Experiment(
         exp_gibbs_tail,
@@ -609,7 +578,8 @@ REGISTRY = {
          "betas": [0.0, 1.0, 2.0], "d_grid": [1, 2, 4, 8]},
         rules=(_CHAIN_D,
                (("betas",), lambda v: v >= 0, ">= 0: the caps are stated for beta >= 0")),
-        cost=_DENSE_CHAIN_COST, selftest_params={"n": 3, "betas": [0.0, 1.0], "d_grid": [1, 2, 4]}),
+        budgets=(_DENSE_CHAIN,),
+        selftest_params={"n": 3, "betas": [0.0, 1.0], "d_grid": [1, 2, 4]}),
     "kolmogorov": Experiment(
         exp_kolmogorov, {"pairs": [[8, 1], [16, 1], [16, 4]], "seeds": 8, "polish": 200},
         rules=((("pairs",), lambda q: len(q) == 2 and all(map(_is_int, q))
@@ -625,7 +595,7 @@ REGISTRY = {
         exp_merge,
         {"da": 4, "db": 4, "n_terms": 2, "v_scale": 0.25, "z_re": 0.0, "z_im": 0.05,
          "s0": 4, "m": 4, "q": 4, "kappa": 1.0, "d0": 4, "c0": 1.0, "q_param": 2.0},
-        rules=(_MERGE_CONSTANTS,), cost=_merge_cost),
+        rules=(_MERGE_CONSTANTS,), limits=_merge_limits),
     "truncation-params": Experiment(
         exp_truncation_params,
         {"durations": [0.5, 1.0, 2.0], "q_param": 2.0, "c0": 1.0,
@@ -633,10 +603,19 @@ REGISTRY = {
         rules=(_ELAPSED, _MERGE_CONSTANTS, _above_zero("eps0"))),
     "decomposition": Experiment(
         exp_decomposition, {"n": 10, "d": 2, "j0": 1.0, "eta": 3.5, "cut": 5},
-        rules=(_CHAIN_D,), cost=_decomposition_cost),
+        rules=(_CHAIN_D,),
+        budgets=(("the entries cut * (n - cut) * d**4 of the crossing pair terms",
+                  lambda p: p["cut"] * (p["n"] - p["cut"]) * p["d"] ** 4,
+                  _DECOMPOSITION_ENTRY_CAP),)),
     "unitary-growth": Experiment(
         exp_unitary_growth, {"dim_cap": 25, "terms": 2, "times": [0.1, 0.3, 0.6], "seeds": 4},
-        rules=(_INSTANCE_DIM_CAP, _ELAPSED), cost=_unitary_growth_cost,
+        rules=(_INSTANCE_DIM_CAP, _ELAPSED),
+        # one instance, whose propagator at each time point is searched with
+        # seeds + 3 starts for at most GROWTH_ITERATIONS each
+        budgets=(_instance_budget(
+            f"{_PER_INSTANCE} + len(times) * (seeds + 3) * {GROWTH_ITERATIONS} * (s**3 + 2**14)",
+            lambda p: _instance_work(p, 1,
+                                     len(p["times"]) * (p["seeds"] + 3) * GROWTH_ITERATIONS)),),
         selftest_params={"times": [0.2], "dim_cap": 16}),
 }
 
@@ -713,11 +692,16 @@ def validate_config(cfg):
         if "cut" in p and not 1 <= p["cut"] <= p["n"] - 1:
             raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
                               f"{p['n']}, got {p['cut']}")
-        if experiment.cost:
-            try:
-                experiment.cost(p)
-            except (ConfigError, EntspecError) as exc:
-                raise ConfigError(f"run point of {name}: {exc}") from None
+        try:
+            if experiment.limits:
+                experiment.limits(p)
+            for what, estimate, cap in experiment.budgets:
+                got = estimate(p)
+                if got > cap:
+                    raise ConfigError(f"run point of {name}: params must keep {what} <= {cap}, "
+                                      f"got {_shown(got)}")
+        except EntspecError as exc:
+            raise ConfigError(f"run point of {name}: {exc}") from None
     return name, points, _checked_seed(cfg.get("seed", 0))
 
 
