@@ -16,7 +16,9 @@ from .errors import EntspecError
 from .dynamics import DensePropagator, adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
 from .se_strength import _opnorm
-from .spectra import Cut, PureState, SchmidtSpectrum, check, renyi_entropy, schmidt_decompose
+from .spectra import (
+    Cut, PureState, SchmidtSpectrum, _exp_or_inf, check, renyi_entropy, schmidt_decompose,
+)
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
 # values move by less than QUAD_TOL and the ground value is within
@@ -66,7 +68,7 @@ class AgspOperator:
 
     def strength_cap(self, v_upper):
         """Growth cap on the cut strength of the filtered propagator mix."""
-        return math.exp(2.0 * self.beta * self.delta * v_upper)
+        return _exp_or_inf(2.0 * self.beta * self.delta * v_upper)
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,10 +244,7 @@ class AreaLawConstants:
 
     def tail_cap(self, d):
         """C * D^(-kappa), evaluated in log space."""
-        try:
-            return math.exp(self.log_c - self.kappa * math.log(d))
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_c - self.kappa * math.log(d))
 
 
 def area_law_constants(g_tilde, delta, s0, c0_tilde):

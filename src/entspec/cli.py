@@ -377,8 +377,7 @@ _POSITIVE_ALPHAS = _above_zero("alphas")
 
 
 def _shown(estimate):
-    """An estimate in a message: exact below 10**15, else three digits as a
-    float holds it."""
+    """An estimate in a message: exact below 10**15, else to three digits."""
     if estimate < 10 ** 15:
         return str(estimate)
     return f"{estimate:.3g}" if estimate < 1e300 else "past 1e300"
@@ -388,32 +387,35 @@ def _shown(estimate):
 # estimate of _instance_work, the least power of two that admits the
 # se-search defaults (3.68e9). At one OpenBLAS thread on a 2-core x86 box a
 # unit took about 20 ns, and at the cap the slowest of seeds 0-9 took, in
-# se-search, 58 s at a 63 MB peak (34,893 instances) and 47 s at 46 MB
-# (58,253 terms on one 14 x 14 draw); in sie-rate, 54 s at 69 MB (40,320
-# instances), 46 s at 46 MB (58,224 terms), 36 s at 206 MB (131,069 time
-# points) and 11 s at 235 MB (262,138 orders); in unitary-growth, 70 s at
-# 40 MB (477,967 terms), 35 s at 40 MB (159 time points) and 40 s at 50 MB
-# (dim_cap 228, one time point, no seeds)
+# se-search, 51 s at a 51 MB peak (1,920 instances of 256 levels, one term,
+# no search), 58 s at 63 MB (34,893 instances, an edge now at 34,891) and
+# 47 s at 46 MB (58,253 terms on one 14 x 14 draw, now at 58,224); in
+# sie-rate, 54 s at 69 MB (40,320 instances), 46 s at 46 MB (58,224
+# terms), 36 s at 206 MB (131,069 time points) and 11 s at 235 MB (262,138
+# orders); in unitary-growth, 70 s at 40 MB (477,967 terms), 35 s at 40 MB
+# (159 time points) and 40 s at 50 MB (dim_cap 228, one time point, no seeds)
 _INSTANCE_WORK_CAP = 2 ** 32
 
 
-def _instance_work(p, instances, searched, per_instance=lambda s: 0):
+def _instance_work(p, instances, searched, per_instance=0):
     """The work estimate of a run on instances of random_dense_instance:
-    instances * (2**16 + terms * (s**2 + 2**13) + per_instance(s)) +
-    searched * (s**3 + 2**14), s = min(dim_cap, 256). An instance holds
+    instances * (2**16 + terms * (s**2 + 2**13) + s**3 // 8 + per_instance)
+    + searched * (s**3 + 2**14), s = min(dim_cap, 256). An instance holds
     da * db <= s levels, a side holding at most INSTANCE_SIDE_CAP (16). A
-    term's Kronecker product holds s**2 entries, and an ascent iteration
-    with ancillas of min(da, db) levels contracts (da * db)**2 * min(da,
-    db)**2 <= s**3; `searched` counts the iterations of the starts with
-    ancillas, each with its start without. The powers of two are the
+    term's Kronecker product holds s**2 entries. The dense work of an
+    instance, s**3 // 8, is best_upper's operator-Schmidt SVD and the SVD
+    of each search start, or sie-rate's eigendecomposition. An ascent
+    iteration with ancillas of min(da, db) levels contracts (da * db)**2 *
+    min(da, db)**2 <= s**3; `searched` counts the iterations of the starts
+    with ancillas, each with its start without. The powers of two are the
     overheads of an instance, a term and an iteration of both searches at
     the least instance."""
     s = min(p["dim_cap"], INSTANCE_SIDE_CAP ** 2)
-    return (instances * (2 ** 16 + p["terms"] * (s * s + 2 ** 13) + per_instance(s))
+    return (instances * (2 ** 16 + p["terms"] * (s * s + 2 ** 13) + s ** 3 // 8 + per_instance)
             + searched * (s ** 3 + 2 ** 14))
 
 
-_PER_INSTANCE = "2**16 + terms * (s**2 + 2**13)"
+_PER_INSTANCE = "2**16 + terms * (s**2 + 2**13) + s**3 // 8"
 
 
 def _instance_budget(shape, estimate):
@@ -503,15 +505,14 @@ REGISTRY = {
         exp_rate_profile,
         {"instances": 2, "dim_cap": 36, "terms": 3, "times": [0.3, 0.7], "alphas": [0.5, 1.0, 2.0]},
         rules=(_INSTANCE_DIM_CAP, _POSITIVE_ALPHAS),
-        # an instance searches nothing; it adds s**3 // 8 for its dense
-        # eigendecomposition and its operator-Schmidt SVD, and 2**14 for each
-        # time point and each of its len(alphas) rows: the five evolved states,
-        # their Schmidt spectra and the entropies at every order, and under a
-        # kilobyte a row kept for results.csv
+        # an instance searches nothing; it adds 2**14 for each time point and
+        # each of its len(alphas) rows: the five evolved states, their Schmidt
+        # spectra and the entropies at every order, and under a kilobyte a row
+        # kept for results.csv
         budgets=(_instance_budget(
-            f"instances * ({_PER_INSTANCE} + s**3 // 8 + len(times) * (1 + len(alphas)) * 2**14)",
-            lambda p: _instance_work(p, p["instances"], 0, lambda s: s ** 3 // 8 + len(p["times"])
-                                     * (1 + len(p["alphas"])) * 2 ** 14)),),
+            f"instances * ({_PER_INSTANCE} + len(times) * (1 + len(alphas)) * 2**14)",
+            lambda p: _instance_work(p, p["instances"], 0,
+                                     len(p["times"]) * (1 + len(p["alphas"])) * 2 ** 14)),),
         selftest_params={"instances": 1, "dim_cap": 16, "times": [0.4]}),
     "c-alpha-table": Experiment(
         exp_c_alpha_table, {"alphas": [0.5, 0.6, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0, "inf"]},

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EntspecError
 from .models import DENSE_DIM_CAP, ToyTwoQubit
 from .se_strength import BipartiteOperator, best_upper, bracket_check, se_lower_search
-from .spectra import PureState, check, renyi_entropies, schmidt_decompose
+from .spectra import PureState, _exp_or_inf, check, renyi_entropies, schmidt_decompose
 
 RATE_STEP = 2e-3
 KINK_THRESHOLD = 0.05
@@ -244,7 +244,7 @@ def check_unitary_se_growth(h, dims_a, dims_b, t_grid, se_upper_v, seeds, seed=0
         op = BipartiteOperator(tuple(dims_a), tuple(dims_b), u_t)
         est = se_lower_search(op, seeds=seeds, iterations=GROWTH_ITERATIONS, seed=seed)
         bracket_check([est]).require(f"the strength search on U({t}) beats its proved bound")
-        row = {"t": float(t), "lower": est.lower, "cap": math.exp(se_upper_v * t)}
+        row = {"t": float(t), "lower": est.lower, "cap": _exp_or_inf(se_upper_v * t)}
         rows.append({**row, "ok": unitary_growth_check([row]).ok})
     return rows
 

@@ -39,6 +39,14 @@ def check(pairs, tol=0.0, strict=False):
     return Check(float(np.min(margins)) if margins else None, strict)
 
 
+def _exp_or_inf(x):
+    """math.exp(x) for a cap, inf where that is past float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PureState:
     """Dense state vector over a chain of qudits with per-site dimensions."""

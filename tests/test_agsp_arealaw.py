@@ -181,6 +181,14 @@ def test_area_law_constants_survive_huge_exponents():
     assert math.isfinite(consts.entropy_bound)
 
 
+def test_strength_cap_past_float_range_is_inf():
+    # on diag(0, 1) delta is 1: at beta 1000 the exponent 2 * beta * v_upper
+    # passes 709 from v_upper 0.355 on, where math.exp raised OverflowError
+    k = build_agsp(np.diag([0.0, 1.0]).astype(complex), 1000.0)
+    assert k.strength_cap(0.35) == math.exp(700.0)
+    assert k.strength_cap(0.36) == math.inf
+
+
 def test_boundary_adiabatic_chain_holds_together():
     out = boundary_adiabatic_experiment(1.0, 0.3, epsilon=0.1, beta=3.0, d_grid=[1, 2])
     assert all(c.ok for c in out["checks"].values())

@@ -52,6 +52,25 @@ BAD_SIZES = [
     {"experiment": "se-search", "params": {"iterations": 351}},
     {"experiment": "sie-rate", "params": {"instances": 18601}},
     {"experiment": "unitary-growth", "params": {"terms": 477968}},
+    # the dense work of an instance alone: 30,840 instances of 256 levels,
+    # a run of minutes, passed before an instance counted it
+    {"experiment": "se-search", "params": {"instances": 30840, "dim_cap": 256, "terms": 1,
+                                           "seeds": 0, "iterations": 0}},
+    # 2.8e10 steps that never finished once the dense comparison was off
+    {"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
+    # sizes that passed validation and then exited 1 on the dense-matrix guard:
+    # the dense chain matrix has d**n rows
+    {"experiment": "mps-exist", "params": {"n": 13}},
+    {"experiment": "gibbs-tail", "params": {"n": 13}},
+    {"experiment": "gibbs-tail", "params": {"n": 7, "d": 4}},
+    {"experiment": "mps-exist", "params": {"n": 12}, "grid": [{"d": 2}, {"d": 3}]},
+    # the sparse ground-state path has its own d**n cap
+    {"experiment": "ground-tail", "params": {"n": 17}},
+    # the size rules never form d**n for a huge n
+    {"experiment": "mps-exist", "params": {"n": 10 ** 9}},
+    {"experiment": "gibbs-tail", "params": {"n": 10 ** 9}},
+    # the dense comparison was dropped without a word above the dense limit
+    {"experiment": "tdmrg", "params": {"n": 13}},
 ]
 
 # List entries unlike the default's, an empty list, or a cut outside 1..n-1
@@ -126,24 +145,11 @@ BAD_VALUES = [
     {"experiment": "merge-series", "params": {"kappa": 1e6}},
     {"experiment": "kolmogorov", "params": {"pairs": [[100000, 1]]}},
     {"experiment": "no-go", "params": {"n": 100000}},
-    # 2.8e10 steps that never finished once the dense comparison was off
-    {"experiment": "tdmrg", "params": {"compare_dense": False, "n": 100000}},
     # step counts past float range: g inf at j0 1e308, g*n*t/eps_target inf
     {"experiment": "tdmrg", "params": {"j0": 1e308}},
     {"experiment": "tdmrg", "params": {"eps_target": 1e-320}},
-    # sizes that passed validation and then exited 1 on the dense-matrix guard:
-    # the dense chain matrix has d**n rows
-    {"experiment": "mps-exist", "params": {"n": 13}},
-    {"experiment": "gibbs-tail", "params": {"n": 13}},
-    {"experiment": "gibbs-tail", "params": {"n": 7, "d": 4}},
-    {"experiment": "mps-exist", "params": {"n": 12}, "grid": [{"d": 2}, {"d": 3}]},
-    # the sparse ground-state path has its own d**n cap
-    {"experiment": "ground-tail", "params": {"n": 17}},
     # the merge series refuses a product space above MERGE_DIM_CAP
     {"experiment": "merge-series", "params": {"da": 40, "db": 40}},
-    # the size rules never form d**n for a huge n
-    {"experiment": "mps-exist", "params": {"n": 10 ** 9}},
-    {"experiment": "gibbs-tail", "params": {"n": 10 ** 9}},
     # a chain site of one level ended in a traceback
     {"experiment": "mps-exist", "params": {"d": 1}},
     {"experiment": "tdmrg", "params": {"d": 1}},
@@ -165,8 +171,6 @@ BAD_VALUES = [
     {"experiment": "tdmrg", "params": {"t": -0.3}},
     {"experiment": "no-go", "params": {"times": [-0.2]}},
     {"experiment": "gibbs-tail", "params": {"betas": [-1.0]}},
-    # the dense comparison was dropped without a word above the dense limit
-    {"experiment": "tdmrg", "params": {"n": 13}},
     # z outside the merge series' window exited 1 on the series' own guard
     {"experiment": "merge-series", "params": {"z_im": 1.0}},
     {"experiment": "merge-series", "params": {"v_scale": 1.0}, "grid": [{"z_re": 0.03}]},
@@ -231,6 +235,31 @@ NO_BUDGETS_OR_LIMITS = {
 def test_the_experiments_without_a_cost_rule_are_named():
     assert {name for name, e in REGISTRY.items()
             if not e.budgets and e.limits is None} == NO_BUDGETS_OR_LIMITS
+
+
+# every budget row, named by its experiment and its index in the record
+BUDGETS = {f"{name}-{i}": (name, row) for name, e in REGISTRY.items()
+           for i, row in enumerate(e.budgets)}
+
+
+@pytest.mark.parametrize("name, row", BUDGETS.values(), ids=BUDGETS)
+def test_every_budget_admits_the_defaults_and_the_selftest_point(name, row):
+    _, estimate, cap = row
+    defaults = REGISTRY[name].defaults
+    assert estimate(defaults) <= cap
+    assert estimate({**defaults, **REGISTRY[name].selftest_params}) <= cap
+
+
+@pytest.mark.parametrize("name, row", BUDGETS.values(), ids=BUDGETS)
+def test_every_budget_has_a_bad_size_past_it(name, row):
+    what, _, cap = row
+    refusals = []
+    for cfg in BAD_SIZES:
+        if cfg["experiment"] == name:
+            with pytest.raises(ConfigError) as exc:
+                validate_config(cfg)
+            refusals.append(str(exc.value))
+    assert any(f"params must keep {what} <= {cap}, got " in r for r in refusals)
 
 
 def test_validation_names_no_experiment():
@@ -583,10 +612,21 @@ def test_se_search_work_cap_edge():
     validate_config({"experiment": name, "params": {"iterations": 350}})
     edge = {"dim_cap": 256, "instances": 1, "seeds": 0}
     validate_config({"experiment": name, "params": {**edge, "iterations": 85}})
-    with pytest.raises(ConfigError, match="<= 4294967296, got 4333035520$"):
+    with pytest.raises(ConfigError, match="<= 4294967296, got 4335132672$"):
         validate_config({"experiment": name, "params": {**edge, "iterations": 86}})
     # a dim_cap past the largest instance, 16 x 16 levels, costs no more
     validate_config({"experiment": name, "params": {**edge, "iterations": 85, "dim_cap": 10 ** 9}})
+    # every instance counts s**3 // 8 for its dense work: at one term and no
+    # search, 1,920 instances of 256 levels fit and 1,921 do not; the least
+    # instance and one iteration take 34,891 and not 34,892, and one instance
+    # of 256 levels takes 58,224 terms and not 58,225
+    bare = {"dim_cap": 256, "terms": 1, "seeds": 0, "iterations": 0}
+    for params, over in (({**bare, "instances": 1920}, "instances"),
+                         ({**bare, "dim_cap": 4, "iterations": 1, "instances": 34891}, "instances"),
+                         ({**bare, "instances": 1, "terms": 58224}, "terms")):
+        validate_config({"experiment": name, "params": params})
+        with pytest.raises(ConfigError, match="<= 4294967296, got "):
+            validate_config({"experiment": name, "params": {**params, over: params[over] + 1}})
     # an estimate past float range is refused with its message intact
     with pytest.raises(ConfigError, match="got past 1e300"):
         validate_config({"experiment": name, "params": {"terms": 10 ** 400}})
@@ -686,15 +726,15 @@ def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module
     ({"experiment": "saturate", "params": {"m_levels": 17}}, "m_levels <= 16, got 17"),
     ({"experiment": "agsp", "params": {"instances": 1025}}, "<= 2048, got 2050"),
     ({"experiment": "se-search", "params": {"iterations": 10 ** 12}},
-     "work estimate instances * (2**16 + terms * (s**2 + 2**13) + (seeds + 3) * iterations * "
-     "(s**3 + 2**14)), s = min(dim_cap, 256), <= 4294967296, got 1.23e+19"),
+     "work estimate instances * (2**16 + terms * (s**2 + 2**13) + s**3 // 8 + (seeds + 3) * "
+     "iterations * (s**3 + 2**14)), s = min(dim_cap, 256), <= 4294967296, got 1.23e+19"),
     # counts that ran until killed before they shared the se-search estimate
     ({"experiment": "sie-rate", "params": {"instances": 10 ** 8}},
      "work estimate instances * (2**16 + terms * (s**2 + 2**13) + s**3 // 8 + len(times) * "
      "(1 + len(alphas)) * 2**14), s = min(dim_cap, 256), <= 4294967296, got 23090400000000"),
     ({"experiment": "unitary-growth", "params": {"terms": 10 ** 7}},
-     "work estimate 2**16 + terms * (s**2 + 2**13) + len(times) * (seeds + 3) * 120 * "
-     "(s**3 + 2**14), s = min(dim_cap, 256), <= 4294967296, got 88250728216"),
+     "work estimate 2**16 + terms * (s**2 + 2**13) + s**3 // 8 + len(times) * (seeds + 3) * "
+     "120 * (s**3 + 2**14), s = min(dim_cap, 256), <= 4294967296, got 88250730169"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
     # one line, which names the experiment once, whoever raised the refusal
@@ -838,6 +878,15 @@ def test_unitary_growth_row_and_check_agree_near_the_cap(tmp_path, monkeypatch):
     assert code == 1
     assert row["ok"] == "False"
     assert summary["checks"]["below_cap"] is False
+
+
+def test_unitary_growth_cap_past_float_range_is_inf(tmp_path):
+    # exp(t * v_upper) passes float range at t 1e10; the run exited 1 on
+    # math's OverflowError before any check, and the bound holds at inf
+    code, summary, (row,) = run_cli(
+        tmp_path, {"experiment": "unitary-growth", "params": {"times": [1e10]}})
+    assert code == 0
+    assert row["cap"] == "inf" and summary["margins"]["below_cap"] == "inf"
 
 
 def test_decomposition_fails_on_a_negative_worst_margin(tmp_path, monkeypatch):
