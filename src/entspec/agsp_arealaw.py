@@ -17,7 +17,7 @@ from .dynamics import DensePropagator, adiabatic_error_bound, adiabatic_evolve
 from .models import _block_sum, _random_coupling
 from .se_strength import _opnorm
 from .spectra import (
-    Cut, PureState, SchmidtSpectrum, _exp_or_inf, check, renyi_entropy, schmidt_decompose,
+    Cut, PureState, SchmidtSpectrum, _or_inf, check, renyi_entropy, schmidt_decompose,
 )
 
 # quadrature: starting Gauss-Legendre node count, doubled until the filter
@@ -32,9 +32,6 @@ NODE_CAP = 2 ** 14
 GAPPED_MAX_LOCAL = 8
 GAPPED_V_TERMS = 3
 SMALL_GAP = 1e-8  # least chain gap at which ground_tail_experiment trusts its tail cap
-# largest chain dimension d**n for ground_tail_experiment's sparse path: at
-# 2**16 (n = 16, d = 2) one run took 2.4 s and peaked at 120 MB RSS on a 2-core box
-SPARSE_DIM_CAP = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class AgspOperator:
 
     def strength_cap(self, v_upper):
         """Growth cap on the cut strength of the filtered propagator mix."""
-        return _exp_or_inf(2.0 * self.beta * self.delta * v_upper)
+        return _or_inf(math.exp, 2.0 * self.beta * self.delta * v_upper)
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,6 +174,7 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
     it is strictly harder than the stated inequality.
     Paper: the polynomial Schmidt-tail decay of long-range chain ground states.
     """
+    cut = Cut(cut_pos, chain.n)
     dim = chain.total_dim
     if dim <= 2048:
         prop = DensePropagator(chain.dense())
@@ -191,7 +189,7 @@ def ground_tail_experiment(chain, cut_pos, d_grid):
         gap = float(w[order[1]] - w[order[0]])
         ground = u[:, order[0]]
     state = PureState(dims=(chain.d,) * chain.n, amps=ground)
-    spec = schmidt_decompose(state, Cut.of(range(cut_pos), chain.n))
+    spec = schmidt_decompose(state, cut)
     j_tilde = chain.boundary_strength_cap()
     expo = gap / (2.0 * j_tilde + gap) if j_tilde > 0 else 1.0
     rows = []
@@ -244,7 +242,7 @@ class AreaLawConstants:
 
     def tail_cap(self, d):
         """C * D^(-kappa), evaluated in log space."""
-        return _exp_or_inf(self.log_c - self.kappa * math.log(d))
+        return _or_inf(math.exp, self.log_c - self.kappa * math.log(d))
 
 
 def area_law_constants(g_tilde, delta, s0, c0_tilde):

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .agsp_arealaw import (
-    SPARSE_DIM_CAP,
     agsp_checks,
     boundary_adiabatic_experiment,
     build_agsp,
@@ -54,6 +53,7 @@ from .lowrank import (
 from .models import (
     DENSE_DIM_CAP,
     INSTANCE_SIDE_CAP,
+    SPARSE_DIM_CAP,
     _random_unit_hermitian,
     build_ising_projector_interaction,
     build_long_range_ising,
@@ -334,11 +334,11 @@ class Experiment:
     without naming the experiment. `rules` are the value rules on its own
     params, checked after _RULES. `budgets` are the budgets of a CLI run,
     each a row (what, estimate, cap): validate_config refuses a merged run
-    point p with estimate(p) > cap. `limits(p)` calls the library code that
-    allocates, whose own EntspecError refuses a point past a limit of the
-    library; it is None where the library holds no such limit. An estimate
-    may raise that error too. `selftest_params` reduce the defaults for
-    `entspec selftest`."""
+    point p with estimate(p) > cap. `limits(p)` runs the library's own
+    checks on p, such as a Cut or the merge window, without allocating: their
+    EntspecError refuses a point past a limit of the library. It is None
+    where the library holds no such limit. An estimate may raise that error
+    too. `selftest_params` reduce the defaults for `entspec selftest`."""
 
     run: Callable
     defaults: dict
@@ -550,6 +550,7 @@ REGISTRY = {
         {"chain": "longrange", "n": 8, "d": 2, "j0": 1.0, "eta": 3.0, "hx": 0.6,
          "hz": 0.2, "cut": 4, "d_grid": [1, 2, 4, 8, 16]},
         rules=(_CHAIN_D,), budgets=(("the chain dimension d**n", _chain_dim, SPARSE_DIM_CAP),),
+        limits=lambda p: Cut(p["cut"], p["n"]),
         selftest_params={"n": 6, "cut": 3, "d_grid": [1, 4, 8]}),
     "area-law": Experiment(
         exp_area_law,
@@ -604,7 +605,7 @@ REGISTRY = {
         rules=(_ELAPSED, _MERGE_CONSTANTS, _above_zero("eps0"))),
     "decomposition": Experiment(
         exp_decomposition, {"n": 10, "d": 2, "j0": 1.0, "eta": 3.5, "cut": 5},
-        rules=(_CHAIN_D,),
+        rules=(_CHAIN_D,), limits=lambda p: Cut(p["cut"], p["n"]),
         budgets=(("the entries cut * (n - cut) * d**4 of the crossing pair terms",
                   lambda p: p["cut"] * (p["n"] - p["cut"]) * p["d"] ** 4,
                   _DECOMPOSITION_ENTRY_CAP),)),
@@ -690,9 +691,6 @@ def validate_config(cfg):
     # the rules that span params
     points = [{**defaults, **params, **g} for g in grid or [{}]]
     for p in points:
-        if "cut" in p and not 1 <= p["cut"] <= p["n"] - 1:
-            raise ConfigError(f"param 'cut' of {name} must lie in 1..n-1 for n = "
-                              f"{p['n']}, got {p['cut']}")
         try:
             if experiment.limits:
                 experiment.limits(p)

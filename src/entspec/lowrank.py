@@ -13,7 +13,7 @@ import numpy as np
 from .errors import EntspecError
 from .models import _block_sum
 from .se_strength import _opnorm
-from .spectra import check
+from .spectra import _or_inf, check
 
 MERGE_DIM_CAP = 2 ** 10
 MERGE_MEMORY_CAP = 2 ** 29  # bytes of the couplings and weight bins one merge series holds
@@ -259,10 +259,7 @@ def merge_z_window(z, q0):
 
 def _bin_edge(m, kappa):
     """4^(m/kappa), where weight bin m starts; inf past float range."""
-    try:
-        return 4.0 ** (m / kappa)
-    except OverflowError:
-        return math.inf
+    return _or_inf(pow, 4.0, m / kappa)
 
 
 def merge_bin_count(n_terms, kappa, dim):

@@ -12,9 +12,12 @@ import numpy as np
 
 from .errors import EntspecError
 from .se_strength import BipartiteOperator, _opnorm
-from .spectra import PureState, SchmidtSpectrum, check, renyi_entropy
+from .spectra import Cut, PureState, SchmidtSpectrum, check, renyi_entropy
 
 DENSE_DIM_CAP = 2 ** 12
+# the largest chain dimension d**n of ChainHamiltonian.sparse(): at 2**16 one
+# ground_tail_experiment run took 2.4 s and peaked at 120 MB RSS on a 2-core box
+SPARSE_DIM_CAP = 2 ** 16
 # the most levels of an unbounded spectrum, a list of d0 + 1 floats: at one
 # OpenBLAS thread on a 2-core x86 box a run at the cap took 1.3-1.5 s at a 260 MB peak
 UNBOUNDED_D0_CAP = 2 ** 22
@@ -163,10 +166,12 @@ class ChainHamiltonian:
         return h
 
     def sparse(self):
-        """CSR form of dense(), from the same entries in the same order, at any size."""
+        """CSR form of dense(), same entries, same order; EntspecError above SPARSE_DIM_CAP."""
+        d = self.total_dim
+        if d > SPARSE_DIM_CAP:
+            raise EntspecError(f"sparse chain total dim {d} > cap {SPARSE_DIM_CAP}")
         from scipy import sparse
 
-        d = self.total_dim
         h = sparse.csr_matrix((d, d), dtype=complex)
         for t in self.terms:
             rows, cols, vals = _term_entries(t, self.n, self.d)
@@ -191,7 +196,10 @@ def _clock_chain(n, d, pair_weights, hx, hz, power):
     pair_weights, plus the field hx (X + X^dag)/2 + hz (Z + Z^dag)/2 on every
     site, from the clock and shift pair (Pauli Z, X at d = 2). Every local
     matrix has unit operator norm, so a power read from the weights is tight.
+    EntspecError, before the d**2 x d**2 coupling is formed, above DENSE_DIM_CAP.
     """
+    if d * d > DENSE_DIM_CAP:
+        raise EntspecError(f"clock coupling dim {d * d} > cap {DENSE_DIM_CAP}")
     omega = np.exp(2j * np.pi / d)
     z = np.diag(omega ** np.arange(d))
     x = np.roll(np.eye(d), 1, axis=0).astype(complex)
@@ -206,13 +214,13 @@ def _clock_chain(n, d, pair_weights, hx, hz, power):
 def build_long_range_ising(n, d=2, j0=1.0, *, eta, hx=0.0, hz=0.0, cut=None):
     """Power-law coupled clock chain with transverse and longitudinal fields:
     weight j0 |i-j|^(-eta) on every pair; EntspecError unless eta > 2,
-    before any weight is formed. Given a cut in 1..n-1 (ValueError
-    otherwise), the chain holds only the pairs i < cut <= j that cross it,
-    with the fields: its power is still (|j0|, eta), but its g and dense()
-    are those of the crossing part alone."""
+    before any weight is formed. Given a cut, which Cut checks, the chain
+    holds only the pairs i < cut <= j that cross it, with the fields: its
+    power is still (|j0|, eta), but its g and dense() are those of the
+    crossing part alone."""
     _checked_eta(eta)
-    if cut is not None and not 1 <= cut <= n - 1:
-        raise ValueError(f"cut = {cut} not in 1..n-1 for n = {n}")
+    if cut is not None:
+        Cut(cut, n)
     # every pair i < j, or with a cut only those with i < cut <= j, i then j ascending
     pairs = [((i, j), j0 * (j - i) ** (-eta)) for i in range(cut or n)
              for j in range(max(i + 1, cut or 0), n)]

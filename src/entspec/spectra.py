@@ -39,10 +39,10 @@ def check(pairs, tol=0.0, strict=False):
     return Check(float(np.min(margins)) if margins else None, strict)
 
 
-def _exp_or_inf(x):
-    """math.exp(x) for a cap, inf where that is past float range."""
+def _or_inf(f, *args):
+    """f(*args), math.exp or pow, for a cap: inf where that is past float range."""
     try:
-        return math.exp(x)
+        return f(*args)
     except OverflowError:
         return math.inf
 
@@ -81,7 +81,8 @@ class Cut:
 
     def __post_init__(self):
         if not 1 <= self.k < self.n:
-            raise EntspecError(f"no bond after site {self.k - 1} of a {self.n}-site chain")
+            raise EntspecError(f"cut {self.k} is no bond of a {self.n}-site chain: "
+                               f"it must lie in 1..{self.n - 1}")
 
     @staticmethod
     def of(left, n_sites):

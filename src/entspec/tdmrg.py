@@ -26,7 +26,7 @@ from .mps import (
     mps_norm,
     to_dense,
 )
-from .spectra import Cut, PureState, check, schmidt_decompose
+from .spectra import Cut, PureState, _or_inf, check, schmidt_decompose
 
 # Within a step the accumulated state is compressed to STAGE_CAP_FACTOR *
 # d_cap (dropping values at or below STAGE_TOLERANCE) whenever its bond
@@ -129,9 +129,8 @@ def naive_error_bound(g, n, t, n_steps, d_cap, j_tilde):
     """Exponential-recurrence bound that predates the certificate, from an
     exact start; kept for comparison only."""
     root = math.sqrt(2.0 * n)
-    try:
-        grow = (1.0 + root) ** n_steps
-    except OverflowError:
+    grow = _or_inf(pow, 1.0 + root, n_steps)
+    if grow == math.inf:
         return math.inf
     gnt = g * n * t
     per_step = root * math.exp(j_tilde * t) / math.sqrt(d_cap) + (1.0 + root) * gnt ** 2 / n_steps ** 2

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import entspec.cli as cli
 from entspec import (
-    SeEstimate, adiabatic_evolve, agsp_arealaw, build_nearest_neighbor_chain, dynamics, lowrank,
-    tdmrg_run,
+    EntspecError, SeEstimate, adiabatic_evolve, agsp_arealaw, build_nearest_neighbor_chain,
+    dynamics, lowrank, tdmrg_run,
 )
 from entspec.lowrank import WidthResult
 from entspec.cli import REGISTRY, ConfigError, main, selftest, validate_config
@@ -232,7 +232,7 @@ NO_BUDGETS_OR_LIMITS = {
 }
 
 
-def test_the_experiments_without_a_cost_rule_are_named():
+def test_the_experiments_without_budgets_or_limits_are_named():
     assert {name for name, e in REGISTRY.items()
             if not e.budgets and e.limits is None} == NO_BUDGETS_OR_LIMITS
 
@@ -263,13 +263,16 @@ def test_every_budget_has_a_bad_size_past_it(name, row):
 
 
 def test_validation_names_no_experiment():
-    # each experiment's rules live in its record: the validator only reads them
+    # each rule lives in an experiment's record or in the library that owns
+    # its data: the validator only reads them, so it spells no experiment and
+    # no param name
     tree = ast.parse(Path(cli.__file__).read_text())
     bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
               and node.name in ("validate_config", "_check_params")]
     assert len(bodies) == 2
+    names = set(REGISTRY) | {key for e in REGISTRY.values() for key in e.defaults}
     assert [node.value for body in bodies for node in ast.walk(body)
-            if isinstance(node, ast.Constant) and node.value in REGISTRY] == []
+            if isinstance(node, ast.Constant) and node.value in names] == []
 
 
 @pytest.mark.parametrize(
@@ -735,6 +738,9 @@ def test_unreported_bracket_or_fit_exits_1(tmp_path, capsys, monkeypatch, module
     ({"experiment": "unitary-growth", "params": {"terms": 10 ** 7}},
      "work estimate 2**16 + terms * (s**2 + 2**13) + s**3 // 8 + len(times) * (seeds + 3) * "
      "120 * (s**3 + 2**14), s = min(dim_cap, 256), <= 4294967296, got 88250730169"),
+    # a cut that is no bond: Cut alone owns a cut's domain, through the record's limits
+    ({"experiment": "ground-tail", "params": {"cut": 0}},
+     "run point of ground-tail: cut 0 is no bond of a 8-site chain: it must lie in 1..7"),
 ])
 def test_cost_rules_exit_2_naming_their_estimate(tmp_path, capsys, cfg, estimate):
     # one line, which names the experiment once, whoever raised the refusal
@@ -908,6 +914,33 @@ def test_decomposition_fails_on_a_negative_worst_margin(tmp_path, monkeypatch):
 def test_selftest_fails_when_corruption_goes_undetected(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_corruption_probes", lambda: [("sabotaged probe", lambda: False)])
     assert selftest(tmp_path / "st") == 1
+
+
+def test_selftest_reports_a_numeric_failure_on_its_line(tmp_path, monkeypatch, capsys):
+    def fails(p, seed):
+        raise EntspecError("sabotaged run")
+
+    # one experiment, and no probe that reads another
+    monkeypatch.setattr(cli, "REGISTRY", {"toy": dataclasses.replace(REGISTRY["toy"], run=fails)})
+    monkeypatch.setattr(cli, "_corruption_probes", lambda: [])
+    assert selftest(tmp_path / "st") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"  {'toy':<20} FAIL (sabotaged run)" in out
+    assert out[-1] == "selftest FAILED: ['toy']"
+
+
+def test_selftest_fails_when_the_validator_accepts_a_malformed_probe(tmp_path, monkeypatch,
+                                                                      capsys):
+    # a validator that stops checking the seed accepts the probe of seed "zero"
+    monkeypatch.setattr(cli, "_checked_seed", lambda seed: seed)
+    monkeypatch.setattr(cli, "REGISTRY", {"saturate": REGISTRY["saturate"]})
+    monkeypatch.setattr(cli, "_corruption_probes", lambda: [])
+    assert selftest(tmp_path / "st") == 1
+    out = capsys.readouterr().out.splitlines()
+    probe = {"experiment": "saturate", "seed": "zero"}
+    assert [line for line in out if "FAIL" in line] == [
+        f"  reject {str(probe)[:48]:<48} FAIL",
+        f"selftest FAILED: {[f'validator accepted {probe}']}"]
 
 
 def test_cli_states_no_check_rule():

@@ -344,5 +344,7 @@ def test_decomposition_of_the_crossing_pairs_is_that_of_the_whole_chain(cut):
 
 @pytest.mark.parametrize("cut", [-1, 0, 12])
 def test_crossing_pairs_need_a_cut_inside_the_chain(cut):
-    with pytest.raises(ValueError, match="not in 1..n-1"):
+    # Cut refuses it, as it refuses a bad cut of the CLI
+    with pytest.raises(EntspecError, match=f"cut {cut} is no bond of a 12-site chain: "
+                                           "it must lie in 1..11"):
         build_long_range_ising(12, d=2, j0=1.0, eta=3.5, cut=cut)

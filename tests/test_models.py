@@ -25,6 +25,7 @@ from entspec import (
     renyi_entropy,
     schmidt_decompose,
 )
+from entspec import models
 from entspec.dynamics import unbounded_experiment
 from entspec.lowrank import long_range_constants
 from entspec.models import UNBOUNDED_D0_CAP, _random_coupling, _random_unit_hermitian
@@ -106,6 +107,32 @@ def test_sparse_equals_dense_exactly():
     the dense sum."""
     for chain in _exact_test_chains():
         assert np.array_equal(chain.sparse().toarray(), chain.dense())
+
+
+class Formed(Exception):
+    """Raised by a stand-in for the call that would form a refused matrix."""
+
+
+def _forms(*args):
+    raise Formed
+
+
+def test_sparse_refuses_a_chain_above_its_cap_before_forming_an_entry(monkeypatch):
+    # 2**17 rows at n 17: the CLI's budget row was the only guard
+    monkeypatch.setattr(models, "_term_entries", _forms)
+    with pytest.raises(EntspecError, match="sparse chain total dim 131072 > cap 65536"):
+        build_long_range_ising(17, eta=3.0).sparse()
+    with pytest.raises(Formed):  # n 16 is at the cap, so its entries are formed
+        build_long_range_ising(16, eta=3.0).sparse()
+
+
+def test_clock_coupling_is_refused_above_the_dense_cap_before_it_is_formed(monkeypatch):
+    # the d**2 x d**2 coupling at d 65 holds 4225**2 entries, 285 MB
+    monkeypatch.setattr(np, "kron", _forms)
+    with pytest.raises(EntspecError, match="clock coupling dim 4225 > cap 4096"):
+        build_nearest_neighbor_chain(2, d=65, j=1.0)
+    with pytest.raises(Formed):  # d 64 is at the cap, so its coupling is formed
+        build_nearest_neighbor_chain(2, d=64, j=1.0)
 
 
 def test_dense_equals_kron_reference_bytes():

@@ -208,7 +208,7 @@ def test_compress_sum_equals_compress_of_add_bytes(n, d):
     assert truncated == (n > 1)
 
 
-def test_compress_sum_tolerance_drops_small_values():
+def test_block_compression_tolerance_drops_small_values():
     up = product_mps(4, d=2, local_vectors=[np.array([1.0, 0.0])] * 4)
     down = product_mps(4, d=2, local_vectors=[np.array([0.0, 1.0])] * 4)
     sites = [up.tensors, down.tensors]

@@ -30,7 +30,8 @@ def test_cut_validation():
     cut = Cut.of([0, 1], 3)
     assert (cut.k, cut.n) == (2, 3)
     for left in ([0, 2], [1], [], [0, 1, 2]):
-        with pytest.raises(EntspecError, match="are not 0..k-1|no bond after site"):
+        with pytest.raises(EntspecError, match="are not 0..k-1|is no bond of a 3-site chain: "
+                                               "it must lie in 1..2"):
             Cut.of(left, 3)
     state = PureState(dims=(2, 2, 2, 2), amps=np.ones(16))
     with pytest.raises(EntspecError, match="cut of 3 sites on a 4-site state"):
