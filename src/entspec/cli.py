@@ -167,7 +167,7 @@ def exp_rate_profile(p, seed):
     samples = []
     for i in range(p["instances"]):
         h_full, v, state = random_dense_instance(rng, dim_cap=p["dim_cap"], n_terms=p["terms"])
-        inst = measure_rate_profile(h_full, state, Cut.of([0], 2), p["alphas"], p["times"], v_ab=v)
+        inst = measure_rate_profile(h_full, state, Cut(1, 2), p["alphas"], p["times"], v_ab=v)
         samples += inst
         rows += [{"instance": i, **dataclasses.asdict(s), "margin": s.margin} for s in inst]
     return {"rows": rows, "checks": {"all_margins_ok": rate_bound_check(samples)}}
@@ -705,7 +705,7 @@ def validate_config(cfg):
 
 
 def _checked_seed(seed):
-    """The seed of a config or of --seed: the generators take a non-negative integer."""
+    """The seed of a config: the generators take a non-negative integer."""
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
@@ -716,7 +716,7 @@ def _checked_seed(seed):
 NUMERIC_FAILURE = (EntspecError, ValueError, ArithmeticError)
 
 
-def _run_config(cfg, out_dir, threads, seed_override=None):
+def _run_config(cfg, out_dir, threads):
     """Run every point of a config, write its artifacts to `out_dir` and
     return the summary. At `threads` 1 the points run on the calling
     thread, so Ctrl-C stops a run at once. As in the tests, a numpy
@@ -727,8 +727,6 @@ def _run_config(cfg, out_dir, threads, seed_override=None):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return REGISTRY[name].run(p, point_seed)
 
-    if seed_override is not None:
-        seed = _checked_seed(seed_override)
     if threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {threads}")
     started = time.time()
@@ -844,7 +842,6 @@ def build_parser():
     run.add_argument("config", help="path to the config JSON")
     run.add_argument("--out", default=DEFAULT_OUT, help="artifact directory")
     run.add_argument("--threads", type=int, default=1)
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
     st = sub.add_parser("selftest", help="reduced sweep of every experiment")
     st.add_argument("--out", default="entspec_selftest", help="artifact directory")
     return ap
@@ -862,7 +859,7 @@ def main(argv=None):
         return 2
     out_dir = Path(args.out)
     try:
-        summary = _run_config(cfg, out_dir, args.threads, args.seed)
+        summary = _run_config(cfg, out_dir, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

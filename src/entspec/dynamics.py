@@ -211,7 +211,7 @@ def measure_rate_profile(h, state0, cut, alphas, times, v_ab):
             samples.append(
                 RateSample(
                     t=float(t),
-                    alpha=float(alpha) if alpha != math.inf else math.inf,
+                    alpha=float(alpha),
                     entropy=e[2],
                     rate=float(rate),
                     bound=bound,

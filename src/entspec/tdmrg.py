@@ -234,10 +234,11 @@ def state_mps_existence_check(chain, initial, t, d_grid):
     # the law lam_j <= growth / j at every cut, with 1e-9 of rounding slack
     lam_pairs = []
     for s in range(1, n):
-        spec = schmidt_decompose(psi_t, Cut.of(range(s), n))
+        spec = schmidt_decompose(psi_t, Cut(s, n))
         lam_pairs += [(lam, growth / j) for j, lam in enumerate(spec.coeffs, start=1)]
     rows = []
     pairs = []
+    tol = 1e-12  # rounding slack of the truncation law, for each row and the check
     for d in d_grid:
         mps_d, _ = from_dense(psi_t, d_max=d)
         diff = psi_t.amps - to_dense(mps_d).amps
@@ -245,12 +246,12 @@ def state_mps_existence_check(chain, initial, t, d_grid):
         bound = 2.0 * math.exp(2.0 * j_tilde * t) * n / d
         pairs.append((err2, bound))
         rows.append({"D": int(d), "err2": err2, "bound": bound,
-                     "ok": check(pairs[-1:], tol=1e-12).ok})
+                     "ok": check(pairs[-1:], tol=tol).ok})
     return {
         "j_tilde": j_tilde,
         "rows": rows,
         "checks": {
-            "truncation_errors_bounded": check(pairs, tol=1e-12),
+            "truncation_errors_bounded": check(pairs, tol=tol),
             "coefficient_law": check(lam_pairs, tol=1e-9),
         },
     }
@@ -278,7 +279,7 @@ def gibbs_tail_experiment(chain, betas, d_grid):
         m_beta = int(math.ceil(beta * q0 / 4.0 - 1e-12)) if beta > 0 else 0
         kappa_beta = 4.0 * rank_exponent_base(kappa, d0) * m_beta
         for s in range(1, n):
-            spec = schmidt_decompose(state, Cut.of(range(2 * s), 2 * n))
+            spec = schmidt_decompose(state, Cut(2 * s, 2 * n))
             for dd in d_grid:
                 tail2 = float(np.sum(spec.coeffs[dd:] ** 2))
                 cap = 480.0 * m_beta * dd ** (-1.0 / kappa_beta) if m_beta > 0 else None

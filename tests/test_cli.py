@@ -357,19 +357,14 @@ def test_run_writes_parseable_artifacts(tmp_path):
     assert int(summary["config_sha256"], 16) >= 0
 
 
-def test_seed_override_changes_seed_not_hash(tmp_path):
-    cfg_path = write_config(tmp_path, {"experiment": "c-alpha-table", "seed": 1})
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", cfg_path, "--out", str(out_a)]) == 0
-    assert main(["run", cfg_path, "--out", str(out_b), "--seed", "99"]) == 0
-    sa = json.loads((out_a / "summary.json").read_text())
-    sb = json.loads((out_b / "summary.json").read_text())
-    assert sa["config_sha256"] == sb["config_sha256"]
-    assert sa["seed"] == 1
-    assert sb["seed"] == 99
-    # the override takes the config's seed rule: a negative one is rejected
-    assert main(["run", cfg_path, "--out", str(tmp_path / "c"), "--seed", "-3"]) == 2
-    assert not (tmp_path / "c").exists()
+def test_seed_flag_is_refused(tmp_path, capsys):
+    # a run's seed is its config's, so one config hash names one result
+    cfg_path = write_config(tmp_path, {"experiment": "toy", "seed": 1})
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg_path, "--out", str(tmp_path / "o"), "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_flag_alone_names_the_artifact_dir(tmp_path, capsys, monkeypatch):
@@ -774,6 +769,27 @@ def test_grid_labels_rows_and_checks(tmp_path):
     assert [r["grid_point"] for r in rows] == ["0", "1", "1"]
 
 
+def test_a_grid_of_empty_points_is_a_seed_sweep(tmp_path):
+    # point i runs at seed + i: [{}, {}] at seed 3 repeats the single runs
+    # at seeds 3 and 4, which differ
+    cfg = {"experiment": "se-search", "params": REGISTRY["se-search"].selftest_params}
+
+    def run(name, **keys):
+        (tmp_path / name).mkdir()
+        code, summary, rows = run_cli(tmp_path / name, {**cfg, **keys})
+        assert code == 0
+        return summary, rows
+
+    sweep, swept = run("sweep", grid=[{}, {}], seed=3)
+    singles = [run(f"seed{seed}", seed=seed) for seed in (3, 4)]
+    assert sweep["seed"] == 3 and sweep["grid_points"] == 2
+    for i, (summary, rows) in enumerate(singles):
+        assert [{**r, "grid_point": str(i)} for r in rows] == \
+            [r for r in swept if r["grid_point"] == str(i)]
+        assert sweep["derived"][i] == summary["derived"]
+    assert singles[0][1] != singles[1][1]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = {
         "experiment": "se-search",
@@ -827,7 +843,7 @@ def test_summary_is_strict_json(tmp_path):
 
 
 def test_selftest_passes(tmp_path, capsys):
-    assert selftest(tmp_path / "st") == 0
+    assert main(["selftest", "--out", str(tmp_path / "st")]) == 0
     assert "selftest passed" in capsys.readouterr().out
     # every check reports its margin, and its boolean is the margin's sign
     for name in REGISTRY:
@@ -844,6 +860,25 @@ def test_selftest_passes(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     margin = json.loads((out / "summary.json").read_text())["margins"]["tails_below_cap"]
     assert margin == min(float(r["cap"]) - float(r["tail2"]) for r in rows)
+
+
+def test_ground_tail_on_a_nearest_chain_is_vacuous_and_reads_no_eta(tmp_path):
+    # the boundary strength of a nearest-neighbour chain is its coupling, so
+    # the cap stays about 31 against tails of at most 1; eta, which only a
+    # power-law chain reads, moves no byte
+    chain = build_nearest_neighbor_chain(8, 2, 1.0, 0.6, 0.2)
+    written = []
+    for eta in (3.0, 5.0):
+        run_dir = tmp_path / f"eta{eta}"
+        run_dir.mkdir()
+        cfg = {"experiment": "ground-tail", "params": {"chain": "nearest", "eta": eta}}
+        code, summary, _ = run_cli(run_dir, cfg)
+        assert code == 0
+        assert summary["derived"]["j_tilde"] == chain.boundary_strength_cap() == 1.0
+        assert summary["checks"] == {"tails_below_cap": True}
+        assert summary["margins"]["tails_below_cap"] == pytest.approx(30.9717, abs=1e-4)
+        written.append((run_dir / "o" / "results.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_gapless_chain_fails_on_its_gap(tmp_path):
@@ -914,6 +949,20 @@ def test_decomposition_fails_on_a_negative_worst_margin(tmp_path, monkeypatch):
 def test_selftest_fails_when_corruption_goes_undetected(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_corruption_probes", lambda: [("sabotaged probe", lambda: False)])
     assert selftest(tmp_path / "st") == 1
+
+
+def test_selftest_fails_when_malformed_schmidt_data_is_accepted(tmp_path, monkeypatch,
+                                                                 capsys):
+    # a spectrum that checks nothing lets both corrupted spectra through
+    monkeypatch.setattr(cli, "SchmidtSpectrum", lambda coeffs, source_norm: None)
+    # one experiment, the one the certificate probe reads
+    monkeypatch.setattr(cli, "REGISTRY", {"tdmrg": REGISTRY["tdmrg"]})
+    assert selftest(tmp_path / "st") == 1
+    labels = ["corrupted coefficient ordering", "corrupted source norm"]
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "FAIL" in line] == [
+        *(f"  inject {label:<48} FAIL" for label in labels),
+        f"selftest FAILED: {[f'corruption undetected: {label}' for label in labels]}"]
 
 
 def test_selftest_reports_a_numeric_failure_on_its_line(tmp_path, monkeypatch, capsys):

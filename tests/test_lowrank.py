@@ -84,6 +84,13 @@ def test_all_halves_witness_is_exactly_half():
         assert res.value <= 0.5 + 1e-12
 
 
+def test_polish_stops_on_an_exact_fit():
+    # at a zero residual the step's phase would be 0/0
+    a = np.ones((3, 1))
+    b = np.full((1, 3), 0.5)
+    assert lowrank._subgradient_polish(a @ b, a, b, 10) == 0.0
+
+
 @given(st.integers(2, 12), st.data())
 @settings(max_examples=15, deadline=None)
 def test_identity_fit_stays_in_proved_window(n, data):

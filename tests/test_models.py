@@ -290,6 +290,8 @@ def test_toy_rate_trichotomy():
     assert toy.rate(0.25, 1e-4) > 50.0
     assert toy.rate(0.5, 1e-4) == pytest.approx(2.0, abs=1e-3)
     assert abs(toy.rate(0.75, 1e-4)) < 0.1
+    # at t = 0 itself the von Neumann formula would take the log of 1/0
+    assert toy.rate(1.0, 0.0) == 0.0
 
 
 def test_product_state_helpers(rng):

@@ -100,6 +100,14 @@ def test_renyi_rejects_bad_inputs():
         renyi_entropy(unit, -1.0)
 
 
+def test_empty_and_zero_spectra_have_rank_zero():
+    empty = SchmidtSpectrum(np.array([]), 0.0)
+    assert empty.rank == 0
+    assert SchmidtSpectrum(np.zeros(3), 0.0).rank == 0
+    with pytest.raises(EntspecError, match=r"spectrum not normalized: sum lambda\^2 = 0.0"):
+        renyi_entropy(empty, 1.0)
+
+
 def _renyi_per_order(spec, alpha):
     """The order-by-order formula, written out, that renyi_entropies must
     reproduce bit for bit."""
